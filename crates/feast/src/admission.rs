@@ -24,9 +24,9 @@
 //!   through a fresh sequential controller ([`AdmissionLog::replay`])
 //!   reproduces bit-identical verdicts — the determinism contract tests
 //!   and load harnesses check.
-//! * [`AdmissionWal`] — the durable half of the transcript: every
-//!   concluded request is CRC32-sealed to an append-only JSONL
-//!   write-ahead log *before* its verdict is returned, and
+//! * The write-ahead log ([`AdmitConfig::durable`]) — the durable half
+//!   of the transcript: every concluded request is CRC32-sealed to an
+//!   append-only JSONL log *before* its verdict is returned, and
 //!   [`AdmissionController::recover`] rebuilds the committed state from
 //!   that log after a crash, bit-identical to the pre-crash digest.
 //!
@@ -51,8 +51,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -70,9 +68,10 @@ use taskgraph::{TaskGraph, Time};
 use crate::error::AdmitError;
 use crate::fault::{FaultPlan, FaultSite};
 use crate::pipeline::{Pipeline, SharedSliceCache, SliceOutput, Sliced, Verdict};
-use crate::runner::{fingerprint, seal};
+use crate::runner::fingerprint;
 use crate::scenario::Scenario;
-use crate::{telemetry, RunError, Runner};
+use crate::sealed_log::{self, seal, SealedLine, SealedLog};
+use crate::{telemetry, RunError};
 
 /// Configuration of an admission controller or service: the pipeline
 /// scenario, the platform size, and the service's operational bounds.
@@ -108,8 +107,8 @@ pub struct AdmitConfig {
     pub decision_budget: Option<Duration>,
     /// Path of the durable write-ahead log. `Some` makes every concluded
     /// request durable before its verdict is returned (see
-    /// [`AdmissionWal`]); `None` (the default) keeps the transcript
-    /// in-memory only.
+    /// [`AdmitConfig::durable`]); `None` (the default) keeps the
+    /// transcript in-memory only.
     pub wal_path: Option<PathBuf>,
     /// Deterministic fault plan for the admission fault sites. Only
     /// consulted when the `fault-inject` cargo feature is enabled;
@@ -193,9 +192,12 @@ impl AdmitConfig {
     }
 
     /// Makes the transcript durable: every concluded request is sealed to
-    /// the write-ahead log at `path` before its verdict is returned. A
-    /// fresh controller truncates any existing file at `path`; use
-    /// [`AdmissionController::recover`] to resume from one instead.
+    /// the write-ahead log at `path` before its verdict is returned.
+    /// "Durable" means flushed to the operating system, never fsynced: a
+    /// sealed verdict survives the process being killed (SIGKILL, a
+    /// panic, an abort) but not an operating-system crash or a power
+    /// loss. A fresh controller truncates any existing file at `path`;
+    /// use [`AdmissionController::recover`] to resume from one instead.
     #[must_use]
     pub fn durable(mut self, path: impl Into<PathBuf>) -> Self {
         self.wal_path = Some(path.into());
@@ -552,6 +554,29 @@ enum WalLine {
     },
 }
 
+impl SealedLine for WalLine {
+    const KIND: &'static str = "admission log";
+    const NOT_A_HEADER: &'static str = "first line is not an admission log header";
+
+    fn fingerprint(&self) -> Option<u64> {
+        match self {
+            WalLine::Header { fingerprint, .. } => Some(*fingerprint),
+            WalLine::Sealed { .. } => None,
+        }
+    }
+
+    fn seal_holds(&self) -> bool {
+        match self {
+            WalLine::Header { .. } => true,
+            WalLine::Sealed { crc, record } => seal(record) == *crc,
+        }
+    }
+
+    fn count_retry() {
+        telemetry::global().count_admission_log_retry();
+    }
+}
+
 /// The wire form of an [`AdmitRequest`]: owns its graph, because the
 /// vendored serde has no `Arc` impls and the log must be self-contained.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -678,274 +703,6 @@ fn fault_fires(
     false
 }
 
-/// The admission service's durable transcript: an append-only,
-/// CRC32-sealed JSONL write-ahead log (the same on-disk discipline as the
-/// Runner's checkpoints).
-///
-/// The first line is a header carrying a configuration fingerprint;
-/// every further line seals one [`AdmitRequest`] + [`AdmitOutcome`] +
-/// post-outcome state digest. Appends `flush` to the OS per record, so a
-/// killed process loses at most the record in flight; transient append
-/// failures retry with bounded exponential backoff (the Runner's
-/// [`CHECKPOINT_RETRY_LIMIT`](Runner::CHECKPOINT_RETRY_LIMIT) /
-/// [`CHECKPOINT_BACKOFF_BASE`](Runner::CHECKPOINT_BACKOFF_BASE) policy).
-/// On load, a torn *final* line is tolerated (the in-flight record a
-/// crash tore is simply not yet committed), and reopening for append
-/// truncates the fragment first so the next record starts a fresh line;
-/// any other unreadable or seal-mismatching line is a typed
-/// [`CheckpointCorrupt`](RunError::CheckpointCorrupt) error — corruption
-/// is detected, never silently replayed.
-#[derive(Debug)]
-pub struct AdmissionWal {
-    writer: BufWriter<File>,
-    path: PathBuf,
-    /// Sequence the next sealed record will carry.
-    seq: u64,
-    system_size: usize,
-    fault: Option<Arc<FaultPlan>>,
-}
-
-impl AdmissionWal {
-    /// Creates (truncating) the log at `path` and writes its header.
-    fn create(path: &Path, config: &AdmitConfig) -> Result<AdmissionWal, RunError> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        let mut wal = AdmissionWal {
-            writer: BufWriter::new(file),
-            path: path.to_path_buf(),
-            seq: 0,
-            system_size: config.system_size,
-            fault: config.fault_plan.clone(),
-        };
-        let header = serde_json::to_string(&WalLine::Header {
-            fingerprint: wal_fingerprint(config),
-            label: config.scenario.label.clone(),
-        })
-        .expect("plain data serializes");
-        writeln!(wal.writer, "{header}")?;
-        wal.writer.flush()?;
-        Ok(wal)
-    }
-
-    /// Reopens the log at `path` for appending after recovery replayed
-    /// `seq` sealed records from it. Anything past `valid_len` — the torn
-    /// tail a crash left behind — is truncated first, and a final record
-    /// that survived minus its newline (`terminated == false`) gets its
-    /// terminator restored, so the next append always starts a fresh
-    /// line instead of merging with the fragment.
-    fn reopen(
-        path: &Path,
-        config: &AdmitConfig,
-        seq: u64,
-        valid_len: u64,
-        terminated: bool,
-    ) -> Result<AdmissionWal, RunError> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        let len = file.metadata()?.len();
-        if len > valid_len {
-            tracing::warn!(
-                path = %path.display(),
-                kept = valid_len,
-                dropped = len - valid_len,
-                "truncating torn admission log tail before reopening for append"
-            );
-            file.set_len(valid_len)?;
-        }
-        let mut wal = AdmissionWal {
-            writer: BufWriter::new(file),
-            path: path.to_path_buf(),
-            seq,
-            system_size: config.system_size,
-            fault: config.fault_plan.clone(),
-        };
-        if !terminated {
-            wal.writer.write_all(b"\n")?;
-            wal.writer.flush()?;
-        }
-        Ok(wal)
-    }
-
-    /// Seals one concluded request to disk before its verdict is
-    /// returned. Retries transiently failing appends with exponential
-    /// backoff; an error is returned only once every retry is exhausted.
-    fn append(&mut self, record: &WalRecord) -> Result<(), RunError> {
-        let line = WalLine::Sealed {
-            crc: seal(record),
-            record: record.clone(),
-        };
-        #[allow(unused_mut)] // mutated only by the fault-inject hook below
-        let mut text = serde_json::to_string(&line).expect("plain data serializes");
-        #[cfg(feature = "fault-inject")]
-        if fault_fires(
-            &self.fault,
-            FaultSite::AdmitLogCorrupt,
-            self.system_size,
-            record.seq,
-            0,
-        ) {
-            crate::runner::corrupt_digit(&mut text);
-        }
-
-        let mut attempt: u64 = 0;
-        loop {
-            let injected = fault_fires(
-                &self.fault,
-                FaultSite::AdmitLogIo,
-                self.system_size,
-                record.seq,
-                attempt,
-            );
-            let result: Result<(), std::io::Error> = if injected {
-                Err(std::io::Error::other("injected admission log failure"))
-            } else {
-                writeln!(self.writer, "{text}").and_then(|()| self.writer.flush())
-            };
-            match result {
-                Ok(()) => {
-                    self.seq = record.seq + 1;
-                    return Ok(());
-                }
-                Err(e) if attempt < u64::from(Runner::CHECKPOINT_RETRY_LIMIT) => {
-                    let backoff = Runner::CHECKPOINT_BACKOFF_BASE * 2u32.pow(attempt as u32);
-                    tracing::warn!(
-                        path = %self.path.display(),
-                        seq = record.seq,
-                        attempt = attempt,
-                        backoff_ms = backoff.as_millis() as u64,
-                        "admission log append failed ({e}); retrying"
-                    );
-                    telemetry::global().count_admission_log_retry();
-                    std::thread::sleep(backoff);
-                    attempt += 1;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Loads every sealed record from the log at `path`, verifying the
-    /// header fingerprint against `config`, each record's CRC seal, and
-    /// sequence contiguity. A torn final line is skipped with a warning;
-    /// the returned [`LoadedWal`] carries the byte length of the valid
-    /// prefix so [`reopen`](AdmissionWal::reopen) can truncate the torn
-    /// fragment before appending to the file again.
-    fn load(path: &Path, config: &AdmitConfig) -> Result<LoadedWal, RunError> {
-        let corrupt = |line_no: usize, detail: &str| RunError::CheckpointCorrupt {
-            path: path.to_path_buf(),
-            detail: format!("{detail} at line {line_no}"),
-        };
-        let bytes = std::fs::read(path)?;
-        // Split into lines by hand, keeping each line's end offset and
-        // whether its `\n` terminator is present — `BufRead::lines` would
-        // lose both, and recovery needs them to truncate a torn tail.
-        let mut lines: Vec<(&[u8], u64, bool)> = Vec::new();
-        let mut start = 0;
-        while start < bytes.len() {
-            match bytes[start..].iter().position(|&b| b == b'\n') {
-                Some(p) => {
-                    lines.push((&bytes[start..start + p], (start + p + 1) as u64, true));
-                    start += p + 1;
-                }
-                None => {
-                    lines.push((&bytes[start..], bytes.len() as u64, false));
-                    break;
-                }
-            }
-        }
-        let (mut valid_len, mut terminated) = match lines.first() {
-            Some(&(content, end, term)) => {
-                match std::str::from_utf8(content)
-                    .ok()
-                    .and_then(|text| serde_json::from_str::<WalLine>(text).ok())
-                {
-                    Some(WalLine::Header { fingerprint, .. })
-                        if fingerprint == wal_fingerprint(config) =>
-                    {
-                        (end, term)
-                    }
-                    Some(WalLine::Header { .. }) => {
-                        return Err(RunError::CheckpointMismatch {
-                            path: path.to_path_buf(),
-                        });
-                    }
-                    _ => {
-                        return Err(RunError::CheckpointCorrupt {
-                            path: path.to_path_buf(),
-                            detail: "first line is not an admission log header".to_owned(),
-                        });
-                    }
-                }
-            }
-            None => {
-                return Err(RunError::CheckpointCorrupt {
-                    path: path.to_path_buf(),
-                    detail: "log file is empty (no header)".to_owned(),
-                });
-            }
-        };
-        let mut records = Vec::new();
-        for (i, &(content, end, term)) in lines.iter().enumerate().skip(1) {
-            let line_no = i + 1;
-            let last = i + 1 == lines.len();
-            let parsed = match std::str::from_utf8(content)
-                .ok()
-                .and_then(|text| serde_json::from_str::<WalLine>(text).ok())
-            {
-                Some(parsed) => parsed,
-                None if last => {
-                    tracing::warn!(
-                        path = %path.display(),
-                        line = line_no,
-                        "skipping unparseable final admission log line (torn write)"
-                    );
-                    continue;
-                }
-                None => return Err(corrupt(line_no, "unparseable record")),
-            };
-            match parsed {
-                WalLine::Header { .. } => {
-                    return Err(corrupt(line_no, "unexpected extra header"));
-                }
-                WalLine::Sealed { crc, record } => {
-                    if seal(&record) != crc {
-                        return Err(corrupt(line_no, "record checksum mismatch"));
-                    }
-                    if record.seq != records.len() as u64 {
-                        return Err(corrupt(line_no, "record sequence gap"));
-                    }
-                    records.push(record);
-                    valid_len = end;
-                    terminated = term;
-                }
-            }
-        }
-        Ok(LoadedWal {
-            records,
-            valid_len,
-            terminated,
-        })
-    }
-}
-
-/// Everything [`AdmissionWal::load`] learns from a log file: the sealed
-/// records plus where the valid prefix ends, so
-/// [`reopen`](AdmissionWal::reopen) can cut a torn tail off before
-/// appending instead of merging the next record into the fragment.
-#[derive(Debug)]
-struct LoadedWal {
-    /// The sealed records, in sequence order.
-    records: Vec<WalRecord>,
-    /// Byte offset just past the last valid line (header included);
-    /// anything beyond it is a torn fragment.
-    valid_len: u64,
-    /// Whether the valid prefix ends with its `\n` terminator (`false`
-    /// only when a crash tore exactly the final record's newline off).
-    terminated: bool,
-}
-
 /// The sequential admission core: one pipeline, one committed state, the
 /// resident set. Processes one request at a time; [`AdmissionService`]
 /// wraps it with a queue and parallel slicers without changing any
@@ -986,7 +743,9 @@ pub struct AdmissionController {
     last_commit: Option<(u64, CommitReceipt)>,
     miss_log: Arc<MissLog>,
     /// The durable transcript, when [`AdmitConfig::wal_path`] is set.
-    wal: Option<AdmissionWal>,
+    wal: Option<SealedLog<WalLine>>,
+    /// Sequence the next sealed record will carry.
+    wal_seq: u64,
     /// Remaining individually-logged structural-fallback WARNs (shares
     /// the [`AdmitConfig::miss_warn_limit`] budget size).
     fallback_warns: u64,
@@ -1025,7 +784,16 @@ impl AdmissionController {
         pipeline.set_miss_log(Some(Arc::clone(&miss_log)));
         let state = CommittedState::new(config.system_size, config.scenario.scheduler.bus_model);
         let wal = match &config.wal_path {
-            Some(path) => Some(AdmissionWal::create(path, &config).map_err(AdmitError::Log)?),
+            Some(path) => Some(
+                SealedLog::create(
+                    path,
+                    &WalLine::Header {
+                        fingerprint: wal_fingerprint(&config),
+                        label: config.scenario.label.clone(),
+                    },
+                )
+                .map_err(AdmitError::Log)?,
+            ),
             None => None,
         };
         let fallback_warns = config.miss_warn_limit;
@@ -1039,6 +807,7 @@ impl AdmissionController {
             last_commit: None,
             miss_log,
             wal,
+            wal_seq: 0,
             fallback_warns,
             slice_cache,
         })
@@ -1069,11 +838,26 @@ impl AdmissionController {
         path: impl AsRef<Path>,
     ) -> Result<(AdmissionController, AdmissionLog), AdmitError> {
         let path = path.as_ref();
-        let LoadedWal {
-            records,
-            valid_len,
-            terminated,
-        } = AdmissionWal::load(path, &config).map_err(AdmitError::Log)?;
+        let loaded = sealed_log::load::<WalLine>(path, wal_fingerprint(&config))
+            .and_then(|loaded| {
+                loaded.ok_or_else(|| RunError::CheckpointCorrupt {
+                    path: path.to_path_buf(),
+                    detail: "log file is empty (no header)".to_owned(),
+                })
+            })
+            .map_err(AdmitError::Log)?;
+        // Records are contiguous from sequence 0; `load` already
+        // rejected every header past the first line.
+        let records = loaded
+            .records
+            .into_iter()
+            .enumerate()
+            .map(|(i, (line_no, line))| match line {
+                WalLine::Sealed { record, .. } if record.seq == i as u64 => Ok(record),
+                _ => Err(sealed_log::corrupt(path, line_no, "record sequence gap")),
+            })
+            .collect::<Result<Vec<WalRecord>, RunError>>()
+            .map_err(AdmitError::Log)?;
         let mut replay_config = config.clone();
         replay_config.wal_path = None;
         let mut controller = AdmissionController::new(replay_config)?;
@@ -1132,11 +916,8 @@ impl AdmissionController {
         }
         log.digest = controller.digest();
         log.residents = controller.residents();
-        let next = log.requests.len() as u64;
-        controller.wal = Some(
-            AdmissionWal::reopen(path, &config, next, valid_len, terminated)
-                .map_err(AdmitError::Log)?,
-        );
+        controller.wal = Some(SealedLog::reopen(path, loaded.tail).map_err(AdmitError::Log)?);
+        controller.wal_seq = log.requests.len() as u64;
         controller.config.wal_path = Some(path.to_path_buf());
         Ok((controller, log))
     }
@@ -1179,20 +960,18 @@ impl AdmissionController {
         origin: Time,
     ) -> Result<AdmitVerdict, AdmitError> {
         let graph = graph.into();
-        let sliced = if self.config.prefilter {
-            match self.pipeline.prefilter(&graph, &self.platform) {
-                Some(reject) => Err(AdmitError::Prefilter(reject)),
-                None => self
-                    .pipeline
-                    .slice(&graph, &self.platform)
-                    .map(Sliced::into_output)
-                    .map_err(AdmitError::Trial),
-            }
-        } else {
-            self.pipeline
+        let prefiltered = self
+            .config
+            .prefilter
+            .then(|| self.pipeline.prefilter(&graph, &self.platform))
+            .flatten();
+        let sliced = match prefiltered {
+            Some(reject) => Err(AdmitError::Prefilter(reject)),
+            None => self
+                .pipeline
                 .slice(&graph, &self.platform)
                 .map(Sliced::into_output)
-                .map_err(AdmitError::Trial)
+                .map_err(AdmitError::Trial),
         };
         let result = match sliced {
             Ok(output) => self.decide(id, &graph, origin, output),
@@ -1222,19 +1001,28 @@ impl AdmissionController {
         if matches!(result, Err(AdmitError::Prefilter(_))) {
             telemetry::global().count_admission_prefiltered();
         }
-        if self.wal.is_some() {
-            let outcome = AdmitOutcome::of(&result);
+        if let Some(wal) = &self.wal {
+            let seq = self.wal_seq;
             let record = WalRecord {
-                seq: self.wal.as_ref().map_or(0, |wal| wal.seq),
+                seq,
                 request: WalRequest::of(request),
-                outcome,
+                outcome: AdmitOutcome::of(&result),
                 digest: self.state.digest(),
             };
-            if let Some(wal) = self.wal.as_mut() {
-                if let Err(e) = wal.append(&record) {
+            let line = WalLine::Sealed {
+                crc: seal(&record),
+                record,
+            };
+            let (fault, size) = (&self.config.fault_plan, self.config.system_size);
+            let corrupt = fault_fires(fault, FaultSite::AdmitLogCorrupt, size, seq, 0);
+            match wal.append(&line, corrupt, |attempt| {
+                fault_fires(fault, FaultSite::AdmitLogIo, size, seq, attempt)
+            }) {
+                Ok(()) => self.wal_seq += 1,
+                Err(e) => {
                     tracing::warn!(
-                        path = %wal.path.display(),
-                        seq = record.seq,
+                        path = %wal.path().display(),
+                        seq = seq,
                         "admission log append exhausted retries ({e}); verdict returned undurable"
                     );
                     telemetry::global().count_admission_log_failure();
@@ -1627,9 +1415,8 @@ impl CoordJob {
 
 /// How many queued requests a slicer worker drains per pickup. One
 /// blocking receive plus up to `WORKER_BATCH - 1` opportunistic ones
-/// amortizes the receiver-lock round trip under load, and duplicate
-/// graphs inside a batch slice once; under light load `try_recv` comes
-/// back empty immediately, so batching adds no latency.
+/// amortizes the receiver-lock round trip under load; under light load
+/// `try_recv` comes back empty immediately, so batching adds no latency.
 const WORKER_BATCH: usize = 8;
 
 /// Micro-seconds `accepted` has waited beyond `budget`, when over it.
@@ -1749,20 +1536,6 @@ impl AdmissionService {
                                 }
                             }
                         }
-                        // Duplicate graphs inside one batch slice once:
-                        // keyed by the full-content SliceKey, so reuse
-                        // carries the same bit-identical-output witness
-                        // the cross-request cache does. With the shared
-                        // cache attached the first job's insert already
-                        // turns its batch-mates into cache hits (a batch
-                        // of 8 cannot evict its own entry from a 64-slot
-                        // LRU), so the local table — and its second key
-                        // computation per job — only runs when the cache
-                        // is off. Each job still ships its own CoordJob
-                        // in batch (= submission) order, so the
-                        // coordinator's commit order is untouched.
-                        let dedup_locally = slice_cache.is_none();
-                        let mut sliced_in_batch: Vec<(slicing::SliceKey, SliceOutput)> = Vec::new();
                         for job in batch.drain(..) {
                             // Staleness-aware shedding: a request already
                             // over its decision budget is refused before
@@ -1782,53 +1555,32 @@ impl AdmissionService {
                                 // graph is lost here.
                                 Err(AdmitError::Prefilter(reject))
                             } else {
-                                let key = if dedup_locally {
-                                    pipeline.slice_key(&job.graph, &platform)
-                                } else {
-                                    None
-                                };
-                                let dup = key.as_ref().and_then(|k| {
-                                    sliced_in_batch
-                                        .iter()
-                                        .find(|(seen, _)| seen == k)
-                                        .map(|(_, output)| output.clone())
-                                });
-                                if let Some(output) = dup {
-                                    Ok(output)
-                                } else {
-                                    // Supervision: a panicking slicer (real
-                                    // or injected) is caught, its possibly-
-                                    // poisoned pipeline discarded and
-                                    // rebuilt in place, and the request
-                                    // concluded with a typed failure — the
-                                    // service degrades by one verdict, it
-                                    // never dies.
-                                    let sliced = catch_unwind(AssertUnwindSafe(|| {
-                                        if fault_fires(
-                                            &fault,
-                                            FaultSite::AdmitWorkerPanic,
-                                            system_size,
-                                            job.seq,
-                                            0,
-                                        ) {
-                                            panic!("injected admission worker panic");
-                                        }
-                                        pipeline
-                                            .slice(&job.graph, &platform)
-                                            .map(Sliced::into_output)
-                                    }));
-                                    match sliced {
-                                        Ok(Ok(output)) => {
-                                            if let Some(key) = key {
-                                                sliced_in_batch.push((key, output.clone()));
-                                            }
-                                            Ok(output)
-                                        }
-                                        Ok(Err(e)) => Err(AdmitError::Trial(e)),
-                                        Err(_) => {
-                                            pipeline = attach(Pipeline::new(&scenario));
-                                            Err(AdmitError::WorkerFailed { stage: "slice" })
-                                        }
+                                // Supervision: a panicking slicer (real or
+                                // injected) is caught, its possibly-
+                                // poisoned pipeline discarded and rebuilt
+                                // in place, and the request concluded with
+                                // a typed failure — the service degrades
+                                // by one verdict, it never dies.
+                                let sliced = catch_unwind(AssertUnwindSafe(|| {
+                                    if fault_fires(
+                                        &fault,
+                                        FaultSite::AdmitWorkerPanic,
+                                        system_size,
+                                        job.seq,
+                                        0,
+                                    ) {
+                                        panic!("injected admission worker panic");
+                                    }
+                                    pipeline
+                                        .slice(&job.graph, &platform)
+                                        .map(Sliced::into_output)
+                                }));
+                                match sliced {
+                                    Ok(Ok(output)) => Ok(output),
+                                    Ok(Err(e)) => Err(AdmitError::Trial(e)),
+                                    Err(_) => {
+                                        pipeline = attach(Pipeline::new(&scenario));
+                                        Err(AdmitError::WorkerFailed { stage: "slice" })
                                     }
                                 }
                             };

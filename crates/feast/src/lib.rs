@@ -71,6 +71,7 @@ pub mod progress;
 mod report;
 mod runner;
 mod scenario;
+mod sealed_log;
 mod stats;
 pub mod telemetry;
 

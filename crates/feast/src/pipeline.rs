@@ -38,7 +38,7 @@ use sched::{
 };
 use slicing::{
     distribute_baseline, prefilter, BaselineStrategy, DeadlineAssignment, PrefilterReject,
-    RedistributeStats, SliceCache, SliceKey, SliceMemo, Slicer,
+    RedistributeStats, SliceCache, SliceMemo, Slicer,
 };
 use taskgraph::{TaskGraph, Time};
 
@@ -46,7 +46,7 @@ use crate::scenario::{PinningPolicy, Scenario, SchedulerSpec, Technique};
 use crate::{telemetry, RunError};
 
 /// A cross-request slice cache shared between pipelines (the admission
-/// controller and its slicer workers): full-content [`SliceKey`]s mapping
+/// controller and its slicer workers): full-content [`SliceKey`](slicing::SliceKey)s mapping
 /// to the memoized [`SliceOutput`] plus, when the producing pipeline kept
 /// a delta memo, a [`SliceMemo`] snapshot so a later amendment of a
 /// cache-hit graph still enters the incremental re-slicing path.
@@ -157,7 +157,7 @@ impl Pipeline {
 
     /// Attaches a shared cross-request slice cache:
     /// [`slice`](Pipeline::slice) first probes it under a full-content
-    /// [`SliceKey`] and returns the memoized product on a hit, skipping
+    /// [`SliceKey`](slicing::SliceKey) and returns the memoized product on a hit, skipping
     /// the distribution DP entirely. Hit output is bit-identical to a
     /// fresh run by the key's construction (equal keys pin every slicing
     /// input), so the cache is invisible in admission transcripts.
@@ -214,13 +214,6 @@ impl Pipeline {
     pub(crate) fn resume_slice_cache(&mut self, cache: Option<SharedSliceCache>) {
         if cache.is_some() {
             self.cache = cache;
-        }
-    }
-
-    pub(crate) fn slice_key(&self, graph: &TaskGraph, platform: &Platform) -> Option<SliceKey> {
-        match &self.distributor {
-            Distributor::Slicing(slicer) => Some(slicer.cache_key(graph, platform)),
-            Distributor::Baseline(_) => None,
         }
     }
 

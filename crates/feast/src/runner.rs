@@ -42,7 +42,8 @@
 //!   backoff ([`Runner::CHECKPOINT_RETRY_LIMIT`]); silently-corrupted
 //!   mid-file records are rejected with [`RunError::CheckpointCorrupt`]
 //!   rather than skipped (only an unparseable *final* line — a torn
-//!   write from a killed process — is tolerated);
+//!   write from a killed process — is tolerated, and cut off before the
+//!   resumed run appends);
 //! * **fault injection** — with the `fault-inject` cargo feature, a
 //!   deterministic [`FaultPlan`](crate::fault::FaultPlan) can fire
 //!   synthetic faults (checkpoint I/O errors, corrupted records, worker
@@ -53,12 +54,10 @@
 //! [`sub_stream`]: taskgraph::gen::sub_stream
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -74,6 +73,7 @@ use taskgraph::TaskGraph;
 use crate::fault::FaultPlan;
 use crate::fault::FaultSite;
 use crate::progress::{MetricsWriter, ProgressTracker};
+use crate::sealed_log::{self, seal, SealedLine, SealedLog};
 use crate::telemetry::{self, EventSink, RunEvent, Stage};
 use crate::{Pipeline, RunError, Scenario, SummaryStats, WorkloadSource};
 
@@ -809,239 +809,121 @@ enum CheckpointLine {
     },
 }
 
-/// IEEE CRC32 (the zlib/PNG polynomial), bitwise — checkpoint lines are
-/// short, so no table is needed.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
+impl SealedLine for CheckpointLine {
+    const KIND: &'static str = "checkpoint";
+    const NOT_A_HEADER: &'static str = "first line is not a checkpoint header";
+
+    fn fingerprint(&self) -> Option<u64> {
+        match self {
+            CheckpointLine::Header { fingerprint, .. } => Some(*fingerprint),
+            _ => None,
         }
     }
-    !crc
-}
 
-/// The CRC32 sealing a record: computed over the record's own canonical
-/// JSON (not the enclosing line), so any value-altering corruption —
-/// a flipped digit included — changes either the payload or the stored
-/// checksum, and re-serializing the parsed record exposes the mismatch.
-pub(crate) fn seal<T: Serialize>(record: &T) -> u32 {
-    crc32(
-        serde_json::to_string(record)
-            .expect("plain data serializes")
-            .as_bytes(),
-    )
-}
-
-/// An append-only, crash-tolerant JSONL checkpoint.
-struct CheckpointWriter {
-    writer: Mutex<BufWriter<File>>,
-    path: PathBuf,
-}
-
-impl CheckpointWriter {
-    /// Appends one outcome and flushes it to the OS, so a killed process
-    /// loses at most the replication in flight. Transient I/O failures
-    /// are retried with exponential backoff
-    /// ([`Runner::CHECKPOINT_RETRY_LIMIT`] /
-    /// [`Runner::CHECKPOINT_BACKOFF_BASE`]); a failure that survives
-    /// every retry aborts the run with a typed I/O error.
-    fn append(
-        &self,
-        outcome: &ReplicationOutcome,
-        fault: &FaultCtx,
-        events: &EventScope,
-    ) -> Result<(), RunError> {
-        let (size, rep) = outcome.cell();
-        let line = match outcome {
-            ReplicationOutcome::Ok(record) => CheckpointLine::Sealed {
-                crc: seal(record),
-                record: *record,
-            },
-            ReplicationOutcome::Failed(record) => CheckpointLine::Failed {
-                crc: seal(record),
-                record: record.clone(),
-            },
-        };
-        #[allow(unused_mut)] // mutated only by the fault-inject hook below
-        let mut text = serde_json::to_string(&line).expect("plain data serializes");
-        #[cfg(feature = "fault-inject")]
-        if fault.fires(FaultSite::CheckpointCorrupt, size, rep, 0, events) {
-            corrupt_digit(&mut text);
+    fn seal_holds(&self) -> bool {
+        match self {
+            CheckpointLine::Header { .. } | CheckpointLine::Record(_) => true,
+            CheckpointLine::Sealed { crc, record } => seal(record) == *crc,
+            CheckpointLine::Failed { crc, record } => seal(record) == *crc,
         }
+    }
 
-        let mut attempt: u64 = 0;
-        loop {
-            let injected = fault.fires(FaultSite::CheckpointIo, size, rep, attempt, events);
-            let result: Result<(), std::io::Error> = if injected {
-                Err(std::io::Error::other("injected checkpoint write failure"))
-            } else {
-                let mut writer = self.writer.lock().expect("checkpoint writer poisoned");
-                writeln!(writer, "{text}").and_then(|()| writer.flush())
-            };
-            match result {
-                Ok(()) => return Ok(()),
-                Err(e) if attempt < u64::from(Runner::CHECKPOINT_RETRY_LIMIT) => {
-                    let backoff = Runner::CHECKPOINT_BACKOFF_BASE * 2u32.pow(attempt as u32);
-                    tracing::warn!(
-                        path = %self.path.display(),
-                        attempt = attempt,
-                        backoff_ms = backoff.as_millis() as u64,
-                        "checkpoint append failed ({e}); retrying"
-                    );
-                    telemetry::global().count_checkpoint_retry();
-                    std::thread::sleep(backoff);
-                    attempt += 1;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+    fn count_retry() {
+        telemetry::global().count_checkpoint_retry();
     }
 }
 
-/// Replaces the last decimal digit of `text` with a different digit:
-/// the deterministic "silent disk corruption" a `checkpoint-corrupt`
-/// fault writes. The line stays parseable, so only the CRC seal can
-/// catch it.
-#[cfg(feature = "fault-inject")]
-pub(crate) fn corrupt_digit(text: &mut String) {
-    if let Some(pos) = text.rfind(|c: char| c.is_ascii_digit()) {
-        let old = text.as_bytes()[pos];
-        let new = b'0' + (old - b'0' + 1) % 10;
-        text.replace_range(pos..=pos, &char::from(new).to_string());
-    }
+/// Appends one outcome to the checkpoint, so a killed process loses at
+/// most the replication in flight; a failure that survives every retry
+/// aborts the run with a typed I/O error.
+fn checkpoint_outcome(
+    log: &SealedLog<CheckpointLine>,
+    outcome: &ReplicationOutcome,
+    fault: &FaultCtx,
+    events: &EventScope,
+) -> Result<(), RunError> {
+    let (size, rep) = outcome.cell();
+    let line = match outcome {
+        ReplicationOutcome::Ok(record) => CheckpointLine::Sealed {
+            crc: seal(record),
+            record: *record,
+        },
+        ReplicationOutcome::Failed(record) => CheckpointLine::Failed {
+            crc: seal(record),
+            record: record.clone(),
+        },
+    };
+    let corrupt = fault.fires(FaultSite::CheckpointCorrupt, size, rep, 0, events);
+    log.append(&line, corrupt, |attempt| {
+        fault.fires(FaultSite::CheckpointIo, size, rep, attempt, events)
+    })?;
+    Ok(())
 }
 
 /// Opens (or creates) the checkpoint at `path`, loading completed records
 /// into `cells`. Records of cells outside the current sweep are left in
 /// the file but ignored; degraded (`Failed`) records are acknowledged but
-/// not loaded, so a resumed run retries them. An unparseable *final* line
-/// (a torn write from a killed process) is skipped with a warning; any
-/// other unreadable or checksum-mismatching line is rejected with
-/// [`RunError::CheckpointCorrupt`] — corruption is detected, never
-/// silently folded into statistics.
+/// not loaded, so a resumed run retries them. A missing or empty file
+/// starts a fresh checkpoint; a torn final line is skipped and cut off
+/// before appending, and any other damage is a typed error (see
+/// [`sealed_log::load`]) — corruption is detected, never silently folded
+/// into statistics.
 fn open_checkpoint(
     path: &Path,
     scenario: &Scenario,
     fp: u64,
     cells: &mut BTreeMap<(usize, usize), ReplicationOutcome>,
     events: &EventScope,
-) -> Result<CheckpointWriter, RunError> {
-    let corrupt = |line_no: usize, detail: &str| RunError::CheckpointCorrupt {
-        path: path.to_path_buf(),
-        detail: format!("{detail} at line {line_no}"),
+) -> Result<SealedLog<CheckpointLine>, RunError> {
+    let loaded = match sealed_log::load::<CheckpointLine>(path, fp) {
+        Err(RunError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => None,
+        loaded => loaded?,
     };
-    let existing = match File::open(path) {
-        Ok(file) => {
-            let lines: Vec<String> = BufReader::new(file)
-                .lines()
-                .collect::<Result<_, _>>()
-                .map_err(RunError::Io)?;
-            match lines.first() {
-                None => false, // created but never written: treat as fresh
-                Some(first) => {
-                    match serde_json::from_str::<CheckpointLine>(first) {
-                        Ok(CheckpointLine::Header { fingerprint, .. }) if fingerprint == fp => {}
-                        Ok(CheckpointLine::Header { .. }) => {
-                            return Err(RunError::CheckpointMismatch {
-                                path: path.to_path_buf(),
-                            });
-                        }
-                        _ => {
-                            return Err(RunError::CheckpointCorrupt {
-                                path: path.to_path_buf(),
-                                detail: "first line is not a checkpoint header".to_owned(),
-                            });
-                        }
-                    }
-                    let mut loaded = 0usize;
-                    for (i, line) in lines.iter().enumerate().skip(1) {
-                        let line_no = i + 1;
-                        let last = i + 1 == lines.len();
-                        let parsed = match serde_json::from_str::<CheckpointLine>(line) {
-                            Ok(parsed) => parsed,
-                            Err(_) if last => {
-                                tracing::warn!(
-                                    path = %path.display(),
-                                    line = line_no,
-                                    "skipping unparseable final checkpoint line (torn write)"
-                                );
-                                continue;
-                            }
-                            Err(_) => {
-                                return Err(corrupt(line_no, "unparseable record"));
-                            }
-                        };
-                        let record = match parsed {
-                            CheckpointLine::Header { .. } => {
-                                return Err(corrupt(line_no, "unexpected extra header"));
-                            }
-                            // Legacy checksum-less record: accepted as-is.
-                            CheckpointLine::Record(r) => r,
-                            CheckpointLine::Sealed { crc, record } => {
-                                if seal(&record) != crc {
-                                    return Err(corrupt(line_no, "record checksum mismatch"));
-                                }
-                                record
-                            }
-                            CheckpointLine::Failed { crc, record } => {
-                                if seal(&record) != crc {
-                                    return Err(corrupt(line_no, "record checksum mismatch"));
-                                }
-                                tracing::debug!(
-                                    system_size = record.system_size,
-                                    replication = record.replication,
-                                    stage = %record.stage,
-                                    "checkpoint records a degraded cell; it will be retried"
-                                );
-                                continue;
-                            }
-                        };
-                        if record.replication < scenario.replications
-                            && scenario.system_sizes.contains(&record.system_size)
-                        {
-                            cells
-                                .entry((record.system_size, record.replication))
-                                .or_insert(ReplicationOutcome::Ok(record));
-                            loaded += 1;
-                        }
-                    }
-                    tracing::info!(
-                        path = %path.display(),
-                        records = loaded,
-                        "resuming from checkpoint"
-                    );
-                    events.emit(|| RunEvent::CheckpointLoaded {
-                        path: path.display().to_string(),
-                        records: loaded,
-                    });
-                    true
-                }
+    let Some(loaded) = loaded else {
+        return SealedLog::create(
+            path,
+            &CheckpointLine::Header {
+                fingerprint: fp,
+                label: scenario.label.clone(),
+                base_seed: scenario.base_seed,
+            },
+        );
+    };
+    let mut resumed = 0usize;
+    for (_, line) in loaded.records {
+        let record = match line {
+            CheckpointLine::Header { .. } => unreachable!("load rejects extra headers"),
+            // Legacy checksum-less records are accepted as-is.
+            CheckpointLine::Record(record) | CheckpointLine::Sealed { record, .. } => record,
+            CheckpointLine::Failed { record, .. } => {
+                tracing::debug!(
+                    system_size = record.system_size,
+                    replication = record.replication,
+                    stage = %record.stage,
+                    "checkpoint records a degraded cell; it will be retried"
+                );
+                continue;
             }
+        };
+        if record.replication < scenario.replications
+            && scenario.system_sizes.contains(&record.system_size)
+        {
+            cells
+                .entry((record.system_size, record.replication))
+                .or_insert(ReplicationOutcome::Ok(record));
+            resumed += 1;
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
-        Err(e) => return Err(e.into()),
-    };
-
-    let file = OpenOptions::new().create(true).append(true).open(path)?;
-    let writer = CheckpointWriter {
-        writer: Mutex::new(BufWriter::new(file)),
-        path: path.to_path_buf(),
-    };
-    if !existing {
-        let header = serde_json::to_string(&CheckpointLine::Header {
-            fingerprint: fp,
-            label: scenario.label.clone(),
-            base_seed: scenario.base_seed,
-        })
-        .expect("plain data serializes");
-        let mut w = writer.writer.lock().expect("checkpoint writer poisoned");
-        writeln!(w, "{header}")?;
-        w.flush()?;
-        drop(w);
     }
-    Ok(writer)
+    tracing::info!(
+        path = %path.display(),
+        records = resumed,
+        "resuming from checkpoint"
+    );
+    events.emit(|| RunEvent::CheckpointLoaded {
+        path: path.display().to_string(),
+        records: resumed,
+    });
+    SealedLog::reopen(path, loaded.tail)
 }
 
 /// Splits `items` into at most `threads` contiguous chunks and runs
@@ -1229,7 +1111,10 @@ impl Runner {
     }
 
     /// Checkpoints completed replications to (and resumes them from) the
-    /// JSONL file at `path`.
+    /// JSONL file at `path`. Each record is flushed to the operating
+    /// system, never fsynced: a checkpointed replication survives the
+    /// process being killed (SIGKILL, a panic, an abort) but not an
+    /// operating-system crash or a power loss.
     #[must_use]
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Runner {
         self.checkpoint = Some(path.into());
@@ -1566,8 +1451,8 @@ impl Runner {
                         // Failure events reach disk immediately: a process
                         // that dies later still leaves them in events.jsonl.
                         events.flush();
-                        if let Some(w) = &writer {
-                            w.append(&outcome, &fault, &events)?;
+                        if let Some(log) = &writer {
+                            checkpoint_outcome(log, &outcome, &fault, &events)?;
                         }
                         progress.record_cell(false, 0);
                         cells.insert((size, rep), outcome);
@@ -1654,8 +1539,8 @@ impl Runner {
                             // killed before the end-of-run flush.
                             events.flush();
                         }
-                        if let Some(w) = &writer {
-                            w.append(&outcome, &fault, &events)?;
+                        if let Some(log) = &writer {
+                            checkpoint_outcome(log, &outcome, &fault, &events)?;
                         }
                         match &outcome {
                             ReplicationOutcome::Ok(r) => {
@@ -1913,14 +1798,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        // The canonical CRC32 test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_ne!(crc32(b"a"), crc32(b"b"));
-    }
-
     fn record(size: usize, rep: usize, lateness: f64, violations: usize) -> ReplicationRecord {
         ReplicationRecord {
             system_size: size,
@@ -2035,24 +1912,5 @@ mod tests {
         assert_eq!(panic_message(p.as_ref()), "formatted");
         let p = catch_unwind(|| std::panic::panic_any(42u32)).unwrap_err();
         assert_eq!(panic_message(p.as_ref()), "opaque panic payload");
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn corrupt_digit_keeps_the_line_parseable_but_breaks_the_seal() {
-        let record = record(2, 0, -1.5, 0);
-        let line = CheckpointLine::Sealed {
-            crc: seal(&record),
-            record,
-        };
-        let mut text = serde_json::to_string(&line).unwrap();
-        corrupt_digit(&mut text);
-        let parsed: CheckpointLine = serde_json::from_str(&text).expect("still parses");
-        match parsed {
-            CheckpointLine::Sealed { crc, record } => {
-                assert_ne!(seal(&record), crc, "corruption must break the seal");
-            }
-            other => panic!("expected Sealed, got {other:?}"),
-        }
     }
 }

@@ -1,0 +1,369 @@
+//! The CRC32-sealed JSONL log behind both the sweep checkpoint
+//! ([`Runner::checkpoint`]) and the admission write-ahead log
+//! ([`AdmitConfig::durable`](crate::AdmitConfig::durable)).
+//!
+//! A log is one header line carrying a configuration fingerprint, then
+//! one JSON line per record. A sealed record carries the CRC32 of its own
+//! canonical JSON ([`seal`]), so any value-altering corruption is caught
+//! when the log is read back. [`load`] checks the header and every seal,
+//! skips an unparseable *final* line (the write a killed process tore)
+//! and reports where the valid prefix ends; [`SealedLog::reopen`] cuts
+//! the torn tail off and restores a missing final newline before
+//! appending, so the next record always starts a line of its own.
+//! [`SealedLog::append`] retries transient I/O failures with bounded
+//! exponential backoff ([`Runner::CHECKPOINT_RETRY_LIMIT`] /
+//! [`Runner::CHECKPOINT_BACKOFF_BASE`]).
+//!
+//! # Durability
+//!
+//! Every append reaches the operating system before it returns, and is
+//! never fsynced. A record whose append returned therefore survives the
+//! writing process dying — SIGKILL, a panic, an abort — but not an
+//! operating-system crash or a power loss, which can drop page-cache
+//! data the kernel has not yet written back.
+
+use std::fs::{File, OpenOptions};
+use std::io::Write as _;
+use std::marker::PhantomData;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+
+use serde::{Deserialize, Serialize};
+
+use crate::{RunError, Runner};
+
+/// One line of a sealed log: the header or a record.
+pub(crate) trait SealedLine: Serialize + Deserialize {
+    /// What log messages call this kind of log.
+    const KIND: &'static str;
+    /// The corruption detail for a file whose first line is not a header.
+    const NOT_A_HEADER: &'static str;
+
+    /// The configuration fingerprint, when this line is the header.
+    fn fingerprint(&self) -> Option<u64>;
+
+    /// Whether the seal this line carries matches its record (trivially
+    /// true for an unsealed line).
+    fn seal_holds(&self) -> bool;
+
+    /// Counts one retried append in this log's telemetry counter.
+    fn count_retry();
+}
+
+/// IEEE CRC32 (the zlib/PNG polynomial), bitwise — log lines are short,
+/// so no table is needed.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
+        }
+    }
+    !crc
+}
+
+/// The CRC32 sealing a record: computed over the record's own canonical
+/// JSON (not the enclosing line), so any value-altering corruption —
+/// a flipped digit included — changes either the payload or the stored
+/// checksum, and re-serializing the parsed record exposes the mismatch.
+pub(crate) fn seal<T: Serialize>(record: &T) -> u32 {
+    crc32(
+        serde_json::to_string(record)
+            .expect("plain data serializes")
+            .as_bytes(),
+    )
+}
+
+/// Replaces the last decimal digit of `text` with a different digit:
+/// the deterministic "silent disk corruption" the `checkpoint-corrupt`
+/// and `admit-log-corrupt` faults write. The line stays parseable, so
+/// only the seal can catch it.
+fn corrupt_digit(text: &mut String) {
+    if let Some(pos) = text.rfind(|c: char| c.is_ascii_digit()) {
+        let old = text.as_bytes()[pos];
+        let new = b'0' + (old - b'0' + 1) % 10;
+        text.replace_range(pos..=pos, &char::from(new).to_string());
+    }
+}
+
+/// The `CheckpointCorrupt` error for line `line_no` of the log at `path`.
+pub(crate) fn corrupt(path: &Path, line_no: usize, detail: &str) -> RunError {
+    RunError::CheckpointCorrupt {
+        path: path.to_path_buf(),
+        detail: format!("{detail} at line {line_no}"),
+    }
+}
+
+/// Where the valid prefix of a loaded log ends: anything past it is a
+/// torn fragment.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tail {
+    /// Byte offset just past the last valid line (header included).
+    len: u64,
+    /// Whether that line ends with its `\n` (`false` only when a crash
+    /// tore exactly the final record's newline off).
+    terminated: bool,
+}
+
+/// A log read back by [`load`].
+#[derive(Debug)]
+pub(crate) struct Loaded<L> {
+    /// Every line after the header, with its 1-based line number; each
+    /// parsed, is not a header, and carries a seal that holds.
+    pub(crate) records: Vec<(usize, L)>,
+    /// Where the valid prefix ends, for [`SealedLog::reopen`].
+    pub(crate) tail: Tail,
+}
+
+/// Reads the log at `path`, checking that its header carries
+/// `fingerprint` and that every record's seal holds. `Ok(None)` means the
+/// file is empty (created, but its header never written).
+///
+/// # Errors
+///
+/// [`RunError::Io`] when the file cannot be read (a missing file
+/// included), [`RunError::CheckpointMismatch`] for a header with another
+/// fingerprint, and [`RunError::CheckpointCorrupt`] for a missing header
+/// or any unparseable, extra-header or seal-breaking line other than an
+/// unparseable last one.
+pub(crate) fn load<L: SealedLine>(
+    path: &Path,
+    fingerprint: u64,
+) -> Result<Option<Loaded<L>>, RunError> {
+    let bytes = std::fs::read(path)?;
+    // Split by hand, keeping each line's end offset and whether its `\n`
+    // is present: reopening needs both to cut a torn tail off.
+    let mut lines: Vec<(&[u8], u64, bool)> = Vec::new();
+    let mut start = 0;
+    while start < bytes.len() {
+        match bytes[start..].iter().position(|&b| b == b'\n') {
+            Some(p) => {
+                lines.push((&bytes[start..start + p], (start + p + 1) as u64, true));
+                start += p + 1;
+            }
+            None => {
+                lines.push((&bytes[start..], bytes.len() as u64, false));
+                break;
+            }
+        }
+    }
+    let parse = |content: &[u8]| {
+        std::str::from_utf8(content)
+            .ok()
+            .and_then(|text| serde_json::from_str::<L>(text).ok())
+    };
+    let Some(&(first, len, terminated)) = lines.first() else {
+        return Ok(None);
+    };
+    match parse(first).as_ref().and_then(L::fingerprint) {
+        Some(found) if found == fingerprint => {}
+        Some(_) => {
+            return Err(RunError::CheckpointMismatch {
+                path: path.to_path_buf(),
+            })
+        }
+        None => {
+            return Err(RunError::CheckpointCorrupt {
+                path: path.to_path_buf(),
+                detail: L::NOT_A_HEADER.to_owned(),
+            })
+        }
+    }
+    let mut tail = Tail { len, terminated };
+    let mut records = Vec::with_capacity(lines.len() - 1);
+    for (i, &(content, end, terminated)) in lines.iter().enumerate().skip(1) {
+        let line_no = i + 1;
+        let Some(line) = parse(content) else {
+            if line_no == lines.len() {
+                tracing::warn!(
+                    path = %path.display(),
+                    line = line_no,
+                    "skipping unparseable final {} line (torn write)",
+                    L::KIND
+                );
+                break;
+            }
+            return Err(corrupt(path, line_no, "unparseable record"));
+        };
+        if line.fingerprint().is_some() {
+            return Err(corrupt(path, line_no, "unexpected extra header"));
+        }
+        if !line.seal_holds() {
+            return Err(corrupt(path, line_no, "record checksum mismatch"));
+        }
+        records.push((line_no, line));
+        tail = Tail {
+            len: end,
+            terminated,
+        };
+    }
+    Ok(Some(Loaded { records, tail }))
+}
+
+/// An open sealed log, appendable from any thread.
+#[derive(Debug)]
+pub(crate) struct SealedLog<L> {
+    file: Mutex<File>,
+    path: PathBuf,
+    line: PhantomData<fn(&L)>,
+}
+
+impl<L: SealedLine> SealedLog<L> {
+    /// Creates (truncating) the log at `path` with `header` as its first
+    /// line.
+    pub(crate) fn create(path: &Path, header: &L) -> Result<SealedLog<L>, RunError> {
+        let file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(true)
+            .open(path)?;
+        let mut text = serde_json::to_string(header).expect("plain data serializes");
+        text.push('\n');
+        (&file).write_all(text.as_bytes())?;
+        Ok(SealedLog::attach(file, path))
+    }
+
+    /// Reopens the log at `path` for appending after [`load`] found its
+    /// valid prefix ending at `tail`. A torn fragment past the prefix is
+    /// truncated first, and a final record that survived without its
+    /// newline gets it back, so the next append starts a fresh line
+    /// instead of merging with the fragment.
+    pub(crate) fn reopen(path: &Path, tail: Tail) -> Result<SealedLog<L>, RunError> {
+        let mut file = OpenOptions::new().append(true).open(path)?;
+        let len = file.metadata()?.len();
+        if len > tail.len {
+            tracing::warn!(
+                path = %path.display(),
+                kept = tail.len,
+                dropped = len - tail.len,
+                "truncating torn {} tail before reopening for append",
+                L::KIND
+            );
+            file.set_len(tail.len)?;
+        }
+        if !tail.terminated {
+            file.write_all(b"\n")?;
+        }
+        Ok(SealedLog::attach(file, path))
+    }
+
+    fn attach(file: File, path: &Path) -> SealedLog<L> {
+        SealedLog {
+            file: Mutex::new(file),
+            path: path.to_path_buf(),
+            line: PhantomData,
+        }
+    }
+
+    /// The log's file path.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Appends `line` (see the module docs for what survives which
+    /// failure). The caller's fault hooks decide whether the line is
+    /// written with one digit corrupted (`corrupt`) and whether attempt
+    /// `n` fails with an injected I/O error (`io_fails(n)`). A failed
+    /// attempt is retried up to [`Runner::CHECKPOINT_RETRY_LIMIT`] times,
+    /// backing off [`Runner::CHECKPOINT_BACKOFF_BASE`] doubled per retry;
+    /// the error is returned only once every retry is spent.
+    pub(crate) fn append(
+        &self,
+        line: &L,
+        corrupt: bool,
+        mut io_fails: impl FnMut(u64) -> bool,
+    ) -> std::io::Result<()> {
+        let mut text = serde_json::to_string(line).expect("plain data serializes");
+        if corrupt {
+            corrupt_digit(&mut text);
+        }
+        text.push('\n');
+        let mut attempt: u64 = 0;
+        loop {
+            let result = if io_fails(attempt) {
+                Err(std::io::Error::other(format!(
+                    "injected {} write failure",
+                    L::KIND
+                )))
+            } else {
+                let file = self.file.lock().expect("sealed log writer poisoned");
+                (&*file).write_all(text.as_bytes())
+            };
+            match result {
+                Ok(()) => return Ok(()),
+                Err(e) if attempt < u64::from(Runner::CHECKPOINT_RETRY_LIMIT) => {
+                    let backoff = Runner::CHECKPOINT_BACKOFF_BASE * 2u32.pow(attempt as u32);
+                    tracing::warn!(
+                        path = %self.path.display(),
+                        attempt = attempt,
+                        backoff_ms = backoff.as_millis() as u64,
+                        "{} append failed ({e}); retrying",
+                        L::KIND
+                    );
+                    L::count_retry();
+                    std::thread::sleep(backoff);
+                    attempt += 1;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A minimal log format: a header, then sealed integers.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    enum TestLine {
+        Header { fingerprint: u64 },
+        Sealed { crc: u32, record: u64 },
+    }
+
+    impl SealedLine for TestLine {
+        const KIND: &'static str = "test log";
+        const NOT_A_HEADER: &'static str = "first line is not a test log header";
+
+        fn fingerprint(&self) -> Option<u64> {
+            match self {
+                TestLine::Header { fingerprint } => Some(*fingerprint),
+                TestLine::Sealed { .. } => None,
+            }
+        }
+
+        fn seal_holds(&self) -> bool {
+            match self {
+                TestLine::Header { .. } => true,
+                TestLine::Sealed { crc, record } => seal(record) == *crc,
+            }
+        }
+
+        fn count_retry() {}
+    }
+
+    fn sealed(record: u64) -> TestLine {
+        TestLine::Sealed {
+            crc: seal(&record),
+            record,
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        // The canonical CRC32 test vector.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    #[test]
+    fn corrupt_digit_keeps_the_line_parseable_but_breaks_the_seal() {
+        let mut text = serde_json::to_string(&sealed(1_234_567)).unwrap();
+        corrupt_digit(&mut text);
+        let parsed: TestLine = serde_json::from_str(&text).expect("still parses");
+        assert!(matches!(parsed, TestLine::Sealed { .. }), "got {parsed:?}");
+        assert!(!parsed.seal_holds(), "corruption must break the seal");
+    }
+}

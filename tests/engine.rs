@@ -186,6 +186,41 @@ fn checkpoint_tolerates_torn_trailing_line() {
 }
 
 #[test]
+fn sweep_killed_twice_resumes_to_the_uninterrupted_result() {
+    let checkpoint = TempPath::new("kill-twice");
+    let uninterrupted = Runner::new(scenario()).threads(2).run().unwrap();
+
+    // First kill: shard 0 of 2 is checkpointed, then a write is torn
+    // mid-record.
+    Runner::new(scenario())
+        .threads(2)
+        .shard(ShardSpec::new(0, 2))
+        .checkpoint(&checkpoint.0)
+        .run_partial()
+        .unwrap();
+    let mut text = std::fs::read_to_string(&checkpoint.0).unwrap();
+    text.push_str("{\"Sealed\":{\"crc\":12,\"record\":{\"system_size\":2,\"repl");
+    std::fs::write(&checkpoint.0, text).unwrap();
+
+    // The resume appends the missing cells; the fragment must not absorb
+    // the first of them, or the next resume meets it mid-file.
+    let resumed = Runner::new(scenario())
+        .threads(2)
+        .checkpoint(&checkpoint.0)
+        .run()
+        .unwrap();
+    assert_eq!(resumed, uninterrupted);
+
+    // Second kill, after the resume finished: resuming again still loads.
+    let again = Runner::new(scenario())
+        .threads(2)
+        .checkpoint(&checkpoint.0)
+        .run()
+        .unwrap();
+    assert_eq!(again, uninterrupted);
+}
+
+#[test]
 fn checkpoint_survives_extending_the_sweep() {
     // A checkpoint's fingerprint covers the scenario physics, not the sweep
     // shape: extending replications or sizes reuses the completed cells.
