@@ -66,7 +66,7 @@ use taskgraph::gen::{stream_label, stream_seed};
 use taskgraph::{TaskGraph, Time};
 
 use crate::error::AdmitError;
-use crate::fault::{FaultPlan, FaultSite};
+use crate::fault::{self, FaultPlan, FaultSite};
 use crate::pipeline::{Pipeline, SharedSliceCache, SliceOutput, Sliced, Verdict};
 use crate::runner::fingerprint;
 use crate::scenario::Scenario;
@@ -573,7 +573,7 @@ impl SealedLine for WalLine {
     }
 
     fn count_retry() {
-        telemetry::global().count_admission_log_retry();
+        telemetry::global().admission_log_retries.inc();
     }
 }
 
@@ -664,43 +664,6 @@ fn wal_fingerprint(config: &AdmitConfig) -> u64 {
         stream_label(config.eviction.name().as_bytes()),
         0,
     )
-}
-
-/// Does the admission fault `site` fire at `(system_size, seq, attempt)`?
-/// Compiled to constant `false` without the `fault-inject` feature.
-#[cfg(feature = "fault-inject")]
-fn fault_fires(
-    plan: &Option<Arc<FaultPlan>>,
-    site: FaultSite,
-    system_size: usize,
-    seq: u64,
-    attempt: u64,
-) -> bool {
-    let Some(plan) = plan else {
-        return false;
-    };
-    if !plan.should_fire(site, system_size, seq as usize, attempt) {
-        return false;
-    }
-    tracing::warn!(
-        site = %site,
-        seq = seq,
-        attempt = attempt,
-        "injecting admission fault"
-    );
-    true
-}
-
-#[cfg(not(feature = "fault-inject"))]
-#[inline(always)]
-fn fault_fires(
-    _plan: &Option<Arc<FaultPlan>>,
-    _site: crate::fault::FaultSite,
-    _system_size: usize,
-    _seq: u64,
-    _attempt: u64,
-) -> bool {
-    false
 }
 
 /// The sequential admission core: one pipeline, one committed state, the
@@ -999,7 +962,7 @@ impl AdmissionController {
         result: Result<AdmitVerdict, AdmitError>,
     ) -> Result<AdmitVerdict, AdmitError> {
         if matches!(result, Err(AdmitError::Prefilter(_))) {
-            telemetry::global().count_admission_prefiltered();
+            telemetry::global().admissions_prefiltered.inc();
         }
         if let Some(wal) = &self.wal {
             let seq = self.wal_seq;
@@ -1013,10 +976,11 @@ impl AdmissionController {
                 crc: seal(&record),
                 record,
             };
-            let (fault, size) = (&self.config.fault_plan, self.config.system_size);
-            let corrupt = fault_fires(fault, FaultSite::AdmitLogCorrupt, size, seq, 0);
+            let (plan, size) = (self.config.fault_plan.as_deref(), self.config.system_size);
+            let cell = seq as usize;
+            let corrupt = fault::fires(plan, FaultSite::AdmitLogCorrupt, size, cell, 0);
             match wal.append(&line, corrupt, |attempt| {
-                fault_fires(fault, FaultSite::AdmitLogIo, size, seq, attempt)
+                fault::fires(plan, FaultSite::AdmitLogIo, size, cell, attempt)
             }) {
                 Ok(()) => self.wal_seq += 1,
                 Err(e) => {
@@ -1025,7 +989,7 @@ impl AdmissionController {
                         seq = seq,
                         "admission log append exhausted retries ({e}); verdict returned undurable"
                     );
-                    telemetry::global().count_admission_log_failure();
+                    telemetry::global().admission_log_failures.inc();
                 }
             }
         }
@@ -1088,7 +1052,7 @@ impl AdmissionController {
                     break;
                 }
                 self.evict(victim);
-                telemetry::global().count_admission_evicted();
+                telemetry::global().admissions_evicted.inc();
             }
             let receipt = self.state.commit(&verdict.schedule)?;
             self.last_commit = Some((id, receipt));
@@ -1151,7 +1115,7 @@ impl AdmissionController {
             // Structural amendments can never ride the schedule-repair
             // fast path; count them so an operator can see when an
             // amendment-heavy workload degrades to full re-trials.
-            telemetry::global().count_admission_structural_fallback();
+            telemetry::global().admissions_structural_fallbacks.inc();
             if self.fallback_warns > 0 {
                 self.fallback_warns -= 1;
                 tracing::warn!(
@@ -1497,7 +1461,7 @@ impl AdmissionService {
             let platform = controller.platform.clone();
             let miss_log = Arc::clone(&controller.miss_log);
             let budget = config.decision_budget;
-            let fault = config.fault_plan.clone();
+            let plan = config.fault_plan.clone();
             let system_size = config.system_size;
             let prefilter_on = config.prefilter;
             let slice_cache = controller.slice_cache.clone();
@@ -1562,11 +1526,11 @@ impl AdmissionService {
                                 // a typed failure — the service degrades
                                 // by one verdict, it never dies.
                                 let sliced = catch_unwind(AssertUnwindSafe(|| {
-                                    if fault_fires(
-                                        &fault,
+                                    if fault::fires(
+                                        plan.as_deref(),
                                         FaultSite::AdmitWorkerPanic,
                                         system_size,
-                                        job.seq,
+                                        job.seq as usize,
                                         0,
                                     ) {
                                         panic!("injected admission worker panic");
@@ -1601,8 +1565,13 @@ impl AdmissionService {
                             // job above always lands first and the
                             // coordinator's dedup guard must discard this
                             // one.
-                            if fault_fires(&fault, FaultSite::AdmitQueueRace, system_size, seq, 0)
-                                && tx.send(CoordJob::Duplicate { seq }).is_err()
+                            if fault::fires(
+                                plan.as_deref(),
+                                FaultSite::AdmitQueueRace,
+                                system_size,
+                                seq as usize,
+                                0,
+                            ) && tx.send(CoordJob::Duplicate { seq }).is_err()
                             {
                                 return;
                             }
@@ -1793,9 +1762,11 @@ impl AdmissionService {
         let result = controller.conclude(&request, result);
         let outcome = AdmitOutcome::of(&result);
         match &outcome {
-            AdmitOutcome::Shed { .. } => telemetry::global().count_admission_shed(),
-            AdmitOutcome::Failed { .. } => telemetry::global().count_admission_worker_failed(),
-            _ => telemetry::global().record_admission_sojourn(accepted.elapsed()),
+            AdmitOutcome::Shed { .. } => telemetry::global().admissions_shed.inc(),
+            AdmitOutcome::Failed { .. } => telemetry::global().admissions_worker_failed.inc(),
+            _ => telemetry::global()
+                .admission_sojourn
+                .record(accepted.elapsed()),
         }
         log.requests.push(request);
         log.outcomes.push(outcome);

@@ -280,6 +280,32 @@ impl FaultPlan {
     }
 }
 
+/// The engine's one fault hook: does `site` fire at
+/// `(system_size, cell, attempt)` under `plan`? A firing is logged as a
+/// WARN. Only `fault-inject` builds consult the plan; otherwise this is
+/// constant `false` and the hook compiles away.
+#[inline]
+pub(crate) fn fires(
+    plan: Option<&FaultPlan>,
+    site: FaultSite,
+    system_size: usize,
+    cell: usize,
+    attempt: u64,
+) -> bool {
+    let fired = cfg!(feature = "fault-inject")
+        && plan.is_some_and(|plan| plan.should_fire(site, system_size, cell, attempt));
+    if fired {
+        tracing::warn!(
+            site = %site,
+            system_size = system_size,
+            cell = cell,
+            attempt = attempt,
+            "injecting fault"
+        );
+    }
+    fired
+}
+
 /// Maps a well-mixed `u64` to a uniform draw in `[0, 1)`.
 fn unit(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

@@ -43,7 +43,8 @@ use slicing::{
 use taskgraph::{TaskGraph, Time};
 
 use crate::scenario::{PinningPolicy, Scenario, SchedulerSpec, Technique};
-use crate::{telemetry, RunError};
+use crate::telemetry::{self, Stage};
+use crate::RunError;
 
 /// A cross-request slice cache shared between pipelines (the admission
 /// controller and its slicer workers): full-content [`SliceKey`](slicing::SliceKey)s mapping
@@ -196,9 +197,6 @@ impl Pipeline {
         prefilter(graph, platform, Some(&pins))
     }
 
-    /// The cross-request cache key for `graph` on `platform`, when this
-    /// pipeline distributes by slicing (`None` for baselines). Workers use
-    /// it to group duplicate graphs within a batch.
     /// Detaches the cross-request slice cache, returning it for
     /// [`resume_slice_cache`](Pipeline::resume_slice_cache). Amendment
     /// re-slices run between the two: an amended graph is a per-resident
@@ -246,7 +244,7 @@ impl Pipeline {
         if let (Some(key), Some(cache)) = (&key, &self.cache) {
             let hit = cache.lock().ok().and_then(|mut c| c.get(key));
             if let Some((mut output, memo)) = hit {
-                telemetry::global().count_slice_cache_hit();
+                telemetry::global().slice_cache_hits.inc();
                 if let (Some(slot), Some(memo)) = (&mut self.memo, memo) {
                     *slot = memo;
                 }
@@ -262,12 +260,16 @@ impl Pipeline {
                     output,
                 });
             }
-            telemetry::global().count_slice_cache_miss();
+            telemetry::global().slice_cache_misses.inc();
         }
         let (assignment, redistribute) = match (&self.distributor, &mut self.memo) {
             (Distributor::Slicing(slicer), None) => (slicer.distribute(graph, platform)?, None),
             (Distributor::Slicing(slicer), Some(memo)) => {
+                let redistribute_started = Instant::now();
                 let r = slicer.redistribute(graph, platform, memo)?;
+                let registry = telemetry::global();
+                registry.record_stage(Stage::Redistribute, redistribute_started.elapsed());
+                registry.count_redistribute(&r.stats);
                 (r.assignment, Some(r.stats))
             }
             (Distributor::Baseline(strategy), _) => (distribute_baseline(graph, *strategy), None),
@@ -297,7 +299,7 @@ impl Pipeline {
             let memo = self.memo.clone();
             if let Ok(mut c) = cache.lock() {
                 if c.insert(key, (output.clone(), memo)) {
-                    telemetry::global().count_slice_cache_eviction();
+                    telemetry::global().slice_cache_evictions.inc();
                 }
             }
         }

@@ -69,9 +69,7 @@ use taskgraph::gen::{
 };
 use taskgraph::TaskGraph;
 
-#[cfg(feature = "fault-inject")]
-use crate::fault::FaultPlan;
-use crate::fault::FaultSite;
+use crate::fault::{self, FaultPlan, FaultSite};
 use crate::progress::{MetricsWriter, ProgressTracker};
 use crate::sealed_log::{self, seal, SealedLine, SealedLog};
 use crate::telemetry::{self, EventSink, RunEvent, Stage};
@@ -549,64 +547,27 @@ impl EventScope {
     }
 }
 
-/// The engine's view of the fault plan: a real plan under the
-/// `fault-inject` feature, a zero-sized always-false stub otherwise, so
-/// release builds pay nothing for the hooks.
-#[derive(Debug, Clone, Default)]
-struct FaultCtx {
-    #[cfg(feature = "fault-inject")]
-    plan: Option<Arc<FaultPlan>>,
-}
-
-#[cfg(feature = "fault-inject")]
-impl FaultCtx {
-    /// Does `site` fire at `(system_size, replication)` on this
-    /// `attempt`? Firing is logged and emitted as a
-    /// [`RunEvent::FaultInjected`] event.
-    fn fires(
-        &self,
-        site: FaultSite,
-        system_size: usize,
-        replication: usize,
-        attempt: u64,
-        events: &EventScope,
-    ) -> bool {
-        let Some(plan) = &self.plan else {
-            return false;
-        };
-        if !plan.should_fire(site, system_size, replication, attempt) {
-            return false;
-        }
-        tracing::warn!(
-            site = %site,
-            system_size = system_size,
-            replication = replication,
-            attempt = attempt,
-            "injecting fault"
-        );
+/// Asks the fault hook ([`fault::fires`]) whether `site` fires at
+/// `(system_size, replication)` on this `attempt`, recording a firing as a
+/// [`RunEvent::FaultInjected`] event.
+fn inject_fault(
+    faults: Option<&FaultPlan>,
+    site: FaultSite,
+    system_size: usize,
+    replication: usize,
+    attempt: u64,
+    events: &EventScope,
+) -> bool {
+    let fired = fault::fires(faults, site, system_size, replication, attempt);
+    if fired {
         events.emit(|| RunEvent::FaultInjected {
             site: site.name().to_owned(),
             system_size,
             replication,
             attempt,
         });
-        true
     }
-}
-
-#[cfg(not(feature = "fault-inject"))]
-impl FaultCtx {
-    #[inline(always)]
-    fn fires(
-        &self,
-        _site: FaultSite,
-        _system_size: usize,
-        _replication: usize,
-        _attempt: u64,
-        _events: &EventScope,
-    ) -> bool {
-        false
-    }
+    fired
 }
 
 /// Fingerprint of everything that influences a scenario's measurements:
@@ -653,12 +614,12 @@ fn workload(
     scenario: &Scenario,
     stream: u64,
     rep: usize,
-    fault: &FaultCtx,
+    faults: Option<&FaultPlan>,
     events: &EventScope,
 ) -> Result<TaskGraph, RunError> {
     let seed = stream_seed(scenario.base_seed, stream, 0, rep as u64);
     let mut injected = 0u64;
-    while fault.fires(FaultSite::GenerateReject, 0, rep, injected, events) {
+    while inject_fault(faults, FaultSite::GenerateReject, 0, rep, injected, events) {
         injected += 1;
         if injected >= Runner::MAX_GENERATE_ATTEMPTS {
             return Err(RunError::GenerateRejected {
@@ -829,7 +790,7 @@ impl SealedLine for CheckpointLine {
     }
 
     fn count_retry() {
-        telemetry::global().count_checkpoint_retry();
+        telemetry::global().checkpoint_retries.inc();
     }
 }
 
@@ -839,7 +800,7 @@ impl SealedLine for CheckpointLine {
 fn checkpoint_outcome(
     log: &SealedLog<CheckpointLine>,
     outcome: &ReplicationOutcome,
-    fault: &FaultCtx,
+    faults: Option<&FaultPlan>,
     events: &EventScope,
 ) -> Result<(), RunError> {
     let (size, rep) = outcome.cell();
@@ -853,9 +814,9 @@ fn checkpoint_outcome(
             record: record.clone(),
         },
     };
-    let corrupt = fault.fires(FaultSite::CheckpointCorrupt, size, rep, 0, events);
+    let corrupt = inject_fault(faults, FaultSite::CheckpointCorrupt, size, rep, 0, events);
     log.append(&line, corrupt, |attempt| {
-        fault.fires(FaultSite::CheckpointIo, size, rep, attempt, events)
+        inject_fault(faults, FaultSite::CheckpointIo, size, rep, attempt, events)
     })?;
     Ok(())
 }
@@ -1032,7 +993,6 @@ pub struct Runner {
     metrics: Option<Arc<MetricsWriter>>,
     profile_every: usize,
     miss_warn_limit: u64,
-    #[cfg(feature = "fault-inject")]
     faults: Option<Arc<FaultPlan>>,
 }
 
@@ -1091,7 +1051,6 @@ impl Runner {
             metrics: None,
             profile_every: Runner::PROFILE_SAMPLE_EVERY,
             miss_warn_limit: Runner::MISS_WARN_LIMIT,
-            #[cfg(feature = "fault-inject")]
             faults: None,
         }
     }
@@ -1192,7 +1151,7 @@ impl Runner {
     /// available with the `fault-inject` cargo feature).
     #[cfg(feature = "fault-inject")]
     #[must_use]
-    pub fn faults(mut self, plan: crate::fault::FaultPlan) -> Runner {
+    pub fn faults(mut self, plan: FaultPlan) -> Runner {
         self.faults = Some(Arc::new(plan));
         self
     }
@@ -1287,10 +1246,6 @@ impl Runner {
     /// The body of [`Runner::run_partial`]; the wrapper owns the exit
     /// accounting so early returns here cannot skip it.
     fn run_partial_inner(self, miss_log: &Arc<MissLog>) -> Result<PartialResult, RunError> {
-        let fault = FaultCtx {
-            #[cfg(feature = "fault-inject")]
-            plan: self.faults.clone(),
-        };
         let Runner {
             scenario,
             threads,
@@ -1303,8 +1258,10 @@ impl Runner {
             progress,
             metrics,
             profile_every,
+            faults,
             ..
         } = self;
+        let faults = faults.as_deref();
         scenario.validate()?;
         shard.validate()?;
         let threads = if threads == 0 {
@@ -1375,7 +1332,7 @@ impl Runner {
                     .take_while(|_| !cancel.is_cancelled())
                     .map(|&rep| {
                         let started = Instant::now();
-                        let graph = workload(&scenario, stream, rep, &fault, &events);
+                        let graph = workload(&scenario, stream, rep, faults, &events);
                         (rep, graph.map(|g| (g, started.elapsed())))
                     })
                     .collect()
@@ -1402,7 +1359,7 @@ impl Runner {
             };
             let registry = telemetry::global();
             registry.record_stage(Stage::Generate, elapsed);
-            registry.count_graph();
+            registry.graphs_generated.inc();
             events.emit(|| RunEvent::GraphGenerated {
                 replication: rep,
                 subtasks: graph.subtask_count(),
@@ -1440,7 +1397,7 @@ impl Runner {
                             stage: "generate".to_owned(),
                             error: error.clone(),
                         });
-                        telemetry::global().count_failed_replication();
+                        telemetry::global().replications_failed.inc();
                         events.emit(|| RunEvent::ReplicationFailed {
                             scenario: scenario.label.clone(),
                             system_size: size,
@@ -1452,7 +1409,7 @@ impl Runner {
                         // that dies later still leaves them in events.jsonl.
                         events.flush();
                         if let Some(log) = &writer {
-                            checkpoint_outcome(log, &outcome, &fault, &events)?;
+                            checkpoint_outcome(log, &outcome, faults, &events)?;
                         }
                         progress.record_cell(false, 0);
                         cells.insert((size, rep), outcome);
@@ -1474,7 +1431,7 @@ impl Runner {
                         }
                         let graph = &graphs[&rep];
                         let inject_panic =
-                            fault.fires(FaultSite::WorkerPanic, size, rep, 0, &events);
+                            inject_fault(faults, FaultSite::WorkerPanic, size, rep, 0, &events);
                         let result = catch_unwind(AssertUnwindSafe(|| {
                             if inject_panic {
                                 panic!("injected worker panic (fault plan)");
@@ -1526,7 +1483,7 @@ impl Runner {
                                 "degrading replication: {}",
                                 f.error
                             );
-                            telemetry::global().count_failed_replication();
+                            telemetry::global().replications_failed.inc();
                             events.emit(|| RunEvent::ReplicationFailed {
                                 scenario: scenario.label.clone(),
                                 system_size: size,
@@ -1540,7 +1497,7 @@ impl Runner {
                             events.flush();
                         }
                         if let Some(log) = &writer {
-                            checkpoint_outcome(log, &outcome, &fault, &events)?;
+                            checkpoint_outcome(log, &outcome, faults, &events)?;
                         }
                         match &outcome {
                             ReplicationOutcome::Ok(r) => {
@@ -1552,7 +1509,7 @@ impl Runner {
                             m.maybe_write(&progress, || telemetry::global().snapshot());
                         }
                         out.push(outcome);
-                        if fault.fires(FaultSite::CancelRace, size, rep, 0, &events) {
+                        if inject_fault(faults, FaultSite::CancelRace, size, rep, 0, &events) {
                             cancel.cancel();
                         }
                     }

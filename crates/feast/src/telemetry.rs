@@ -14,6 +14,19 @@
 //! Both are no-ops by default: with no sink installed [`emit_with`] never
 //! even constructs the event, and the registry is a handful of relaxed
 //! atomic increments per replication.
+//!
+//! # Adding a metric
+//!
+//! Every metric is one entry in the `metrics!` table in this file: a doc
+//! comment, `#[serde(default)]` (so snapshots written before the metric
+//! existed still parse) and the name, under `counters`, `histograms` or
+//! `stages` (a stage also names its [`Stage`] variant). The table
+//! generates the [`Registry`] field, the [`MetricsSnapshot`] field and its
+//! `snapshot`, `reset` and `delta` lines; feed it at the call site with
+//! `global().name.inc()`, `.add(n)` or `.record(elapsed)`. The new metric
+//! is a new `metrics.json` key at its table position, so extend the golden
+//! and the exhaustive field walk in `tests/observatory.rs` in the same
+//! change.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
@@ -23,45 +36,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-
-/// The pipeline stages measured by the [`Registry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Random task-graph generation.
-    Generate,
-    /// Deadline distribution (slicing or a baseline).
-    Distribute,
-    /// Incremental re-slicing after a graph delta
-    /// ([`Slicer::redistribute`](slicing::Slicer::redistribute)).
-    Redistribute,
-    /// List scheduling.
-    Schedule,
-    /// The always-on audit (assignment checker plus schedule validation),
-    /// timed separately from the stages it checks.
-    Audit,
-}
-
-impl Stage {
-    /// All stages, in pipeline order.
-    pub const ALL: [Stage; 5] = [
-        Stage::Generate,
-        Stage::Distribute,
-        Stage::Redistribute,
-        Stage::Schedule,
-        Stage::Audit,
-    ];
-
-    /// The stage's snake_case label, as used in event fields.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stage::Generate => "generate",
-            Stage::Distribute => "distribute",
-            Stage::Redistribute => "redistribute",
-            Stage::Schedule => "schedule",
-            Stage::Audit => "audit",
-        }
-    }
-}
 
 /// Number of power-of-two histogram buckets; bucket `i` counts durations
 /// with `floor(log2(µs)) == i - 1` (bucket 0 is `< 1 µs`), so the top
@@ -234,74 +208,261 @@ fn merge_buckets(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
     out
 }
 
-/// Aggregated pipeline metrics: counters plus one duration histogram per
-/// [`Stage`].
+/// A lock-free event counter. Relaxed ordering throughout: counters are
+/// statistics, never synchronization.
 #[derive(Debug, Default)]
-pub struct Registry {
-    graphs_generated: AtomicU64,
-    schedules_built: AtomicU64,
-    feasibility_failures: AtomicU64,
-    structural_violations: AtomicU64,
-    window_violations: AtomicU64,
-    schedule_violations: AtomicU64,
-    replications_failed: AtomicU64,
-    checkpoint_retries: AtomicU64,
-    delta_cache_hits: AtomicU64,
-    delta_cache_misses: AtomicU64,
-    delta_dirty_nodes: AtomicU64,
-    delta_scanned_nodes: AtomicU64,
-    admissions_admitted: AtomicU64,
-    admissions_rejected: AtomicU64,
-    admissions_shed: AtomicU64,
-    admissions_worker_failed: AtomicU64,
-    admissions_evicted: AtomicU64,
-    admissions_prefiltered: AtomicU64,
-    admissions_structural_fallbacks: AtomicU64,
-    slice_cache_hits: AtomicU64,
-    slice_cache_misses: AtomicU64,
-    slice_cache_evictions: AtomicU64,
-    admission_log_retries: AtomicU64,
-    admission_log_failures: AtomicU64,
-    admission: DurationHistogram,
-    admission_sojourn: DurationHistogram,
-    generate: DurationHistogram,
-    distribute: DurationHistogram,
-    redistribute: DurationHistogram,
-    schedule: DurationHistogram,
-    audit: DurationHistogram,
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Counts one event.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Counts `n` events.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Events counted so far.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    fn reset(&self) {
+        self.0.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Expands the metric table below into [`Stage`], [`Registry`] and
+/// [`MetricsSnapshot`], plus every per-metric method: `Stage::ALL`,
+/// `Stage::label`, the two `stage` lookups, [`Registry::snapshot`],
+/// [`Registry::reset`] and [`MetricsSnapshot::delta`]. Registry and
+/// snapshot fields appear in table order, which is the `metrics.json` key
+/// order.
+macro_rules! metrics {
+    (
+        counters {
+            $( $(#[doc = $cdoc:literal])* $(#[serde($cserde:ident)])? $counter:ident, )*
+        }
+        histograms {
+            $( $(#[doc = $hdoc:literal])* $(#[serde($hserde:ident)])? $hist:ident, )*
+        }
+        stages {
+            $( $(#[doc = $sdoc:literal])* $(#[serde($sserde:ident)])? $variant:ident => $stage:ident, )*
+        }
+    ) => {
+        /// The pipeline stages measured by the [`Registry`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Stage {
+            $( $(#[doc = $sdoc])* $variant, )*
+        }
+
+        impl Stage {
+            /// All stages, in pipeline order.
+            pub const ALL: [Stage; [$(Stage::$variant),*].len()] = [$(Stage::$variant),*];
+
+            /// The stage's snake_case label, as used in event fields.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $( Stage::$variant => stringify!($stage), )*
+                }
+            }
+        }
+
+        /// Aggregated pipeline metrics: counters, the admission
+        /// histograms and one duration histogram per [`Stage`].
+        #[derive(Debug, Default)]
+        pub struct Registry {
+            $( $(#[doc = $cdoc])* pub $counter: Counter, )*
+            $( $(#[doc = $hdoc])* pub $hist: DurationHistogram, )*
+            $( $(#[doc = $sdoc])* pub $stage: DurationHistogram, )*
+        }
+
+        impl Registry {
+            /// The stage's histogram.
+            pub fn stage(&self, stage: Stage) -> &DurationHistogram {
+                match stage {
+                    $( Stage::$variant => &self.$stage, )*
+                }
+            }
+
+            /// An immutable, serializable copy of every counter and
+            /// histogram.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $counter: self.$counter.get(), )*
+                    $( $hist: self.$hist.snapshot(), )*
+                    $( $stage: self.$stage.snapshot(), )*
+                }
+            }
+
+            /// Zeroes every counter and histogram (for tests and repeated
+            /// runs).
+            pub fn reset(&self) {
+                $( self.$counter.reset(); )*
+                $( self.$hist.reset(); )*
+                $( self.$stage.reset(); )*
+            }
+        }
+
+        /// Serializable copy of the whole [`Registry`].
+        #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct MetricsSnapshot {
+            $( $(#[doc = $cdoc])* $(#[serde($cserde)])? pub $counter: u64, )*
+            $( $(#[doc = $hdoc])* $(#[serde($hserde)])? pub $hist: StageSnapshot, )*
+            $( $(#[doc = $sdoc])* $(#[serde($sserde)])? pub $stage: StageSnapshot, )*
+        }
+
+        impl MetricsSnapshot {
+            /// The named stage's snapshot.
+            pub fn stage(&self, stage: Stage) -> &StageSnapshot {
+                match stage {
+                    $( Stage::$variant => &self.$stage, )*
+                }
+            }
+
+            /// Everything recorded between `earlier` and `self` (two
+            /// snapshots of the *same* registry): counters subtract and
+            /// each histogram is windowed via [`StageSnapshot::delta`].
+            /// Used to attribute the process-global registry to one
+            /// experiment.
+            #[must_use]
+            pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $counter: self.$counter.saturating_sub(earlier.$counter), )*
+                    $( $hist: self.$hist.delta(&earlier.$hist), )*
+                    $( $stage: self.$stage.delta(&earlier.$stage), )*
+                }
+            }
+        }
+    };
+}
+
+// The metric table. `#[serde(default)]` marks a metric added after
+// snapshots were first written: its key reads as zero (or an empty
+// histogram) when an older snapshot lacks it.
+metrics! {
+    counters {
+        /// Task graphs generated.
+        graphs_generated,
+        /// Schedules built.
+        schedules_built,
+        /// Schedules that missed at least one assigned deadline.
+        feasibility_failures,
+        /// Structural violations across all replications (deadline-window
+        /// plus schedule violations).
+        structural_violations,
+        /// Deadline-window violations found by the assignment audit.
+        window_violations,
+        /// Schedule violations found by
+        /// [`Schedule::validate`](sched::Schedule::validate).
+        schedule_violations,
+        /// Replications degraded to failed outcomes (excluded from
+        /// statistics instead of aborting the sweep).
+        replications_failed,
+        /// Checkpoint appends retried after a transient I/O failure.
+        checkpoint_retries,
+        /// Per-start path searches answered from the delta cache during
+        /// redistribution.
+        #[serde(default)]
+        delta_cache_hits,
+        /// Per-start path searches run live during redistribution.
+        #[serde(default)]
+        delta_cache_misses,
+        /// Dirty (node, iteration) pairs seen by redistributions.
+        #[serde(default)]
+        delta_dirty_nodes,
+        /// Scanned (node, iteration) pairs (the dirty-fraction
+        /// denominator).
+        #[serde(default)]
+        delta_scanned_nodes,
+        /// Admission requests answered with an admit verdict.
+        #[serde(default)]
+        admissions_admitted,
+        /// Admission requests answered with a reject verdict.
+        #[serde(default)]
+        admissions_rejected,
+        /// Admission requests shed for out-waiting their decision budget.
+        #[serde(default)]
+        admissions_shed,
+        /// Admission requests degraded to `WorkerFailed` verdicts by a
+        /// slicer-worker panic.
+        #[serde(default)]
+        admissions_worker_failed,
+        /// Residents evicted by the capacity bound's eviction policy
+        /// (retirement at the horizon is not an eviction).
+        #[serde(default)]
+        admissions_evicted,
+        /// Admissions refused by the feasibility pre-filter before any
+        /// slicing work.
+        #[serde(default)]
+        admissions_prefiltered,
+        /// Structural amendments that fell back to a full rebuild and
+        /// re-trial instead of the schedule-repair fast path.
+        #[serde(default)]
+        admissions_structural_fallbacks,
+        /// Slicing runs answered from the cross-request slice cache.
+        #[serde(default)]
+        slice_cache_hits,
+        /// Slicing runs that missed the cross-request slice cache and ran
+        /// the DP live.
+        #[serde(default)]
+        slice_cache_misses,
+        /// Entries evicted from the cross-request slice cache by its LRU
+        /// bound.
+        #[serde(default)]
+        slice_cache_evictions,
+        /// Admission-WAL appends retried after a transient I/O failure.
+        #[serde(default)]
+        admission_log_retries,
+        /// Admission-WAL appends that failed past every retry (the verdict
+        /// was still returned; durability for that record is lost).
+        #[serde(default)]
+        admission_log_failures,
+    }
+    histograms {
+        /// Admission-decision service time: the trial-schedule plus
+        /// commit/discard critical section.
+        #[serde(default)]
+        admission,
+        /// Submission-to-decision sojourn of non-shed requests, including
+        /// queue wait and slicing.
+        #[serde(default)]
+        admission_sojourn,
+    }
+    stages {
+        /// Random task-graph generation.
+        Generate => generate,
+        /// Deadline distribution (slicing or a baseline).
+        Distribute => distribute,
+        /// Incremental re-slicing through a delta memo
+        /// ([`Slicer::redistribute`](slicing::Slicer::redistribute)),
+        /// including its fallbacks to a full traced run.
+        #[serde(default)]
+        Redistribute => redistribute,
+        /// List scheduling.
+        Schedule => schedule,
+        /// The always-on audit (assignment checker plus schedule
+        /// validation), timed separately from the stages it checks.
+        Audit => audit,
+    }
 }
 
 impl Registry {
-    /// The stage's histogram.
-    pub fn stage(&self, stage: Stage) -> &DurationHistogram {
-        match stage {
-            Stage::Generate => &self.generate,
-            Stage::Distribute => &self.distribute,
-            Stage::Redistribute => &self.redistribute,
-            Stage::Schedule => &self.schedule,
-            Stage::Audit => &self.audit,
-        }
-    }
-
     /// Records a stage's wall-clock time.
     pub fn record_stage(&self, stage: Stage, elapsed: Duration) {
         self.stage(stage).record(elapsed);
     }
 
-    /// Counts one generated task graph.
-    pub fn count_graph(&self) {
-        self.graphs_generated.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts one completed schedule, its feasibility outcome and any
     /// structural violations found by validation.
     pub fn count_schedule(&self, feasible: bool, violations: usize) {
-        self.schedules_built.fetch_add(1, Ordering::Relaxed);
+        self.schedules_built.inc();
         if !feasible {
-            self.feasibility_failures.fetch_add(1, Ordering::Relaxed);
+            self.feasibility_failures.inc();
         }
-        self.structural_violations
-            .fetch_add(violations as u64, Ordering::Relaxed);
+        self.structural_violations.add(violations as u64);
     }
 
     /// Counts one replication's audit outcome, split into deadline-window
@@ -311,328 +472,28 @@ impl Registry {
     ///
     /// [`Schedule::validate`]: sched::Schedule::validate
     pub fn count_audit(&self, window: usize, schedule: usize) {
-        self.window_violations
-            .fetch_add(window as u64, Ordering::Relaxed);
-        self.schedule_violations
-            .fetch_add(schedule as u64, Ordering::Relaxed);
-    }
-
-    /// Counts one replication that degraded to a failed outcome (excluded
-    /// from statistics instead of aborting the sweep).
-    pub fn count_failed_replication(&self) {
-        self.replications_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one retried checkpoint append (transient I/O failure).
-    pub fn count_checkpoint_retry(&self) {
-        self.checkpoint_retries.fetch_add(1, Ordering::Relaxed);
+        self.window_violations.add(window as u64);
+        self.schedule_violations.add(schedule as u64);
     }
 
     /// Accumulates one incremental redistribution's cache-effectiveness
     /// counters ([`slicing::RedistributeStats`]).
     pub fn count_redistribute(&self, stats: &slicing::RedistributeStats) {
-        self.delta_cache_hits
-            .fetch_add(stats.cache_hits, Ordering::Relaxed);
-        self.delta_cache_misses
-            .fetch_add(stats.cache_misses, Ordering::Relaxed);
-        self.delta_dirty_nodes
-            .fetch_add(stats.dirty_nodes, Ordering::Relaxed);
-        self.delta_scanned_nodes
-            .fetch_add(stats.scanned_nodes, Ordering::Relaxed);
+        self.delta_cache_hits.add(stats.cache_hits);
+        self.delta_cache_misses.add(stats.cache_misses);
+        self.delta_dirty_nodes.add(stats.dirty_nodes);
+        self.delta_scanned_nodes.add(stats.scanned_nodes);
     }
 
     /// Records one admission decision and the service time spent deciding
     /// it (the trial-schedule + commit/discard critical section).
     pub fn record_admission(&self, admitted: bool, elapsed: Duration) {
         if admitted {
-            self.admissions_admitted.fetch_add(1, Ordering::Relaxed);
+            self.admissions_admitted.inc();
         } else {
-            self.admissions_rejected.fetch_add(1, Ordering::Relaxed);
+            self.admissions_rejected.inc();
         }
         self.admission.record(elapsed);
-    }
-
-    /// Admission requests answered with an admit verdict.
-    pub fn admissions_admitted(&self) -> u64 {
-        self.admissions_admitted.load(Ordering::Relaxed)
-    }
-
-    /// Admission requests answered with a reject verdict.
-    pub fn admissions_rejected(&self) -> u64 {
-        self.admissions_rejected.load(Ordering::Relaxed)
-    }
-
-    /// The admission-decision service-time histogram.
-    pub fn admission(&self) -> &DurationHistogram {
-        &self.admission
-    }
-
-    /// Counts one request shed for out-waiting its decision budget.
-    pub fn count_admission_shed(&self) {
-        self.admissions_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request degraded to a `WorkerFailed` verdict by a
-    /// slicer-worker panic.
-    pub fn count_admission_worker_failed(&self) {
-        self.admissions_worker_failed
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one resident evicted by the capacity bound's eviction
-    /// policy (retirement at the horizon is not an eviction).
-    pub fn count_admission_evicted(&self) {
-        self.admissions_evicted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one admission refused by the feasibility pre-filter before
-    /// any slicing work.
-    pub fn count_admission_prefiltered(&self) {
-        self.admissions_prefiltered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one slicing run answered from the cross-request slice
-    /// cache.
-    pub fn count_slice_cache_hit(&self) {
-        self.slice_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one slicing run that missed the cross-request slice cache
-    /// and ran the DP live.
-    pub fn count_slice_cache_miss(&self) {
-        self.slice_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one entry evicted from the cross-request slice cache by
-    /// its LRU bound.
-    pub fn count_slice_cache_eviction(&self) {
-        self.slice_cache_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one structural amendment that fell back to a full rebuild
-    /// and re-trial instead of the schedule-repair fast path.
-    pub fn count_admission_structural_fallback(&self) {
-        self.admissions_structural_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one retried admission-WAL append (transient I/O failure).
-    pub fn count_admission_log_retry(&self) {
-        self.admission_log_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one admission-WAL append that failed past every retry (the
-    /// verdict was still returned; durability for that record is lost).
-    pub fn count_admission_log_failure(&self) {
-        self.admission_log_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one non-shed request's queue sojourn: submission to
-    /// decision, including queue wait and slicing.
-    pub fn record_admission_sojourn(&self, elapsed: Duration) {
-        self.admission_sojourn.record(elapsed);
-    }
-
-    /// Requests shed for out-waiting their decision budget.
-    pub fn admissions_shed(&self) -> u64 {
-        self.admissions_shed.load(Ordering::Relaxed)
-    }
-
-    /// Requests degraded to `WorkerFailed` verdicts by worker panics.
-    pub fn admissions_worker_failed(&self) -> u64 {
-        self.admissions_worker_failed.load(Ordering::Relaxed)
-    }
-
-    /// Residents evicted by the capacity bound's eviction policy.
-    pub fn admissions_evicted(&self) -> u64 {
-        self.admissions_evicted.load(Ordering::Relaxed)
-    }
-
-    /// Admissions refused by the feasibility pre-filter.
-    pub fn admissions_prefiltered(&self) -> u64 {
-        self.admissions_prefiltered.load(Ordering::Relaxed)
-    }
-
-    /// Slicing runs answered from the cross-request slice cache.
-    pub fn slice_cache_hits(&self) -> u64 {
-        self.slice_cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Slicing runs that missed the cross-request slice cache.
-    pub fn slice_cache_misses(&self) -> u64 {
-        self.slice_cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted from the cross-request slice cache.
-    pub fn slice_cache_evictions(&self) -> u64 {
-        self.slice_cache_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Structural amendments that fell back to full rebuild + re-trial.
-    pub fn admissions_structural_fallbacks(&self) -> u64 {
-        self.admissions_structural_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Admission-WAL appends that had to be retried.
-    pub fn admission_log_retries(&self) -> u64 {
-        self.admission_log_retries.load(Ordering::Relaxed)
-    }
-
-    /// Admission-WAL appends that failed past every retry.
-    pub fn admission_log_failures(&self) -> u64 {
-        self.admission_log_failures.load(Ordering::Relaxed)
-    }
-
-    /// The submission-to-decision sojourn histogram (non-shed requests).
-    pub fn admission_sojourn(&self) -> &DurationHistogram {
-        &self.admission_sojourn
-    }
-
-    /// Number of graphs generated so far.
-    pub fn graphs_generated(&self) -> u64 {
-        self.graphs_generated.load(Ordering::Relaxed)
-    }
-
-    /// Number of schedules built so far.
-    pub fn schedules_built(&self) -> u64 {
-        self.schedules_built.load(Ordering::Relaxed)
-    }
-
-    /// Number of schedules that missed at least one assigned deadline.
-    pub fn feasibility_failures(&self) -> u64 {
-        self.feasibility_failures.load(Ordering::Relaxed)
-    }
-
-    /// Total structural violations across all replications.
-    pub fn structural_violations(&self) -> u64 {
-        self.structural_violations.load(Ordering::Relaxed)
-    }
-
-    /// Deadline-window violations found by the assignment audit.
-    pub fn window_violations(&self) -> u64 {
-        self.window_violations.load(Ordering::Relaxed)
-    }
-
-    /// Schedule violations found by [`Schedule::validate`].
-    ///
-    /// [`Schedule::validate`]: sched::Schedule::validate
-    pub fn schedule_violations(&self) -> u64 {
-        self.schedule_violations.load(Ordering::Relaxed)
-    }
-
-    /// Replications degraded to failed outcomes.
-    pub fn replications_failed(&self) -> u64 {
-        self.replications_failed.load(Ordering::Relaxed)
-    }
-
-    /// Checkpoint appends that had to be retried.
-    pub fn checkpoint_retries(&self) -> u64 {
-        self.checkpoint_retries.load(Ordering::Relaxed)
-    }
-
-    /// Per-start path searches answered from the delta cache.
-    pub fn delta_cache_hits(&self) -> u64 {
-        self.delta_cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Per-start path searches that ran the DP live during redistribution.
-    pub fn delta_cache_misses(&self) -> u64 {
-        self.delta_cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Dirty (node, iteration) pairs seen by redistributions.
-    pub fn delta_dirty_nodes(&self) -> u64 {
-        self.delta_dirty_nodes.load(Ordering::Relaxed)
-    }
-
-    /// Scanned (node, iteration) pairs — the denominator of
-    /// [`delta_dirty_frac`](Registry::delta_dirty_frac).
-    pub fn delta_scanned_nodes(&self) -> u64 {
-        self.delta_scanned_nodes.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of scanned per-iteration node states that were dirty
-    /// across all redistributions (zero when none ran).
-    pub fn delta_dirty_frac(&self) -> f64 {
-        let scanned = self.delta_scanned_nodes();
-        if scanned == 0 {
-            0.0
-        } else {
-            self.delta_dirty_nodes() as f64 / scanned as f64
-        }
-    }
-
-    /// An immutable, serializable copy of every counter and histogram.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            graphs_generated: self.graphs_generated(),
-            schedules_built: self.schedules_built(),
-            feasibility_failures: self.feasibility_failures(),
-            structural_violations: self.structural_violations(),
-            window_violations: self.window_violations(),
-            schedule_violations: self.schedule_violations(),
-            replications_failed: self.replications_failed(),
-            checkpoint_retries: self.checkpoint_retries(),
-            delta_cache_hits: self.delta_cache_hits(),
-            delta_cache_misses: self.delta_cache_misses(),
-            delta_dirty_nodes: self.delta_dirty_nodes(),
-            delta_scanned_nodes: self.delta_scanned_nodes(),
-            admissions_admitted: self.admissions_admitted(),
-            admissions_rejected: self.admissions_rejected(),
-            admissions_shed: self.admissions_shed(),
-            admissions_worker_failed: self.admissions_worker_failed(),
-            admissions_evicted: self.admissions_evicted(),
-            admissions_prefiltered: self.admissions_prefiltered(),
-            admissions_structural_fallbacks: self.admissions_structural_fallbacks(),
-            slice_cache_hits: self.slice_cache_hits(),
-            slice_cache_misses: self.slice_cache_misses(),
-            slice_cache_evictions: self.slice_cache_evictions(),
-            admission_log_retries: self.admission_log_retries(),
-            admission_log_failures: self.admission_log_failures(),
-            admission: self.admission.snapshot(),
-            admission_sojourn: self.admission_sojourn.snapshot(),
-            generate: self.generate.snapshot(),
-            distribute: self.distribute.snapshot(),
-            redistribute: self.redistribute.snapshot(),
-            schedule: self.schedule.snapshot(),
-            audit: self.audit.snapshot(),
-        }
-    }
-
-    /// Zeroes every counter and histogram (for tests and repeated runs).
-    pub fn reset(&self) {
-        self.graphs_generated.store(0, Ordering::Relaxed);
-        self.schedules_built.store(0, Ordering::Relaxed);
-        self.feasibility_failures.store(0, Ordering::Relaxed);
-        self.structural_violations.store(0, Ordering::Relaxed);
-        self.window_violations.store(0, Ordering::Relaxed);
-        self.schedule_violations.store(0, Ordering::Relaxed);
-        self.replications_failed.store(0, Ordering::Relaxed);
-        self.checkpoint_retries.store(0, Ordering::Relaxed);
-        self.delta_cache_hits.store(0, Ordering::Relaxed);
-        self.delta_cache_misses.store(0, Ordering::Relaxed);
-        self.delta_dirty_nodes.store(0, Ordering::Relaxed);
-        self.delta_scanned_nodes.store(0, Ordering::Relaxed);
-        self.admissions_admitted.store(0, Ordering::Relaxed);
-        self.admissions_rejected.store(0, Ordering::Relaxed);
-        self.admissions_shed.store(0, Ordering::Relaxed);
-        self.admissions_worker_failed.store(0, Ordering::Relaxed);
-        self.admissions_evicted.store(0, Ordering::Relaxed);
-        self.admissions_prefiltered.store(0, Ordering::Relaxed);
-        self.admissions_structural_fallbacks
-            .store(0, Ordering::Relaxed);
-        self.slice_cache_hits.store(0, Ordering::Relaxed);
-        self.slice_cache_misses.store(0, Ordering::Relaxed);
-        self.slice_cache_evictions.store(0, Ordering::Relaxed);
-        self.admission_log_retries.store(0, Ordering::Relaxed);
-        self.admission_log_failures.store(0, Ordering::Relaxed);
-        self.admission.reset();
-        self.admission_sojourn.reset();
-        self.generate.reset();
-        self.distribute.reset();
-        self.redistribute.reset();
-        self.schedule.reset();
-        self.audit.reset();
     }
 }
 
@@ -727,237 +588,6 @@ impl StageSnapshot {
             self.max_us,
             buckets,
         )
-    }
-}
-
-/// Serializable copy of the whole [`Registry`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Task graphs generated.
-    pub graphs_generated: u64,
-    /// Schedules built.
-    pub schedules_built: u64,
-    /// Schedules that missed at least one assigned deadline.
-    pub feasibility_failures: u64,
-    /// Structural violations across all replications.
-    pub structural_violations: u64,
-    /// Deadline-window violations found by the assignment audit.
-    pub window_violations: u64,
-    /// Schedule violations found by schedule validation.
-    pub schedule_violations: u64,
-    /// Replications degraded to failed outcomes.
-    pub replications_failed: u64,
-    /// Checkpoint appends that had to be retried.
-    pub checkpoint_retries: u64,
-    /// Per-start path searches answered from the delta cache.
-    /// (Defaulted so snapshots written before the delta pipeline parse.)
-    #[serde(default)]
-    pub delta_cache_hits: u64,
-    /// Per-start path searches run live during redistribution.
-    #[serde(default)]
-    pub delta_cache_misses: u64,
-    /// Dirty (node, iteration) pairs seen by redistributions.
-    #[serde(default)]
-    pub delta_dirty_nodes: u64,
-    /// Scanned (node, iteration) pairs (the dirty-fraction denominator).
-    #[serde(default)]
-    pub delta_scanned_nodes: u64,
-    /// Admission requests answered with an admit verdict.
-    /// (Defaulted so snapshots written before the admission service parse.)
-    #[serde(default)]
-    pub admissions_admitted: u64,
-    /// Admission requests answered with a reject verdict.
-    #[serde(default)]
-    pub admissions_rejected: u64,
-    /// Admission requests shed for out-waiting their decision budget.
-    /// (Defaulted so snapshots written before PR 9's robustness layer parse.)
-    #[serde(default)]
-    pub admissions_shed: u64,
-    /// Admission requests degraded to `WorkerFailed` verdicts.
-    #[serde(default)]
-    pub admissions_worker_failed: u64,
-    /// Residents evicted by the capacity bound's eviction policy.
-    #[serde(default)]
-    pub admissions_evicted: u64,
-    /// Admissions refused by the feasibility pre-filter before slicing.
-    /// (Defaulted so snapshots written before the fast lane parse.)
-    #[serde(default)]
-    pub admissions_prefiltered: u64,
-    /// Structural amendments that fell back to full rebuild + re-trial.
-    #[serde(default)]
-    pub admissions_structural_fallbacks: u64,
-    /// Slicing runs answered from the cross-request slice cache.
-    #[serde(default)]
-    pub slice_cache_hits: u64,
-    /// Slicing runs that missed the cross-request slice cache.
-    #[serde(default)]
-    pub slice_cache_misses: u64,
-    /// Entries evicted from the cross-request slice cache.
-    #[serde(default)]
-    pub slice_cache_evictions: u64,
-    /// Admission-WAL appends that had to be retried.
-    #[serde(default)]
-    pub admission_log_retries: u64,
-    /// Admission-WAL appends that failed past every retry.
-    #[serde(default)]
-    pub admission_log_failures: u64,
-    /// Admission-decision service-time histogram.
-    #[serde(default)]
-    pub admission: StageSnapshot,
-    /// Submission-to-decision sojourn histogram (non-shed requests).
-    #[serde(default)]
-    pub admission_sojourn: StageSnapshot,
-    /// Generation-stage timings.
-    pub generate: StageSnapshot,
-    /// Distribution-stage timings.
-    pub distribute: StageSnapshot,
-    /// Redistribution-stage timings (incremental re-slicing).
-    #[serde(default)]
-    pub redistribute: StageSnapshot,
-    /// Scheduling-stage timings.
-    pub schedule: StageSnapshot,
-    /// Audit-stage timings (assignment checker + schedule validation).
-    pub audit: StageSnapshot,
-}
-
-impl MetricsSnapshot {
-    /// The named stage's snapshot.
-    pub fn stage(&self, stage: Stage) -> &StageSnapshot {
-        match stage {
-            Stage::Generate => &self.generate,
-            Stage::Distribute => &self.distribute,
-            Stage::Redistribute => &self.redistribute,
-            Stage::Schedule => &self.schedule,
-            Stage::Audit => &self.audit,
-        }
-    }
-
-    /// Combines two snapshots as if both registries' observations had been
-    /// recorded into one: counters add and each stage histogram merges via
-    /// [`StageSnapshot::merge`]. Used to aggregate per-shard `metrics.json`
-    /// files into a sweep-wide view.
-    #[must_use]
-    pub fn merge(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            graphs_generated: self.graphs_generated + other.graphs_generated,
-            schedules_built: self.schedules_built + other.schedules_built,
-            feasibility_failures: self.feasibility_failures + other.feasibility_failures,
-            structural_violations: self.structural_violations + other.structural_violations,
-            window_violations: self.window_violations + other.window_violations,
-            schedule_violations: self.schedule_violations + other.schedule_violations,
-            replications_failed: self.replications_failed + other.replications_failed,
-            checkpoint_retries: self.checkpoint_retries + other.checkpoint_retries,
-            delta_cache_hits: self.delta_cache_hits + other.delta_cache_hits,
-            delta_cache_misses: self.delta_cache_misses + other.delta_cache_misses,
-            delta_dirty_nodes: self.delta_dirty_nodes + other.delta_dirty_nodes,
-            delta_scanned_nodes: self.delta_scanned_nodes + other.delta_scanned_nodes,
-            admissions_admitted: self.admissions_admitted + other.admissions_admitted,
-            admissions_rejected: self.admissions_rejected + other.admissions_rejected,
-            admissions_shed: self.admissions_shed + other.admissions_shed,
-            admissions_worker_failed: self.admissions_worker_failed
-                + other.admissions_worker_failed,
-            admissions_evicted: self.admissions_evicted + other.admissions_evicted,
-            admissions_prefiltered: self.admissions_prefiltered + other.admissions_prefiltered,
-            admissions_structural_fallbacks: self.admissions_structural_fallbacks
-                + other.admissions_structural_fallbacks,
-            slice_cache_hits: self.slice_cache_hits + other.slice_cache_hits,
-            slice_cache_misses: self.slice_cache_misses + other.slice_cache_misses,
-            slice_cache_evictions: self.slice_cache_evictions + other.slice_cache_evictions,
-            admission_log_retries: self.admission_log_retries + other.admission_log_retries,
-            admission_log_failures: self.admission_log_failures + other.admission_log_failures,
-            admission: self.admission.merge(&other.admission),
-            admission_sojourn: self.admission_sojourn.merge(&other.admission_sojourn),
-            generate: self.generate.merge(&other.generate),
-            distribute: self.distribute.merge(&other.distribute),
-            redistribute: self.redistribute.merge(&other.redistribute),
-            schedule: self.schedule.merge(&other.schedule),
-            audit: self.audit.merge(&other.audit),
-        }
-    }
-
-    /// Everything recorded between `earlier` and `self` (two snapshots of
-    /// the *same* registry): counters subtract and each stage histogram is
-    /// windowed via [`StageSnapshot::delta`]. Used to attribute the
-    /// process-global registry to one experiment.
-    #[must_use]
-    pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            graphs_generated: self
-                .graphs_generated
-                .saturating_sub(earlier.graphs_generated),
-            schedules_built: self.schedules_built.saturating_sub(earlier.schedules_built),
-            feasibility_failures: self
-                .feasibility_failures
-                .saturating_sub(earlier.feasibility_failures),
-            structural_violations: self
-                .structural_violations
-                .saturating_sub(earlier.structural_violations),
-            window_violations: self
-                .window_violations
-                .saturating_sub(earlier.window_violations),
-            schedule_violations: self
-                .schedule_violations
-                .saturating_sub(earlier.schedule_violations),
-            replications_failed: self
-                .replications_failed
-                .saturating_sub(earlier.replications_failed),
-            checkpoint_retries: self
-                .checkpoint_retries
-                .saturating_sub(earlier.checkpoint_retries),
-            delta_cache_hits: self
-                .delta_cache_hits
-                .saturating_sub(earlier.delta_cache_hits),
-            delta_cache_misses: self
-                .delta_cache_misses
-                .saturating_sub(earlier.delta_cache_misses),
-            delta_dirty_nodes: self
-                .delta_dirty_nodes
-                .saturating_sub(earlier.delta_dirty_nodes),
-            delta_scanned_nodes: self
-                .delta_scanned_nodes
-                .saturating_sub(earlier.delta_scanned_nodes),
-            admissions_admitted: self
-                .admissions_admitted
-                .saturating_sub(earlier.admissions_admitted),
-            admissions_rejected: self
-                .admissions_rejected
-                .saturating_sub(earlier.admissions_rejected),
-            admissions_shed: self.admissions_shed.saturating_sub(earlier.admissions_shed),
-            admissions_worker_failed: self
-                .admissions_worker_failed
-                .saturating_sub(earlier.admissions_worker_failed),
-            admissions_evicted: self
-                .admissions_evicted
-                .saturating_sub(earlier.admissions_evicted),
-            admissions_prefiltered: self
-                .admissions_prefiltered
-                .saturating_sub(earlier.admissions_prefiltered),
-            admissions_structural_fallbacks: self
-                .admissions_structural_fallbacks
-                .saturating_sub(earlier.admissions_structural_fallbacks),
-            slice_cache_hits: self
-                .slice_cache_hits
-                .saturating_sub(earlier.slice_cache_hits),
-            slice_cache_misses: self
-                .slice_cache_misses
-                .saturating_sub(earlier.slice_cache_misses),
-            slice_cache_evictions: self
-                .slice_cache_evictions
-                .saturating_sub(earlier.slice_cache_evictions),
-            admission_log_retries: self
-                .admission_log_retries
-                .saturating_sub(earlier.admission_log_retries),
-            admission_log_failures: self
-                .admission_log_failures
-                .saturating_sub(earlier.admission_log_failures),
-            admission: self.admission.delta(&earlier.admission),
-            admission_sojourn: self.admission_sojourn.delta(&earlier.admission_sojourn),
-            generate: self.generate.delta(&earlier.generate),
-            distribute: self.distribute.delta(&earlier.distribute),
-            redistribute: self.redistribute.delta(&earlier.redistribute),
-            schedule: self.schedule.delta(&earlier.schedule),
-            audit: self.audit.delta(&earlier.audit),
-        }
     }
 }
 
@@ -1301,14 +931,14 @@ mod tests {
     #[test]
     fn registry_counters_accumulate_and_reset() {
         let r = Registry::default();
-        r.count_graph();
-        r.count_graph();
+        r.graphs_generated.inc();
+        r.graphs_generated.inc();
         r.count_schedule(true, 0);
         r.count_schedule(false, 3);
         r.count_audit(2, 1);
-        r.count_failed_replication();
-        r.count_checkpoint_retry();
-        r.count_checkpoint_retry();
+        r.replications_failed.inc();
+        r.checkpoint_retries.inc();
+        r.checkpoint_retries.inc();
         r.count_redistribute(&slicing::RedistributeStats {
             cache_hits: 10,
             cache_misses: 2,
@@ -1324,32 +954,31 @@ mod tests {
         r.record_admission(true, Duration::from_micros(40));
         r.record_admission(true, Duration::from_micros(45));
         r.record_admission(false, Duration::from_micros(50));
-        r.count_admission_prefiltered();
-        r.count_slice_cache_hit();
-        r.count_slice_cache_hit();
-        r.count_slice_cache_miss();
-        r.count_slice_cache_eviction();
+        r.admissions_prefiltered.inc();
+        r.slice_cache_hits.inc();
+        r.slice_cache_hits.inc();
+        r.slice_cache_misses.inc();
+        r.slice_cache_evictions.inc();
 
-        assert_eq!(r.graphs_generated(), 2);
-        assert_eq!(r.schedules_built(), 2);
-        assert_eq!(r.feasibility_failures(), 1);
-        assert_eq!(r.structural_violations(), 3);
-        assert_eq!(r.window_violations(), 2);
-        assert_eq!(r.schedule_violations(), 1);
-        assert_eq!(r.replications_failed(), 1);
-        assert_eq!(r.checkpoint_retries(), 2);
-        assert_eq!(r.delta_cache_hits(), 10);
-        assert_eq!(r.delta_cache_misses(), 2);
-        assert_eq!(r.delta_dirty_nodes(), 3);
-        assert_eq!(r.delta_scanned_nodes(), 24);
-        assert!((r.delta_dirty_frac() - 0.125).abs() < 1e-12);
-        assert_eq!(r.admissions_admitted(), 2);
-        assert_eq!(r.admissions_rejected(), 1);
-        assert_eq!(r.admissions_prefiltered(), 1);
-        assert_eq!(r.slice_cache_hits(), 2);
-        assert_eq!(r.slice_cache_misses(), 1);
-        assert_eq!(r.slice_cache_evictions(), 1);
-        assert_eq!(r.admission().count(), 3);
+        assert_eq!(r.graphs_generated.get(), 2);
+        assert_eq!(r.schedules_built.get(), 2);
+        assert_eq!(r.feasibility_failures.get(), 1);
+        assert_eq!(r.structural_violations.get(), 3);
+        assert_eq!(r.window_violations.get(), 2);
+        assert_eq!(r.schedule_violations.get(), 1);
+        assert_eq!(r.replications_failed.get(), 1);
+        assert_eq!(r.checkpoint_retries.get(), 2);
+        assert_eq!(r.delta_cache_hits.get(), 10);
+        assert_eq!(r.delta_cache_misses.get(), 2);
+        assert_eq!(r.delta_dirty_nodes.get(), 3);
+        assert_eq!(r.delta_scanned_nodes.get(), 24);
+        assert_eq!(r.admissions_admitted.get(), 2);
+        assert_eq!(r.admissions_rejected.get(), 1);
+        assert_eq!(r.admissions_prefiltered.get(), 1);
+        assert_eq!(r.slice_cache_hits.get(), 2);
+        assert_eq!(r.slice_cache_misses.get(), 1);
+        assert_eq!(r.slice_cache_evictions.get(), 1);
+        assert_eq!(r.admission.count(), 3);
         for stage in Stage::ALL {
             assert_eq!(r.stage(stage).count(), 1, "{}", stage.label());
         }
@@ -1365,20 +994,20 @@ mod tests {
         assert_eq!(snap.admission.count, 3);
 
         r.reset();
-        assert_eq!(r.graphs_generated(), 0);
-        assert_eq!(r.admissions_prefiltered(), 0);
-        assert_eq!(r.slice_cache_hits(), 0);
-        assert_eq!(r.slice_cache_evictions(), 0);
-        assert_eq!(r.schedules_built(), 0);
-        assert_eq!(r.window_violations(), 0);
-        assert_eq!(r.replications_failed(), 0);
-        assert_eq!(r.checkpoint_retries(), 0);
-        assert_eq!(r.delta_cache_hits(), 0);
-        assert_eq!(r.delta_scanned_nodes(), 0);
-        assert_eq!(r.delta_dirty_frac(), 0.0);
-        assert_eq!(r.admissions_admitted(), 0);
-        assert_eq!(r.admissions_rejected(), 0);
-        assert_eq!(r.admission().count(), 0);
+        assert_eq!(r.graphs_generated.get(), 0);
+        assert_eq!(r.admissions_prefiltered.get(), 0);
+        assert_eq!(r.slice_cache_hits.get(), 0);
+        assert_eq!(r.slice_cache_evictions.get(), 0);
+        assert_eq!(r.schedules_built.get(), 0);
+        assert_eq!(r.window_violations.get(), 0);
+        assert_eq!(r.replications_failed.get(), 0);
+        assert_eq!(r.checkpoint_retries.get(), 0);
+        assert_eq!(r.delta_cache_hits.get(), 0);
+        assert_eq!(r.delta_scanned_nodes.get(), 0);
+        assert_eq!(r.delta_dirty_nodes.get(), 0);
+        assert_eq!(r.admissions_admitted.get(), 0);
+        assert_eq!(r.admissions_rejected.get(), 0);
+        assert_eq!(r.admission.count(), 0);
         assert_eq!(r.stage(Stage::Schedule).count(), 0);
         assert_eq!(r.stage(Stage::Redistribute).count(), 0);
         assert_eq!(r.snapshot().schedule.buckets, vec![]);

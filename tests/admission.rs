@@ -6,6 +6,7 @@
 //! accounting, and the unified `feast::Error` surface over the admission
 //! path.
 
+use feast::telemetry;
 use feast::{
     AdmissionController, AdmissionService, AdmitConfig, AdmitError, AdmitOutcome, AdmitRequest,
     Error, Scenario,
@@ -430,6 +431,27 @@ fn rejects_and_failed_amends_leave_no_trace() {
     assert!(!amended.admitted, "absurd WCET cannot stay admitted");
     assert_eq!(controller.digest(), digest);
     assert_eq!(controller.residents(), residents);
+}
+
+/// An amendment re-slices through the incremental path, and that work
+/// reaches the telemetry `metrics.json` reports: the `redistribute` stage
+/// histogram and the `delta_*` counters.
+#[test]
+fn amendments_feed_the_redistribute_telemetry() {
+    let mut controller = AdmissionController::new(config(8)).unwrap();
+    assert!(controller.admit(0, graph(1), Time::ZERO).unwrap().admitted);
+    let before = telemetry::global().snapshot();
+    let tighten = GraphDelta::new().push(DeltaOp::SetWcet {
+        subtask: SubtaskId::new(0),
+        wcet: Time::new(1),
+    });
+    controller.amend(0, &tighten).unwrap();
+
+    // The registry is process-global and other tests in this binary may
+    // feed it concurrently, so only lower bounds hold.
+    let delta = telemetry::global().snapshot().delta(&before);
+    assert!(delta.redistribute.count >= 1, "{:?}", delta.redistribute);
+    assert!(delta.delta_scanned_nodes > 0);
 }
 
 /// The consolidated error surface: admission failures flow through

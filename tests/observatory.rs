@@ -204,11 +204,11 @@ fn populated_registry() -> Registry {
     for stage in Stage::ALL {
         registry.record_stage(stage, Duration::from_micros(123));
     }
-    registry.count_graph();
+    registry.graphs_generated.inc();
     registry.count_schedule(false, 3);
     registry.count_audit(2, 1);
-    registry.count_failed_replication();
-    registry.count_checkpoint_retry();
+    registry.replications_failed.inc();
+    registry.checkpoint_retries.inc();
     registry.count_redistribute(&slicing::RedistributeStats {
         cache_hits: 5,
         cache_misses: 2,
@@ -218,17 +218,17 @@ fn populated_registry() -> Registry {
     });
     registry.record_admission(true, Duration::from_micros(45));
     registry.record_admission(false, Duration::from_micros(60));
-    registry.record_admission_sojourn(Duration::from_micros(90));
-    registry.count_admission_shed();
-    registry.count_admission_worker_failed();
-    registry.count_admission_evicted();
-    registry.count_admission_structural_fallback();
-    registry.count_admission_log_retry();
-    registry.count_admission_log_failure();
-    registry.count_admission_prefiltered();
-    registry.count_slice_cache_hit();
-    registry.count_slice_cache_miss();
-    registry.count_slice_cache_eviction();
+    registry.admission_sojourn.record(Duration::from_micros(90));
+    registry.admissions_shed.inc();
+    registry.admissions_worker_failed.inc();
+    registry.admissions_evicted.inc();
+    registry.admissions_structural_fallbacks.inc();
+    registry.admission_log_retries.inc();
+    registry.admission_log_failures.inc();
+    registry.admissions_prefiltered.inc();
+    registry.slice_cache_hits.inc();
+    registry.slice_cache_misses.inc();
+    registry.slice_cache_evictions.inc();
     registry
 }
 
@@ -258,6 +258,81 @@ fn metrics_snapshot_round_trips_through_json() {
     for_every_field(&back, |name, value| {
         assert!(value > 0, "round trip lost `{name}`");
     });
+}
+
+/// `metrics.json`'s telemetry section, byte for byte: the field names,
+/// their order and every derived histogram statistic of the populated
+/// registry. A change here breaks every consumer of existing snapshots.
+#[test]
+fn metrics_snapshot_json_is_byte_stable() {
+    const HISTOGRAM_123: &str = r#"{"count":1,"total_us":123,"mean_us":123,"p50_us":123,"p90_us":123,"p99_us":123,"max_us":123,"buckets":[[128,1]]}"#;
+    let golden = [
+        r#"{"graphs_generated":1,"schedules_built":1,"feasibility_failures":1,"#,
+        r#""structural_violations":3,"window_violations":2,"schedule_violations":1,"#,
+        r#""replications_failed":1,"checkpoint_retries":1,"#,
+        r#""delta_cache_hits":5,"delta_cache_misses":2,"delta_dirty_nodes":4,"#,
+        r#""delta_scanned_nodes":40,"#,
+        r#""admissions_admitted":1,"admissions_rejected":1,"admissions_shed":1,"#,
+        r#""admissions_worker_failed":1,"admissions_evicted":1,"admissions_prefiltered":1,"#,
+        r#""admissions_structural_fallbacks":1,"#,
+        r#""slice_cache_hits":1,"slice_cache_misses":1,"slice_cache_evictions":1,"#,
+        r#""admission_log_retries":1,"admission_log_failures":1,"#,
+        r#""admission":{"count":2,"total_us":105,"mean_us":52,"p50_us":60,"p90_us":60,"#,
+        r#""p99_us":60,"max_us":60,"buckets":[[64,2]]},"#,
+        r#""admission_sojourn":{"count":1,"total_us":90,"mean_us":90,"p50_us":90,"#,
+        r#""p90_us":90,"p99_us":90,"max_us":90,"buckets":[[128,1]]},"#,
+        r#""generate":"#,
+        HISTOGRAM_123,
+        r#","distribute":"#,
+        HISTOGRAM_123,
+        r#","redistribute":"#,
+        HISTOGRAM_123,
+        r#","schedule":"#,
+        HISTOGRAM_123,
+        r#","audit":"#,
+        HISTOGRAM_123,
+        "}",
+    ]
+    .concat();
+    let json = serde_json::to_string(&populated_registry().snapshot()).expect("serializes");
+    assert_eq!(json, golden);
+}
+
+/// A snapshot written before the incremental-delta and admission metrics
+/// existed lacks their keys; it still parses, and the missing metrics read
+/// as zero counters and empty histograms.
+#[test]
+fn legacy_snapshot_without_delta_and_admission_keys_parses() {
+    const HISTOGRAM: &str = r#"{"count":2,"total_us":30,"mean_us":15,"p50_us":15,"p90_us":15,"p99_us":15,"max_us":15,"buckets":[[16,2]]}"#;
+    let legacy = [
+        r#"{"graphs_generated":2,"schedules_built":2,"feasibility_failures":1,"#,
+        r#""structural_violations":0,"window_violations":0,"schedule_violations":0,"#,
+        r#""replications_failed":0,"checkpoint_retries":0,"generate":"#,
+        HISTOGRAM,
+        r#","distribute":"#,
+        HISTOGRAM,
+        r#","schedule":"#,
+        HISTOGRAM,
+        r#","audit":"#,
+        HISTOGRAM,
+        "}",
+    ]
+    .concat();
+    let snap: MetricsSnapshot = serde_json::from_str(&legacy).expect("legacy snapshot parses");
+    let histogram: StageSnapshot = serde_json::from_str(HISTOGRAM).expect("histogram parses");
+    let mut expected = Registry::default().snapshot();
+    expected.graphs_generated = 2;
+    expected.schedules_built = 2;
+    expected.feasibility_failures = 1;
+    expected.generate = histogram.clone();
+    expected.distribute = histogram.clone();
+    expected.schedule = histogram.clone();
+    expected.audit = histogram;
+    assert_eq!(snap, expected);
+
+    // A key that is present must still hold a value of its type.
+    let null_count = legacy.replace(r#""graphs_generated":2"#, r#""graphs_generated":null"#);
+    assert!(serde_json::from_str::<MetricsSnapshot>(&null_count).is_err());
 }
 
 /// A unique temp path removed on drop.
