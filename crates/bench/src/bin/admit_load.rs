@@ -1,37 +1,41 @@
 //! Load test of the online admission service (`feast::admission`).
 //!
 //! Generates a deterministic stream of admission requests from the shared
-//! bench seed, pushes them through an [`AdmissionService`] as fast as the
-//! bounded queue accepts them, and records sustained throughput
-//! (admissions decided per second) plus the coordinator's decision-latency
-//! distribution into `BENCH_admission.json` — the committed load
-//! trajectory every future change extends.
+//! seed, pushes them through an [`AdmissionService`] ([`WORKERS`] slicer
+//! threads) as fast as the bounded queue accepts them, and measures
+//! sustained throughput (admissions decided per second) plus the
+//! coordinator's decision-latency distribution. CI's admission smoke,
+//! guard, chaos and fault steps run it; performance is recorded by
+//! `perfbench/`, not here.
 //!
-//! Every run re-verifies the tentpole's determinism contract before
-//! recording anything: the service's transcript is replayed through a
+//! Every run re-verifies the service's determinism contract before
+//! reporting anything: the service's transcript is replayed through a
 //! fresh sequential [`AdmissionController`] and must match bit for bit
 //! (verdicts, final state digest, resident count). A run that fails
-//! replay exits non-zero and records nothing.
+//! replay exits non-zero and writes nothing.
 //!
 //! ```text
 //! cargo run --release -p bench --bin admit-load -- [--label NAME] \
-//!     [--requests N] [--workers N] [--size P] [--amend-every K] \
-//!     [--out PATH] [--fresh] [--guard] [--floor F] [--metrics PATH] \
-//!     [--durable] [--wal PATH] [--recover PATH] [--budget-us N] \
-//!     [--fault SPEC] [--template-pool N] [--infeasible-frac F] \
-//!     [--slice-cache on|off] [--eviction oldest|lowest]
+//!     [--requests N] [--size P] [--amend-every K] [--stride T] \
+//!     [--capacity N] [--trials N] [--out PATH] [--guard] [--floor F] \
+//!     [--metrics PATH] [--durable] [--wal PATH] [--recover PATH] \
+//!     [--budget-us N] [--fault SPEC] [--template-pool N] \
+//!     [--infeasible-frac F] [--slice-cache on|off] [--eviction oldest|lowest]
 //! ```
 //!
-//! * `--label NAME`    tag for this run (default `run`);
+//! * `--label NAME`    tag for this run in the `--out` document (default
+//!   `run`);
 //! * `--requests N`    admission requests to submit (default 4096);
-//! * `--workers N`     slicer worker threads (default 4);
 //! * `--size P`        platform processors (default 8, the paper size);
 //! * `--amend-every K` submit an amendment of the latest admit after every
 //!   K admits (default 16; 0 disables amendments);
-//! * `--trials N`      run the stream N times and record the fastest trial
+//! * `--stride T`      mean origin advance between admits in time units
+//!   (default 1000; sets the steady-state residency);
+//! * `--capacity N`    maximum committed residents (default 64);
+//! * `--trials N`      run the stream N times and report the fastest trial
 //!   (every trial is replay-verified; default 1);
-//! * `--out PATH`      trajectory file (default `BENCH_admission.json`);
-//! * `--fresh`         overwrite instead of appending;
+//! * `--out PATH`      write the fastest trial as a one-run JSON document
+//!   (`schema`, `runs[0].points[0]`); without it nothing is written;
 //! * `--guard`         exit non-zero unless throughput ≥ the floor
 //!   (the CI admission guard);
 //! * `--floor F`       guard floor in admissions/second (default 10000);
@@ -55,7 +59,6 @@
 //!   infeasible chains (exercises the feasibility pre-filter; default 0);
 //! * `--slice-cache on|off` enable the cross-request slice cache
 //!   (default on; `off` is the cache-equivalence baseline);
-//! * `--prefilter on|off` enable the feasibility pre-filter (default on);
 //! * `--eviction oldest|lowest` capacity-pressure eviction policy
 //!   (default oldest = `OldestFirst`; lowest = `LowestUtilization`).
 
@@ -68,7 +71,7 @@ use feast::{
     AdmitRequest, FaultPlan, FaultSpec, LowestUtilization, MetricsWriter, OldestFirst,
     ProgressTracker, Refusal, Runner, Scenario,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use slicing::{CommEstimate, GraphDelta, MetricKind};
 use taskgraph::gen::{generate_seeded, stream_label, stream_seed, ExecVariation, WorkloadSpec};
 use taskgraph::{Subtask, SubtaskId, TaskGraph, TaskGraphBuilder, Time};
@@ -78,10 +81,13 @@ use taskgraph::{Subtask, SubtaskId, TaskGraph, TaskGraphBuilder, Time};
 /// stream is identical across runs and machines.
 const SEED: u64 = 0x000F_EA57_BE5C;
 
+/// Slicer worker threads of the service under load.
+const WORKERS: usize = 4;
+
 /// Decision-latency statistics, copied from the telemetry registry's
 /// `admission` histogram delta for this run (percentiles are within one
 /// log2 bucket of the exact order statistic).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct LatencyStats {
     count: u64,
     mean_us: u64,
@@ -105,7 +111,7 @@ impl LatencyStats {
 }
 
 /// One measured service run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct LoadPoint {
     processors: usize,
     workers: usize,
@@ -131,34 +137,24 @@ struct LoadPoint {
     errors: usize,
     /// Requests refused by the O(V+E) feasibility pre-filter before any
     /// slicing ran (a deterministic refusal; disjoint from `errors`).
-    #[serde(default)]
     prefilter_rejects: usize,
     /// Template pool this run drew admit graphs from (0 = a fresh graph
     /// per request).
-    #[serde(default)]
     template_pool: usize,
     /// Fraction of admits built provably infeasible (pre-filter fodder).
-    #[serde(default)]
     infeasible_frac: f64,
-    /// Cross-request slice cache capacity in force (0 = cache off;
-    /// old points predate the cache and read 0).
-    #[serde(default)]
+    /// Cross-request slice cache capacity in force (0 = cache off).
     slice_cache: usize,
-    /// Capacity-pressure eviction policy (empty on old points =
-    /// oldest-first, the only policy that existed).
-    #[serde(default)]
+    /// Capacity-pressure eviction policy (`oldest` or `lowest`).
     eviction: String,
     /// Residents evicted under capacity pressure during the recorded
     /// trial (telemetry delta).
-    #[serde(default)]
     evicted: u64,
     /// Requests shed over the decision budget (environmental outcomes;
     /// replayed verbatim, never trialed).
-    #[serde(default)]
     shed: usize,
     /// Requests lost to supervised worker failures (environmental; the
     /// worker was respawned and the stream continued).
-    #[serde(default)]
     failed: usize,
     /// Submissions refused by the bounded queue before eventually landing
     /// (backpressure retries; not counted in `requests`).
@@ -172,50 +168,33 @@ struct LoadPoint {
     latency: LatencyStats,
     /// End-to-end sojourn of non-shed, non-failed requests: submit to
     /// concluded verdict, including queueing and slicing.
-    #[serde(default)]
-    sojourn: Option<LatencyStats>,
+    sojourn: LatencyStats,
     /// The determinism contract held: sequential replay of the transcript
     /// reproduced every verdict and the final state digest bit for bit.
     replay_verified: bool,
     /// This run sealed every verdict to a write-ahead log before
     /// returning it.
-    #[serde(default)]
     durable: bool,
     /// In durable mode: sealed decisions recovered (and digest-verified)
     /// from the WAL after the run.
-    #[serde(default)]
     wal_recovered: Option<usize>,
 }
 
 /// One invocation of this binary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct LoadRun {
     label: String,
     seed: u64,
     points: Vec<LoadPoint>,
 }
 
-/// The committed trajectory, oldest run first.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The `--out` document: one run, in the shape of the frozen
+/// `BENCH_admission.json` history.
+#[derive(Debug, Clone, Serialize)]
 struct LoadFile {
     schema: u32,
-    description: String,
+    description: &'static str,
     runs: Vec<LoadRun>,
-}
-
-impl LoadFile {
-    fn empty() -> LoadFile {
-        LoadFile {
-            schema: 1,
-            description: "Admission-service load trajectory; see README.md \
-                          §Admission control. Throughput is decisions/second \
-                          through the concurrent service; latency is the \
-                          coordinator's per-decision trial+commit time in \
-                          microseconds."
-                .to_owned(),
-            runs: Vec::new(),
-        }
-    }
 }
 
 /// A provably infeasible two-subtask chain: 100 + 100 time units of
@@ -342,14 +321,12 @@ fn request_stream(
 struct Args {
     label: String,
     requests: usize,
-    workers: usize,
     size: usize,
     amend_every: usize,
     stride: i64,
     capacity: usize,
     trials: usize,
-    out: String,
-    fresh: bool,
+    out: Option<String>,
     guard: bool,
     floor: f64,
     metrics: Option<String>,
@@ -361,7 +338,6 @@ struct Args {
     template_pool: usize,
     infeasible_frac: f64,
     slice_cache: bool,
-    prefilter: bool,
     eviction: String,
 }
 
@@ -369,14 +345,12 @@ fn parse_args() -> Args {
     let mut args = Args {
         label: "run".to_owned(),
         requests: 4096,
-        workers: 4,
         size: 8,
         amend_every: 16,
         stride: 1_000,
         capacity: 64,
         trials: 1,
-        out: "BENCH_admission.json".to_owned(),
-        fresh: false,
+        out: None,
         guard: false,
         floor: 10_000.0,
         metrics: None,
@@ -388,7 +362,6 @@ fn parse_args() -> Args {
         template_pool: 0,
         infeasible_frac: 0.0,
         slice_cache: true,
-        prefilter: true,
         eviction: "oldest".to_owned(),
     };
     let mut it = std::env::args().skip(1);
@@ -403,11 +376,6 @@ fn parse_args() -> Args {
                 args.requests = value("--requests")
                     .parse()
                     .expect("--requests takes a positive integer")
-            }
-            "--workers" => {
-                args.workers = value("--workers")
-                    .parse()
-                    .expect("--workers takes a positive integer")
             }
             "--size" => {
                 args.size = value("--size")
@@ -434,8 +402,7 @@ fn parse_args() -> Args {
                     .parse()
                     .expect("--trials takes a positive integer")
             }
-            "--out" => args.out = value("--out"),
-            "--fresh" => args.fresh = true,
+            "--out" => args.out = Some(value("--out")),
             "--guard" => args.guard = true,
             "--floor" => {
                 args.floor = value("--floor")
@@ -477,13 +444,6 @@ fn parse_args() -> Args {
                     other => panic!("--slice-cache takes on|off, not `{other}`"),
                 }
             }
-            "--prefilter" => {
-                args.prefilter = match value("--prefilter").as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => panic!("--prefilter takes on|off, not `{other}`"),
-                }
-            }
             "--eviction" => {
                 args.eviction = value("--eviction");
                 assert!(
@@ -498,12 +458,11 @@ fn parse_args() -> Args {
             ),
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: admit-load [--label NAME] [--requests N] [--workers N] [--size P] \
+                    "usage: admit-load [--label NAME] [--requests N] [--size P] \
                      [--amend-every K] [--stride T] [--capacity N] [--trials N] [--out PATH] \
-                     [--fresh] [--guard] [--floor F] [--metrics PATH] [--durable] [--wal PATH] \
+                     [--guard] [--floor F] [--metrics PATH] [--durable] [--wal PATH] \
                      [--recover PATH] [--budget-us N] [--fault SPEC] [--template-pool N] \
-                     [--infeasible-frac F] [--slice-cache on|off] [--prefilter on|off] \
-                     [--eviction oldest|lowest]"
+                     [--infeasible-frac F] [--slice-cache on|off] [--eviction oldest|lowest]"
                 );
                 std::process::exit(0);
             }
@@ -527,11 +486,10 @@ fn bench_config(args: &Args) -> AdmitConfig {
         CommEstimate::Ccne,
     );
     let mut config = AdmitConfig::new(scenario, args.size)
-        .with_workers(args.workers.max(1))
+        .with_workers(WORKERS)
         .with_queue_depth(512)
         .with_capacity(args.capacity.max(1))
-        .with_slice_cache(if args.slice_cache { 64 } else { 0 })
-        .with_prefilter(args.prefilter);
+        .with_slice_cache(if args.slice_cache { 64 } else { 0 });
     if args.eviction == "lowest" {
         config = config.with_eviction(LowestUtilization);
     } else {
@@ -625,13 +583,13 @@ fn main() {
         requests.len(),
         args.amend_every,
         args.size,
-        args.workers,
+        WORKERS,
         trials
     );
     // Best-of-N: the request stream is fixed, so every trial does identical
     // work and the fastest one is the least noise-contaminated estimate of
     // the service's sustained rate. Every trial (not just the best) must
-    // pass the replay check before anything is recorded.
+    // pass the replay check before anything is reported.
     let mut best: Option<(AdmissionLog, f64, LatencyStats, LatencyStats, usize, u64)> = None;
     let mut last_delta = None;
     let mut wal_recovered: Option<usize> = None;
@@ -670,7 +628,7 @@ fn main() {
 
         // The determinism contract, re-proven on every load run: the
         // service's transcript must replay bit-identically through a fresh
-        // sequential controller before the numbers are worth recording.
+        // sequential controller before the numbers are worth reporting.
         let replayed = log
             .replay(&config)
             .expect("sequential replay controller builds");
@@ -781,7 +739,7 @@ fn main() {
 
     let point = LoadPoint {
         processors: args.size,
-        workers: args.workers.max(1),
+        workers: WORKERS,
         queue_depth: config.queue_depth,
         capacity: config.capacity,
         amend_every: args.amend_every,
@@ -803,7 +761,7 @@ fn main() {
         elapsed_ms,
         admissions_per_sec,
         latency,
-        sojourn: Some(sojourn),
+        sojourn,
         durable: wal_path.is_some(),
         wal_recovered,
         replay_verified,
@@ -822,12 +780,11 @@ fn main() {
         point.latency.p99_us,
         point.latency.max_us
     );
-    if let Some(sojourn) = &point.sojourn {
-        eprintln!(
-            "sojourn: mean {}us p50 {}us p90 {}us p99 {}us max {}us",
-            sojourn.mean_us, sojourn.p50_us, sojourn.p90_us, sojourn.p99_us, sojourn.max_us
-        );
-    }
+    let sojourn = &point.sojourn;
+    eprintln!(
+        "sojourn: mean {}us p50 {}us p90 {}us p99 {}us max {}us",
+        sojourn.mean_us, sojourn.p50_us, sojourn.p90_us, sojourn.p99_us, sojourn.max_us
+    );
     if let Some(recovered) = wal_recovered {
         eprintln!("durable: {recovered} sealed decisions recovered bit-identically from the WAL");
     }
@@ -851,7 +808,7 @@ fn main() {
     // by budget + service time (doubled to absorb the log2-bucket
     // percentile error of the histogram).
     if args.guard {
-        if let (Some(budget_us), Some(sojourn)) = (args.budget_us, &point.sojourn) {
+        if let Some(budget_us) = args.budget_us {
             let bound = 2 * (budget_us + point.latency.max_us);
             if sojourn.p99_us > bound {
                 eprintln!(
@@ -868,31 +825,22 @@ fn main() {
         }
     }
 
-    let mut file = if args.fresh {
-        LoadFile::empty()
-    } else {
-        match std::fs::read_to_string(&args.out) {
-            Ok(text) => serde_json::from_str(&text).unwrap_or_else(|e| {
-                eprintln!(
-                    "warning: {} exists but does not parse ({e}); starting a fresh file \
-                     (previously recorded runs are dropped)",
-                    args.out
-                );
-                LoadFile::empty()
-            }),
-            Err(_) => LoadFile::empty(),
-        }
+    let Some(out) = &args.out else {
+        return;
     };
-    match file.runs.iter_mut().find(|run| run.label == args.label) {
-        Some(run) => run.points = vec![point],
-        None => file.runs.push(LoadRun {
+    let file = LoadFile {
+        schema: 1,
+        description: "Admission-service load run; see README.md §Admission control. \
+                      Throughput is decisions/second through the concurrent service; \
+                      latency is the coordinator's per-decision trial+commit time in \
+                      microseconds.",
+        runs: vec![LoadRun {
             label: args.label,
             seed: SEED,
             points: vec![point],
-        }),
-    }
+        }],
+    };
     let json = serde_json::to_string_pretty(&file).expect("serialization cannot fail");
-    std::fs::write(&args.out, json + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out));
-    eprintln!("wrote {}", args.out);
+    std::fs::write(out, json + "\n").unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
+    eprintln!("wrote {out}");
 }

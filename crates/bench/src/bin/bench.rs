@@ -1,41 +1,32 @@
-//! Fixed-seed, fixed-iteration wall-clock benchmark of the FEAST pipeline.
+//! CI gates of the FEAST pipeline's hot paths.
 //!
-//! Measures the three pipeline stages — workload **generation**, deadline
-//! **distribution** and list **scheduling** — for every paper metric at the
-//! paper workload size and at 2× / 4× that size, then appends the results
-//! to `BENCH_pipeline.json` so the repository carries a committed
-//! performance trajectory that every future change extends.
-//!
-//! Unlike the Criterion benches (`cargo bench -p bench`), this binary uses
-//! plain `Instant` timing with a deterministic workload sequence, so its
-//! output is a small, diffable JSON file rather than an HTML report.
+//! Performance is recorded by `perfbench/` (see `BENCHMARK.json`); this
+//! binary records nothing. It measures two fixed-seed points — the
+//! schedule-stage stress point and the incremental delta pair — and exits
+//! non-zero when a gate trips:
 //!
 //! ```text
-//! cargo run --release -p bench --bin bench -- [--label NAME] \
-//!     [--iterations N] [--out PATH] [--fresh] \
+//! cargo run --release -p bench --bin bench -- [--iterations N] \
 //!     [--guard LABEL] [--baseline PATH] [--guard-pct F] \
 //!     [--overhead-gate] [--overhead-pct F] [--overhead-attempts N]
 //! ```
 //!
-//! * `--label NAME`       tag for this run (default `run`);
-//! * `--iterations N`     override the per-size iteration counts;
-//! * `--out PATH`         output file (default `BENCH_pipeline.json`);
-//! * `--fresh`            overwrite instead of appending to existing runs;
-//! * `--guard LABEL`      after measuring, compare this run's **schedule**
-//!   stage at the stress point against the run labelled `LABEL` in the
-//!   baseline file and exit non-zero on regression (the CI bench guard);
-//! * `--baseline PATH`    file holding the guard baseline (default: the
-//!   `--out` path, read before this run is appended);
+//! * `--iterations N`     override the per-point iteration counts;
+//! * `--guard LABEL`      compare the **schedule** stage at the stress and
+//!   delta points against the run labelled `LABEL` in the baseline file,
+//!   and the delta pair's speedup against its floors; exit non-zero on
+//!   regression (the CI bench guard);
+//! * `--baseline PATH`    file holding the guard baseline (default
+//!   `BENCH_pipeline.json`, the frozen pipeline history);
 //! * `--guard-pct F`      maximum allowed schedule-stage mean regression
 //!   in percent before the guard fails (default 25);
 //! * `--overhead-gate`    additionally run the observatory overhead gate:
 //!   schedule the stress workload twice per iteration over identical
 //!   seeds — bare, and with the runner's full per-replication telemetry
 //!   accounting (stage histograms, progress tracking, gated metrics
-//!   writes, miss-log) — recording both as `stress-bare` /
-//!   `stress-observed` points and failing if the order-balanced paired
-//!   median of the schedule-stage difference exceeds the bare median by
-//!   more than `--overhead-pct`;
+//!   writes, miss-log) — failing if the order-balanced paired median of
+//!   the schedule-stage difference exceeds the bare median by more than
+//!   `--overhead-pct`;
 //! * `--overhead-pct F`   overhead-gate budget in percent (default 2);
 //! * `--overhead-attempts N`  gate attempts before failing (default 3).
 //!   Run-level noise — preemption bursts, per-process code layout — only
@@ -49,19 +40,15 @@ use feast::telemetry::{self, Stage};
 use feast::{MetricsWriter, ProgressTracker, Runner};
 use platform::{Pinning, Platform};
 use sched::{BusModel, ListScheduler, MissLog, SchedWorkspace};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use slicing::{GraphDelta, MetricKind, SliceMemo, Slicer};
 use taskgraph::gen::{generate_seeded, stream_label, stream_seed, ExecVariation, WorkloadSpec};
 use taskgraph::{SubtaskId, Time};
 
-/// Base seed for workload generation; iteration `i` draws from the seed
-/// stream `stream_seed(SEED, size stream, 0, i)`, so the same graphs recur
-/// across metrics and runs (paired measurement) while staying decorrelated
-/// across workload sizes.
+/// Base seed for workload generation; iteration `i` of a point draws from
+/// the seed stream `stream_seed(SEED, point stream, 0, i)`, so the same
+/// graphs recur across runs (the baseline was measured on them too).
 const SEED: u64 = 0x000F_EA57_BE5C;
-
-/// Processor count used for the distribute and schedule stages.
-const PROCESSORS: usize = 8;
 
 /// Processor count of the schedule-stage stress point: large enough that
 /// candidate-processor estimation dominates each dispatch.
@@ -89,8 +76,7 @@ const DELTA_LABEL: &str = "stress-delta";
 
 /// Size label of the paired from-scratch half: the same perturbed graphs
 /// recomputed with `distribute` + `schedule_with` from clean state. The
-/// incremental results are asserted bit-identical to these before either
-/// point is recorded.
+/// incremental results are asserted bit-identical to these.
 const DELTA_FULL_LABEL: &str = "stress-delta-full";
 
 /// Single-node WCET perturbations applied (and measured) per stress graph.
@@ -121,163 +107,82 @@ const DELTA_SPEEDUP_FLOOR: f64 = 1.15;
 /// well above a broken pipeline.
 const DELTA_P50_SPEEDUP_FLOOR: f64 = 1.5;
 
-/// Aggregate wall-clock statistics of one pipeline stage.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Wall-clock statistics of one pipeline stage at one point.
+#[derive(Deserialize)]
 struct StageStats {
-    total_us: u64,
     mean_us: f64,
-    min_us: u64,
-    /// Exact (nearest-rank) median. `None` on runs recorded before
-    /// percentiles existed (the vendored serde reads an absent field as
-    /// null).
+    /// Exact (nearest-rank) median. `None` on baseline runs recorded
+    /// before percentiles existed (the vendored serde reads an absent
+    /// field as null).
     p50_us: Option<u64>,
-    /// Exact (nearest-rank) 99th percentile; with the small fixed
-    /// iteration counts this is the slowest or second-slowest sample.
-    p99_us: Option<u64>,
 }
 
 impl StageStats {
     fn from_samples(samples: &[u64]) -> StageStats {
-        let total: u64 = samples.iter().sum();
         let mut sorted = samples.to_vec();
         sorted.sort_unstable();
         StageStats {
-            total_us: total,
-            mean_us: total as f64 / samples.len() as f64,
-            min_us: sorted.first().copied().unwrap_or(0),
-            // Exact order statistics — the same nearest-rank definition the
+            mean_us: sorted.iter().sum::<u64>() as f64 / sorted.len() as f64,
+            // Exact order statistic — the same nearest-rank definition the
             // runtime histogram approximates (telemetry::percentile_reference
             // is its proptest reference).
             p50_us: Some(telemetry::percentile_reference(&sorted, 0.50)),
-            p99_us: Some(telemetry::percentile_reference(&sorted, 0.99)),
         }
     }
 }
 
-/// Per-stage timings of one (workload size, metric) cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The distribute and schedule timings of one measured point. Parsed from
+/// the baseline file too, whose points carry more fields (ignored here).
+#[derive(Deserialize)]
 struct BenchPoint {
     size: String,
-    subtasks_min: usize,
-    subtasks_max: usize,
-    processors: usize,
     metric: String,
-    /// Scheduler bus model (`delay` or `contention`). `None` on runs
-    /// recorded before the stress point existed, which all used the delay
-    /// model (the vendored serde reads an absent field as null).
-    bus: Option<String>,
-    iterations: usize,
-    generate: StageStats,
     distribute: StageStats,
     schedule: StageStats,
 }
 
-/// One invocation of this binary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One recorded invocation in the baseline file.
+#[derive(Deserialize)]
 struct BenchRun {
     label: String,
-    seed: u64,
     points: Vec<BenchPoint>,
 }
 
-/// The committed trajectory: one run per recorded invocation, oldest first.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The baseline file (`BENCH_pipeline.json`): recorded runs, oldest first.
+#[derive(Deserialize)]
 struct BenchFile {
-    schema: u32,
-    description: String,
     runs: Vec<BenchRun>,
 }
 
-impl BenchFile {
-    fn empty() -> BenchFile {
-        BenchFile {
-            schema: 1,
-            description: "FEAST pipeline wall-clock trajectory; see README.md \
-                          §Performance. Stages are microseconds per run of \
-                          generate/distribute/schedule at fixed seeds."
-                .to_owned(),
-            runs: Vec::new(),
-        }
-    }
+/// The 4× paper workload both points draw their graphs from.
+fn stress_spec() -> WorkloadSpec {
+    WorkloadSpec::paper(ExecVariation::Mdet)
+        .with_subtasks(160..=240)
+        .with_depth(32..=48)
 }
 
-/// A workload size under measurement.
-struct SizeSpec {
-    label: &'static str,
-    spec: WorkloadSpec,
-    iterations: usize,
-}
-
-fn sizes() -> Vec<SizeSpec> {
-    let paper = WorkloadSpec::paper(ExecVariation::Mdet);
-    vec![
-        SizeSpec {
-            label: "paper",
-            spec: paper.clone(),
-            iterations: 32,
-        },
-        SizeSpec {
-            label: "2x",
-            spec: paper.clone().with_subtasks(80..=120).with_depth(16..=24),
-            iterations: 12,
-        },
-        SizeSpec {
-            label: "4x",
-            spec: paper.with_subtasks(160..=240).with_depth(32..=48),
-            iterations: 4,
-        },
-    ]
-}
-
-/// The schedule-stage stress point: 4× paper subtasks scheduled on
-/// [`STRESS_PROCESSORS`] processors under [`BusModel::Contention`] — every
-/// dispatch estimates 32 candidate processors against a mutable bus
-/// timeline, the scheduler's worst case.
-fn stress_size() -> SizeSpec {
-    SizeSpec {
-        label: STRESS_LABEL,
-        spec: WorkloadSpec::paper(ExecVariation::Mdet)
-            .with_subtasks(160..=240)
-            .with_depth(32..=48),
-        iterations: 6,
-    }
-}
-
-fn metrics() -> [(&'static str, MetricKind); 4] {
-    [
-        ("NORM", MetricKind::norm()),
-        ("PURE", MetricKind::pure()),
-        ("THRES", MetricKind::thres(1.0)),
-        ("ADAPT", MetricKind::adapt()),
-    ]
-}
-
-fn measure(
-    size: &SizeSpec,
-    metric_label: &str,
-    metric: MetricKind,
-    iterations: usize,
-    processors: usize,
-    bus: BusModel,
-) -> BenchPoint {
-    let platform = Platform::paper(processors).expect("paper platform is valid");
-    let slicer = Slicer::new(metric);
-    let scheduler = ListScheduler::new().with_bus_model(bus);
+/// The schedule-stage stress point: 4× paper subtasks sliced by ADAPT and
+/// scheduled on [`STRESS_PROCESSORS`] processors under
+/// [`BusModel::Contention`] — every dispatch estimates 32 candidate
+/// processors against a mutable bus timeline, the scheduler's worst case.
+/// One metric is enough: the schedule stage is metric-independent once
+/// the assignment exists, and ADAPT is the headline technique.
+fn measure_stress(iterations: usize) -> BenchPoint {
+    let spec = stress_spec();
+    let platform = Platform::paper(STRESS_PROCESSORS).expect("paper platform is valid");
+    let slicer = Slicer::new(MetricKind::adapt());
+    let scheduler = ListScheduler::new().with_bus_model(BusModel::Contention);
     let pinning = Pinning::new();
     // Reused across iterations — the production configuration (the runner
     // holds one workspace per worker thread).
     let mut ws = SchedWorkspace::new();
 
-    let stream = stream_label(size.label.as_bytes());
-    let mut gen_us = Vec::with_capacity(iterations);
+    let stream = stream_label(STRESS_LABEL.as_bytes());
     let mut dist_us = Vec::with_capacity(iterations);
     let mut sched_us = Vec::with_capacity(iterations);
     for i in 0..iterations {
         let seed = stream_seed(SEED, stream, 0, i as u64);
-
-        let t = Instant::now();
-        let graph = generate_seeded(&size.spec, seed).expect("workload spec is valid");
-        gen_us.push(t.elapsed().as_micros() as u64);
+        let graph = generate_seeded(&spec, seed).expect("workload spec is valid");
 
         let t = Instant::now();
         let assignment = slicer
@@ -294,14 +199,8 @@ fn measure(
     }
 
     BenchPoint {
-        size: size.label.to_owned(),
-        subtasks_min: *size.spec.subtasks.start(),
-        subtasks_max: *size.spec.subtasks.end(),
-        processors,
-        metric: metric_label.to_owned(),
-        bus: Some(bus.label().to_owned()),
-        iterations,
-        generate: StageStats::from_samples(&gen_us),
+        size: STRESS_LABEL.to_owned(),
+        metric: "ADAPT".to_owned(),
         distribute: StageStats::from_samples(&dist_us),
         schedule: StageStats::from_samples(&sched_us),
     }
@@ -317,10 +216,9 @@ fn measure(
 /// [`DELTA_LABEL`]) and from scratch (`distribute` + `schedule_with` into
 /// a separate workspace, point [`DELTA_FULL_LABEL`]), asserting the
 /// incremental assignment and schedule bit-identical to the from-scratch
-/// ones. The shared `generate` stats carry the [`GraphDelta::apply`]
-/// rebuild cost, paid by both halves.
+/// ones.
 fn measure_delta(iterations: usize) -> (BenchPoint, BenchPoint) {
-    let size = stress_size();
+    let spec = stress_spec();
     let platform = Platform::paper(DELTA_PROCESSORS).expect("paper platform is valid");
     let slicer = Slicer::new(MetricKind::thres(1.0));
     let scheduler = ListScheduler::new().with_bus_model(BusModel::Delay);
@@ -331,14 +229,13 @@ fn measure_delta(iterations: usize) -> (BenchPoint, BenchPoint) {
 
     let stream = stream_label(DELTA_LABEL.as_bytes());
     let samples = iterations * DELTA_PERTURBATIONS;
-    let mut apply_us = Vec::with_capacity(samples);
     let mut redist_us = Vec::with_capacity(samples);
     let mut repair_us = Vec::with_capacity(samples);
     let mut full_dist_us = Vec::with_capacity(samples);
     let mut full_sched_us = Vec::with_capacity(samples);
     for i in 0..iterations {
         let seed = stream_seed(SEED, stream, 0, i as u64);
-        let mut graph = generate_seeded(&size.spec, seed).expect("workload spec is valid");
+        let mut graph = generate_seeded(&spec, seed).expect("workload spec is valid");
         let assignment = slicer
             .distribute_traced(&graph, &platform, &mut memo)
             .expect("distribution succeeds");
@@ -354,14 +251,11 @@ fn measure_delta(iterations: usize) -> (BenchPoint, BenchPoint) {
             // Tighten only (measurement-based WCET re-estimation), never
             // below one time unit.
             let wcet = (old - bump).max(1);
-
-            let t = Instant::now();
-            let applied = GraphDelta::new()
+            graph = GraphDelta::new()
                 .set_wcet(id, Time::new(wcet))
                 .apply(&graph, &pinning)
-                .expect("WCET delta applies");
-            apply_us.push(t.elapsed().as_micros() as u64);
-            graph = applied.graph;
+                .expect("WCET delta applies")
+                .graph;
 
             let t = Instant::now();
             let redist = slicer
@@ -410,13 +304,7 @@ fn measure_delta(iterations: usize) -> (BenchPoint, BenchPoint) {
 
     let point = |label: &str, dist: &[u64], sched: &[u64]| BenchPoint {
         size: label.to_owned(),
-        subtasks_min: *size.spec.subtasks.start(),
-        subtasks_max: *size.spec.subtasks.end(),
-        processors: DELTA_PROCESSORS,
         metric: "THRES".to_owned(),
-        bus: Some(BusModel::Delay.label().to_owned()),
-        iterations: samples,
-        generate: StageStats::from_samples(&apply_us),
         distribute: StageStats::from_samples(dist),
         schedule: StageStats::from_samples(sched),
     };
@@ -428,9 +316,9 @@ fn measure_delta(iterations: usize) -> (BenchPoint, BenchPoint) {
 
 /// End-to-end (distribute + schedule mean) speedup of the incremental
 /// delta point over its from-scratch pair, if both points are present.
-fn delta_speedup(run: &BenchRun) -> Option<f64> {
+fn delta_speedup(points: &[BenchPoint]) -> Option<f64> {
     let total = |label: &str| {
-        run.points
+        points
             .iter()
             .find(|p| p.size == label)
             .map(|p| p.distribute.mean_us + p.schedule.mean_us)
@@ -438,12 +326,12 @@ fn delta_speedup(run: &BenchRun) -> Option<f64> {
     Some(total(DELTA_FULL_LABEL)? / total(DELTA_LABEL)?)
 }
 
-/// The p50 counterpart of [`delta_speedup`] — the typical-delta ratio,
-/// reported for visibility but not floored (per-stage medians, so the
-/// bimodal corridor/off-corridor mix is summarised, not hidden).
-fn delta_speedup_p50(run: &BenchRun) -> Option<f64> {
+/// The p50 counterpart of [`delta_speedup`] — the typical-delta ratio
+/// (per-stage medians, so the bimodal corridor/off-corridor mix is
+/// summarised, not hidden).
+fn delta_speedup_p50(points: &[BenchPoint]) -> Option<f64> {
     let total = |label: &str| {
-        let p = run.points.iter().find(|p| p.size == label)?;
+        let p = points.iter().find(|p| p.size == label)?;
         Some((p.distribute.p50_us? + p.schedule.p50_us?) as f64)
     };
     Some(total(DELTA_FULL_LABEL)? / total(DELTA_LABEL)?)
@@ -455,22 +343,23 @@ fn delta_speedup_p50(run: &BenchRun) -> Option<f64> {
 /// are guarded — they carry the largest absolute schedule times, so their
 /// ratio is the most stable signal across machines. When the run carries
 /// both delta points, the guard additionally enforces the
-/// [`DELTA_SPEEDUP_FLOOR`] on the incremental-vs-full speedup.
+/// [`DELTA_SPEEDUP_FLOOR`] and [`DELTA_P50_SPEEDUP_FLOOR`] on the
+/// incremental-vs-full speedup.
 fn guard_schedule_stage(
-    current: &BenchRun,
+    current: &[BenchPoint],
     baseline: &BenchRun,
     max_regression_pct: f64,
 ) -> Result<(), String> {
     let guarded = |size: &str| size == STRESS_LABEL || size == DELTA_LABEL;
-    let find = |run: &BenchRun, size: &str, metric: &str| {
-        run.points
+    let find = |size: &str, metric: &str| {
+        current
             .iter()
             .find(|p| p.size == size && p.metric == metric)
             .map(|p| p.schedule.mean_us)
     };
     let mut checked = 0usize;
     for point in baseline.points.iter().filter(|p| guarded(&p.size)) {
-        let Some(current_mean) = find(current, &point.size, &point.metric) else {
+        let Some(current_mean) = find(&point.size, &point.metric) else {
             continue;
         };
         let baseline_mean = point.schedule.mean_us;
@@ -523,8 +412,8 @@ fn guard_schedule_stage(
 
 /// Iterations of the observatory overhead gate: the per-iteration cost is
 /// two stress-point schedules (~1 ms total), so a far larger count than
-/// the recorded stress point is affordable and stabilises the paired
-/// median the gate compares.
+/// the stress point's is affordable and stabilises the paired median the
+/// gate compares.
 const OVERHEAD_ITERATIONS: usize = 200;
 
 /// The observatory overhead gate: schedules the stress workload twice per
@@ -541,16 +430,11 @@ const OVERHEAD_ITERATIONS: usize = 200;
 /// accounting cost; averaging each adjacent bare-first/observed-first
 /// iteration pair cancels run-order bias (frequency drift, cache state)
 /// per sample, and the median discards the preemption outliers that make
-/// mean ratios flake on shared runners. The recorded points still carry
-/// the means for the trajectory file.
+/// mean ratios flake on shared runners.
 ///
-/// Returns the two measured points (`stress-bare`, `stress-observed`) and
-/// the overhead in percent; `Err` if it exceeds `max_overhead_pct`.
-fn overhead_gate(
-    iterations: usize,
-    max_overhead_pct: f64,
-) -> Result<(BenchPoint, BenchPoint, f64), String> {
-    let size = stress_size();
+/// `Err` if the overhead exceeds `max_overhead_pct` percent.
+fn overhead_gate(iterations: usize, max_overhead_pct: f64) -> Result<(), String> {
+    let spec = stress_spec();
     let platform = Platform::paper(STRESS_PROCESSORS).expect("paper platform is valid");
     let slicer = Slicer::new(MetricKind::adapt());
     let scheduler = ListScheduler::new().with_bus_model(BusModel::Contention);
@@ -569,23 +453,17 @@ fn overhead_gate(
     let writer = MetricsWriter::new(&metrics_path, Runner::METRICS_WRITE_INTERVAL);
 
     let stream = stream_label(b"overhead");
-    let mut gen_us = Vec::with_capacity(iterations);
-    let mut dist_us = Vec::with_capacity(iterations);
     let mut bare_us = Vec::with_capacity(iterations);
     let mut observed_us = Vec::with_capacity(iterations);
     for i in 0..iterations {
         let seed = stream_seed(SEED, stream, 0, i as u64);
-
-        let t = Instant::now();
-        let graph = generate_seeded(&size.spec, seed).expect("workload spec is valid");
-        gen_us.push(t.elapsed().as_micros() as u64);
+        let graph = generate_seeded(&spec, seed).expect("workload spec is valid");
 
         let t = Instant::now();
         let assignment = slicer
             .distribute(&graph, &platform)
             .expect("distribution succeeds");
         let distribute_elapsed = t.elapsed();
-        dist_us.push(distribute_elapsed.as_micros() as u64);
 
         let mut bare = || {
             let t = Instant::now();
@@ -621,21 +499,8 @@ fn overhead_gate(
     }
     std::fs::remove_file(&metrics_path).ok();
 
-    let point = |label: &str, samples: &[u64]| BenchPoint {
-        size: label.to_owned(),
-        subtasks_min: *size.spec.subtasks.start(),
-        subtasks_max: *size.spec.subtasks.end(),
-        processors: STRESS_PROCESSORS,
-        metric: "ADAPT".to_owned(),
-        bus: Some(BusModel::Contention.label().to_owned()),
-        iterations,
-        generate: StageStats::from_samples(&gen_us),
-        distribute: StageStats::from_samples(&dist_us),
-        schedule: StageStats::from_samples(samples),
-    };
-    let bare_point = point("stress-bare", &bare_us);
-    let observed_point = point("stress-observed", &observed_us);
-
+    let bare = StageStats::from_samples(&bare_us);
+    let observed = StageStats::from_samples(&observed_us);
     let diffs: Vec<f64> = bare_us
         .iter()
         .zip(&observed_us)
@@ -646,15 +511,12 @@ fn overhead_gate(
     let mut balanced: Vec<f64> = diffs.chunks_exact(2).map(|p| (p[0] + p[1]) / 2.0).collect();
     balanced.sort_unstable_by(f64::total_cmp);
     let median_diff = balanced[balanced.len() / 2];
-    let bare_p50 = bare_point
-        .schedule
-        .p50_us
-        .expect("gate runs at least two iterations") as f64;
+    let bare_p50 = bare.p50_us.expect("measured stats carry a median") as f64;
     let overhead_pct = median_diff / bare_p50 * 100.0;
     eprintln!(
         "overhead gate: bare p50 {bare_p50:.0}us, paired median diff {median_diff:+.0}us \
          ({overhead_pct:+.2}%, budget {max_overhead_pct}%; means: bare {:.1}us, observed {:.1}us)",
-        bare_point.schedule.mean_us, observed_point.schedule.mean_us,
+        bare.mean_us, observed.mean_us,
     );
     if overhead_pct > max_overhead_pct {
         return Err(format!(
@@ -662,16 +524,13 @@ fn overhead_gate(
              (paired median diff {median_diff:+.0}us over bare p50 {bare_p50:.0}us)"
         ));
     }
-    Ok((bare_point, observed_point, overhead_pct))
+    Ok(())
 }
 
 struct Args {
-    label: String,
     iterations: Option<usize>,
-    out: String,
-    fresh: bool,
     guard: Option<String>,
-    baseline: Option<String>,
+    baseline: String,
     guard_pct: f64,
     overhead_gate: bool,
     overhead_attempts: usize,
@@ -680,12 +539,9 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        label: "run".to_owned(),
         iterations: None,
-        out: "BENCH_pipeline.json".to_owned(),
-        fresh: false,
         guard: None,
-        baseline: None,
+        baseline: "BENCH_pipeline.json".to_owned(),
         guard_pct: 25.0,
         overhead_gate: false,
         overhead_pct: 2.0,
@@ -698,7 +554,6 @@ fn parse_args() -> Args {
                 .unwrap_or_else(|| panic!("{name} requires a value"))
         };
         match arg.as_str() {
-            "--label" => args.label = value("--label"),
             "--iterations" => {
                 args.iterations = Some(
                     value("--iterations")
@@ -706,10 +561,8 @@ fn parse_args() -> Args {
                         .expect("--iterations takes a positive integer"),
                 )
             }
-            "--out" => args.out = value("--out"),
-            "--fresh" => args.fresh = true,
             "--guard" => args.guard = Some(value("--guard")),
-            "--baseline" => args.baseline = Some(value("--baseline")),
+            "--baseline" => args.baseline = value("--baseline"),
             "--guard-pct" => {
                 args.guard_pct = value("--guard-pct")
                     .parse()
@@ -728,9 +581,9 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: bench [--label NAME] [--iterations N] [--out PATH] [--fresh] \
-                     [--guard LABEL] [--baseline PATH] [--guard-pct F] \
-                     [--overhead-gate] [--overhead-pct F] [--overhead-attempts N]"
+                    "usage: bench [--iterations N] [--guard LABEL] [--baseline PATH] \
+                     [--guard-pct F] [--overhead-gate] [--overhead-pct F] \
+                     [--overhead-attempts N]"
                 );
                 std::process::exit(0);
             }
@@ -743,73 +596,19 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
 
-    let mut file = if args.fresh {
-        BenchFile::empty()
-    } else {
-        std::fs::read_to_string(&args.out)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .unwrap_or_else(BenchFile::empty)
-    };
-
-    let mut run = BenchRun {
-        label: args.label,
-        seed: SEED,
-        points: Vec::new(),
-    };
-    let record = |point: BenchPoint, run: &mut BenchRun| {
+    // The delta pair runs first: its 64 solves warm the process (allocator,
+    // caches, clock) before the few-iteration stress point is timed.
+    let (delta, delta_full) = measure_delta(args.iterations.unwrap_or(4).max(1));
+    let stress = measure_stress(args.iterations.unwrap_or(6).max(1));
+    let points = [stress, delta, delta_full];
+    for point in &points {
         eprintln!(
-            "{:>6} × {:<5} gen {:>9.1}us  distribute {:>11.1}us  schedule {:>9.1}us  ({} iters, {} procs, {})",
-            point.size,
-            point.metric,
-            point.generate.mean_us,
-            point.distribute.mean_us,
-            point.schedule.mean_us,
-            point.iterations,
-            point.processors,
-            point.bus.as_deref().unwrap_or("delay"),
+            "{:>17} × {:<5} distribute {:>11.1}us  schedule {:>9.1}us",
+            point.size, point.metric, point.distribute.mean_us, point.schedule.mean_us,
         );
-        run.points.push(point);
-    };
-    for size in sizes() {
-        let iterations = args.iterations.unwrap_or(size.iterations).max(1);
-        for (label, metric) in metrics() {
-            let point = measure(
-                &size,
-                label,
-                metric,
-                iterations,
-                PROCESSORS,
-                BusModel::Delay,
-            );
-            record(point, &mut run);
-        }
     }
-    // The schedule-stage stress point the CI bench guard watches: one
-    // metric is enough — the schedule stage is metric-independent once the
-    // assignment exists, and ADAPT is the headline technique.
-    let stress = stress_size();
-    let iterations = args.iterations.unwrap_or(stress.iterations).max(1);
-    let point = measure(
-        &stress,
-        "ADAPT",
-        MetricKind::adapt(),
-        iterations,
-        STRESS_PROCESSORS,
-        BusModel::Contention,
-    );
-    record(point, &mut run);
-
-    // The delta stress point: K single-node WCET perturbations per stress
-    // graph, solved incrementally and from scratch (asserted
-    // bit-identical), recorded as a pair of points whose ratio is the
-    // committed incremental speedup.
-    let delta_graphs = args.iterations.unwrap_or(4).max(1);
-    let (delta_point, delta_full_point) = measure_delta(delta_graphs);
-    record(delta_point, &mut run);
-    record(delta_full_point, &mut run);
-    if let Some(speedup) = delta_speedup(&run) {
-        let p50 = delta_speedup_p50(&run)
+    if let Some(speedup) = delta_speedup(&points) {
+        let p50 = delta_speedup_p50(&points)
             .map(|s| format!(", p50 {s:.1}x"))
             .unwrap_or_default();
         eprintln!(
@@ -818,18 +617,17 @@ fn main() {
     }
 
     if let Some(baseline_label) = &args.guard {
-        let baseline_path = args.baseline.as_ref().unwrap_or(&args.out);
-        let baseline_file: BenchFile = std::fs::read_to_string(baseline_path)
+        let baseline_file: BenchFile = std::fs::read_to_string(&args.baseline)
             .ok()
             .and_then(|text| serde_json::from_str(&text).ok())
-            .unwrap_or_else(|| panic!("cannot read guard baseline {baseline_path}"));
+            .unwrap_or_else(|| panic!("cannot read guard baseline {}", args.baseline));
         let baseline = baseline_file
             .runs
             .iter()
             .rev()
             .find(|r| &r.label == baseline_label)
-            .unwrap_or_else(|| panic!("no run labelled `{baseline_label}` in {baseline_path}"));
-        if let Err(message) = guard_schedule_stage(&run, baseline, args.guard_pct) {
+            .unwrap_or_else(|| panic!("no run labelled `{baseline_label}` in {}", args.baseline));
+        if let Err(message) = guard_schedule_stage(&points, baseline, args.guard_pct) {
             eprintln!("bench guard FAILED: {message}");
             std::process::exit(2);
         }
@@ -845,28 +643,15 @@ fn main() {
             match &outcome {
                 // Noise only inflates the paired difference: one attempt
                 // under budget proves the true cost is under budget.
-                Ok(_) => break,
+                Ok(()) => break,
                 Err(message) => {
                     eprintln!("overhead gate attempt {attempt}/{attempts}: {message}")
                 }
             }
         }
-        match outcome {
-            Ok((bare, observed, _)) => {
-                record(bare, &mut run);
-                record(observed, &mut run);
-            }
-            Err(message) => {
-                eprintln!("overhead gate FAILED: {message}");
-                std::process::exit(2);
-            }
+        if let Err(message) = outcome {
+            eprintln!("overhead gate FAILED: {message}");
+            std::process::exit(2);
         }
     }
-
-    file.runs.push(run);
-
-    let json = serde_json::to_string_pretty(&file).expect("serialization cannot fail");
-    std::fs::write(&args.out, json + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out));
-    eprintln!("wrote {}", args.out);
 }

@@ -672,9 +672,8 @@ fn workload(
 /// Stage timing is self-time: `distribute_us` covers the slicer alone and
 /// `schedule_us` the list scheduler alone, while both validation passes
 /// (window audit + schedule audit) are accounted to [`Stage::Audit`].
-/// Every `profile_every`-th replication additionally emits a
-/// [`RunEvent::Profile`] with the per-stage breakdown (`0` disables
-/// sampling).
+/// Every [`Runner::PROFILE_SAMPLE_EVERY`]th replication additionally
+/// emits a [`RunEvent::Profile`] with the per-stage breakdown.
 fn run_once(
     scenario: &Scenario,
     graph: &TaskGraph,
@@ -682,7 +681,6 @@ fn run_once(
     rep: usize,
     events: &EventScope,
     pipeline: &mut Pipeline,
-    profile_every: usize,
 ) -> Result<ReplicationRecord, RunError> {
     let verdict = pipeline.slice(graph, platform)?.trial(platform)?;
     let violations = verdict.violations();
@@ -704,7 +702,7 @@ fn run_once(
     registry.record_stage(Stage::Audit, verdict.audit);
     registry.count_schedule(record.feasible, violations);
     registry.count_audit(verdict.window_violations, verdict.schedule_violations);
-    if profile_every != 0 && rep.is_multiple_of(profile_every) {
+    if rep.is_multiple_of(Runner::PROFILE_SAMPLE_EVERY) {
         events.emit(|| RunEvent::Profile {
             scenario: scenario.label.clone(),
             system_size: platform.processor_count(),
@@ -991,8 +989,6 @@ pub struct Runner {
     fail_fast: bool,
     progress: Arc<ProgressTracker>,
     metrics: Option<Arc<MetricsWriter>>,
-    profile_every: usize,
-    miss_warn_limit: u64,
     faults: Option<Arc<FaultPlan>>,
 }
 
@@ -1019,11 +1015,11 @@ impl Runner {
     /// limit).
     pub const CHECKPOINT_BACKOFF_BASE: Duration = Duration::from_millis(1);
 
-    /// Default stage-profile sampling period: every Nth replication emits
-    /// a [`RunEvent::Profile`] with its per-stage self-times.
+    /// Stage-profile sampling period: every Nth replication emits a
+    /// [`RunEvent::Profile`] with its per-stage self-times.
     pub const PROFILE_SAMPLE_EVERY: usize = 16;
 
-    /// Default per-scenario budget of full deadline-miss WARN lines; the
+    /// Per-scenario budget of full deadline-miss WARN lines; the
     /// rest are counted and summarised in one
     /// [`RunEvent::DeadlineMissSummary`] at the end of the run.
     pub const MISS_WARN_LIMIT: u64 = 8;
@@ -1049,8 +1045,6 @@ impl Runner {
             fail_fast: false,
             progress: Arc::new(ProgressTracker::new()),
             metrics: None,
-            profile_every: Runner::PROFILE_SAMPLE_EVERY,
-            miss_warn_limit: Runner::MISS_WARN_LIMIT,
             faults: None,
         }
     }
@@ -1130,23 +1124,6 @@ impl Runner {
         self
     }
 
-    /// Sets the stage-profile sampling period: every `n`th replication
-    /// emits a [`RunEvent::Profile`] event (`0` disables sampling).
-    #[must_use]
-    pub fn profile_every(mut self, n: usize) -> Runner {
-        self.profile_every = n;
-        self
-    }
-
-    /// Caps full deadline-miss WARN lines at `limit` per scenario run;
-    /// further misses are counted and reported once via
-    /// [`RunEvent::DeadlineMissSummary`].
-    #[must_use]
-    pub fn miss_warn_limit(mut self, limit: u64) -> Runner {
-        self.miss_warn_limit = limit;
-        self
-    }
-
     /// Injects faults from `plan` at the engine's named sites (only
     /// available with the `fault-inject` cargo feature).
     #[cfg(feature = "fault-inject")]
@@ -1211,7 +1188,7 @@ impl Runner {
         let events = self.events.clone();
         let progress = Arc::clone(&self.progress);
         let metrics = self.metrics.clone();
-        let miss_log = Arc::new(MissLog::new(self.miss_warn_limit));
+        let miss_log = Arc::new(MissLog::new(Runner::MISS_WARN_LIMIT));
         let result = self.run_partial_inner(&miss_log);
 
         // Exit accounting runs on success *and* on the degraded/error
@@ -1257,7 +1234,6 @@ impl Runner {
             fail_fast,
             progress,
             metrics,
-            profile_every,
             faults,
             ..
         } = self;
@@ -1436,15 +1412,7 @@ impl Runner {
                             if inject_panic {
                                 panic!("injected worker panic (fault plan)");
                             }
-                            run_once(
-                                &scenario,
-                                graph,
-                                &platform,
-                                rep,
-                                &events,
-                                &mut pipeline,
-                                profile_every,
-                            )
+                            run_once(&scenario, graph, &platform, rep, &events, &mut pipeline)
                         }));
                         let outcome = match result {
                             Ok(Ok(record)) => ReplicationOutcome::Ok(record),

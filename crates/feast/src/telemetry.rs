@@ -682,7 +682,7 @@ pub enum RunEvent {
         error: String,
     },
     /// A sampled per-replication stage-profile breakdown (every Nth
-    /// replication; see `Runner::profile_every`). Unlike the `Replication`
+    /// replication; see `Runner::PROFILE_SAMPLE_EVERY`). Unlike the `Replication`
     /// event's coarse timings this separates audit self-time from the
     /// stages it checks.
     Profile {
