@@ -28,7 +28,9 @@
 //!   of the transcript: every concluded request is CRC32-sealed to an
 //!   append-only JSONL log *before* its verdict is returned, and
 //!   [`AdmissionController::recover`] rebuilds the committed state from
-//!   that log after a crash, bit-identical to the pre-crash digest.
+//!   that log after a crash, bit-identical to the pre-crash digest. Each
+//!   distinct graph is written inline once; later admits of equal content
+//!   reference it by [`TaskGraph::content_hash`].
 //!
 //! The service is built to *degrade, not die*: a slicer-worker panic
 //! becomes a typed [`Failed`](AdmitOutcome::Failed) outcome and the
@@ -49,7 +51,7 @@
 //! [`admit`]: AdmissionController::admit
 //! [`amend`]: AdmissionController::amend
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -70,7 +72,7 @@ use crate::fault::{self, FaultPlan, FaultSite};
 use crate::pipeline::{Pipeline, SharedSliceCache, SliceOutput, Sliced, Verdict};
 use crate::runner::fingerprint;
 use crate::scenario::Scenario;
-use crate::sealed_log::{self, seal, SealedLine, SealedLog};
+use crate::sealed_log::{self, seal, sealed_line, SealedLine, SealedLog};
 use crate::{telemetry, RunError};
 
 /// Configuration of an admission controller or service: the pipeline
@@ -198,6 +200,11 @@ impl AdmitConfig {
     /// panic, an abort) but not an operating-system crash or a power
     /// loss. A fresh controller truncates any existing file at `path`;
     /// use [`AdmissionController::recover`] to resume from one instead.
+    ///
+    /// An admitted graph is written inline the first time its content is
+    /// sealed; a later admit of equal content is sealed as a reference
+    /// to it by content hash while it is among the last
+    /// [`capacity`](AdmitConfig::capacity) graphs written inline.
     #[must_use]
     pub fn durable(mut self, path: impl Into<PathBuf>) -> Self {
         self.wal_path = Some(path.into());
@@ -531,12 +538,8 @@ struct Resident {
 }
 
 /// One line of an admission write-ahead log.
-// The variant size gap is harmless: a `WalLine` is a transient codec
-// value (one per append / one per loaded line), never stored in bulk,
-// and the vendored serde has no `Box` impls to shrink `Sealed` with.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum WalLine {
+pub(crate) enum WalLine {
     /// First line: identifies the configuration the records belong to.
     Header {
         /// Configuration fingerprint (see [`wal_fingerprint`]).
@@ -577,16 +580,31 @@ impl SealedLine for WalLine {
     }
 }
 
-/// The wire form of an [`AdmitRequest`]: owns its graph, because the
-/// vendored serde has no `Arc` impls and the log must be self-contained.
+/// The wire form of an [`AdmitRequest`]. An admit carries its graph
+/// inline ([`Admit`](WalRequest::Admit)) the first time that content is
+/// sealed, and a reference by [`TaskGraph::content_hash`]
+/// ([`AdmitRef`](WalRequest::AdmitRef)) while the writer still holds the
+/// inline copy (see [`WalWriter`]). The inline graph is the request's own
+/// `Arc` — the vendored serde writes an `Arc<T>` as its `T` — so sealing
+/// never clones it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum WalRequest {
-    /// An [`AdmitRequest::Admit`].
+    /// An [`AdmitRequest::Admit`] with its graph inline.
     Admit {
         /// Resident id.
         id: u64,
-        /// The arriving graph, owned.
-        graph: TaskGraph,
+        /// The arriving graph.
+        graph: Arc<TaskGraph>,
+        /// Absolute arrival time.
+        origin: Time,
+    },
+    /// An [`AdmitRequest::Admit`] whose graph equals the latest inline
+    /// graph with this content hash.
+    AdmitRef {
+        /// Resident id.
+        id: u64,
+        /// [`TaskGraph::content_hash`] of the arriving graph.
+        graph: u64,
         /// Absolute arrival time.
         origin: Time,
     },
@@ -599,39 +617,12 @@ enum WalRequest {
     },
 }
 
-impl WalRequest {
-    fn of(request: &AdmitRequest) -> WalRequest {
-        match request {
-            AdmitRequest::Admit { id, graph, origin } => WalRequest::Admit {
-                id: *id,
-                graph: (**graph).clone(),
-                origin: *origin,
-            },
-            AdmitRequest::Amend { id, delta } => WalRequest::Amend {
-                id: *id,
-                delta: delta.clone(),
-            },
-        }
-    }
-
-    fn into_request(self) -> AdmitRequest {
-        match self {
-            WalRequest::Admit { id, graph, origin } => AdmitRequest::Admit {
-                id,
-                graph: Arc::new(graph),
-                origin,
-            },
-            WalRequest::Amend { id, delta } => AdmitRequest::Amend { id, delta },
-        }
-    }
-}
-
 /// One sealed record of the admission write-ahead log: a request, its
 /// outcome, and the state digest *after* the outcome was applied — the
 /// per-record self-check [`AdmissionController::recover`] verifies while
 /// replaying.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct WalRecord {
+pub(crate) struct WalRecord {
     /// Submission sequence (records are contiguous from 0).
     seq: u64,
     /// The concluded request.
@@ -642,28 +633,151 @@ struct WalRecord {
     digest: u64,
 }
 
+#[cfg(test)]
+impl WalRecord {
+    /// One inline admit and one reference to its graph, for codec tests.
+    pub(crate) fn samples() -> Vec<WalRecord> {
+        let mut b = taskgraph::TaskGraphBuilder::new();
+        let head = b.add_subtask(
+            taskgraph::Subtask::new(Time::new(10))
+                .named("in \"quoted\"")
+                .released_at(Time::ZERO),
+        );
+        let tail = b.add_subtask(taskgraph::Subtask::new(Time::new(20)).due_at(Time::new(90)));
+        b.add_edge(head, tail, 3).expect("two-node chain edge");
+        let graph = Arc::new(b.build().expect("the chain builds"));
+        let outcome = AdmitOutcome::Refused(Refusal::DuplicateId { id: 7 });
+        vec![
+            WalRecord {
+                seq: 0,
+                request: WalRequest::Admit {
+                    id: 7,
+                    graph: Arc::clone(&graph),
+                    origin: Time::new(40),
+                },
+                outcome: outcome.clone(),
+                digest: 0xFEED_FACE_CAFE_BEEF,
+            },
+            WalRecord {
+                seq: 1,
+                request: WalRequest::AdmitRef {
+                    id: 7,
+                    graph: graph.content_hash(),
+                    origin: Time::new(41),
+                },
+                outcome,
+                digest: u64::MAX,
+            },
+        ]
+    }
+}
+
+/// The write-ahead log's record format, the last step of
+/// [`wal_fingerprint`]. Format 2 added [`WalRequest::AdmitRef`]; the step
+/// makes either build refuse the other's logs with a typed
+/// `CheckpointMismatch` instead of failing on (or silently dropping) a
+/// record it cannot read.
+const WAL_FORMAT: u64 = 2;
+
 /// Fingerprint of everything a write-ahead log's records depend on: the
 /// scenario's measurement-relevant content (reusing the checkpoint
-/// [`fingerprint`]), the platform size, the capacity bound and the
-/// eviction policy. Operational knobs that cannot change a committed
-/// record — queue depth, worker count, decision budget — are deliberately
-/// excluded, so a log recovers under a differently-tuned service.
+/// [`fingerprint`]), the platform size, the capacity bound, the eviction
+/// policy and the record format ([`WAL_FORMAT`]). Operational knobs that
+/// cannot change a committed record — queue depth, worker count, decision
+/// budget — are deliberately excluded, so a log recovers under a
+/// differently-tuned service.
 fn wal_fingerprint(config: &AdmitConfig) -> u64 {
-    // Capacity and eviction policy feed separate chained mixing steps —
-    // never XORed into one word — so distinct (capacity, policy) pairs
-    // cannot cancel into the same fingerprint.
+    // Capacity, eviction policy and format feed separate chained mixing
+    // steps — never XORed into one word — so distinct (capacity, policy)
+    // pairs cannot cancel into the same fingerprint.
     let shape = stream_seed(
         fingerprint(&config.scenario),
         stream_label(b"admission-wal"),
         config.system_size as u64,
         config.capacity as u64,
     );
-    stream_seed(
+    let policy = stream_seed(
         shape,
         stream_label(b"admission-wal-eviction"),
         stream_label(config.eviction.name().as_bytes()),
         0,
-    )
+    );
+    stream_seed(policy, stream_label(b"admission-wal-format"), WAL_FORMAT, 0)
+}
+
+/// The durable half of a controller: the open write-ahead log, the
+/// sequence of its next record, and the graphs it last sealed inline.
+#[derive(Debug)]
+struct WalWriter {
+    log: SealedLog<WalLine>,
+    /// Sequence the next sealed record will carry.
+    seq: u64,
+    /// The graphs most recently sealed inline, keyed by content hash, one
+    /// entry per hash, oldest first; at most `bound` entries.
+    inline: VecDeque<(u64, Arc<TaskGraph>)>,
+    /// [`AdmitConfig::capacity`] (at least 1).
+    bound: usize,
+}
+
+impl WalWriter {
+    fn new(log: SealedLog<WalLine>, seq: u64, capacity: usize) -> WalWriter {
+        WalWriter {
+            log,
+            seq,
+            inline: VecDeque::new(),
+            bound: capacity.max(1),
+        }
+    }
+
+    /// The wire form of `request`. An admit becomes a reference only when
+    /// the table holds a graph with the same content hash *and* equal
+    /// content, so a hash collision falls back to inline. An inline admit
+    /// also returns the entry to [`remember`](WalWriter::remember) once its
+    /// record is appended.
+    fn wire(&self, request: &AdmitRequest) -> (WalRequest, Option<(u64, Arc<TaskGraph>)>) {
+        match request {
+            AdmitRequest::Admit { id, graph, origin } => {
+                let hash = graph.content_hash();
+                let sealed = self.inline.iter().any(|(h, known)| {
+                    *h == hash && (Arc::ptr_eq(known, graph) || **known == **graph)
+                });
+                if sealed {
+                    let wire = WalRequest::AdmitRef {
+                        id: *id,
+                        graph: hash,
+                        origin: *origin,
+                    };
+                    (wire, None)
+                } else {
+                    let wire = WalRequest::Admit {
+                        id: *id,
+                        graph: Arc::clone(graph),
+                        origin: *origin,
+                    };
+                    (wire, Some((hash, Arc::clone(graph))))
+                }
+            }
+            AdmitRequest::Amend { id, delta } => {
+                let wire = WalRequest::Amend {
+                    id: *id,
+                    delta: delta.clone(),
+                };
+                (wire, None)
+            }
+        }
+    }
+
+    /// Records that `graph` was sealed inline under `hash`: it replaces
+    /// any entry with that hash, and the oldest entry goes past the bound.
+    /// Recovery resolves references by the same rule — the latest inline
+    /// graph with the hash.
+    fn remember(&mut self, hash: u64, graph: Arc<TaskGraph>) {
+        self.inline.retain(|(h, _)| *h != hash);
+        self.inline.push_back((hash, graph));
+        if self.inline.len() > self.bound {
+            self.inline.pop_front();
+        }
+    }
 }
 
 /// The sequential admission core: one pipeline, one committed state, the
@@ -706,9 +820,7 @@ pub struct AdmissionController {
     last_commit: Option<(u64, CommitReceipt)>,
     miss_log: Arc<MissLog>,
     /// The durable transcript, when [`AdmitConfig::wal_path`] is set.
-    wal: Option<SealedLog<WalLine>>,
-    /// Sequence the next sealed record will carry.
-    wal_seq: u64,
+    wal: Option<WalWriter>,
     /// Remaining individually-logged structural-fallback WARNs (shares
     /// the [`AdmitConfig::miss_warn_limit`] budget size).
     fallback_warns: u64,
@@ -747,7 +859,7 @@ impl AdmissionController {
         pipeline.set_miss_log(Some(Arc::clone(&miss_log)));
         let state = CommittedState::new(config.system_size, config.scenario.scheduler.bus_model);
         let wal = match &config.wal_path {
-            Some(path) => Some(
+            Some(path) => Some(WalWriter::new(
                 SealedLog::create(
                     path,
                     &WalLine::Header {
@@ -756,7 +868,9 @@ impl AdmissionController {
                     },
                 )
                 .map_err(AdmitError::Log)?,
-            ),
+                0,
+                config.capacity,
+            )),
             None => None,
         };
         let fallback_warns = config.miss_warn_limit;
@@ -770,7 +884,6 @@ impl AdmissionController {
             last_commit: None,
             miss_log,
             wal,
-            wal_seq: 0,
             fallback_warns,
             slice_cache,
         })
@@ -785,17 +898,24 @@ impl AdmissionController {
     /// are adopted verbatim (they concluded before any state mutation;
     /// the digest check still validates their no-trace invariant).
     ///
+    /// A record that references its graph by content hash resolves to the
+    /// latest earlier inline graph with that hash — the rule the writer
+    /// follows when it decides to reference.
+    ///
     /// Returns the recovered controller — re-attached to `path` for
     /// further appends — and the transcript of the replayed prefix.
     /// `config` must match the log's fingerprint (scenario, platform
-    /// size, capacity, eviction policy); operational knobs may differ.
+    /// size, capacity, eviction policy, record format); operational knobs
+    /// may differ.
     ///
     /// # Errors
     ///
     /// [`AdmitError::Log`] for an unreadable, corrupt, or
-    /// fingerprint-mismatching log, and [`AdmitError::RecoveryDiverged`]
-    /// when a replayed record does not reproduce its sealed outcome or
-    /// digest.
+    /// fingerprint-mismatching log — a reference to a hash no earlier
+    /// inline graph has is corrupt, naming its line, and a log written in
+    /// another record format is a mismatch — and
+    /// [`AdmitError::RecoveryDiverged`] when a replayed record does not
+    /// reproduce its sealed outcome or digest.
     pub fn recover(
         config: AdmitConfig,
         path: impl AsRef<Path>,
@@ -810,29 +930,47 @@ impl AdmissionController {
             })
             .map_err(AdmitError::Log)?;
         // Records are contiguous from sequence 0; `load` already
-        // rejected every header past the first line.
+        // rejected every header past the first line. Each inline graph is
+        // remembered under its content hash (the latest wins) and each
+        // reference resolves to it — the writer's own rule, so a
+        // reference names exactly the graph the writer compared equal.
+        let mut inline: HashMap<u64, Arc<TaskGraph>> = HashMap::new();
         let records = loaded
             .records
             .into_iter()
             .enumerate()
-            .map(|(i, (line_no, line))| match line {
-                WalLine::Sealed { record, .. } if record.seq == i as u64 => Ok(record),
-                _ => Err(sealed_log::corrupt(path, line_no, "record sequence gap")),
+            .map(|(i, (line_no, line))| {
+                let record = match line {
+                    WalLine::Sealed { record, .. } if record.seq == i as u64 => record,
+                    _ => return Err(sealed_log::corrupt(path, line_no, "record sequence gap")),
+                };
+                let request = match record.request {
+                    WalRequest::Admit { id, graph, origin } => {
+                        inline.insert(graph.content_hash(), Arc::clone(&graph));
+                        AdmitRequest::Admit { id, graph, origin }
+                    }
+                    WalRequest::AdmitRef { id, graph, origin } => match inline.get(&graph) {
+                        Some(graph) => AdmitRequest::Admit {
+                            id,
+                            graph: Arc::clone(graph),
+                            origin,
+                        },
+                        None => {
+                            let detail = format!("reference to unknown graph {graph:#018x}");
+                            return Err(sealed_log::corrupt(path, line_no, &detail));
+                        }
+                    },
+                    WalRequest::Amend { id, delta } => AdmitRequest::Amend { id, delta },
+                };
+                Ok((record.seq, request, record.outcome, record.digest))
             })
-            .collect::<Result<Vec<WalRecord>, RunError>>()
+            .collect::<Result<Vec<_>, RunError>>()
             .map_err(AdmitError::Log)?;
         let mut replay_config = config.clone();
         replay_config.wal_path = None;
         let mut controller = AdmissionController::new(replay_config)?;
         let mut log = AdmissionLog::default();
-        for record in records {
-            let WalRecord {
-                seq,
-                request,
-                outcome: recorded,
-                digest,
-            } = record;
-            let request = request.into_request();
+        for (seq, request, recorded, digest) in records {
             let outcome = if recorded.is_environmental() {
                 recorded.clone()
             } else {
@@ -879,8 +1017,14 @@ impl AdmissionController {
         }
         log.digest = controller.digest();
         log.residents = controller.residents();
-        controller.wal = Some(SealedLog::reopen(path, loaded.tail).map_err(AdmitError::Log)?);
-        controller.wal_seq = log.requests.len() as u64;
+        // The writer's table starts empty: the first post-recovery admit
+        // of each content is sealed inline again.
+        let reopened = SealedLog::reopen(path, loaded.tail).map_err(AdmitError::Log)?;
+        controller.wal = Some(WalWriter::new(
+            reopened,
+            log.requests.len() as u64,
+            controller.config.capacity,
+        ));
         controller.config.wal_path = Some(path.to_path_buf());
         Ok((controller, log))
     }
@@ -964,28 +1108,32 @@ impl AdmissionController {
         if matches!(result, Err(AdmitError::Prefilter(_))) {
             telemetry::global().admissions_prefiltered.inc();
         }
-        if let Some(wal) = &self.wal {
-            let seq = self.wal_seq;
+        if let Some(wal) = &mut self.wal {
+            let seq = wal.seq;
+            let (wire, inline) = wal.wire(request);
             let record = WalRecord {
                 seq,
-                request: WalRequest::of(request),
+                request: wire,
                 outcome: AdmitOutcome::of(&result),
                 digest: self.state.digest(),
             };
-            let line = WalLine::Sealed {
-                crc: seal(&record),
-                record,
-            };
+            // The variant name of `WalLine::Sealed`.
+            let line = sealed_line("Sealed", &record);
             let (plan, size) = (self.config.fault_plan.as_deref(), self.config.system_size);
             let cell = seq as usize;
             let corrupt = fault::fires(plan, FaultSite::AdmitLogCorrupt, size, cell, 0);
-            match wal.append(&line, corrupt, |attempt| {
+            match wal.log.append(line, corrupt, |attempt| {
                 fault::fires(plan, FaultSite::AdmitLogIo, size, cell, attempt)
             }) {
-                Ok(()) => self.wal_seq += 1,
+                Ok(()) => {
+                    wal.seq += 1;
+                    if let Some((hash, graph)) = inline {
+                        wal.remember(hash, graph);
+                    }
+                }
                 Err(e) => {
                     tracing::warn!(
-                        path = %wal.path().display(),
+                        path = %wal.log.path().display(),
                         seq = seq,
                         "admission log append exhausted retries ({e}); verdict returned undurable"
                     );
@@ -2345,6 +2493,149 @@ mod tests {
         match AdmissionController::recover(config(8), &wal.0) {
             Err(AdmitError::Log(RunError::CheckpointCorrupt { .. })) => {}
             other => panic!("expected CheckpointCorrupt, got {other:?}"),
+        }
+    }
+
+    /// The request variant of every record in the log at `path`.
+    fn wal_kinds(path: &Path) -> Vec<&'static str> {
+        let text = std::fs::read_to_string(path).unwrap();
+        text.lines()
+            .skip(1)
+            .map(
+                |line| match serde_json::from_str::<WalLine>(line).unwrap() {
+                    WalLine::Sealed { record, .. } => match record.request {
+                        WalRequest::Admit { .. } => "inline",
+                        WalRequest::AdmitRef { .. } => "ref",
+                        WalRequest::Amend { .. } => "amend",
+                    },
+                    WalLine::Header { .. } => panic!("extra header"),
+                },
+            )
+            .collect()
+    }
+
+    #[test]
+    fn equal_content_seals_a_reference_and_new_content_seals_inline() {
+        let wal = TempPath::new("refs");
+        let template = graph(1);
+        let mut slower = (*template).clone();
+        slower
+            .try_update_subtasks(|nodes| {
+                let wcet = nodes[0].wcet();
+                nodes[0].set_wcet(wcet + Time::new(1));
+            })
+            .unwrap();
+        let delta = GraphDelta::new().set_wcet(SubtaskId::new(0), Time::new(5));
+
+        let mut durable = AdmissionController::new(config(8).durable(&wal.0)).unwrap();
+        let mut origin = 0;
+        let mut admit = |durable: &mut AdmissionController, id: u64, g: Arc<TaskGraph>| {
+            origin += 100_000; // every earlier resident has retired
+            durable.admit(id, g, Time::new(origin)).unwrap();
+        };
+        admit(&mut durable, 1, Arc::clone(&template));
+        // Equal content in a distinct allocation is still a reference.
+        admit(&mut durable, 2, Arc::new((*template).clone()));
+        admit(&mut durable, 3, Arc::clone(&template));
+        durable.amend(3, &delta).unwrap();
+        // An amended copy and a different graph are new content.
+        admit(&mut durable, 4, Arc::new(slower.clone()));
+        admit(&mut durable, 5, graph(2));
+        admit(&mut durable, 6, Arc::new(slower));
+        let digest = durable.digest();
+        drop(durable);
+
+        assert_eq!(
+            wal_kinds(&wal.0),
+            ["inline", "ref", "ref", "amend", "inline", "inline", "ref"]
+        );
+        let (recovered, log) = AdmissionController::recover(config(8), &wal.0).unwrap();
+        assert_eq!(recovered.digest(), digest);
+        assert!(log.matches(&log.replay(&config(8)).unwrap()));
+        match &log.requests[1] {
+            AdmitRequest::Admit { graph, .. } => assert_eq!(**graph, *template),
+            other => panic!("expected an admit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_reference_table_holds_at_most_capacity_graphs() {
+        let wal = TempPath::new("ref-bound");
+        let mut durable =
+            AdmissionController::new(config(8).with_capacity(2).durable(&wal.0)).unwrap();
+        for (id, seed) in [1, 2, 1, 3, 1, 2].into_iter().enumerate() {
+            let origin = Time::new(100_000 * (id as i64 + 1));
+            durable.admit(id as u64, graph(seed), origin).unwrap();
+        }
+        drop(durable);
+        // Eviction goes by inline write, oldest first, whether or not the
+        // entry was referenced since: seed 3 pushes seed 1 out of the
+        // two-entry table, and seed 1's second inline write pushes out
+        // seed 2.
+        assert_eq!(
+            wal_kinds(&wal.0),
+            ["inline", "inline", "ref", "inline", "inline", "inline"]
+        );
+        let (_, log) = AdmissionController::recover(config(8).with_capacity(2), &wal.0).unwrap();
+        assert_eq!(log.outcomes.len(), 6);
+    }
+
+    #[test]
+    fn recovery_refuses_a_reference_to_an_unknown_graph() {
+        let wal = TempPath::new("unknown-ref");
+        let mut durable = AdmissionController::new(config(8).durable(&wal.0)).unwrap();
+        durable.admit(1, graph(1), Time::ZERO).unwrap();
+        durable.admit(2, graph(1), Time::new(100_000)).unwrap();
+        drop(durable);
+
+        // Point the reference (line 3) at a hash no inline graph has, and
+        // re-seal it, so only the reference itself is wrong.
+        let text = std::fs::read_to_string(&wal.0).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let WalLine::Sealed { mut record, .. } = serde_json::from_str(&lines[2]).unwrap() else {
+            panic!("line 3 is a record");
+        };
+        let WalRequest::AdmitRef { graph, .. } = &mut record.request else {
+            panic!("line 3 is a reference, got {:?}", record.request);
+        };
+        *graph ^= 1;
+        lines[2] = sealed_line("Sealed", &record);
+        std::fs::write(&wal.0, lines.join("\n") + "\n").unwrap();
+
+        match AdmissionController::recover(config(8), &wal.0) {
+            Err(AdmitError::Log(RunError::CheckpointCorrupt { detail, .. })) => {
+                assert!(detail.contains("unknown graph"), "{detail}");
+                assert!(detail.ends_with("at line 3"), "{detail}");
+            }
+            other => panic!("expected CheckpointCorrupt, got {other:?}"),
+        }
+    }
+
+    /// [`wal_fingerprint`] of `config(8)` before [`WAL_FORMAT`] joined the
+    /// chain: the header every log written without references carries.
+    const LEGACY_FINGERPRINT: u64 = 0x40DA_1A77_C982_0227;
+
+    #[test]
+    fn the_format_step_separates_new_logs_from_legacy_ones() {
+        assert_ne!(wal_fingerprint(&config(8)), LEGACY_FINGERPRINT);
+
+        // A legacy log (one inline admit) is refused as a mismatch, not
+        // read record by record.
+        let wal = TempPath::new("legacy");
+        let mut durable = AdmissionController::new(config(8).durable(&wal.0)).unwrap();
+        durable.admit(1, graph(1), Time::ZERO).unwrap();
+        drop(durable);
+        let text = std::fs::read_to_string(&wal.0).unwrap();
+        let (_, records) = text.split_once('\n').unwrap();
+        let header = WalLine::Header {
+            fingerprint: LEGACY_FINGERPRINT,
+            label: "ADM/TEST".to_owned(),
+        };
+        let legacy = serde_json::to_string(&header).unwrap() + "\n" + records;
+        std::fs::write(&wal.0, legacy).unwrap();
+        match AdmissionController::recover(config(8), &wal.0) {
+            Err(AdmitError::Log(RunError::CheckpointMismatch { .. })) => {}
+            other => panic!("expected a format mismatch, got {other:?}"),
         }
     }
 

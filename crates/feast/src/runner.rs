@@ -71,7 +71,7 @@ use taskgraph::TaskGraph;
 
 use crate::fault::{self, FaultPlan, FaultSite};
 use crate::progress::{MetricsWriter, ProgressTracker};
-use crate::sealed_log::{self, seal, SealedLine, SealedLog};
+use crate::sealed_log::{self, seal, sealed_line, SealedLine, SealedLog};
 use crate::telemetry::{self, EventSink, RunEvent, Stage};
 use crate::{Pipeline, RunError, Scenario, SummaryStats, WorkloadSource};
 
@@ -736,7 +736,7 @@ fn run_once(
 
 /// One line of a `checkpoint.jsonl` file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum CheckpointLine {
+pub(crate) enum CheckpointLine {
     /// First line: identifies the scenario the records belong to.
     Header {
         /// Scenario fingerprint (see [`fingerprint`]).
@@ -802,18 +802,13 @@ fn checkpoint_outcome(
     events: &EventScope,
 ) -> Result<(), RunError> {
     let (size, rep) = outcome.cell();
+    // The variant names of `CheckpointLine::Sealed` / `::Failed`.
     let line = match outcome {
-        ReplicationOutcome::Ok(record) => CheckpointLine::Sealed {
-            crc: seal(record),
-            record: *record,
-        },
-        ReplicationOutcome::Failed(record) => CheckpointLine::Failed {
-            crc: seal(record),
-            record: record.clone(),
-        },
+        ReplicationOutcome::Ok(record) => sealed_line("Sealed", record),
+        ReplicationOutcome::Failed(record) => sealed_line("Failed", record),
     };
     let corrupt = inject_fault(faults, FaultSite::CheckpointCorrupt, size, rep, 0, events);
-    log.append(&line, corrupt, |attempt| {
+    log.append(line, corrupt, |attempt| {
         inject_fault(faults, FaultSite::CheckpointIo, size, rep, attempt, events)
     })?;
     Ok(())

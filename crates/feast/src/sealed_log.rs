@@ -3,16 +3,26 @@
 //! ([`AdmitConfig::durable`](crate::AdmitConfig::durable)).
 //!
 //! A log is one header line carrying a configuration fingerprint, then
-//! one JSON line per record. A sealed record carries the CRC32 of its own
-//! canonical JSON ([`seal`]), so any value-altering corruption is caught
-//! when the log is read back. [`load`] checks the header and every seal,
-//! skips an unparseable *final* line (the write a killed process tore)
-//! and reports where the valid prefix ends; [`SealedLog::reopen`] cuts
-//! the torn tail off and restores a missing final newline before
-//! appending, so the next record always starts a line of its own.
-//! [`SealedLog::append`] retries transient I/O failures with bounded
-//! exponential backoff ([`Runner::CHECKPOINT_RETRY_LIMIT`] /
+//! one JSON line per record. A sealed record line reads
+//! `{"<Variant>":{"crc":<u32>,"record":<record JSON>}}`, where `crc` is
+//! the CRC32 of the record's own canonical JSON ([`seal`]), so any
+//! value-altering corruption is caught when the log is read back.
+//! [`sealed_line`] writes such a line in one pass: it renders the record
+//! once, checksums that text and splices it into the line, producing the
+//! bytes serializing the whole line would. [`load`] checks the header and
+//! every seal, skips an unparseable *final* line (the write a killed
+//! process tore) and reports where the valid prefix ends;
+//! [`SealedLog::reopen`] cuts the torn tail off and restores a missing
+//! final newline before appending, so the next record always starts a
+//! line of its own. [`SealedLog::append`] retries transient I/O failures
+//! with bounded exponential backoff ([`Runner::CHECKPOINT_RETRY_LIMIT`] /
 //! [`Runner::CHECKPOINT_BACKOFF_BASE`]).
+//!
+//! What a record holds is the owning log's business: a checkpoint record
+//! is one replication; an admission record is one concluded request,
+//! whose graph is written inline the first time its content is sealed
+//! and referenced by content hash afterwards (see
+//! [`AdmissionController::recover`](crate::AdmissionController::recover)).
 //!
 //! # Durability
 //!
@@ -50,17 +60,31 @@ pub(crate) trait SealedLine: Serialize + Deserialize {
     fn count_retry();
 }
 
-/// IEEE CRC32 (the zlib/PNG polynomial), bitwise — log lines are short,
-/// so no table is needed.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
+/// The IEEE CRC32 (zlib/PNG) reflected polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// The byte-at-a-time lookup table for [`crc32`], built at compile time.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & 0u32.wrapping_sub(crc & 1));
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// IEEE CRC32 (the zlib/PNG polynomial), one table lookup per byte.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |crc, &b| {
+        (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize]
+    })
 }
 
 /// The CRC32 sealing a record: computed over the record's own canonical
@@ -73,6 +97,26 @@ pub(crate) fn seal<T: Serialize>(record: &T) -> u32 {
             .expect("plain data serializes")
             .as_bytes(),
     )
+}
+
+/// The sealed line `{"<variant>":{"crc":…,"record":…}}` for `record`, in
+/// one pass: the record is rendered to JSON once, that text is
+/// checksummed ([`seal`]'s value) and spliced into the line. The bytes
+/// equal those of serializing the line enum's `variant { crc, record }`
+/// value, for any record (an externally tagged variant whose fields are
+/// `crc` then `record`).
+pub(crate) fn sealed_line<T: Serialize>(variant: &str, record: &T) -> String {
+    let body = serde_json::to_string(record).expect("plain data serializes");
+    let crc = crc32(body.as_bytes());
+    let mut line = String::with_capacity(body.len() + variant.len() + 32);
+    line.push_str("{\"");
+    line.push_str(variant);
+    line.push_str("\":{\"crc\":");
+    line.push_str(&crc.to_string());
+    line.push_str(",\"record\":");
+    line.push_str(&body);
+    line.push_str("}}");
+    line
 }
 
 /// Replaces the last decimal digit of `text` with a different digit:
@@ -261,20 +305,20 @@ impl<L: SealedLine> SealedLog<L> {
         &self.path
     }
 
-    /// Appends `line` (see the module docs for what survives which
-    /// failure). The caller's fault hooks decide whether the line is
-    /// written with one digit corrupted (`corrupt`) and whether attempt
-    /// `n` fails with an injected I/O error (`io_fails(n)`). A failed
-    /// attempt is retried up to [`Runner::CHECKPOINT_RETRY_LIMIT`] times,
-    /// backing off [`Runner::CHECKPOINT_BACKOFF_BASE`] doubled per retry;
-    /// the error is returned only once every retry is spent.
+    /// Appends the rendered line `text` (usually from [`sealed_line`]; see
+    /// the module docs for what survives which failure). The caller's
+    /// fault hooks decide whether the line is written with one digit
+    /// corrupted (`corrupt`) and whether attempt `n` fails with an
+    /// injected I/O error (`io_fails(n)`). A failed attempt is retried up
+    /// to [`Runner::CHECKPOINT_RETRY_LIMIT`] times, backing off
+    /// [`Runner::CHECKPOINT_BACKOFF_BASE`] doubled per retry; the error is
+    /// returned only once every retry is spent.
     pub(crate) fn append(
         &self,
-        line: &L,
+        mut text: String,
         corrupt: bool,
         mut io_fails: impl FnMut(u64) -> bool,
     ) -> std::io::Result<()> {
-        let mut text = serde_json::to_string(line).expect("plain data serializes");
         if corrupt {
             corrupt_digit(&mut text);
         }
@@ -313,7 +357,11 @@ impl<L: SealedLine> SealedLog<L> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::admission::{WalLine, WalRecord};
+    use crate::runner::{CheckpointLine, FailedReplication, ReplicationRecord};
 
     /// A minimal log format: a header, then sealed integers.
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -356,6 +404,89 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// The bit-at-a-time CRC32 the table is built from.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC32_POLY & 0u32.wrapping_sub(crc & 1));
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        #[test]
+        fn table_crc32_agrees_with_the_bitwise_one(seed in 0u64..u64::MAX, len in 0usize..2048) {
+            let mut state = seed;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    (state >> 56) as u8
+                })
+                .collect();
+            prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
+    }
+
+    #[test]
+    fn one_pass_lines_equal_serializing_the_whole_line() {
+        let test = 9_876_543_210u64;
+        assert_eq!(
+            sealed_line("Sealed", &test),
+            serde_json::to_string(&sealed(test)).unwrap()
+        );
+
+        let record = ReplicationRecord {
+            system_size: 4,
+            replication: 17,
+            max_lateness: -12.5,
+            end_to_end: -3.25,
+            makespan: 410.0,
+            feasible: true,
+            violations: 0,
+            window_violations: Some(0),
+            schedule_violations: None,
+        };
+        let checkpoint = CheckpointLine::Sealed {
+            crc: seal(&record),
+            record,
+        };
+        assert_eq!(
+            sealed_line("Sealed", &record),
+            serde_json::to_string(&checkpoint).unwrap()
+        );
+        let failed = FailedReplication {
+            system_size: 2,
+            replication: 3,
+            stage: "schedule".to_owned(),
+            error: "a \"quoted\" failure".to_owned(),
+        };
+        let checkpoint = CheckpointLine::Failed {
+            crc: seal(&failed),
+            record: failed.clone(),
+        };
+        assert_eq!(
+            sealed_line("Failed", &failed),
+            serde_json::to_string(&checkpoint).unwrap()
+        );
+
+        // An inline admit (an `Arc`-shared graph) and a reference.
+        for wal in WalRecord::samples() {
+            let line = WalLine::Sealed {
+                crc: seal(&wal),
+                record: wal.clone(),
+            };
+            assert_eq!(
+                sealed_line("Sealed", &wal),
+                serde_json::to_string(&line).unwrap()
+            );
+        }
     }
 
     #[test]

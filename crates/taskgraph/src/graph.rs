@@ -269,6 +269,54 @@ impl TaskGraph {
         self.edges[id.index()]
     }
 
+    /// A stable 64-bit hash of the graph's content: every subtask's name,
+    /// WCET, release and deadline and every edge's endpoints and message
+    /// size, in id order. The adjacency, topological order and input /
+    /// output sets are derived from those, so they are not hashed again.
+    ///
+    /// The mix is FNV-1a over 64-bit words, each step followed by a
+    /// rotation so high bits feed back into low ones. It depends only on
+    /// the content, never on the process, the platform or the build, so it
+    /// may be stored on disk (the admission write-ahead log references
+    /// graphs by it). Equal graphs hash equally; unequal graphs collide
+    /// rarely, so a caller that must be exact compares contents on a match.
+    pub fn content_hash(&self) -> u64 {
+        fn mix(hash: u64, word: u64) -> u64 {
+            (hash ^ word)
+                .wrapping_mul(0x0000_0100_0000_01B3)
+                .rotate_left(29)
+        }
+        fn mix_time(hash: u64, time: Option<Time>) -> u64 {
+            match time {
+                Some(t) => mix(mix(hash, 1), t.as_i64() as u64),
+                None => mix(hash, 0),
+            }
+        }
+        let mut hash = mix(0xCBF2_9CE4_8422_2325, self.nodes.len() as u64);
+        for node in &self.nodes {
+            match &node.name {
+                Some(name) => {
+                    hash = mix(hash, 1 + name.len() as u64);
+                    for chunk in name.as_bytes().chunks(8) {
+                        let mut word = [0u8; 8];
+                        word[..chunk.len()].copy_from_slice(chunk);
+                        hash = mix(hash, u64::from_le_bytes(word));
+                    }
+                }
+                None => hash = mix(hash, 0),
+            }
+            hash = mix(hash, node.wcet.as_i64() as u64);
+            hash = mix_time(hash, node.release);
+            hash = mix_time(hash, node.deadline);
+        }
+        hash = mix(hash, self.edges.len() as u64);
+        for edge in &self.edges {
+            hash = mix(hash, u64::from(edge.src.0) | u64::from(edge.dst.0) << 32);
+            hash = mix(hash, edge.items);
+        }
+        hash
+    }
+
     /// Updates subtask attributes in place, then re-checks the attribute
     /// invariants ([`TaskGraphBuilder::build`] enforces on construction):
     /// every WCET positive, every input released, every output
@@ -637,6 +685,27 @@ mod tests {
         assert_eq!(g.successors(a).collect::<Vec<_>>(), vec![c]);
         assert_eq!(g.predecessors(d).collect::<Vec<_>>(), vec![c]);
         assert_eq!(g.edge(EdgeId::new(0)).items(), 5);
+    }
+
+    #[test]
+    fn content_hash_is_pinned() {
+        // The admission write-ahead log stores this hash on disk: changing
+        // the mix breaks every log written before the change.
+        let mut b = TaskGraph::builder();
+        let a = b.add_subtask(node(10).named("sense").released_at(Time::ZERO));
+        let c = b.add_subtask(node(20));
+        let d = b.add_subtask(node(30).due_at(Time::new(200)));
+        b.add_edge(a, c, 5).unwrap();
+        b.add_edge(c, d, 7).unwrap();
+        let g = b.build().unwrap();
+        assert_eq!(g.content_hash(), 0xFFB3_3FBD_157B_8386);
+        assert_eq!(g.clone().content_hash(), g.content_hash());
+
+        let mut slower = g.clone();
+        slower
+            .try_update_subtasks(|nodes| nodes[1].set_wcet(Time::new(21)))
+            .unwrap();
+        assert_ne!(slower.content_hash(), g.content_hash());
     }
 
     #[test]

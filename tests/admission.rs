@@ -2,7 +2,8 @@
 //! contract (a concurrent service's transcript replays bit-identically
 //! through a sequential controller, for arbitrary request mixes), the
 //! reject-leaves-no-trace invariant, crash durability (write-ahead log
-//! recovery after an arbitrarily torn tail), staleness-aware shedding
+//! recovery after an arbitrarily torn tail, content-addressed graph
+//! records), staleness-aware shedding
 //! accounting, and the unified `feast::Error` surface over the admission
 //! path.
 
@@ -241,6 +242,77 @@ proptest! {
         // into outcomes; at 64 it means hits did.
         prop_assert_eq!(&off, &tiny);
         prop_assert_eq!(&off, &on);
+    }
+
+    /// Content-addressed WAL records: for any templated admit/amend mix
+    /// (every other admit re-allocates its template, so equality is by
+    /// content, not by pointer), a durable controller and a 2-worker
+    /// durable service both seal each distinct graph inline exactly once
+    /// and reference it afterwards, and recovery resolves every reference
+    /// back to a transcript that replays bit-identically.
+    #[test]
+    fn wal_seals_each_distinct_graph_inline_once(
+        seed in 0u64..1_000,
+        len in 6usize..20,
+    ) {
+        let requests: Vec<AdmitRequest> = templated_mix(seed, len)
+            .into_iter()
+            .map(|request| match request {
+                AdmitRequest::Admit { id, graph, origin } if id % 2 == 1 => AdmitRequest::Admit {
+                    id,
+                    graph: Arc::new((*graph).clone()),
+                    origin,
+                },
+                other => other,
+            })
+            .collect();
+        let mut distinct: Vec<&TaskGraph> = Vec::new();
+        for request in &requests {
+            if let AdmitRequest::Admit { graph, .. } = request {
+                if !distinct.iter().any(|known| **known == **graph) {
+                    distinct.push(graph);
+                }
+            }
+        }
+        let admits = requests
+            .iter()
+            .filter(|request| matches!(request, AdmitRequest::Admit { .. }))
+            .count();
+
+        let controller_wal = TempPath::new("cas-controller");
+        let mut controller =
+            AdmissionController::new(config(8).durable(&controller_wal.0)).unwrap();
+        let mut live = feast::AdmissionLog::default();
+        for request in &requests {
+            live.outcomes.push(AdmitOutcome::of(&controller.handle(request)));
+        }
+        live.digest = controller.digest();
+        live.residents = controller.residents();
+        drop(controller);
+
+        let service_wal = TempPath::new("cas-service");
+        let service =
+            AdmissionService::new(config(8).with_workers(2).durable(&service_wal.0)).unwrap();
+        for request in &requests {
+            service.submit(request.clone()).expect("queue is deep enough");
+        }
+        let served = service.shutdown().expect("service drains and stops");
+
+        for (wal, log) in [(&controller_wal, &live), (&service_wal, &served)] {
+            let text = std::fs::read_to_string(&wal.0).unwrap();
+            let inline = text.matches(r#""request":{"Admit":"#).count();
+            let refs = text.matches(r#""request":{"AdmitRef":"#).count();
+            prop_assert_eq!(inline, distinct.len());
+            prop_assert_eq!(inline + refs, admits);
+
+            let (recovered, recovered_log) =
+                AdmissionController::recover(config(8), &wal.0).expect("recovery succeeds");
+            prop_assert!(log.matches(&recovered_log), "WAL transcript diverged");
+            prop_assert_eq!(recovered.digest(), log.digest);
+            prop_assert_eq!(&recovered_log.requests, &requests);
+            let replayed = recovered_log.replay(&config(8)).expect("replay builds");
+            prop_assert!(recovered_log.matches(&replayed));
+        }
     }
 
     /// Chain-bound conservativeness: whenever the pre-filter's critical-
