@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 use platform::Platform;
 use sched::{CommitReceipt, CommittedState, MissLog, Schedule};
 use serde::{Deserialize, Serialize};
-use slicing::{DeltaError, GraphDelta};
+use slicing::{DeltaError, GraphDelta, SliceMemo};
 use taskgraph::gen::{stream_label, stream_seed};
 use taskgraph::{TaskGraph, Time};
 
@@ -527,14 +527,17 @@ impl EvictionPolicy for LowestUtilization {
     }
 }
 
-/// One committed admission: the graph, its reserved schedule, and when it
-/// arrived / departs.
+/// One committed admission: the graph, its reserved schedule, when it
+/// arrived / departs, and the delta memo of the graph's latest slicing run
+/// (shared with a slice-cache entry after a hit; `None` until the first
+/// amendment when a memo-less slicer worker sliced it).
 #[derive(Debug)]
 struct Resident {
     graph: Arc<TaskGraph>,
     schedule: Schedule,
     origin: Time,
     horizon: Time,
+    memo: Option<Arc<SliceMemo>>,
 }
 
 /// One line of an admission write-ahead log.
@@ -1077,11 +1080,11 @@ impl AdmissionController {
             None => self
                 .pipeline
                 .slice(&graph, &self.platform)
-                .map(Sliced::into_output)
+                .map(Sliced::into_parts)
                 .map_err(AdmitError::Trial),
         };
         let result = match sliced {
-            Ok(output) => self.decide(id, &graph, origin, output),
+            Ok((output, memo)) => self.decide(id, &graph, origin, output, memo),
             Err(e) => Err(e),
         };
         let request = AdmitRequest::Admit { id, graph, origin };
@@ -1145,14 +1148,16 @@ impl AdmissionController {
     }
 
     /// The serial half of an admit: retire, trial against committed load,
-    /// commit on admit. The service's coordinator calls this with products
-    /// sliced on worker threads.
+    /// commit on admit (keeping `memo` with the new resident). The
+    /// service's coordinator calls this with products sliced on worker
+    /// threads, which record no memo.
     pub(crate) fn decide(
         &mut self,
         id: u64,
         graph: &Arc<TaskGraph>,
         origin: Time,
         output: SliceOutput,
+        memo: Option<Arc<SliceMemo>>,
     ) -> Result<AdmitVerdict, AdmitError> {
         let started = Instant::now();
         self.retire(origin);
@@ -1212,6 +1217,7 @@ impl AdmissionController {
                     horizon: verdict.makespan,
                     origin,
                     schedule: verdict.schedule,
+                    memo,
                 },
             );
             self.order.push_back(id);
@@ -1325,7 +1331,7 @@ impl AdmissionController {
         }
         self.last_commit = None;
 
-        match self.retrial(&amended, resident.origin, fast, &resident.schedule) {
+        match self.retrial(&amended, &mut resident, fast) {
             Ok(verdict) => {
                 let repaired = verdict.repair_fell_back == Some(false);
                 if verdict.admit {
@@ -1365,38 +1371,54 @@ impl AdmissionController {
         }
     }
 
-    /// Re-slices and re-trials an amended graph, through the repair path
-    /// when the preceding rollback kept the base content unchanged.
+    /// Re-slices `resident`'s amended graph and re-trials it at the
+    /// resident's origin, through the repair path when the preceding
+    /// rollback kept the base content unchanged.
     fn retrial(
         &mut self,
         graph: &TaskGraph,
-        origin: Time,
+        resident: &mut Resident,
         fast: bool,
-        prev: &Schedule,
     ) -> Result<Verdict, RunError> {
-        // Amended graphs are per-resident mutations: bypass the
-        // cross-request cache (see `Pipeline::suspend_slice_cache`) and
-        // let the delta memo's incremental path do its work.
-        let cache = self.pipeline.suspend_slice_cache();
-        let sliced = self
-            .pipeline
-            .slice(graph, &self.platform)
-            .map(Sliced::into_output);
-        self.pipeline.resume_slice_cache(cache);
-        let output = sliced?;
+        let output = self.reslice(graph, resident)?;
         if fast {
             self.pipeline.repair_output_against(
                 graph,
                 &self.platform,
                 output,
-                prev,
+                &resident.schedule,
                 &self.state,
-                origin,
+                resident.origin,
             )
         } else {
-            self.pipeline
-                .trial_output_against(graph, &self.platform, output, &self.state, origin)
+            self.pipeline.trial_output_against(
+                graph,
+                &self.platform,
+                output,
+                &self.state,
+                resident.origin,
+            )
         }
+    }
+
+    /// Slices `resident`'s amended `graph` against the resident's own
+    /// delta memo and stores the memo back, now describing `graph`.
+    /// Amended graphs are per-resident mutations, so the cross-request
+    /// cache is bypassed (see `Pipeline::suspend_slice_cache`).
+    fn reslice(
+        &mut self,
+        graph: &TaskGraph,
+        resident: &mut Resident,
+    ) -> Result<SliceOutput, RunError> {
+        let cache = self.pipeline.suspend_slice_cache();
+        let sliced = self
+            .pipeline
+            .slice_with(graph, &self.platform, resident.memo.take())
+            .map(Sliced::into_parts);
+        self.pipeline.resume_slice_cache(cache);
+        let (output, memo) = sliced?;
+        resident.memo = memo;
+        Ok(output)
     }
 
     /// Releases every resident whose horizon has passed the decision
@@ -1871,7 +1893,7 @@ impl AdmissionService {
                 let result = match output {
                     Ok(output) => match over_budget(budget, accepted) {
                         Some(waited_us) => Err(AdmitError::Shed { waited_us }),
-                        None => controller.decide(id, &graph, origin, output),
+                        None => controller.decide(id, &graph, origin, output, None),
                     },
                     Err(e) => Err(e),
                 };
@@ -2213,6 +2235,109 @@ mod tests {
         let replayed = fresh.amend(1, &delta).unwrap();
         assert_eq!(amended, replayed);
         assert_eq!(controller.digest(), fresh.digest());
+    }
+
+    /// The memo the controller's slice cache holds for `graph`, if any.
+    fn cached_memo(controller: &AdmissionController, graph: &TaskGraph) -> Option<Arc<SliceMemo>> {
+        let key = controller.pipeline.cache_key(graph, &controller.platform)?;
+        let entry = controller.slice_cache.as_ref()?.lock().unwrap().get(&key)?;
+        entry.memo.clone()
+    }
+
+    /// Each resident re-slices against the memo of its own graph. With
+    /// the cache off, and with a capacity-1 cache whose only slot B's
+    /// admit took over, amending the older resident A still runs the
+    /// incremental path (a fallback would mean A's amended graph was
+    /// re-sliced against B's trace). With room for both entries, A's memo
+    /// is still shared with its cache entry, so the re-slice copies it and
+    /// leaves the entry's trace untouched.
+    #[test]
+    fn amendment_reslices_against_the_residents_own_memo() {
+        let delta = GraphDelta::new().push(DeltaOp::SetWcet {
+            subtask: SubtaskId::new(2),
+            wcet: Time::new(25),
+        });
+        for cache in [0, 1, 64] {
+            let mut controller =
+                AdmissionController::new(config(8).with_slice_cache(cache)).unwrap();
+            assert!(controller.admit(1, graph(5), Time::ZERO).unwrap().admitted);
+            assert!(controller.admit(2, graph(6), Time::ZERO).unwrap().admitted);
+
+            // The steps `amend` takes: apply the delta, then re-slice.
+            let mut a = controller.residents.remove(&1).unwrap();
+            let pins = controller
+                .config
+                .scenario
+                .pinning
+                .build(&a.graph, &controller.platform)
+                .unwrap();
+            let amended = delta.apply(&a.graph, &pins).unwrap().graph;
+            let before = Arc::as_ptr(a.memo.as_ref().expect("the controller records memos"));
+            let output = controller.reslice(&amended, &mut a).unwrap();
+            let stats = output.redistribute.expect("re-sliced through a memo");
+            assert!(!stats.fell_back, "cache {cache}: {stats:?}");
+            assert!(stats.scanned_nodes > 0, "cache {cache}: {stats:?}");
+
+            let after = Arc::as_ptr(a.memo.as_ref().expect("the memo is stored back"));
+            // Only a memo a cache entry still shares is copied.
+            assert_eq!(before == after, cache != 64, "cache {cache}");
+            if cache == 64 {
+                let entry = cached_memo(&controller, &graph(5)).unwrap();
+                assert_eq!(Arc::as_ptr(&entry), before);
+            }
+        }
+    }
+
+    /// A cache hit shares the entry's memo rather than copying it, and a
+    /// resident that is evicted or retires releases its reference.
+    #[test]
+    fn cache_hits_share_the_entry_memo_and_departures_release_it() {
+        let mut controller = AdmissionController::new(config(8).with_capacity(2)).unwrap();
+        let template = graph(3);
+        assert!(
+            controller
+                .admit(1, Arc::clone(&template), Time::ZERO)
+                .unwrap()
+                .admitted
+        );
+        // Equal content in a separate allocation: the hit is by content.
+        let copy = Arc::new(TaskGraph::clone(&template));
+        assert!(controller.admit(2, copy, Time::ZERO).unwrap().admitted);
+
+        let shared = cached_memo(&controller, &template).expect("entries keep the memo");
+        let memo_of = |c: &AdmissionController, id: u64| c.residents[&id].memo.clone().unwrap();
+        assert!(Arc::ptr_eq(&memo_of(&controller, 1), &shared));
+        assert!(Arc::ptr_eq(&memo_of(&controller, 2), &shared));
+        // The cache entry, residents 1 and 2, and `shared`.
+        assert_eq!(Arc::strong_count(&shared), 4);
+
+        // A third admit before either resident departs evicts resident 1
+        // (capacity 2).
+        let first_horizon = controller
+            .residents
+            .values()
+            .map(|r| r.horizon)
+            .min()
+            .unwrap();
+        let origin = first_horizon - Time::new(1);
+        let third = (10..40)
+            .find(|&id| controller.admit(id, graph(id), origin).unwrap().admitted)
+            .expect("8 processors admit a third graph");
+        assert!(!controller.is_resident(1));
+        assert_eq!(Arc::strong_count(&shared), 3);
+
+        // An arrival past every horizon retires residents 2 and `third`.
+        let horizon = controller
+            .residents
+            .values()
+            .map(|r| r.horizon)
+            .max()
+            .unwrap();
+        controller
+            .admit(100, graph(100), horizon + Time::new(1))
+            .unwrap();
+        assert!(!controller.is_resident(2) && !controller.is_resident(third));
+        assert_eq!(Arc::strong_count(&shared), 2);
     }
 
     #[test]

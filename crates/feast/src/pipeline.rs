@@ -5,8 +5,8 @@
 //! deadlines, build the scheduler from the scenario's spec, list-schedule —
 //! plus the always-on audits and the lateness measurement. [`Pipeline`]
 //! owns that wiring once: it is configured from a [`Scenario`], holds the
-//! per-worker [`SchedWorkspace`] (and optionally a [`SliceMemo`] for
-//! incremental re-slicing), and exposes the whole pipeline as
+//! per-worker [`SchedWorkspace`] (and optionally records a [`SliceMemo`]
+//! for incremental re-slicing), and exposes the whole pipeline as
 //!
 //! ```text
 //! Pipeline::new(&scenario).slice(&graph, &platform)?.trial(&platform)?  →  Verdict
@@ -38,7 +38,7 @@ use sched::{
 };
 use slicing::{
     distribute_baseline, prefilter, BaselineStrategy, DeadlineAssignment, PrefilterReject,
-    RedistributeStats, SliceCache, SliceMemo, Slicer,
+    RedistributeStats, SliceCache, SliceKey, SliceMemo, Slicer,
 };
 use taskgraph::{TaskGraph, Time};
 
@@ -47,11 +47,20 @@ use crate::telemetry::{self, Stage};
 use crate::RunError;
 
 /// A cross-request slice cache shared between pipelines (the admission
-/// controller and its slicer workers): full-content [`SliceKey`](slicing::SliceKey)s mapping
-/// to the memoized [`SliceOutput`] plus, when the producing pipeline kept
-/// a delta memo, a [`SliceMemo`] snapshot so a later amendment of a
-/// cache-hit graph still enters the incremental re-slicing path.
-pub type SharedSliceCache = Arc<Mutex<SliceCache<(SliceOutput, Option<SliceMemo>)>>>;
+/// controller and its slicer workers): full-content [`SliceKey`]s mapping
+/// to shared [`CachedSlice`] entries. A hit bumps a refcount and copies
+/// only the assignment; the memo is handed out shared, and an amendment
+/// that redistributes against it copies it first ([`Arc::make_mut`]) only
+/// while the entry still holds it.
+pub type SharedSliceCache = Arc<Mutex<SliceCache<Arc<CachedSlice>>>>;
+
+/// One [`SharedSliceCache`] entry: the memoized [`SliceOutput`] plus, when
+/// the producing pipeline recorded one, the [`SliceMemo`] of that run.
+#[derive(Debug)]
+pub struct CachedSlice {
+    output: SliceOutput,
+    pub(crate) memo: Option<Arc<SliceMemo>>,
+}
 
 /// How a pipeline distributes deadlines: the scenario's technique,
 /// materialized once.
@@ -68,9 +77,10 @@ enum Distributor {
 /// from a [`Scenario`] and reusable across graphs: distribute → audit
 /// windows → schedule → audit schedule → measure lateness.
 ///
-/// A pipeline owns its scratch state (a [`SchedWorkspace`], plus a
-/// [`SliceMemo`] when delta support is enabled), so steady-state runs are
-/// allocation-free; hand each worker thread its own pipeline. It is the
+/// A pipeline owns its scratch state (a [`SchedWorkspace`]), so
+/// steady-state trials are allocation-free; hand each worker thread its
+/// own pipeline. Delta memos belong to the caller, not the pipeline: see
+/// [`Pipeline::slice_with`]. It is the
 /// single entry point both the sweep engine and the admission service
 /// drive.
 ///
@@ -109,7 +119,9 @@ pub struct Pipeline {
     spec: SchedulerSpec,
     pinning: PinningPolicy,
     ws: SchedWorkspace,
-    memo: Option<SliceMemo>,
+    /// Whether slicing runs record a [`SliceMemo`] when the caller passes
+    /// none ([`Pipeline::with_delta_memo`]).
+    delta: bool,
     cache: Option<SharedSliceCache>,
 }
 
@@ -138,21 +150,24 @@ impl Pipeline {
             spec: scenario.scheduler,
             pinning: scenario.pinning,
             ws: SchedWorkspace::new(),
-            memo: None,
+            delta: false,
             cache: None,
         }
     }
 
-    /// Enables incremental re-slicing: every [`slice`](Pipeline::slice)
-    /// call runs through [`Slicer::redistribute`] against a retained
-    /// [`SliceMemo`], so re-slicing a lightly-amended graph reuses the
-    /// unaffected per-start searches. Output is bit-identical either way;
-    /// baselines ignore the memo.
+    /// Enables memo recording: a slicing run the cache does not answer
+    /// goes through [`Slicer::redistribute`] into a [`SliceMemo`] — a
+    /// fresh one unless the caller of [`slice_with`](Pipeline::slice_with)
+    /// hands in its own — and [`Sliced::into_parts`] gives that memo back
+    /// to the caller, who keeps it with the graph it describes. Re-slicing
+    /// a lightly-amended graph against it later reuses the unaffected
+    /// per-start searches. Output is bit-identical either way; baselines
+    /// record nothing.
     ///
     /// [`Slicer::redistribute`]: slicing::Slicer::redistribute
     #[must_use]
     pub fn with_delta_memo(mut self) -> Self {
-        self.memo = Some(SliceMemo::new());
+        self.delta = true;
         self
     }
 
@@ -199,10 +214,11 @@ impl Pipeline {
 
     /// Detaches the cross-request slice cache, returning it for
     /// [`resume_slice_cache`](Pipeline::resume_slice_cache). Amendment
-    /// re-slices run between the two: an amended graph is a per-resident
-    /// mutation that essentially never repeats across requests, so
-    /// caching it would only pay key/clone overhead and churn useful
-    /// fresh-admit entries out of the LRU.
+    /// re-slices run between the two, against the amended resident's own
+    /// memo ([`slice_with`](Pipeline::slice_with)): an amended graph is a
+    /// per-resident mutation that essentially never repeats across
+    /// requests, so caching it would only pay key overhead, pin a second
+    /// memo, and churn useful fresh-admit entries out of the LRU.
     pub(crate) fn suspend_slice_cache(&mut self) -> Option<SharedSliceCache> {
         self.cache.take()
     }
@@ -232,41 +248,65 @@ impl Pipeline {
         graph: &'g TaskGraph,
         platform: &'g Platform,
     ) -> Result<Sliced<'p, 'g>, RunError> {
+        self.slice_with(graph, platform, None)
+    }
+
+    /// [`slice`](Pipeline::slice) against a caller-owned delta memo: a
+    /// slicing run redistributes against `memo` (copying it first only
+    /// while a cache entry still shares it), or against a fresh memo when
+    /// `memo` is `None` and the pipeline records memos
+    /// ([`with_delta_memo`](Pipeline::with_delta_memo)). A cache hit hands
+    /// out the entry's memo instead, when it has one. Either way the memo
+    /// that now describes `graph` comes back through
+    /// [`Sliced::into_parts`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError::Slice`] when deadline distribution fails.
+    pub fn slice_with<'p, 'g>(
+        &'p mut self,
+        graph: &'g TaskGraph,
+        platform: &'g Platform,
+        memo: Option<Arc<SliceMemo>>,
+    ) -> Result<Sliced<'p, 'g>, RunError> {
         let started = Instant::now();
         // Cross-request cache probe: a full-content key hit returns the
         // memoized product verbatim (bit-identical by the key contract)
-        // and re-primes the delta memo from the cached snapshot so later
-        // amendments keep their incremental path.
-        let key = match (&self.distributor, &self.cache) {
-            (Distributor::Slicing(slicer), Some(_)) => Some(slicer.cache_key(graph, platform)),
-            _ => None,
-        };
+        // and shares the entry's memo so later amendments keep their
+        // incremental path.
+        let key = self.cache_key(graph, platform);
         if let (Some(key), Some(cache)) = (&key, &self.cache) {
             let hit = cache.lock().ok().and_then(|mut c| c.get(key));
-            if let Some((mut output, memo)) = hit {
+            if let Some(entry) = hit {
                 telemetry::global().slice_cache_hits.inc();
-                if let (Some(slot), Some(memo)) = (&mut self.memo, memo) {
-                    *slot = memo;
-                }
                 // The cached timings described the producing run; report
                 // this call's (lookup) cost and no redistribute stats so
                 // stage accounting stays honest.
-                output.distribute = started.elapsed();
-                output.window_audit = Duration::ZERO;
-                output.redistribute = None;
+                let output = SliceOutput {
+                    assignment: entry.output.assignment.clone(),
+                    window_violations: entry.output.window_violations,
+                    distribute: started.elapsed(),
+                    window_audit: Duration::ZERO,
+                    redistribute: None,
+                };
                 return Ok(Sliced {
                     pipeline: self,
                     graph,
                     output,
+                    memo: entry.memo.clone().or(memo),
                 });
             }
             telemetry::global().slice_cache_misses.inc();
         }
-        let (assignment, redistribute) = match (&self.distributor, &mut self.memo) {
+        let mut memo = match (&self.distributor, memo) {
+            (Distributor::Slicing(_), None) if self.delta => Some(Arc::new(SliceMemo::new())),
+            (_, memo) => memo,
+        };
+        let (assignment, redistribute) = match (&self.distributor, &mut memo) {
             (Distributor::Slicing(slicer), None) => (slicer.distribute(graph, platform)?, None),
             (Distributor::Slicing(slicer), Some(memo)) => {
                 let redistribute_started = Instant::now();
-                let r = slicer.redistribute(graph, platform, memo)?;
+                let r = slicer.redistribute(graph, platform, Arc::make_mut(memo))?;
                 let registry = telemetry::global();
                 registry.record_stage(Stage::Redistribute, redistribute_started.elapsed());
                 registry.count_redistribute(&r.stats);
@@ -293,12 +333,14 @@ impl Pipeline {
             redistribute,
         };
         if let (Some(key), Some(cache)) = (key, &self.cache) {
-            // After a slicing run the delta memo (when kept) describes
-            // exactly this graph's trace — snapshot it alongside the
-            // product so a hit can restore both.
-            let memo = self.memo.clone();
+            // The memo (when recorded) describes exactly this graph's
+            // trace; the entry shares it rather than copying it.
+            let entry = Arc::new(CachedSlice {
+                output: output.clone(),
+                memo: memo.clone(),
+            });
             if let Ok(mut c) = cache.lock() {
-                if c.insert(key, (output.clone(), memo)) {
+                if c.insert(key, entry) {
                     telemetry::global().slice_cache_evictions.inc();
                 }
             }
@@ -307,7 +349,18 @@ impl Pipeline {
             pipeline: self,
             graph,
             output,
+            memo,
         })
+    }
+
+    /// The cross-request cache key [`slice`](Pipeline::slice) probes for
+    /// `graph`; `None` when no cache is attached or the distributor is a
+    /// baseline (baselines never consult the cache).
+    pub(crate) fn cache_key(&self, graph: &TaskGraph, platform: &Platform) -> Option<SliceKey> {
+        match (&self.distributor, &self.cache) {
+            (Distributor::Slicing(slicer), Some(_)) => Some(slicer.cache_key(graph, platform)),
+            _ => None,
+        }
     }
 
     /// Stage two against an empty platform: schedules a detached slice
@@ -501,6 +554,7 @@ pub struct Sliced<'p, 'g> {
     pipeline: &'p mut Pipeline,
     graph: &'g TaskGraph,
     output: SliceOutput,
+    memo: Option<Arc<SliceMemo>>,
 }
 
 impl Sliced<'_, '_> {
@@ -520,6 +574,13 @@ impl Sliced<'_, '_> {
     /// committed state.
     pub fn into_output(self) -> SliceOutput {
         self.output
+    }
+
+    /// [`into_output`](Sliced::into_output) plus the delta memo that
+    /// describes the sliced graph (see [`Pipeline::slice_with`]), for a
+    /// caller that keeps it with the graph.
+    pub fn into_parts(self) -> (SliceOutput, Option<Arc<SliceMemo>>) {
+        (self.output, self.memo)
     }
 
     /// Trial-schedules against an empty platform and measures the result.
@@ -790,16 +851,25 @@ mod tests {
         let mut plain = Pipeline::new(&scenario);
         let mut memoized = Pipeline::new(&scenario).with_delta_memo();
 
-        let a = plain.slice(&graph, &platform).unwrap().into_output();
-        let b = memoized.slice(&graph, &platform).unwrap().into_output();
+        let (a, none) = plain.slice(&graph, &platform).unwrap().into_parts();
+        let (b, memo) = memoized.slice(&graph, &platform).unwrap().into_parts();
         assert_eq!(a.assignment, b.assignment);
-        assert!(a.redistribute.is_none());
+        assert!(a.redistribute.is_none() && none.is_none());
         assert!(b.redistribute.is_some());
 
-        // Second pass over the same graph: the memo now hits.
-        let c = memoized.slice(&graph, &platform).unwrap().into_output();
+        // Second pass over the same graph against the returned memo: it
+        // now hits.
+        let c = memoized
+            .slice_with(&graph, &platform, memo)
+            .unwrap()
+            .into_output();
         assert_eq!(c.assignment, a.assignment);
         let stats = c.redistribute.unwrap();
         assert!(!stats.fell_back);
+
+        // A call without a memo records into a fresh one.
+        let d = memoized.slice(&graph, &platform).unwrap().into_output();
+        assert_eq!(d.assignment, a.assignment);
+        assert!(d.redistribute.unwrap().fell_back);
     }
 }

@@ -113,6 +113,39 @@ fn templated_mix(seed: u64, len: usize) -> Vec<AdmitRequest> {
     requests
 }
 
+/// A templated mix whose amendments target earlier *admits* only — any of
+/// them, oldest to latest, often the same one several times — so a
+/// resident is amended long after newer admits (and the cache entries
+/// they brought) took over.
+fn resident_amend_mix(seed: u64, len: usize) -> Vec<AdmitRequest> {
+    let templates: Vec<Arc<TaskGraph>> = (0..3)
+        .map(|slot| graph((seed % 64) * 29 + slot * 13 + 5))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5a1);
+    let mut requests = Vec::with_capacity(len);
+    let mut admits: Vec<u64> = Vec::new();
+    let mut origin = 0i64;
+    for id in 0..len as u64 {
+        if !admits.is_empty() && rng.gen_range(0..3u32) == 0 {
+            let target = admits[rng.gen_range(0..admits.len())];
+            let delta = GraphDelta::new().push(DeltaOp::SetWcet {
+                subtask: SubtaskId::new(rng.gen_range(0..8u32)),
+                wcet: Time::new(rng.gen_range(1..40i64)),
+            });
+            requests.push(AdmitRequest::Amend { id: target, delta });
+        } else {
+            origin += rng.gen_range(0..400i64);
+            admits.push(id);
+            requests.push(AdmitRequest::Admit {
+                id,
+                graph: Arc::clone(&templates[rng.gen_range(0..templates.len())]),
+                origin: Time::new(origin),
+            });
+        }
+    }
+    requests
+}
+
 /// A randomized request mix: admits at non-decreasing origins, with
 /// occasional amendments of previously submitted ids (resident or not —
 /// both outcomes must replay identically).
@@ -242,6 +275,43 @@ proptest! {
         // into outcomes; at 64 it means hits did.
         prop_assert_eq!(&off, &tiny);
         prop_assert_eq!(&off, &on);
+    }
+
+    /// Per-resident memos: amendments of any resident — not only the
+    /// latest — through a 2-worker service replay bit-identically through
+    /// a sequential controller, and the transcript is the same with the
+    /// cache off, at capacity 2 (entries evicted under the residents that
+    /// share their memos) and at capacity 64.
+    #[test]
+    fn amendments_of_any_resident_replay_across_cache_sizes(
+        seed in 0u64..1_000,
+        len in 8usize..18,
+    ) {
+        let requests = resident_amend_mix(seed, len);
+        let drive = |cache: usize| -> Result<feast::AdmissionLog, TestCaseError> {
+            let config = config(8)
+                .with_slice_cache(cache)
+                .with_workers(2)
+                .with_queue_depth(64);
+            let service = AdmissionService::new(config.clone()).expect("service starts");
+            for request in &requests {
+                service.submit(request.clone()).expect("queue is deep enough");
+            }
+            let log = service.shutdown().expect("service drains and stops");
+            let replayed = log.replay(&config).expect("replay controller builds");
+            prop_assert!(
+                log.matches(&replayed),
+                "cache {}: service diverged from sequential replay at seed {}",
+                cache,
+                seed
+            );
+            Ok(log)
+        };
+        let off = drive(0)?;
+        for cache in [2, 64] {
+            let on = drive(cache)?;
+            prop_assert!(off.matches(&on), "cache {} changed the transcript", cache);
+        }
     }
 
     /// Content-addressed WAL records: for any templated admit/amend mix
