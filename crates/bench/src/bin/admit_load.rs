@@ -15,16 +15,14 @@
 //! replay exits non-zero and writes nothing.
 //!
 //! ```text
-//! cargo run --release -p bench --bin admit-load -- [--label NAME] \
-//!     [--requests N] [--size P] [--amend-every K] [--stride T] \
-//!     [--capacity N] [--trials N] [--out PATH] [--guard] [--floor F] \
-//!     [--metrics PATH] [--durable] [--wal PATH] [--recover PATH] \
-//!     [--budget-us N] [--fault SPEC] [--template-pool N] \
-//!     [--infeasible-frac F] [--slice-cache on|off] [--eviction oldest|lowest]
+//! cargo run --release -p bench --bin admit-load -- [--requests N] \
+//!     [--size P] [--amend-every K] [--stride T] [--capacity N] \
+//!     [--trials N] [--out PATH] [--guard] [--floor F] [--metrics PATH] \
+//!     [--durable] [--wal PATH] [--recover PATH] [--budget-us N] \
+//!     [--fault SPEC] [--template-pool N] [--infeasible-frac F] \
+//!     [--slice-cache on|off] [--eviction oldest|lowest]
 //! ```
 //!
-//! * `--label NAME`    tag for this run in the `--out` document (default
-//!   `run`);
 //! * `--requests N`    admission requests to submit (default 4096);
 //! * `--size P`        platform processors (default 8, the paper size);
 //! * `--amend-every K` submit an amendment of the latest admit after every
@@ -34,8 +32,8 @@
 //! * `--capacity N`    maximum committed residents (default 64);
 //! * `--trials N`      run the stream N times and report the fastest trial
 //!   (every trial is replay-verified; default 1);
-//! * `--out PATH`      write the fastest trial as a one-run JSON document
-//!   (`schema`, `runs[0].points[0]`); without it nothing is written;
+//! * `--out PATH`      write the fastest trial's result as one JSON object
+//!   (`"schema": 2`); without it nothing is written;
 //! * `--guard`         exit non-zero unless throughput ≥ the floor
 //!   (the CI admission guard);
 //! * `--floor F`       guard floor in admissions/second (default 10000);
@@ -110,9 +108,13 @@ impl LatencyStats {
     }
 }
 
-/// One measured service run.
+/// The result of one load run: the fastest trial, as `--out` writes it.
 #[derive(Debug, Clone, Serialize)]
-struct LoadPoint {
+struct LoadResult {
+    /// Document schema (2: this object is the whole document).
+    schema: u32,
+    /// The shared bench seed the request stream was derived from.
+    seed: u64,
     processors: usize,
     workers: usize,
     queue_depth: usize,
@@ -121,7 +123,7 @@ struct LoadPoint {
     /// Mean origin advance between admits (time units); sets the
     /// steady-state residency the trials schedule against.
     stride: i64,
-    /// Trials this point is the best of (every trial replay-verified; the
+    /// Trials this result is the best of (every trial replay-verified; the
     /// fastest is recorded, being the least noise-contaminated).
     trials: usize,
     /// Requests submitted (admits + amends; every one was accepted by the
@@ -163,8 +165,9 @@ struct LoadPoint {
     /// Decisions per second of wall clock, submit of the first request to
     /// drained shutdown.
     admissions_per_sec: f64,
-    /// Coordinator decision latency (trial + commit, excluding queueing
-    /// and parallel slicing).
+    /// Coordinator decision latency: trial + commit for an admit (its
+    /// slicing ran in parallel before it), plus applying the delta and
+    /// re-slicing the resident for an amendment; queueing is excluded.
     latency: LatencyStats,
     /// End-to-end sojourn of non-shed, non-failed requests: submit to
     /// concluded verdict, including queueing and slicing.
@@ -178,23 +181,6 @@ struct LoadPoint {
     /// In durable mode: sealed decisions recovered (and digest-verified)
     /// from the WAL after the run.
     wal_recovered: Option<usize>,
-}
-
-/// One invocation of this binary.
-#[derive(Debug, Clone, Serialize)]
-struct LoadRun {
-    label: String,
-    seed: u64,
-    points: Vec<LoadPoint>,
-}
-
-/// The `--out` document: one run, in the shape of the frozen
-/// `BENCH_admission.json` history.
-#[derive(Debug, Clone, Serialize)]
-struct LoadFile {
-    schema: u32,
-    description: &'static str,
-    runs: Vec<LoadRun>,
 }
 
 /// A provably infeasible two-subtask chain: 100 + 100 time units of
@@ -319,7 +305,6 @@ fn request_stream(
 }
 
 struct Args {
-    label: String,
     requests: usize,
     size: usize,
     amend_every: usize,
@@ -343,7 +328,6 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        label: "run".to_owned(),
         requests: 4096,
         size: 8,
         amend_every: 16,
@@ -371,7 +355,6 @@ fn parse_args() -> Args {
                 .unwrap_or_else(|| panic!("{name} requires a value"))
         };
         match arg.as_str() {
-            "--label" => args.label = value("--label"),
             "--requests" => {
                 args.requests = value("--requests")
                     .parse()
@@ -458,7 +441,7 @@ fn parse_args() -> Args {
             ),
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: admit-load [--label NAME] [--requests N] [--size P] \
+                    "usage: admit-load [--requests N] [--size P] \
                      [--amend-every K] [--stride T] [--capacity N] [--trials N] [--out PATH] \
                      [--guard] [--floor F] [--metrics PATH] [--durable] [--wal PATH] \
                      [--recover PATH] [--budget-us N] [--fault SPEC] [--template-pool N] \
@@ -737,7 +720,9 @@ fn main() {
     let elapsed_ms = decisions as f64 / admissions_per_sec * 1e3;
     let replay_verified = true;
 
-    let point = LoadPoint {
+    let result = LoadResult {
+        schema: 2,
+        seed: SEED,
         processors: args.size,
         workers: WORKERS,
         queue_depth: config.queue_depth,
@@ -774,13 +759,13 @@ fn main() {
     );
     eprintln!(
         "latency: mean {}us p50 {}us p90 {}us p99 {}us max {}us; replay verified",
-        point.latency.mean_us,
-        point.latency.p50_us,
-        point.latency.p90_us,
-        point.latency.p99_us,
-        point.latency.max_us
+        result.latency.mean_us,
+        result.latency.p50_us,
+        result.latency.p90_us,
+        result.latency.p99_us,
+        result.latency.max_us
     );
-    let sojourn = &point.sojourn;
+    let sojourn = &result.sojourn;
     eprintln!(
         "sojourn: mean {}us p50 {}us p90 {}us p99 {}us max {}us",
         sojourn.mean_us, sojourn.p50_us, sojourn.p90_us, sojourn.p99_us, sojourn.max_us
@@ -809,7 +794,7 @@ fn main() {
     // percentile error of the histogram).
     if args.guard {
         if let Some(budget_us) = args.budget_us {
-            let bound = 2 * (budget_us + point.latency.max_us);
+            let bound = 2 * (budget_us + result.latency.max_us);
             if sojourn.p99_us > bound {
                 eprintln!(
                     "staleness guard FAILED: p99 sojourn {}us exceeds {bound}us \
@@ -828,19 +813,7 @@ fn main() {
     let Some(out) = &args.out else {
         return;
     };
-    let file = LoadFile {
-        schema: 1,
-        description: "Admission-service load run; see README.md §Admission control. \
-                      Throughput is decisions/second through the concurrent service; \
-                      latency is the coordinator's per-decision trial+commit time in \
-                      microseconds.",
-        runs: vec![LoadRun {
-            label: args.label,
-            seed: SEED,
-            points: vec![point],
-        }],
-    };
-    let json = serde_json::to_string_pretty(&file).expect("serialization cannot fail");
+    let json = serde_json::to_string_pretty(&result).expect("serialization cannot fail");
     std::fs::write(out, json + "\n").unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     eprintln!("wrote {out}");
 }

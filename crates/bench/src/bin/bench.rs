@@ -1,37 +1,31 @@
 //! CI gates of the FEAST pipeline's hot paths.
 //!
 //! Performance is recorded by `perfbench/` (see `BENCHMARK.json`); this
-//! binary records nothing. It measures two fixed-seed points — the
-//! schedule-stage stress point and the incremental delta pair — and exits
-//! non-zero when a gate trips:
+//! binary records nothing. One invocation measures two fixed-seed points —
+//! the incremental delta pair ([`DELTA_GRAPHS`] graphs ×
+//! [`DELTA_PERTURBATIONS`] perturbations) and the schedule-stage stress
+//! point ([`STRESS_GRAPHS`] graphs) — then runs every gate and exits with
+//! status 2 when one trips:
 //!
 //! ```text
-//! cargo run --release -p bench --bin bench -- [--iterations N] \
-//!     [--guard LABEL] [--baseline PATH] [--guard-pct F] \
-//!     [--overhead-gate] [--overhead-pct F] [--overhead-attempts N]
+//! cargo run --release -p bench --bin bench -- [--overhead-pct F]
 //! ```
 //!
-//! * `--iterations N`     override the per-point iteration counts;
-//! * `--guard LABEL`      compare the **schedule** stage at the stress and
-//!   delta points against the run labelled `LABEL` in the baseline file,
-//!   and the delta pair's speedup against its floors; exit non-zero on
-//!   regression (the CI bench guard);
-//! * `--baseline PATH`    file holding the guard baseline (default
-//!   `BENCH_pipeline.json`, the frozen pipeline history);
-//! * `--guard-pct F`      maximum allowed schedule-stage mean regression
-//!   in percent before the guard fails (default 25);
-//! * `--overhead-gate`    additionally run the observatory overhead gate:
-//!   schedule the stress workload twice per iteration over identical
-//!   seeds — bare, and with the runner's full per-replication telemetry
-//!   accounting (stage histograms, progress tracking, gated metrics
-//!   writes, miss-log) — failing if the order-balanced paired median of
-//!   the schedule-stage difference exceeds the bare median by more than
-//!   `--overhead-pct`;
-//! * `--overhead-pct F`   overhead-gate budget in percent (default 2);
-//! * `--overhead-attempts N`  gate attempts before failing (default 3).
+//! * the **bench guard**: the schedule-stage means at the stress and delta
+//!   points must stay within [`STRESS_SCHEDULE_LIMIT_US`] and
+//!   [`DELTA_SCHEDULE_LIMIT_US`], and the delta pair's incremental speedup
+//!   above [`DELTA_SPEEDUP_FLOOR`] (mean) and [`DELTA_P50_SPEEDUP_FLOOR`]
+//!   (p50);
+//! * the **observatory overhead gate**: schedule the stress workload twice
+//!   per iteration over identical seeds — bare, and with the runner's full
+//!   per-replication telemetry accounting (stage histograms, progress
+//!   tracking, gated metrics writes, miss-log) — failing if the
+//!   order-balanced paired median of the schedule-stage difference exceeds
+//!   the bare median by more than `--overhead-pct` percent (default 2).
 //!   Run-level noise — preemption bursts, per-process code layout — only
-//!   ever *inflates* the paired difference, so the first attempt under
-//!   budget is proof the true accounting cost is under budget.
+//!   ever *inflates* the paired difference, so the first of up to
+//!   [`OVERHEAD_ATTEMPTS`] attempts under budget is proof the true
+//!   accounting cost is under budget.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,7 +34,6 @@ use feast::telemetry::{self, Stage};
 use feast::{MetricsWriter, ProgressTracker, Runner};
 use platform::{Pinning, Platform};
 use sched::{BusModel, ListScheduler, MissLog, SchedWorkspace};
-use serde::Deserialize;
 use slicing::{GraphDelta, MetricKind, SliceMemo, Slicer};
 use taskgraph::gen::{generate_seeded, stream_label, stream_seed, ExecVariation, WorkloadSpec};
 use taskgraph::{SubtaskId, Time};
@@ -54,11 +47,16 @@ const SEED: u64 = 0x000F_EA57_BE5C;
 /// candidate-processor estimation dominates each dispatch.
 const STRESS_PROCESSORS: usize = 32;
 
-/// Size label of the schedule-stage stress point (4× paper subtasks on
-/// [`STRESS_PROCESSORS`] processors under bus contention). The CI bench
-/// guard compares the schedule-stage mean of these points and of the
-/// [`DELTA_LABEL`] points.
+/// Label (and seed stream) of the schedule-stage stress point: 4× paper
+/// subtasks on [`STRESS_PROCESSORS`] processors under bus contention.
 const STRESS_LABEL: &str = "stress";
+
+/// Graphs measured at the stress point.
+const STRESS_GRAPHS: usize = 4;
+
+/// Limit of the stress point's schedule-stage mean: 1.25 × the 580.5 µs
+/// mean of the `post-pr7` run in the frozen `BENCH_pipeline.json` history.
+const STRESS_SCHEDULE_LIMIT_US: f64 = 725.625;
 
 /// Processor count of the delta stress point. The delta point runs THRES
 /// on [`BusModel::Delay`]: THRES keeps weight invalidation local to the
@@ -68,22 +66,30 @@ const STRESS_LABEL: &str = "stress";
 /// incremental pipeline targets.
 const DELTA_PROCESSORS: usize = 8;
 
-/// Size label of the incremental half of the delta stress point: per
-/// single-node WCET perturbation of the 4× graph, `distribute` carries the
-/// [`Slicer::redistribute`] time and `schedule` the
+/// Label (and seed stream) of the incremental half of the delta stress
+/// point: per single-node WCET perturbation of the 4× graph, `distribute`
+/// carries the [`Slicer::redistribute`] time and `schedule` the
 /// [`ListScheduler::repair`] time.
 const DELTA_LABEL: &str = "stress-delta";
 
-/// Size label of the paired from-scratch half: the same perturbed graphs
+/// Label of the paired from-scratch half: the same perturbed graphs
 /// recomputed with `distribute` + `schedule_with` from clean state. The
 /// incremental results are asserted bit-identical to these.
 const DELTA_FULL_LABEL: &str = "stress-delta-full";
 
-/// Single-node WCET perturbations applied (and measured) per stress graph.
+/// Graphs measured at the delta point.
+const DELTA_GRAPHS: usize = 4;
+
+/// Single-node WCET perturbations applied (and measured) per delta graph.
 const DELTA_PERTURBATIONS: usize = 16;
 
+/// Limit of the incremental delta point's schedule-stage (repair) mean:
+/// 1.25 × the 93.890625 µs mean of the `post-pr7` run in the frozen
+/// `BENCH_pipeline.json` history.
+const DELTA_SCHEDULE_LIMIT_US: f64 = 117.363_281_25;
+
 /// Minimum end-to-end (distribute + schedule) *mean* speedup of the
-/// incremental delta point over its from-scratch pair that `--guard`
+/// incremental delta point over its from-scratch pair that the guard
 /// accepts.
 ///
 /// The measured mean is ~1.4–1.7× (off-corridor deltas 6–14×, see
@@ -97,7 +103,7 @@ const DELTA_PERTURBATIONS: usize = 16;
 /// and [`DELTA_P50_SPEEDUP_FLOOR`] is the sensitive detector.
 const DELTA_SPEEDUP_FLOOR: f64 = 1.15;
 
-/// Minimum end-to-end *median* (p50) speedup `--guard` accepts.
+/// Minimum end-to-end *median* (p50) speedup the guard accepts.
 ///
 /// The p50 tracks the typical delta (measured ~2.3–2.5×) and is far more
 /// stable across runs and machines than the tail-dominated mean. A
@@ -108,13 +114,10 @@ const DELTA_SPEEDUP_FLOOR: f64 = 1.15;
 const DELTA_P50_SPEEDUP_FLOOR: f64 = 1.5;
 
 /// Wall-clock statistics of one pipeline stage at one point.
-#[derive(Deserialize)]
 struct StageStats {
     mean_us: f64,
-    /// Exact (nearest-rank) median. `None` on baseline runs recorded
-    /// before percentiles existed (the vendored serde reads an absent
-    /// field as null).
-    p50_us: Option<u64>,
+    /// Exact (nearest-rank) median.
+    p50_us: u64,
 }
 
 impl StageStats {
@@ -126,32 +129,17 @@ impl StageStats {
             // Exact order statistic — the same nearest-rank definition the
             // runtime histogram approximates (telemetry::percentile_reference
             // is its proptest reference).
-            p50_us: Some(telemetry::percentile_reference(&sorted, 0.50)),
+            p50_us: telemetry::percentile_reference(&sorted, 0.50),
         }
     }
 }
 
-/// The distribute and schedule timings of one measured point. Parsed from
-/// the baseline file too, whose points carry more fields (ignored here).
-#[derive(Deserialize)]
+/// The distribute and schedule timings of one measured point.
 struct BenchPoint {
-    size: String,
-    metric: String,
+    label: &'static str,
+    metric: &'static str,
     distribute: StageStats,
     schedule: StageStats,
-}
-
-/// One recorded invocation in the baseline file.
-#[derive(Deserialize)]
-struct BenchRun {
-    label: String,
-    points: Vec<BenchPoint>,
-}
-
-/// The baseline file (`BENCH_pipeline.json`): recorded runs, oldest first.
-#[derive(Deserialize)]
-struct BenchFile {
-    runs: Vec<BenchRun>,
 }
 
 /// The 4× paper workload both points draw their graphs from.
@@ -199,8 +187,8 @@ fn measure_stress(iterations: usize) -> BenchPoint {
     }
 
     BenchPoint {
-        size: STRESS_LABEL.to_owned(),
-        metric: "ADAPT".to_owned(),
+        label: STRESS_LABEL,
+        metric: "ADAPT",
         distribute: StageStats::from_samples(&dist_us),
         schedule: StageStats::from_samples(&sched_us),
     }
@@ -302,9 +290,9 @@ fn measure_delta(iterations: usize) -> (BenchPoint, BenchPoint) {
         }
     }
 
-    let point = |label: &str, dist: &[u64], sched: &[u64]| BenchPoint {
-        size: label.to_owned(),
-        metric: "THRES".to_owned(),
+    let point = |label, dist: &[u64], sched: &[u64]| BenchPoint {
+        label,
+        metric: "THRES",
         distribute: StageStats::from_samples(dist),
         schedule: StageStats::from_samples(sched),
     };
@@ -314,98 +302,55 @@ fn measure_delta(iterations: usize) -> (BenchPoint, BenchPoint) {
     )
 }
 
-/// End-to-end (distribute + schedule mean) speedup of the incremental
-/// delta point over its from-scratch pair, if both points are present.
-fn delta_speedup(points: &[BenchPoint]) -> Option<f64> {
-    let total = |label: &str| {
-        points
-            .iter()
-            .find(|p| p.size == label)
-            .map(|p| p.distribute.mean_us + p.schedule.mean_us)
-    };
-    Some(total(DELTA_FULL_LABEL)? / total(DELTA_LABEL)?)
+/// End-to-end (distribute + schedule) speedup of the incremental delta
+/// point over its from-scratch pair under `stat` (the mean, or the p50 —
+/// the typical-delta ratio, which summarises rather than hides the bimodal
+/// corridor/off-corridor mix).
+fn delta_speedup(delta: &BenchPoint, full: &BenchPoint, stat: fn(&StageStats) -> f64) -> f64 {
+    let total = |p: &BenchPoint| stat(&p.distribute) + stat(&p.schedule);
+    total(full) / total(delta)
 }
 
-/// The p50 counterpart of [`delta_speedup`] — the typical-delta ratio
-/// (per-stage medians, so the bimodal corridor/off-corridor mix is
-/// summarised, not hidden).
-fn delta_speedup_p50(points: &[BenchPoint]) -> Option<f64> {
-    let total = |label: &str| {
-        let p = points.iter().find(|p| p.size == label)?;
-        Some((p.distribute.p50_us? + p.schedule.p50_us?) as f64)
-    };
-    Some(total(DELTA_FULL_LABEL)? / total(DELTA_LABEL)?)
-}
-
-/// The CI bench guard: compares this run's schedule-stage means at the
-/// stress and incremental-delta points against the `baseline` run's,
-/// failing on a regression beyond `max_regression_pct`. Only those points
-/// are guarded — they carry the largest absolute schedule times, so their
-/// ratio is the most stable signal across machines. When the run carries
-/// both delta points, the guard additionally enforces the
-/// [`DELTA_SPEEDUP_FLOOR`] and [`DELTA_P50_SPEEDUP_FLOOR`] on the
-/// incremental-vs-full speedup.
-fn guard_schedule_stage(
-    current: &[BenchPoint],
-    baseline: &BenchRun,
-    max_regression_pct: f64,
-) -> Result<(), String> {
-    let guarded = |size: &str| size == STRESS_LABEL || size == DELTA_LABEL;
-    let find = |size: &str, metric: &str| {
-        current
-            .iter()
-            .find(|p| p.size == size && p.metric == metric)
-            .map(|p| p.schedule.mean_us)
-    };
-    let mut checked = 0usize;
-    for point in baseline.points.iter().filter(|p| guarded(&p.size)) {
-        let Some(current_mean) = find(&point.size, &point.metric) else {
-            continue;
-        };
-        let baseline_mean = point.schedule.mean_us;
-        let limit = baseline_mean * (1.0 + max_regression_pct / 100.0);
+/// The CI bench guard: the schedule-stage means at the stress and
+/// incremental-delta points must stay within their stated limits — those
+/// points carry the largest absolute schedule times, so they are the most
+/// stable signal across machines — and the incremental-vs-full speedup
+/// must clear [`DELTA_SPEEDUP_FLOOR`] and [`DELTA_P50_SPEEDUP_FLOOR`].
+fn guard(stress: &BenchPoint, delta: &BenchPoint, delta_full: &BenchPoint) -> Result<(), String> {
+    for (point, limit) in [
+        (stress, STRESS_SCHEDULE_LIMIT_US),
+        (delta, DELTA_SCHEDULE_LIMIT_US),
+    ] {
+        let mean = point.schedule.mean_us;
         eprintln!(
-            "guard: {} × {:<5} schedule mean {:>9.1}us (baseline {:>9.1}us, limit {:>9.1}us)",
-            point.size, point.metric, current_mean, baseline_mean, limit
+            "guard: {} × {:<5} schedule mean {mean:>9.1}us (limit {limit:>9.1}us)",
+            point.label, point.metric
         );
-        if current_mean > limit {
+        if mean > limit {
             return Err(format!(
                 "schedule-stage regression at the {} point ({}): \
-                 {current_mean:.1}us vs baseline {baseline_mean:.1}us \
-                 (> {max_regression_pct}% over)",
-                point.size, point.metric
+                 {mean:.1}us over the {limit}us limit",
+                point.label, point.metric
             ));
         }
-        checked += 1;
     }
-    if checked == 0 {
+    let speedup = delta_speedup(delta, delta_full, |s| s.mean_us);
+    let p50 = delta_speedup(delta, delta_full, |s| s.p50_us as f64);
+    eprintln!(
+        "guard: delta speedup mean {speedup:.1}x (floor {DELTA_SPEEDUP_FLOOR}x), \
+         p50 {p50:.1}x (floor {DELTA_P50_SPEEDUP_FLOOR}x)"
+    );
+    if speedup < DELTA_SPEEDUP_FLOOR {
         return Err(format!(
-            "baseline run `{}` has no `{STRESS_LABEL}`/`{DELTA_LABEL}` points matching this run",
-            baseline.label
+            "incremental delta mean speedup {speedup:.1}x fell below the \
+             {DELTA_SPEEDUP_FLOOR}x floor"
         ));
     }
-    if let Some(speedup) = delta_speedup(current) {
-        let p50 = delta_speedup_p50(current);
-        let p50_text = p50
-            .map(|s| format!(", p50 {s:.1}x (floor {DELTA_P50_SPEEDUP_FLOOR}x)"))
-            .unwrap_or_default();
-        eprintln!(
-            "guard: delta speedup mean {speedup:.1}x (floor {DELTA_SPEEDUP_FLOOR}x){p50_text}"
-        );
-        if speedup < DELTA_SPEEDUP_FLOOR {
-            return Err(format!(
-                "incremental delta mean speedup {speedup:.1}x fell below the \
-                 {DELTA_SPEEDUP_FLOOR}x floor"
-            ));
-        }
-        if let Some(p50) = p50 {
-            if p50 < DELTA_P50_SPEEDUP_FLOOR {
-                return Err(format!(
-                    "incremental delta p50 speedup {p50:.1}x fell below the \
-                     {DELTA_P50_SPEEDUP_FLOOR}x floor"
-                ));
-            }
-        }
+    if p50 < DELTA_P50_SPEEDUP_FLOOR {
+        return Err(format!(
+            "incremental delta p50 speedup {p50:.1}x fell below the \
+             {DELTA_P50_SPEEDUP_FLOOR}x floor"
+        ));
     }
     Ok(())
 }
@@ -415,6 +360,9 @@ fn guard_schedule_stage(
 /// the stress point's is affordable and stabilises the paired median the
 /// gate compares.
 const OVERHEAD_ITERATIONS: usize = 200;
+
+/// Overhead-gate attempts before the gate fails.
+const OVERHEAD_ATTEMPTS: usize = 3;
 
 /// The observatory overhead gate: schedules the stress workload twice per
 /// iteration over identical seeds — once bare, once wrapped in the exact
@@ -511,7 +459,7 @@ fn overhead_gate(iterations: usize, max_overhead_pct: f64) -> Result<(), String>
     let mut balanced: Vec<f64> = diffs.chunks_exact(2).map(|p| (p[0] + p[1]) / 2.0).collect();
     balanced.sort_unstable_by(f64::total_cmp);
     let median_diff = balanced[balanced.len() / 2];
-    let bare_p50 = bare.p50_us.expect("measured stats carry a median") as f64;
+    let bare_p50 = bare.p50_us as f64;
     let overhead_pct = median_diff / bare_p50 * 100.0;
     eprintln!(
         "overhead gate: bare p50 {bare_p50:.0}us, paired median diff {median_diff:+.0}us \
@@ -527,131 +475,120 @@ fn overhead_gate(iterations: usize, max_overhead_pct: f64) -> Result<(), String>
     Ok(())
 }
 
-struct Args {
-    iterations: Option<usize>,
-    guard: Option<String>,
-    baseline: String,
-    guard_pct: f64,
-    overhead_gate: bool,
-    overhead_attempts: usize,
-    overhead_pct: f64,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        iterations: None,
-        guard: None,
-        baseline: "BENCH_pipeline.json".to_owned(),
-        guard_pct: 25.0,
-        overhead_gate: false,
-        overhead_pct: 2.0,
-        overhead_attempts: 3,
-    };
+/// Parses the one flag, `--overhead-pct F`: the overhead gate's budget in
+/// percent (default 2).
+fn parse_overhead_pct() -> f64 {
+    let mut overhead_pct = 2.0;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
         match arg.as_str() {
-            "--iterations" => {
-                args.iterations = Some(
-                    value("--iterations")
-                        .parse()
-                        .expect("--iterations takes a positive integer"),
-                )
-            }
-            "--guard" => args.guard = Some(value("--guard")),
-            "--baseline" => args.baseline = value("--baseline"),
-            "--guard-pct" => {
-                args.guard_pct = value("--guard-pct")
-                    .parse()
-                    .expect("--guard-pct takes a number (percent)")
-            }
-            "--overhead-gate" => args.overhead_gate = true,
             "--overhead-pct" => {
-                args.overhead_pct = value("--overhead-pct")
-                    .parse()
+                overhead_pct = it
+                    .next()
+                    .and_then(|value| value.parse().ok())
                     .expect("--overhead-pct takes a number (percent)")
             }
-            "--overhead-attempts" => {
-                args.overhead_attempts = value("--overhead-attempts")
-                    .parse()
-                    .expect("--overhead-attempts takes a positive integer")
-            }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: bench [--iterations N] [--guard LABEL] [--baseline PATH] \
-                     [--guard-pct F] [--overhead-gate] [--overhead-pct F] \
-                     [--overhead-attempts N]"
-                );
+                eprintln!("usage: bench [--overhead-pct F]");
                 std::process::exit(0);
             }
             other => panic!("unknown argument `{other}` (try --help)"),
         }
     }
-    args
+    overhead_pct
 }
 
 fn main() {
-    let args = parse_args();
+    let overhead_pct = parse_overhead_pct();
 
     // The delta pair runs first: its 64 solves warm the process (allocator,
     // caches, clock) before the few-iteration stress point is timed.
-    let (delta, delta_full) = measure_delta(args.iterations.unwrap_or(4).max(1));
-    let stress = measure_stress(args.iterations.unwrap_or(6).max(1));
-    let points = [stress, delta, delta_full];
-    for point in &points {
+    let (delta, delta_full) = measure_delta(DELTA_GRAPHS);
+    let stress = measure_stress(STRESS_GRAPHS);
+    for point in [&stress, &delta, &delta_full] {
         eprintln!(
             "{:>17} × {:<5} distribute {:>11.1}us  schedule {:>9.1}us",
-            point.size, point.metric, point.distribute.mean_us, point.schedule.mean_us,
+            point.label, point.metric, point.distribute.mean_us, point.schedule.mean_us,
         );
     }
-    if let Some(speedup) = delta_speedup(&points) {
-        let p50 = delta_speedup_p50(&points)
-            .map(|s| format!(", p50 {s:.1}x"))
-            .unwrap_or_default();
-        eprintln!(
-            "delta speedup: {speedup:.1}x{p50} (incremental vs from-scratch, distribute+schedule)"
-        );
+    if let Err(message) = guard(&stress, &delta, &delta_full) {
+        eprintln!("bench guard FAILED: {message}");
+        std::process::exit(2);
     }
+    eprintln!("bench guard passed");
 
-    if let Some(baseline_label) = &args.guard {
-        let baseline_file: BenchFile = std::fs::read_to_string(&args.baseline)
-            .ok()
-            .and_then(|text| serde_json::from_str(&text).ok())
-            .unwrap_or_else(|| panic!("cannot read guard baseline {}", args.baseline));
-        let baseline = baseline_file
-            .runs
-            .iter()
-            .rev()
-            .find(|r| &r.label == baseline_label)
-            .unwrap_or_else(|| panic!("no run labelled `{baseline_label}` in {}", args.baseline));
-        if let Err(message) = guard_schedule_stage(&points, baseline, args.guard_pct) {
-            eprintln!("bench guard FAILED: {message}");
-            std::process::exit(2);
-        }
-        eprintln!("bench guard passed against `{baseline_label}`");
-    }
-
-    if args.overhead_gate {
-        let iterations = args.iterations.unwrap_or(OVERHEAD_ITERATIONS).max(2);
-        let attempts = args.overhead_attempts.max(1);
-        let mut outcome = Err(String::new());
-        for attempt in 1..=attempts {
-            outcome = overhead_gate(iterations, args.overhead_pct);
-            match &outcome {
-                // Noise only inflates the paired difference: one attempt
-                // under budget proves the true cost is under budget.
-                Ok(()) => break,
-                Err(message) => {
-                    eprintln!("overhead gate attempt {attempt}/{attempts}: {message}")
-                }
+    let mut outcome = Err(String::new());
+    for attempt in 1..=OVERHEAD_ATTEMPTS {
+        outcome = overhead_gate(OVERHEAD_ITERATIONS, overhead_pct);
+        match &outcome {
+            // Noise only inflates the paired difference: one attempt under
+            // budget proves the true cost is under budget.
+            Ok(()) => break,
+            Err(message) => {
+                eprintln!("overhead gate attempt {attempt}/{OVERHEAD_ATTEMPTS}: {message}")
             }
         }
-        if let Err(message) = outcome {
-            eprintln!("overhead gate FAILED: {message}");
-            std::process::exit(2);
+    }
+    if let Err(message) = outcome {
+        eprintln!("overhead gate FAILED: {message}");
+        std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The schedule-stage mean of the `label` × `metric` point in the last
+    /// run labelled `post-pr7` of the frozen pipeline history.
+    fn post_pr7_schedule_mean(label: &str, metric: &str) -> f64 {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
+        let text = std::fs::read_to_string(path).expect("the frozen history is readable");
+        let file: serde_json::Value = serde_json::from_str(&text).expect("the history parses");
+        let field = |value: &serde_json::Value, name: &str| {
+            let entries = value.as_object().expect("an object");
+            entries
+                .iter()
+                .find(|(key, _)| key == name)
+                .map(|(_, value)| value.clone())
+                .unwrap_or_else(|| panic!("no field `{name}`"))
+        };
+        let runs = field(&file, "runs");
+        let run = runs
+            .as_array()
+            .expect("runs is an array")
+            .iter()
+            .rev()
+            .find(|run| field(run, "label").as_str() == Some("post-pr7"))
+            .expect("a post-pr7 run");
+        let points = field(run, "points");
+        let point = points
+            .as_array()
+            .expect("points is an array")
+            .iter()
+            .find(|p| {
+                field(p, "size").as_str() == Some(label)
+                    && field(p, "metric").as_str() == Some(metric)
+            })
+            .unwrap_or_else(|| panic!("no {label} × {metric} point"))
+            .clone();
+        match field(&field(&point, "schedule"), "mean_us") {
+            serde_json::Value::F64(mean) => mean,
+            other => panic!("mean_us is not a number: {other:?}"),
         }
+    }
+
+    /// The stated limits are exactly the limits the guard used to compute
+    /// from the frozen history: the post-pr7 means plus 25%.
+    #[test]
+    fn guard_limits_are_the_post_pr7_means_plus_25_percent() {
+        assert_eq!(
+            STRESS_SCHEDULE_LIMIT_US,
+            post_pr7_schedule_mean(STRESS_LABEL, "ADAPT") * 1.25
+        );
+        assert_eq!(
+            DELTA_SCHEDULE_LIMIT_US,
+            post_pr7_schedule_mean(DELTA_LABEL, "THRES") * 1.25
+        );
     }
 }

@@ -70,7 +70,7 @@ use taskgraph::{TaskGraph, Time};
 use crate::error::AdmitError;
 use crate::fault::{self, FaultPlan, FaultSite};
 use crate::pipeline::{Pipeline, SharedSliceCache, SliceOutput, Sliced, Verdict};
-use crate::runner::fingerprint;
+use crate::runner::{fingerprint, Runner};
 use crate::scenario::Scenario;
 use crate::sealed_log::{self, seal, sealed_line, SealedLine, SealedLog};
 use crate::{telemetry, RunError};
@@ -92,10 +92,6 @@ pub struct AdmitConfig {
     pub capacity: usize,
     /// Number of parallel slicer workers in an [`AdmissionService`].
     pub workers: usize,
-    /// Per-service budget of individually logged deadline-miss warnings;
-    /// misses beyond it are counted silently (see [`MissLog`]). The same
-    /// budget bounds structural-fallback WARNs.
-    pub miss_warn_limit: u64,
     /// The capacity bound's victim-selection policy (default
     /// [`OldestFirst`]). Part of the WAL fingerprint: recovery refuses a
     /// log written under a different policy.
@@ -131,9 +127,11 @@ pub struct AdmitConfig {
 
 impl AdmitConfig {
     /// A configuration with service defaults: queue depth 256, capacity
-    /// 64 residents, 4 slicer workers, 8 logged miss warnings,
-    /// oldest-first eviction, no shedding, no write-ahead log, the
-    /// feasibility pre-filter on, and a 64-entry slice cache.
+    /// 64 residents, 4 slicer workers, oldest-first eviction, no
+    /// shedding, no write-ahead log, no fault plan, the feasibility
+    /// pre-filter on, and a 64-entry slice cache. Deadline-miss and
+    /// structural-fallback WARNs are each capped at
+    /// [`Runner::MISS_WARN_LIMIT`] lines per service.
     pub fn new(scenario: Scenario, system_size: usize) -> AdmitConfig {
         AdmitConfig {
             scenario,
@@ -141,7 +139,6 @@ impl AdmitConfig {
             queue_depth: 256,
             capacity: 64,
             workers: 4,
-            miss_warn_limit: 8,
             eviction: Arc::new(OldestFirst),
             decision_budget: None,
             wal_path: None,
@@ -169,13 +166,6 @@ impl AdmitConfig {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the deadline-miss warning budget.
-    #[must_use]
-    pub fn with_miss_warn_limit(mut self, limit: u64) -> Self {
-        self.miss_warn_limit = limit;
         self
     }
 
@@ -824,8 +814,8 @@ pub struct AdmissionController {
     miss_log: Arc<MissLog>,
     /// The durable transcript, when [`AdmitConfig::wal_path`] is set.
     wal: Option<WalWriter>,
-    /// Remaining individually-logged structural-fallback WARNs (shares
-    /// the [`AdmitConfig::miss_warn_limit`] budget size).
+    /// Remaining individually-logged structural-fallback WARNs (a budget
+    /// of [`Runner::MISS_WARN_LIMIT`]).
     fallback_warns: u64,
     /// The cross-request slice cache, when enabled — shared with every
     /// slicer worker of an [`AdmissionService`] built on this controller.
@@ -847,7 +837,7 @@ impl AdmissionController {
             .build(config.system_size, config.scenario.cost_per_item);
         let platform =
             Platform::homogeneous(config.system_size, topology).map_err(RunError::Platform)?;
-        let miss_log = Arc::new(MissLog::new(config.miss_warn_limit));
+        let miss_log = Arc::new(MissLog::new(Runner::MISS_WARN_LIMIT));
         let slice_cache: Option<SharedSliceCache> = if config.slice_cache > 0 {
             Some(Arc::new(Mutex::new(slicing::SliceCache::new(
                 config.slice_cache,
@@ -855,11 +845,7 @@ impl AdmissionController {
         } else {
             None
         };
-        let mut pipeline = Pipeline::new(&config.scenario).with_delta_memo();
-        if let Some(cache) = &slice_cache {
-            pipeline = pipeline.with_slice_cache(Arc::clone(cache));
-        }
-        pipeline.set_miss_log(Some(Arc::clone(&miss_log)));
+        let pipeline = service_pipeline(&config.scenario, slice_cache.as_ref(), &miss_log);
         let state = CommittedState::new(config.system_size, config.scenario.scheduler.bus_model);
         let wal = match &config.wal_path {
             Some(path) => Some(WalWriter::new(
@@ -876,7 +862,7 @@ impl AdmissionController {
             )),
             None => None,
         };
-        let fallback_warns = config.miss_warn_limit;
+        let fallback_warns = Runner::MISS_WARN_LIMIT;
         Ok(AdmissionController {
             config,
             platform,
@@ -1077,9 +1063,11 @@ impl AdmissionController {
             .flatten();
         let sliced = match prefiltered {
             Some(reject) => Err(AdmitError::Prefilter(reject)),
+            // A fresh memo records the slice, so the resident's first
+            // amendment already re-slices incrementally.
             None => self
                 .pipeline
-                .slice(&graph, &self.platform)
+                .slice_with(&graph, &self.platform, Some(Arc::default()))
                 .map(Sliced::into_parts)
                 .map_err(AdmitError::Trial),
         };
@@ -1402,9 +1390,10 @@ impl AdmissionController {
     }
 
     /// Slices `resident`'s amended `graph` against the resident's own
-    /// delta memo and stores the memo back, now describing `graph`.
-    /// Amended graphs are per-resident mutations, so the cross-request
-    /// cache is bypassed (see `Pipeline::suspend_slice_cache`).
+    /// delta memo — a fresh one when a memo-less slicer worker sliced it —
+    /// and stores the memo back, now describing `graph`. Amended graphs
+    /// are per-resident mutations, so the cross-request cache is bypassed
+    /// (see `Pipeline::suspend_slice_cache`).
     fn reslice(
         &mut self,
         graph: &TaskGraph,
@@ -1413,7 +1402,11 @@ impl AdmissionController {
         let cache = self.pipeline.suspend_slice_cache();
         let sliced = self
             .pipeline
-            .slice_with(graph, &self.platform, resident.memo.take())
+            .slice_with(
+                graph,
+                &self.platform,
+                Some(resident.memo.take().unwrap_or_default()),
+            )
             .map(Sliced::into_parts);
         self.pipeline.resume_slice_cache(cache);
         let (output, memo) = sliced?;
@@ -1497,10 +1490,26 @@ impl AdmissionController {
     }
 
     /// The shared deadline-miss warning budget (see
-    /// [`AdmitConfig::miss_warn_limit`]).
+    /// [`Runner::MISS_WARN_LIMIT`]).
     pub fn miss_log(&self) -> &Arc<MissLog> {
         &self.miss_log
     }
+}
+
+/// The pipeline the controller and each of its slicer workers run: the
+/// scenario's, attached to the service's shared slice cache (when on) and
+/// deadline-miss log.
+fn service_pipeline(
+    scenario: &Scenario,
+    slice_cache: Option<&SharedSliceCache>,
+    miss_log: &Arc<MissLog>,
+) -> Pipeline {
+    let mut pipeline = Pipeline::new(scenario);
+    if let Some(cache) = slice_cache {
+        pipeline = pipeline.with_slice_cache(Arc::clone(cache));
+    }
+    pipeline.set_miss_log(Some(Arc::clone(miss_log)));
+    pipeline
 }
 
 /// A slicing job shipped to a worker: stage one never reads committed
@@ -1638,14 +1647,8 @@ impl AdmissionService {
             let worker = std::thread::Builder::new()
                 .name(format!("admit-slicer-{index}"))
                 .spawn(move || {
-                    let attach = |mut pipeline: Pipeline| {
-                        if let Some(cache) = &slice_cache {
-                            pipeline = pipeline.with_slice_cache(Arc::clone(cache));
-                        }
-                        pipeline.set_miss_log(Some(Arc::clone(&miss_log)));
-                        pipeline
-                    };
-                    let mut pipeline = attach(Pipeline::new(&scenario));
+                    let build = || service_pipeline(&scenario, slice_cache.as_ref(), &miss_log);
+                    let mut pipeline = build();
                     let mut batch: Vec<WorkerJob> = Vec::with_capacity(WORKER_BATCH);
                     loop {
                         // Take the receiver lock only to dequeue; slicing
@@ -1705,15 +1708,18 @@ impl AdmissionService {
                                     ) {
                                         panic!("injected admission worker panic");
                                     }
+                                    // No memo: a traced slice costs more,
+                                    // and the resident's first amendment
+                                    // records one (`reslice`).
                                     pipeline
                                         .slice(&job.graph, &platform)
-                                        .map(Sliced::into_output)
+                                        .map(|sliced| sliced.into_parts().0)
                                 }));
                                 match sliced {
                                     Ok(Ok(output)) => Ok(output),
                                     Ok(Err(e)) => Err(AdmitError::Trial(e)),
                                     Err(_) => {
-                                        pipeline = attach(Pipeline::new(&scenario));
+                                        pipeline = build();
                                         Err(AdmitError::WorkerFailed { stage: "slice" })
                                     }
                                 }
@@ -2286,6 +2292,48 @@ mod tests {
                 assert_eq!(Arc::as_ptr(&entry), before);
             }
         }
+    }
+
+    /// A resident a slicer worker sliced carries no memo; its first
+    /// amendment records one, so its second amendment re-slices
+    /// incrementally.
+    #[test]
+    fn a_memo_less_resident_records_its_memo_on_its_first_amendment() {
+        let tighten = |subtask, wcet| {
+            GraphDelta::new().push(DeltaOp::SetWcet {
+                subtask: SubtaskId::new(subtask),
+                wcet: Time::new(wcet),
+            })
+        };
+        let mut controller = AdmissionController::new(config(8)).unwrap();
+        // The worker path: a plain slice, decided without a memo.
+        let template = graph(5);
+        let (output, _) = controller
+            .pipeline
+            .slice(&template, &controller.platform)
+            .unwrap()
+            .into_parts();
+        let admitted = controller.decide(1, &template, Time::ZERO, output, None);
+        assert!(admitted.unwrap().admitted);
+        assert!(controller.residents[&1].memo.is_none());
+
+        assert!(controller.amend(1, &tighten(2, 25)).unwrap().admitted);
+        let memo = controller.residents[&1].memo.as_ref();
+        assert!(memo.is_some_and(|memo| memo.is_primed()));
+
+        // The second amendment's re-slice, step by step as `amend` runs it.
+        let mut resident = controller.residents.remove(&1).unwrap();
+        let pins = controller
+            .config
+            .scenario
+            .pinning
+            .build(&resident.graph, &controller.platform)
+            .unwrap();
+        let amended = tighten(3, 20).apply(&resident.graph, &pins).unwrap().graph;
+        let output = controller.reslice(&amended, &mut resident).unwrap();
+        let stats = output.redistribute.expect("re-sliced through a memo");
+        assert!(!stats.fell_back, "{stats:?}");
+        assert!(stats.scanned_nodes > 0, "{stats:?}");
     }
 
     /// A cache hit shares the entry's memo rather than copying it, and a

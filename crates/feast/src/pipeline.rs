@@ -5,8 +5,7 @@
 //! deadlines, build the scheduler from the scenario's spec, list-schedule —
 //! plus the always-on audits and the lateness measurement. [`Pipeline`]
 //! owns that wiring once: it is configured from a [`Scenario`], holds the
-//! per-worker [`SchedWorkspace`] (and optionally records a [`SliceMemo`]
-//! for incremental re-slicing), and exposes the whole pipeline as
+//! per-worker [`SchedWorkspace`], and exposes the whole pipeline as
 //!
 //! ```text
 //! Pipeline::new(&scenario).slice(&graph, &platform)?.trial(&platform)?  →  Verdict
@@ -22,7 +21,9 @@
 //! only on the graph and the platform *shape* (never on committed load),
 //! so an admission service can slice requests on parallel workers and
 //! trial them serially against the platform's [`CommittedState`] — see
-//! [`Sliced::into_output`] and [`Pipeline::trial_output_against`].
+//! [`Sliced::into_parts`] and [`Pipeline::trial_output_against`]. A caller
+//! that will re-slice an amended graph passes a [`SliceMemo`] to
+//! [`Pipeline::slice_with`] and keeps the memo it gets back.
 //!
 //! [`Runner`]: crate::Runner
 //! [`AdmissionController`]: crate::AdmissionController
@@ -119,9 +120,6 @@ pub struct Pipeline {
     spec: SchedulerSpec,
     pinning: PinningPolicy,
     ws: SchedWorkspace,
-    /// Whether slicing runs record a [`SliceMemo`] when the caller passes
-    /// none ([`Pipeline::with_delta_memo`]).
-    delta: bool,
     cache: Option<SharedSliceCache>,
 }
 
@@ -150,25 +148,8 @@ impl Pipeline {
             spec: scenario.scheduler,
             pinning: scenario.pinning,
             ws: SchedWorkspace::new(),
-            delta: false,
             cache: None,
         }
-    }
-
-    /// Enables memo recording: a slicing run the cache does not answer
-    /// goes through [`Slicer::redistribute`] into a [`SliceMemo`] — a
-    /// fresh one unless the caller of [`slice_with`](Pipeline::slice_with)
-    /// hands in its own — and [`Sliced::into_parts`] gives that memo back
-    /// to the caller, who keeps it with the graph it describes. Re-slicing
-    /// a lightly-amended graph against it later reuses the unaffected
-    /// per-start searches. Output is bit-identical either way; baselines
-    /// record nothing.
-    ///
-    /// [`Slicer::redistribute`]: slicing::Slicer::redistribute
-    #[must_use]
-    pub fn with_delta_memo(mut self) -> Self {
-        self.delta = true;
-        self
     }
 
     /// Attaches a shared cross-request slice cache:
@@ -251,14 +232,17 @@ impl Pipeline {
         self.slice_with(graph, platform, None)
     }
 
-    /// [`slice`](Pipeline::slice) against a caller-owned delta memo: a
-    /// slicing run redistributes against `memo` (copying it first only
-    /// while a cache entry still shares it), or against a fresh memo when
-    /// `memo` is `None` and the pipeline records memos
-    /// ([`with_delta_memo`](Pipeline::with_delta_memo)). A cache hit hands
-    /// out the entry's memo instead, when it has one. Either way the memo
-    /// that now describes `graph` comes back through
-    /// [`Sliced::into_parts`].
+    /// [`slice`](Pipeline::slice) with a caller-owned delta memo. `None`
+    /// runs plain distribution and records nothing. `Some` runs
+    /// [`Slicer::redistribute`] against the memo — copying it first only
+    /// while a cache entry still shares it — so a fresh memo records the
+    /// run and a memo of an earlier version of `graph` reuses its
+    /// unaffected per-start searches; [`Sliced::into_parts`] hands the memo
+    /// back, now describing `graph`, for the caller to keep with it. A
+    /// cache hit hands out the entry's memo instead, when it has one.
+    /// Output is bit-identical either way; baselines record nothing.
+    ///
+    /// [`Slicer::redistribute`]: slicing::Slicer::redistribute
     ///
     /// # Errors
     ///
@@ -267,7 +251,7 @@ impl Pipeline {
         &'p mut self,
         graph: &'g TaskGraph,
         platform: &'g Platform,
-        memo: Option<Arc<SliceMemo>>,
+        mut memo: Option<Arc<SliceMemo>>,
     ) -> Result<Sliced<'p, 'g>, RunError> {
         let started = Instant::now();
         // Cross-request cache probe: a full-content key hit returns the
@@ -298,10 +282,6 @@ impl Pipeline {
             }
             telemetry::global().slice_cache_misses.inc();
         }
-        let mut memo = match (&self.distributor, memo) {
-            (Distributor::Slicing(_), None) if self.delta => Some(Arc::new(SliceMemo::new())),
-            (_, memo) => memo,
-        };
         let (assignment, redistribute) = match (&self.distributor, &mut memo) {
             (Distributor::Slicing(slicer), None) => (slicer.distribute(graph, platform)?, None),
             (Distributor::Slicing(slicer), Some(memo)) => {
@@ -363,28 +343,11 @@ impl Pipeline {
         }
     }
 
-    /// Stage two against an empty platform: schedules a detached slice
-    /// product and measures it. [`Sliced::trial`] is the fluent form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::Platform`] for an invalid pinning and
-    /// [`RunError::Sched`] when scheduling fails.
-    pub fn trial_output(
-        &mut self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        output: SliceOutput,
-    ) -> Result<Verdict, RunError> {
-        self.trial_inner(graph, platform, output, None)
-    }
-
     /// Stage two against committed load: re-anchors the slice product at
     /// `origin` (every window shifted uniformly), trial-schedules it
     /// around `base`'s reservations, and measures the predicted lateness.
     /// `base` is untouched — an admission service commits the verdict's
-    /// schedule only on admit. [`Sliced::trial_against`] is the fluent
-    /// form.
+    /// schedule only on admit.
     ///
     /// # Errors
     ///
@@ -547,7 +510,7 @@ impl Pipeline {
 /// A graph with its deadlines distributed, bound to the pipeline that
 /// produced it: stage one's result, ready for a trial. Borrow-holds the
 /// pipeline so the fluent chain reuses its workspace; a pipelined service
-/// detaches the owned product with [`into_output`](Sliced::into_output)
+/// detaches the owned product with [`into_parts`](Sliced::into_parts)
 /// instead.
 #[derive(Debug)]
 pub struct Sliced<'p, 'g> {
@@ -558,27 +521,12 @@ pub struct Sliced<'p, 'g> {
 }
 
 impl Sliced<'_, '_> {
-    /// The distributed deadline assignment (graph-local time).
-    pub fn assignment(&self) -> &DeadlineAssignment {
-        &self.output.assignment
-    }
-
-    /// Structural window violations found by the always-on audit.
-    pub fn window_violations(&self) -> usize {
-        self.output.window_violations
-    }
-
-    /// Detaches the owned slice product, releasing the pipeline borrow.
-    /// The product is `Send`: an admission service slices on worker
-    /// threads and ships products to the coordinator that owns the
-    /// committed state.
-    pub fn into_output(self) -> SliceOutput {
-        self.output
-    }
-
-    /// [`into_output`](Sliced::into_output) plus the delta memo that
-    /// describes the sliced graph (see [`Pipeline::slice_with`]), for a
-    /// caller that keeps it with the graph.
+    /// Detaches the owned slice product and the delta memo that describes
+    /// the sliced graph (see [`Pipeline::slice_with`]), releasing the
+    /// pipeline borrow. The product is `Send`: an admission service slices
+    /// on worker threads and ships products to the coordinator that owns
+    /// the committed state, which trials them with
+    /// [`Pipeline::trial_output_against`].
     pub fn into_parts(self) -> (SliceOutput, Option<Arc<SliceMemo>>) {
         (self.output, self.memo)
     }
@@ -589,28 +537,11 @@ impl Sliced<'_, '_> {
     ///
     /// # Errors
     ///
-    /// Exactly those of [`Pipeline::trial_output`].
+    /// Returns [`RunError::Platform`] for an invalid pinning and
+    /// [`RunError::Sched`] when scheduling fails.
     pub fn trial(self, platform: &Platform) -> Result<Verdict, RunError> {
         self.pipeline
-            .trial_output(self.graph, platform, self.output)
-    }
-
-    /// Trial-schedules around `base`'s committed reservations with every
-    /// window re-anchored at `origin`, leaving `base` untouched.
-    ///
-    /// `platform` must be the platform the graph was sliced for.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Pipeline::trial_output_against`].
-    pub fn trial_against(
-        self,
-        platform: &Platform,
-        base: &CommittedState,
-        origin: Time,
-    ) -> Result<Verdict, RunError> {
-        self.pipeline
-            .trial_output_against(self.graph, platform, self.output, base, origin)
+            .trial_inner(self.graph, platform, self.output, None)
     }
 }
 
@@ -630,9 +561,8 @@ pub struct SliceOutput {
     pub distribute: Duration,
     /// Wall-clock of the window audit (accounted to the audit stage).
     pub window_audit: Duration,
-    /// Cache-effectiveness counters when the pipeline re-sliced through a
-    /// delta memo ([`Pipeline::with_delta_memo`]); `None` for plain
-    /// distribution.
+    /// Cache-effectiveness counters when the slice ran through a delta
+    /// memo ([`Pipeline::slice_with`]); `None` for plain distribution.
     pub redistribute: Option<RedistributeStats>,
 }
 
@@ -706,6 +636,21 @@ mod tests {
         generate_seeded(&WorkloadSpec::paper(ExecVariation::Mdet), seed).unwrap()
     }
 
+    /// Slices `graph` and trials the detached product against `state` at
+    /// `origin`, as admission does.
+    fn trial_against(
+        pipeline: &mut Pipeline,
+        graph: &TaskGraph,
+        platform: &Platform,
+        state: &CommittedState,
+        origin: Time,
+    ) -> Verdict {
+        let (output, _) = pipeline.slice(graph, platform).unwrap().into_parts();
+        pipeline
+            .trial_output_against(graph, platform, output, state, origin)
+            .unwrap()
+    }
+
     #[test]
     fn facade_matches_hand_wired_pipeline() {
         let scenario = paper_scenario();
@@ -752,11 +697,7 @@ mod tests {
             .unwrap()
             .trial(&platform)
             .unwrap();
-        let against = pipeline
-            .slice(&graph, &platform)
-            .unwrap()
-            .trial_against(&platform, &state, Time::ZERO)
-            .unwrap();
+        let against = trial_against(&mut pipeline, &graph, &platform, &state, Time::ZERO);
 
         assert_eq!(against.schedule, plain.schedule);
         assert_eq!(against.max_lateness, plain.max_lateness);
@@ -773,16 +714,8 @@ mod tests {
         let origin = Time::new(10_000);
 
         let mut pipeline = Pipeline::new(&scenario);
-        let at_zero = pipeline
-            .slice(&graph, &platform)
-            .unwrap()
-            .trial_against(&platform, &state, Time::ZERO)
-            .unwrap();
-        let at_origin = pipeline
-            .slice(&graph, &platform)
-            .unwrap()
-            .trial_against(&platform, &state, origin)
-            .unwrap();
+        let at_zero = trial_against(&mut pipeline, &graph, &platform, &state, Time::ZERO);
+        let at_origin = trial_against(&mut pipeline, &graph, &platform, &state, origin);
 
         // An empty platform is origin-invariant: the shifted trial is the
         // zero trial translated wholesale.
@@ -801,28 +734,16 @@ mod tests {
         let mut state = CommittedState::new(4, scenario.scheduler.bus_model);
         let mut pipeline = Pipeline::new(&scenario);
 
-        let first = pipeline
-            .slice(&graph, &platform)
-            .unwrap()
-            .trial_against(&platform, &state, Time::ZERO)
-            .unwrap();
+        let first = trial_against(&mut pipeline, &graph, &platform, &state, Time::ZERO);
         state.commit(&first.schedule).unwrap();
         let digest = state.digest();
 
         // Trials are read-only: same state in, same verdict out, digest
         // unchanged.
-        let probe = pipeline
-            .slice(&graph, &platform)
-            .unwrap()
-            .trial_against(&platform, &state, Time::new(50))
-            .unwrap();
+        let probe = trial_against(&mut pipeline, &graph, &platform, &state, Time::new(50));
         assert_eq!(state.digest(), digest);
         assert_eq!(state.residents(), 1);
-        let again = pipeline
-            .slice(&graph, &platform)
-            .unwrap()
-            .trial_against(&platform, &state, Time::new(50))
-            .unwrap();
+        let again = trial_against(&mut pipeline, &graph, &platform, &state, Time::new(50));
         assert_eq!(probe.schedule, again.schedule);
     }
 
@@ -836,9 +757,13 @@ mod tests {
         let graph = workload(4);
         let platform = Platform::paper(4).unwrap();
         let mut pipeline = Pipeline::new(&scenario);
-        let sliced = pipeline.slice(&graph, &platform).unwrap();
-        assert_eq!(sliced.window_violations(), 0);
-        let verdict = sliced.trial(&platform).unwrap();
+        let (output, _) = pipeline.slice(&graph, &platform).unwrap().into_parts();
+        assert_eq!(output.window_violations, 0);
+        let verdict = pipeline
+            .slice(&graph, &platform)
+            .unwrap()
+            .trial(&platform)
+            .unwrap();
         assert_eq!(verdict.window_violations, 0);
     }
 
@@ -848,27 +773,34 @@ mod tests {
         let graph = workload(9);
         let platform = Platform::paper(4).unwrap();
 
-        let mut plain = Pipeline::new(&scenario);
-        let mut memoized = Pipeline::new(&scenario).with_delta_memo();
+        let mut pipeline = Pipeline::new(&scenario);
+        let fresh = || Some(Arc::new(SliceMemo::new()));
 
-        let (a, none) = plain.slice(&graph, &platform).unwrap().into_parts();
-        let (b, memo) = memoized.slice(&graph, &platform).unwrap().into_parts();
+        // Without a memo the slice is plain distribution and records none.
+        let (a, none) = pipeline.slice(&graph, &platform).unwrap().into_parts();
+        let (b, memo) = pipeline
+            .slice_with(&graph, &platform, fresh())
+            .unwrap()
+            .into_parts();
         assert_eq!(a.assignment, b.assignment);
         assert!(a.redistribute.is_none() && none.is_none());
         assert!(b.redistribute.is_some());
 
         // Second pass over the same graph against the returned memo: it
         // now hits.
-        let c = memoized
+        let (c, _) = pipeline
             .slice_with(&graph, &platform, memo)
             .unwrap()
-            .into_output();
+            .into_parts();
         assert_eq!(c.assignment, a.assignment);
         let stats = c.redistribute.unwrap();
         assert!(!stats.fell_back);
 
-        // A call without a memo records into a fresh one.
-        let d = memoized.slice(&graph, &platform).unwrap().into_output();
+        // A fresh memo records the run from scratch.
+        let (d, _) = pipeline
+            .slice_with(&graph, &platform, fresh())
+            .unwrap()
+            .into_parts();
         assert_eq!(d.assignment, a.assignment);
         assert!(d.redistribute.unwrap().fell_back);
     }

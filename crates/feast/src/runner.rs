@@ -1016,7 +1016,9 @@ impl Runner {
 
     /// Per-scenario budget of full deadline-miss WARN lines; the
     /// rest are counted and summarised in one
-    /// [`RunEvent::DeadlineMissSummary`] at the end of the run.
+    /// [`RunEvent::DeadlineMissSummary`] at the end of the run. An
+    /// admission service applies the same budget to its deadline-miss and
+    /// structural-fallback WARNs.
     pub const MISS_WARN_LIMIT: u64 = 8;
 
     /// Minimum spacing between periodic `metrics.json` writes.

@@ -422,8 +422,10 @@ metrics! {
         admission_log_failures,
     }
     histograms {
-        /// Admission-decision service time: the trial-schedule plus
-        /// commit/discard critical section.
+        /// Admission-decision service time on the coordinator: for an
+        /// admit, the trial-schedule plus commit/discard critical section
+        /// (slicing ran before it); for an amendment, also applying the
+        /// delta and re-slicing the resident.
         #[serde(default)]
         admission,
         /// Submission-to-decision sojourn of non-shed requests, including
@@ -486,7 +488,8 @@ impl Registry {
     }
 
     /// Records one admission decision and the service time spent deciding
-    /// it (the trial-schedule + commit/discard critical section).
+    /// it: the trial-schedule + commit/discard critical section, plus, for
+    /// an amendment, applying the delta and re-slicing the resident.
     pub fn record_admission(&self, admitted: bool, elapsed: Duration) {
         if admitted {
             self.admissions_admitted.inc();
