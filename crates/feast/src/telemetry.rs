@@ -377,6 +377,11 @@ metrics! {
         /// denominator).
         #[serde(default)]
         delta_scanned_nodes,
+        /// Redistributions that fell back to a full traced run: every
+        /// memo recorded fresh (a controller admit that misses the slice
+        /// cache) plus every amendment the memo could not replay.
+        #[serde(default)]
+        delta_fallbacks,
         /// Admission requests answered with an admit verdict.
         #[serde(default)]
         admissions_admitted,
@@ -438,9 +443,12 @@ metrics! {
         Generate => generate,
         /// Deadline distribution (slicing or a baseline).
         Distribute => distribute,
-        /// Incremental re-slicing through a delta memo
-        /// ([`Slicer::redistribute`](slicing::Slicer::redistribute)),
-        /// including its fallbacks to a full traced run.
+        /// Re-slicing through a delta memo
+        /// ([`Slicer::redistribute`](slicing::Slicer::redistribute)):
+        /// incremental amendments and fallbacks to a full traced run alike.
+        /// A controller admit that misses the slice cache records a fresh
+        /// memo, so it lands here as a fallback; `delta_fallbacks` tells
+        /// the two apart.
         #[serde(default)]
         Redistribute => redistribute,
         /// List scheduling.
@@ -485,6 +493,9 @@ impl Registry {
         self.delta_cache_misses.add(stats.cache_misses);
         self.delta_dirty_nodes.add(stats.dirty_nodes);
         self.delta_scanned_nodes.add(stats.scanned_nodes);
+        if stats.fell_back {
+            self.delta_fallbacks.inc();
+        }
     }
 
     /// Records one admission decision and the service time spent deciding
@@ -975,6 +986,7 @@ mod tests {
         assert_eq!(r.delta_cache_misses.get(), 2);
         assert_eq!(r.delta_dirty_nodes.get(), 3);
         assert_eq!(r.delta_scanned_nodes.get(), 24);
+        assert_eq!(r.delta_fallbacks.get(), 0);
         assert_eq!(r.admissions_admitted.get(), 2);
         assert_eq!(r.admissions_rejected.get(), 1);
         assert_eq!(r.admissions_prefiltered.get(), 1);

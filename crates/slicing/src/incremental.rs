@@ -7,7 +7,7 @@
 //! per-node virtual times, and the accumulated `assigned`/release/deadline
 //! state at the top of an iteration, the chosen critical path — and hence
 //! the whole rest of the run — is a pure function of those inputs. A traced
-//! run therefore records, per iteration, a snapshot of that state plus the
+//! run therefore records the state each iteration starts from plus the
 //! *local* winner of every per-start DP search together with the search's
 //! **read set** (every node whose mutable state it touched, as a bitset).
 //!
@@ -44,11 +44,31 @@
 //! On top of the dirty rules, the replay tracks whether the state still
 //! **matches** the old snapshot (it does until a different winner is
 //! chosen, and again once a divergent region has been sliced away in both
-//! runs). On the matched prefix the per-node diff, the `classify` pass and
-//! the snapshot clones are all skipped: the old iteration's record is moved
-//! into the new trace wholesale and only the few weight-dirty nodes are
-//! consulted, so an identity or far-from-the-cone delta replays at memmove
-//! speed.
+//! runs). On the matched prefix the per-node diff and the `classify` pass
+//! are skipped and only the few weight-dirty nodes are consulted; an
+//! iteration they leave clean is copied into the new trace as a few short
+//! slice copies (its candidates, read sets and paths, never a per-node
+//! row), so an identity or far-from-the-cone delta replays in time
+//! proportional to the candidates it copies.
+//!
+//! # Trace layout
+//!
+//! The record is a handful of flat, append-only arenas rather than a tree
+//! of small vectors. The state is kept once, as the anchors the run started
+//! from, plus one short list per iteration of the nodes its slice changed
+//! (the spine and the spine's neighbours, each with its state after the
+//! slice); a replay rebuilds the old run's state at every iteration by
+//! applying those steps to one rolling snapshot, so no per-node row is
+//! stored or copied per iteration. Candidates live in one table: each
+//! one's read set is a fixed-width row of a shared word array and its
+//! winner path a range of a shared node array; the read-set and
+//! winner-path unions are one row per iteration. A search marks straight
+//! into its arena row and its winner's path is walked straight into the
+//! node array, so recording allocates nothing per start. A replay reads
+//! the old arenas and appends to a second set; the two swap afterwards,
+//! and the memo keeps the spare (emptied, capacity intact) so chained
+//! amendments reuse its buffers. Cloning or dropping a memo therefore
+//! touches a few buffers, whatever the iteration count.
 //!
 //! Winners compose across ascending starts with the same strict `<` as the
 //! full sweep, so the chosen path — and therefore the produced
@@ -67,6 +87,8 @@
 //! they also leave the subtask/edge signature untouched, in which case the
 //! memoized expanded graph is reused without being rebuilt.
 //! [`RedistributeStats::fell_back`] reports which path ran.
+
+use std::ops::Range;
 
 use platform::Platform;
 use taskgraph::{TaskGraph, Time};
@@ -107,7 +129,9 @@ struct MemoInner {
     graph_sig: GraphSig,
     exp: ExpandedGraph,
     vweights: Vec<f64>,
-    trace: Vec<IterationTrace>,
+    trace: Trace,
+    /// An empty trace whose buffers the next replay appends to.
+    spare: Trace,
     search: PathSearch,
 }
 
@@ -150,50 +174,361 @@ impl GraphSig {
     }
 }
 
-/// One iteration of a traced run: the slicing state at its start plus the
-/// local winner (and read set) of every per-start search.
-#[derive(Debug, Clone)]
-struct IterationTrace {
+/// One per-start search of a traced iteration: its start and local winner.
+/// The read set is row `c` of [`Trace::deps`] for candidate `c`.
+#[derive(Debug, Clone, Copy)]
+struct Cand {
+    start: u32,
+    /// The winner path is `len` nodes of [`Trace::path_nodes`] from offset
+    /// `path` within its iteration's range; `len == 0` when the start
+    /// reaches no endpoint (a path has at least one node).
+    path: u32,
+    len: u32,
+    score: f64,
+    window_start: Time,
+    window_end: Time,
+}
+
+/// One node's slicing state right after an iteration's slice.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    node: u32,
+    assigned: bool,
+    rel: Option<Time>,
+    dl: Option<Time>,
+}
+
+/// The slicing state a traced run saw at the start of one iteration: what
+/// a replay diffs its own state against.
+#[derive(Debug)]
+struct Snapshot {
     assigned: Vec<bool>,
     rel: Vec<Option<Time>>,
     dl: Vec<Option<Time>>,
-    /// Ascending by start node.
-    candidates: Vec<StartCandidate>,
-    /// Bitset over expanded nodes: union of every candidate's read set.
-    /// A weight-dirty node outside it cannot invalidate any cached search
-    /// of this iteration, letting a matched replay skip the per-candidate
-    /// checks entirely.
-    dep_union: Vec<u64>,
-    /// Bitset over expanded nodes: union of every recorded winner's path
-    /// — the corresponding whole-iteration screen for decreased weights
-    /// held at winner strength.
-    path_union: Vec<u64>,
 }
 
-/// The whole-iteration read-set and winner-path unions of `cands`.
-fn unions(cands: &[StartCandidate], words: usize) -> (Vec<u64>, Vec<u64>) {
-    let mut dep_union = vec![0u64; words];
-    let mut path_union = vec![0u64; words];
-    for c in cands {
-        for (u, d) in dep_union.iter_mut().zip(&c.dep) {
-            *u |= d;
-        }
-        if let Some(cp) = &c.cand {
-            for &v in &cp.nodes {
-                path_union[v >> 6] |= 1u64 << (v & 63);
+/// The record of one traced run in flat, append-only arenas (see the
+/// module docs). Iteration `i` owns row `i` of the union arenas (`words`
+/// bitset words wide) and the ranges of `steps`, the candidate table and
+/// the path-node array that end at `step_end[i]`, `cand_end[i]` and
+/// `path_end[i]`. An iteration's candidates run ascending by start.
+#[derive(Debug, Clone, Default)]
+struct Trace {
+    /// Expanded nodes.
+    n: usize,
+    /// 64-bit words per bitset row.
+    words: usize,
+    /// The release anchors the run started from (nothing assigned).
+    rel0: Vec<Option<Time>>,
+    /// The deadline anchors the run started from.
+    dl0: Vec<Option<Time>>,
+    /// Per iteration: every node its slice touched — the spine and the
+    /// spine's neighbours — with that node's state after the slice.
+    steps: Vec<Step>,
+    /// Per iteration: one past its last entry in `steps`.
+    step_end: Vec<u32>,
+    /// Per iteration: union of every candidate's read set. A weight-dirty
+    /// node outside it cannot invalidate any cached search of the
+    /// iteration, letting a matched replay skip the per-candidate checks.
+    dep_union: Vec<u64>,
+    /// Per iteration: union of every recorded winner's path — the
+    /// whole-iteration screen for decreased weights held at winner
+    /// strength.
+    path_union: Vec<u64>,
+    /// Per iteration: one past its last candidate in `cands`.
+    cand_end: Vec<u32>,
+    /// Per iteration: one past its last node in `path_nodes`.
+    path_end: Vec<u32>,
+    cands: Vec<Cand>,
+    /// Per candidate: the read set of its search.
+    deps: Vec<u64>,
+    path_nodes: Vec<u32>,
+}
+
+/// Row `i` of an arena of `width`-wide rows.
+fn row<T>(buf: &[T], i: usize, width: usize) -> &[T] {
+    &buf[i * width..(i + 1) * width]
+}
+
+/// Range `i` of an arena whose iteration `i` ends at `ends[i]`.
+fn span(ends: &[u32], i: usize) -> Range<usize> {
+    let lo = if i == 0 { 0 } else { ends[i - 1] as usize };
+    lo..ends[i] as usize
+}
+
+impl Trace {
+    /// Empties the trace for a run over `n` expanded nodes, keeping every
+    /// buffer's capacity.
+    fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.words = n.div_ceil(64);
+        self.rel0.clear();
+        self.dl0.clear();
+        self.steps.clear();
+        self.step_end.clear();
+        self.dep_union.clear();
+        self.path_union.clear();
+        self.cand_end.clear();
+        self.path_end.clear();
+        self.cands.clear();
+        self.deps.clear();
+        self.path_nodes.clear();
+    }
+
+    /// Reserves room for a run shaped like `like` (a replay records about
+    /// as much as the run it replays), or for a first guess when there is
+    /// none, so appending rarely regrows a buffer.
+    fn reserve_like(&mut self, like: Option<&Trace>) {
+        let (iters, steps, cands, path_nodes) = match like {
+            Some(t) => (t.iters(), t.steps.len(), t.cands.len(), t.path_nodes.len()),
+            // Every iteration slices at least one node. On the paper's
+            // graphs a run takes up to ~3n/4 iterations, each touching a
+            // few nodes and searching from a dozen starts whose local
+            // winners are mostly single nodes.
+            None => {
+                let iters = self.n * 3 / 4 + 1;
+                (iters, iters * 8, iters * 16, iters * 32)
             }
+        };
+        let words = self.words;
+        self.rel0.reserve(self.n);
+        self.dl0.reserve(self.n);
+        self.steps.reserve(steps);
+        self.step_end.reserve(iters);
+        self.dep_union.reserve(iters * words);
+        self.path_union.reserve(iters * words);
+        self.cand_end.reserve(iters);
+        self.path_end.reserve(iters);
+        self.cands.reserve(cands);
+        self.deps.reserve(cands * words);
+        self.path_nodes.reserve(path_nodes);
+    }
+
+    /// Releases the capacity a first guess over-reserved.
+    fn trim(&mut self) {
+        self.steps.shrink_to_fit();
+        self.step_end.shrink_to_fit();
+        self.dep_union.shrink_to_fit();
+        self.path_union.shrink_to_fit();
+        self.cand_end.shrink_to_fit();
+        self.path_end.shrink_to_fit();
+        self.cands.shrink_to_fit();
+        self.deps.shrink_to_fit();
+        self.path_nodes.shrink_to_fit();
+    }
+
+    fn iters(&self) -> usize {
+        self.cand_end.len()
+    }
+
+    /// Start of the ranges the next (open) iteration appends to.
+    fn open_cands(&self) -> usize {
+        self.cand_end.last().map_or(0, |&e| e as usize)
+    }
+
+    fn open_paths(&self) -> usize {
+        self.path_end.last().map_or(0, |&e| e as usize)
+    }
+
+    /// Candidate indices of iteration `i`.
+    fn cands_of(&self, i: usize) -> Range<usize> {
+        span(&self.cand_end, i)
+    }
+
+    fn paths_of(&self, i: usize) -> Range<usize> {
+        span(&self.path_end, i)
+    }
+
+    fn dep_union(&self, i: usize) -> &[u64] {
+        row(&self.dep_union, i, self.words)
+    }
+
+    fn path_union(&self, i: usize) -> &[u64] {
+        row(&self.path_union, i, self.words)
+    }
+
+    /// The read set of candidate `c`.
+    fn dep(&self, c: usize) -> &[u64] {
+        row(&self.deps, c, self.words)
+    }
+
+    /// The winner path of candidate `c` of iteration `i` (empty if none).
+    fn path(&self, i: usize, c: usize) -> &[u32] {
+        let cand = &self.cands[c];
+        let from = self.paths_of(i).start + cand.path as usize;
+        &self.path_nodes[from..from + cand.len as usize]
+    }
+
+    /// Records the state the run starts from.
+    fn start(&mut self, state: &SliceState) {
+        self.rel0.extend_from_slice(&state.rel);
+        self.dl0.extend_from_slice(&state.dl);
+    }
+
+    /// The state the run's first iteration started from.
+    fn first_snapshot(&self) -> Snapshot {
+        Snapshot {
+            assigned: vec![false; self.n],
+            rel: self.rel0.clone(),
+            dl: self.dl0.clone(),
         }
     }
-    (dep_union, path_union)
-}
 
-#[derive(Debug, Clone)]
-struct StartCandidate {
-    start: u32,
-    /// Bitset over expanded nodes: every node whose mutable state the
-    /// search from `start` read.
-    dep: Vec<u64>,
-    cand: Option<CriticalPath>,
+    /// Rolls `snap` from the start of iteration `i` to the start of the
+    /// next one.
+    fn advance(&self, i: usize, snap: &mut Snapshot) {
+        for step in &self.steps[span(&self.step_end, i)] {
+            let v = step.node as usize;
+            snap.assigned[v] = step.assigned;
+            snap.rel[v] = step.rel;
+            snap.dl[v] = step.dl;
+        }
+    }
+
+    /// Records the state of every node the latest slice, along `spine`,
+    /// may have changed: the spine itself and its neighbours.
+    fn record_steps(&mut self, exp: &ExpandedGraph, spine: &[usize], state: &SliceState) {
+        for &v in spine {
+            let touched = std::iter::once(v as u32)
+                .chain(exp.pred(v).iter().copied())
+                .chain(exp.succ(v).iter().copied());
+            for u in touched {
+                let w = u as usize;
+                self.steps.push(Step {
+                    node: u,
+                    assigned: state.assigned[w],
+                    rel: state.rel[w],
+                    dl: state.dl[w],
+                });
+            }
+        }
+        self.step_end.push(self.steps.len() as u32);
+    }
+
+    /// Runs the search from start `s` live into the open iteration: it
+    /// marks its read set straight into a fresh arena row, and its winner's
+    /// path is walked straight into the node array.
+    #[allow(clippy::too_many_arguments)]
+    fn run_search(
+        &mut self,
+        search: &mut PathSearch,
+        exp: &ExpandedGraph,
+        vweights: &[f64],
+        dl: &[Option<Time>],
+        s: usize,
+        start_release: Time,
+        rule: ShareRule,
+    ) {
+        let at = self.deps.len();
+        self.deps.resize(at + self.words, 0);
+        let found = search.search_from(
+            exp,
+            vweights,
+            dl,
+            s,
+            start_release,
+            rule,
+            Some(&mut self.deps[at..]),
+        );
+        let path = self.path_nodes.len() - self.open_paths();
+        let mut cand = Cand {
+            start: s as u32,
+            path: path as u32,
+            len: 0,
+            score: 0.0,
+            window_start: Time::ZERO,
+            window_end: Time::ZERO,
+        };
+        if let Some(w) = found {
+            search.path_into(&w, &mut self.path_nodes);
+            cand.len = (self.path_nodes.len() - self.open_paths() - path) as u32;
+            cand.score = w.score;
+            cand.window_start = w.window_start;
+            cand.window_end = w.window_end;
+        }
+        self.cands.push(cand);
+    }
+
+    /// Appends candidate `c` of `old`'s iteration `i` to the open iteration.
+    fn reuse(&mut self, old: &Trace, i: usize, c: usize) {
+        self.deps.extend_from_slice(old.dep(c));
+        let path = self.path_nodes.len() - self.open_paths();
+        self.path_nodes.extend_from_slice(old.path(i, c));
+        self.cands.push(Cand {
+            path: path as u32,
+            ..old.cands[c]
+        });
+    }
+
+    /// Closes the open iteration (its unions and ranges) and returns its
+    /// winning candidate.
+    fn close(&mut self) -> Option<usize> {
+        let (words, cands) = (self.words, self.open_cands()..self.cands.len());
+        let at = self.dep_union.len();
+        self.dep_union.resize(at + words, 0);
+        self.path_union.resize(at + words, 0);
+        for d in self.deps[cands.start * words..].chunks_exact(words) {
+            for (u, x) in self.dep_union[at..].iter_mut().zip(d) {
+                *u |= x;
+            }
+        }
+        for &v in &self.path_nodes[self.open_paths()..] {
+            self.path_union[at + (v >> 6) as usize] |= 1u64 << (v & 63);
+        }
+        self.cand_end.push(cands.end as u32);
+        self.path_end.push(self.path_nodes.len() as u32);
+        self.best(self.iters() - 1)
+    }
+
+    /// Appends iteration `i` of `old`'s candidates, read sets, paths and
+    /// unions whole, one slice copy each (candidate path offsets are
+    /// iteration-relative). Its steps are recorded from the live state like
+    /// any other iteration's.
+    fn copy_iteration(&mut self, old: &Trace, i: usize) {
+        let (cands, paths) = (old.cands_of(i), old.paths_of(i));
+        self.deps
+            .extend_from_slice(&old.deps[cands.start * self.words..cands.end * self.words]);
+        self.cands.extend_from_slice(&old.cands[cands]);
+        self.path_nodes.extend_from_slice(&old.path_nodes[paths]);
+        self.dep_union.extend_from_slice(old.dep_union(i));
+        self.path_union.extend_from_slice(old.path_union(i));
+        self.cand_end.push(self.cands.len() as u32);
+        self.path_end.push(self.path_nodes.len() as u32);
+    }
+
+    /// The first candidate of iteration `i` (ascending start order)
+    /// attaining the strictly smallest score — the same composition rule
+    /// as the full sweep's `<`.
+    fn best(&self, i: usize) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for c in self.cands_of(i) {
+            let cand = &self.cands[c];
+            if cand.len > 0 && best.is_none_or(|(_, s)| cand.score < s) {
+                best = Some((c, cand.score));
+            }
+        }
+        best.map(|(c, _)| c)
+    }
+
+    /// Whether candidate `c` of iteration `i` and candidate `d` of
+    /// `other`'s iteration `j` chose the same path, score and window.
+    fn same_winner(&self, i: usize, c: usize, other: &Trace, j: usize, d: usize) -> bool {
+        let (a, b) = (&self.cands[c], &other.cands[d]);
+        a.score == b.score
+            && a.window_start == b.window_start
+            && a.window_end == b.window_end
+            && self.path(i, c) == other.path(j, d)
+    }
+
+    /// Loads candidate `c` of iteration `i` into the reusable `cp`.
+    fn load(&self, i: usize, c: usize, cp: &mut CriticalPath) {
+        let cand = &self.cands[c];
+        cp.nodes.clear();
+        cp.nodes.extend(self.path(i, c).iter().map(|&v| v as usize));
+        cp.score = cand.score;
+        cp.window_start = cand.window_start;
+        cp.window_end = cand.window_end;
+    }
 }
 
 /// Counters from one [`Slicer::redistribute`] call.
@@ -235,51 +570,35 @@ pub struct Redistribution {
     pub stats: RedistributeStats,
 }
 
-/// First index (ascending start order) attaining the strictly smallest
-/// score — the same composition rule as the full sweep's `<`.
-fn best_index(cands: &[StartCandidate]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, c) in cands.iter().enumerate() {
-        if let Some(cp) = &c.cand {
-            if best.is_none_or(|(_, s)| cp.score < s) {
-                best = Some((i, cp.score));
-            }
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 fn bit(bits: &[u64], v: u32) -> bool {
     bits[(v >> 6) as usize] & (1u64 << (v & 63)) != 0
 }
 
-fn path_avoids(cand: &Option<CriticalPath>, bits: &[u64]) -> bool {
-    cand.as_ref()
-        .is_none_or(|cp| !cp.nodes.iter().any(|&u| bit(bits, u as u32)))
+fn path_avoids(path: &[u32], bits: &[u64]) -> bool {
+    !path.iter().any(|&u| bit(bits, u))
 }
 
-/// Whether a cached candidate survives the weight dirt alone: increased
-/// (and, when the monotonicity shortcut is unusable, decreased) weights
-/// must be outside its read set; under the shortcut the recorded winner
-/// must not route through a decreased node. Weight-dirty nodes already
-/// assigned are inert — no search reads their weight.
+/// Whether a cached candidate (read set `dep`, winner `path`) survives the
+/// weight dirt alone: increased (and, when the monotonicity shortcut is
+/// unusable, decreased) weights must be outside its read set; under the
+/// shortcut the recorded winner must not route through a decreased node.
+/// Weight-dirty nodes already assigned are inert — no search reads their
+/// weight.
 fn weight_clean(
-    c: &StartCandidate,
+    dep: &[u64],
+    path: &[u32],
     assigned: &[bool],
     plus: &[u32],
     minus: &[u32],
     minus_bits: &[u64],
     soft: bool,
 ) -> bool {
-    let dep_clear = |list: &[u32]| {
-        list.iter()
-            .all(|&v| assigned[v as usize] || !bit(&c.dep, v))
-    };
+    let dep_clear = |list: &[u32]| list.iter().all(|&v| assigned[v as usize] || !bit(dep, v));
     if !dep_clear(plus) {
         return false;
     }
     if soft {
-        path_avoids(&c.cand, minus_bits)
+        path_avoids(path, minus_bits)
     } else {
         dep_clear(minus)
     }
@@ -397,36 +716,45 @@ impl Slicer {
         let sig = GraphSig::of(graph);
 
         // A structural change invalidates every recorded read set (node
-        // indices shift, reachability changes): drop the old trace and run
-        // everything live, which primes the memo for the next delta. An
-        // unchanged subtask/edge signature goes further: the memoized
+        // indices shift, reachability changes): ignore the old trace and
+        // run everything live, which primes the memo for the next delta.
+        // An unchanged subtask/edge signature goes further: the memoized
         // expanded graph is node-for-node identical (the fingerprint pins
         // the platform and estimate, so every communication weight is
         // too), and the rebuild is skipped entirely.
-        let (exp, old_trace, old_vweights, mut search) = match memo.inner.take() {
-            Some(inner) if inner.graph_sig == sig => {
-                (inner.exp, inner.trace, inner.vweights, inner.search)
-            }
+        let (exp, old, mut new, old_vweights, mut search) = match memo.inner.take() {
+            Some(inner) if inner.graph_sig == sig => (
+                inner.exp,
+                inner.trace,
+                inner.spare,
+                inner.vweights,
+                inner.search,
+            ),
             Some(inner) => {
                 let exp = ExpandedGraph::build(graph, self.estimate(), platform);
                 if inner.exp.same_structure(&exp) {
-                    (exp, inner.trace, inner.vweights, inner.search)
+                    (exp, inner.trace, inner.spare, inner.vweights, inner.search)
                 } else {
                     stats.fell_back = true;
                     let (nodes, chain) = (exp.len(), exp.max_chain());
-                    (exp, Vec::new(), Vec::new(), PathSearch::new(nodes, chain))
+                    let search = PathSearch::new(nodes, chain);
+                    (exp, Trace::default(), Trace::default(), Vec::new(), search)
                 }
             }
             None => {
                 let exp = ExpandedGraph::build(graph, self.estimate(), platform);
                 stats.fell_back = true;
                 let (nodes, chain) = (exp.len(), exp.max_chain());
-                (exp, Vec::new(), Vec::new(), PathSearch::new(nodes, chain))
+                let search = PathSearch::new(nodes, chain);
+                (exp, Trace::default(), Trace::default(), Vec::new(), search)
             }
         };
 
         let n = exp.len();
         let words = n.div_ceil(64);
+        let replay = old.iters() > 0;
+        new.reset(n);
+        new.reserve_like(replay.then_some(&old));
         // Task-node weights come from the (possibly mutated) graph, not
         // the expanded graph, which may be the memoized one.
         let vweights: Vec<f64> = (0..n)
@@ -460,13 +788,22 @@ impl Slicer {
         }
 
         let mut state = SliceState::init(graph, &exp);
-        let mut new_trace: Vec<IterationTrace> = Vec::with_capacity(old_trace.len().max(8));
-        let mut old_iters = old_trace.into_iter();
+        new.start(&state);
+        // The old run's state at the current iteration, rolled forward
+        // through its recorded steps.
+        let mut old_state = old.first_snapshot();
         let mut dirty = vec![0u64; words];
         let mut rel_val = vec![0u64; words];
         let mut dl_val = vec![0u64; words];
         let mut path_weights: Vec<f64> = Vec::new();
         let mut slices: Vec<Window> = Vec::new();
+        // The chosen path of each iteration, reloaded in place.
+        let mut cp = CriticalPath {
+            nodes: Vec::new(),
+            score: 0.0,
+            window_start: Time::ZERO,
+            window_end: Time::ZERO,
+        };
         let mut paths = 0usize;
         // Whether the state provably equals the old snapshot for the
         // current iteration (assigned flags plus every unassigned anchor).
@@ -476,369 +813,251 @@ impl Slicer {
         let mut matched = false;
 
         while state.remaining > 0 {
-            let Some(old) = old_iters.next() else {
-                // The old run finished earlier (or there is no trace):
-                // everything left runs live.
-                if !search.classify(n, &state.assigned, &state.rel, &state.dl) {
-                    return Err(SliceError::NoAnchoredPath);
-                }
-                let mut candidates: Vec<StartCandidate> = Vec::with_capacity(4);
-                for s in 0..n {
-                    if state.assigned[s] || state.rel[s].is_none() {
-                        continue;
+            // The iteration both traces are at: `i` indexes `old` and the
+            // open iteration of `new` alike. Each branch below closes it
+            // and loads its chosen path into `cp`.
+            let i = new.iters();
+            'choose: {
+                if i >= old.iters() {
+                    // The old run finished earlier (or there is no trace):
+                    // everything left runs live.
+                    if !search.classify(n, &state.assigned, &state.rel, &state.dl) {
+                        return Err(SliceError::NoAnchoredPath);
                     }
-                    stats.cache_misses += 1;
-                    let start_release = state.rel[s].expect("checked above");
-                    let mut dep = vec![0u64; words];
-                    let cand = search.search_from(
-                        &exp,
-                        &vweights,
-                        &state.dl,
-                        s,
-                        start_release,
-                        rule,
-                        Some(&mut dep),
-                    );
-                    candidates.push(StartCandidate {
-                        start: s as u32,
-                        dep,
-                        cand,
-                    });
-                }
-                let best = best_index(&candidates).ok_or(SliceError::NoAnchoredPath)?;
-                let cp = candidates[best]
-                    .cand
-                    .clone()
-                    .expect("best candidate is Some");
-                let (dep_union, path_union) = unions(&candidates, words);
-                new_trace.push(IterationTrace {
-                    assigned: state.assigned.clone(),
-                    rel: state.rel.clone(),
-                    dl: state.dl.clone(),
-                    candidates,
-                    dep_union,
-                    path_union,
-                });
-                paths += 1;
-                apply_path(
-                    &exp,
-                    &vweights,
-                    rule,
-                    &cp,
-                    &mut state,
-                    &mut path_weights,
-                    &mut slices,
-                    paths,
-                );
-                continue;
-            };
-
-            let IterationTrace {
-                assigned: old_assigned,
-                rel: old_rel,
-                dl: old_dl,
-                candidates: old_cands,
-                dep_union: old_dep_union,
-                path_union: old_path_union,
-            } = old;
-
-            // Lazily computed Proportional gate (see `windows_nonneg`);
-            // the diff below folds it in for free when it runs.
-            let mut gate: Option<bool> = None;
-
-            if !matched {
-                dirty.fill(0);
-                rel_val.fill(0);
-                dl_val.fill(0);
-                let mut dirt = 0u64;
-                let (mut min_dl, mut max_rel) = (i64::MAX, i64::MIN);
-                for v in 0..n {
-                    // Hard dirt: a flag any exploring search branches on
-                    // flipped. Value dirt: the node stayed anchored but the
-                    // anchor moved — observable only by a search starting
-                    // there (release) or reaching it as an endpoint
-                    // (deadline).
-                    let mut hard = state.assigned[v] != old_assigned[v];
-                    let mut val = false;
-                    if !hard && !state.assigned[v] {
-                        match (state.rel[v], old_rel[v]) {
-                            (Some(a), Some(b)) if a != b => {
-                                rel_val[v >> 6] |= 1u64 << (v & 63);
-                                val = true;
-                            }
-                            (a, b) if a.is_some() != b.is_some() => hard = true,
-                            _ => {}
+                    for s in 0..n {
+                        if state.assigned[s] || state.rel[s].is_none() {
+                            continue;
                         }
-                        match (state.dl[v], old_dl[v]) {
-                            (Some(a), Some(b)) if a != b => {
-                                dl_val[v >> 6] |= 1u64 << (v & 63);
-                                val = true;
-                            }
-                            (a, b) if a.is_some() != b.is_some() => hard = true,
-                            _ => {}
-                        }
-                    }
-                    if !state.assigned[v] {
-                        if let Some(r) = state.rel[v] {
-                            max_rel = max_rel.max(r.as_i64());
-                        }
-                        if let Some(d) = state.dl[v] {
-                            min_dl = min_dl.min(d.as_i64());
-                        }
-                    }
-                    if hard {
-                        dirty[v >> 6] |= 1u64 << (v & 63);
-                    }
-                    if hard || val {
-                        dirt += 1;
-                    }
-                }
-                stats.scanned_nodes += n as u64;
-                stats.dirty_nodes += dirt;
-                matched = dirt == 0;
-                gate = Some(min_dl == i64::MAX || max_rel == i64::MIN || min_dl >= max_rel);
-            }
-
-            let minus_live = w_minus_list.iter().any(|&v| !state.assigned[v as usize]);
-            let plus_live = w_plus_list.iter().any(|&v| !state.assigned[v as usize]);
-            // Winner-strength handling of decreases needs the score to be
-            // monotone in total weight: unconditional for EqualShare,
-            // window-gated for Proportional.
-            let soft = minus_live
-                && (rule == ShareRule::EqualShare
-                    || *gate.get_or_insert_with(|| windows_nonneg(&state)));
-
-            if matched {
-                // The state equals the old snapshot, so the start set and
-                // every anchor any search reads are the old run's: only
-                // weight dirt can invalidate, and with none live the whole
-                // iteration fast-forwards.
-                // Whole-iteration screen first: weight dirt outside the
-                // recorded read-set (resp. winner-path) union cannot touch
-                // any cached search, so the per-candidate checks — the
-                // dominant cost of a fast-forwarded iteration — are skipped
-                // for the overwhelmingly common off-cone iteration.
-                let clear = |v: u32, bits: &[u64]| state.assigned[v as usize] || !bit(bits, v);
-                let union_clear = w_plus_list.iter().all(|&v| clear(v, &old_dep_union))
-                    && w_minus_list.iter().all(|&v| {
-                        clear(
-                            v,
-                            if soft {
-                                &old_path_union
-                            } else {
-                                &old_dep_union
-                            },
-                        )
-                    });
-                let all_hit = (!minus_live && !plus_live)
-                    || union_clear
-                    || old_cands.iter().all(|c| {
-                        weight_clean(
-                            c,
-                            &state.assigned,
-                            &w_plus_list,
-                            &w_minus_list,
-                            &w_minus,
-                            soft,
-                        )
-                    });
-                if all_hit {
-                    stats.cache_hits += old_cands.len() as u64;
-                    let best = best_index(&old_cands).ok_or(SliceError::NoAnchoredPath)?;
-                    {
-                        let cp = old_cands[best]
-                            .cand
-                            .as_ref()
-                            .expect("best candidate is Some");
-                        paths += 1;
-                        apply_path(
-                            &exp,
-                            &vweights,
-                            rule,
-                            cp,
-                            &mut state,
-                            &mut path_weights,
-                            &mut slices,
-                            paths,
-                        );
-                    }
-                    new_trace.push(IterationTrace {
-                        assigned: old_assigned,
-                        rel: old_rel,
-                        dl: old_dl,
-                        candidates: old_cands,
-                        dep_union: old_dep_union,
-                        path_union: old_path_union,
-                    });
-                    continue;
-                }
-
-                // Some start must re-search. The chosen winner decides
-                // whether the state keeps tracking the old run: the old
-                // winner, off every weight-dirty node, evolves both runs
-                // identically.
-                let old_best = best_index(&old_cands)
-                    .map(|i| old_cands[i].cand.clone().expect("best candidate is Some"));
-                if !search.classify(n, &state.assigned, &state.rel, &state.dl) {
-                    return Err(SliceError::NoAnchoredPath);
-                }
-                let mut candidates: Vec<StartCandidate> = Vec::with_capacity(old_cands.len());
-                for c in old_cands {
-                    if weight_clean(
-                        &c,
-                        &state.assigned,
-                        &w_plus_list,
-                        &w_minus_list,
-                        &w_minus,
-                        soft,
-                    ) {
-                        stats.cache_hits += 1;
-                        candidates.push(c);
-                    } else {
                         stats.cache_misses += 1;
-                        let s = c.start as usize;
-                        let start_release =
-                            state.rel[s].expect("cached starts are release-anchored");
-                        let mut dep = vec![0u64; words];
-                        let cand = search.search_from(
+                        let start_release = state.rel[s].expect("checked above");
+                        new.run_search(
+                            &mut search,
                             &exp,
                             &vweights,
                             &state.dl,
                             s,
                             start_release,
                             rule,
-                            Some(&mut dep),
                         );
-                        candidates.push(StartCandidate {
-                            start: c.start,
-                            dep,
-                            cand,
-                        });
                     }
+                    let best = new.close().ok_or(SliceError::NoAnchoredPath)?;
+                    new.load(i, best, &mut cp);
+                    break 'choose;
                 }
-                let best = best_index(&candidates).ok_or(SliceError::NoAnchoredPath)?;
-                let cp = candidates[best]
-                    .cand
-                    .clone()
-                    .expect("best candidate is Some");
-                matched = old_best.as_ref() == Some(&cp)
-                    && !cp
-                        .nodes
-                        .iter()
-                        .any(|&u| bit(&w_minus, u as u32) || bit(&w_plus, u as u32));
-                let (dep_union, path_union) = unions(&candidates, words);
-                new_trace.push(IterationTrace {
-                    assigned: old_assigned,
-                    rel: old_rel,
-                    dl: old_dl,
-                    candidates,
-                    dep_union,
-                    path_union,
-                });
-                paths += 1;
-                apply_path(
-                    &exp,
-                    &vweights,
-                    rule,
-                    &cp,
-                    &mut state,
-                    &mut path_weights,
-                    &mut slices,
-                    paths,
-                );
-                continue;
-            }
 
-            // Diverged: per-candidate reuse against the freshly diffed
-            // dirty set, with the live weight dirt folded in at read-set
-            // strength (decreases stay at winner strength while `soft`).
-            for &v in &w_plus_list {
-                if !state.assigned[v as usize] && !bit(&dirty, v) {
-                    dirty[(v >> 6) as usize] |= 1u64 << (v & 63);
-                    stats.dirty_nodes += 1;
+                // Lazily computed Proportional gate (see `windows_nonneg`);
+                // the diff below folds it in for free when it runs.
+                let mut gate: Option<bool> = None;
+
+                if !matched {
+                    dirty.fill(0);
+                    rel_val.fill(0);
+                    dl_val.fill(0);
+                    let mut dirt = 0u64;
+                    let (mut min_dl, mut max_rel) = (i64::MAX, i64::MIN);
+                    for v in 0..n {
+                        // Hard dirt: a flag any exploring search branches
+                        // on flipped. Value dirt: the node stayed anchored
+                        // but the anchor moved — observable only by a
+                        // search starting there (release) or reaching it as
+                        // an endpoint (deadline).
+                        let mut hard = state.assigned[v] != old_state.assigned[v];
+                        let mut val = false;
+                        if !hard && !state.assigned[v] {
+                            match (state.rel[v], old_state.rel[v]) {
+                                (Some(a), Some(b)) if a != b => {
+                                    rel_val[v >> 6] |= 1u64 << (v & 63);
+                                    val = true;
+                                }
+                                (a, b) if a.is_some() != b.is_some() => hard = true,
+                                _ => {}
+                            }
+                            match (state.dl[v], old_state.dl[v]) {
+                                (Some(a), Some(b)) if a != b => {
+                                    dl_val[v >> 6] |= 1u64 << (v & 63);
+                                    val = true;
+                                }
+                                (a, b) if a.is_some() != b.is_some() => hard = true,
+                                _ => {}
+                            }
+                        }
+                        if !state.assigned[v] {
+                            if let Some(r) = state.rel[v] {
+                                max_rel = max_rel.max(r.as_i64());
+                            }
+                            if let Some(d) = state.dl[v] {
+                                min_dl = min_dl.min(d.as_i64());
+                            }
+                        }
+                        if hard {
+                            dirty[v >> 6] |= 1u64 << (v & 63);
+                        }
+                        if hard || val {
+                            dirt += 1;
+                        }
+                    }
+                    stats.scanned_nodes += n as u64;
+                    stats.dirty_nodes += dirt;
+                    matched = dirt == 0;
+                    gate = Some(min_dl == i64::MAX || max_rel == i64::MIN || min_dl >= max_rel);
                 }
-            }
-            if !soft {
-                for &v in &w_minus_list {
+
+                let minus_live = w_minus_list.iter().any(|&v| !state.assigned[v as usize]);
+                let plus_live = w_plus_list.iter().any(|&v| !state.assigned[v as usize]);
+                // Winner-strength handling of decreases needs the score to
+                // be monotone in total weight: unconditional for
+                // EqualShare, window-gated for Proportional.
+                let soft = minus_live
+                    && (rule == ShareRule::EqualShare
+                        || *gate.get_or_insert_with(|| windows_nonneg(&state)));
+
+                if matched {
+                    // The state equals the old snapshot, so the start set
+                    // and every anchor any search reads are the old run's:
+                    // only weight dirt can invalidate, and with none live
+                    // the whole iteration fast-forwards.
+                    // Whole-iteration screen first: weight dirt outside the
+                    // recorded read-set (resp. winner-path) union cannot
+                    // touch any cached search, so the per-candidate checks
+                    // — the dominant cost of a fast-forwarded iteration —
+                    // are skipped for the overwhelmingly common off-cone
+                    // iteration.
+                    let clear = |v: u32, bits: &[u64]| state.assigned[v as usize] || !bit(bits, v);
+                    let minus_union = if soft {
+                        old.path_union(i)
+                    } else {
+                        old.dep_union(i)
+                    };
+                    let union_clear = w_plus_list.iter().all(|&v| clear(v, old.dep_union(i)))
+                        && w_minus_list.iter().all(|&v| clear(v, minus_union));
+                    let cands = old.cands_of(i);
+                    let all_hit = (!minus_live && !plus_live)
+                        || union_clear
+                        || cands.clone().all(|c| {
+                            weight_clean(
+                                old.dep(c),
+                                old.path(i, c),
+                                &state.assigned,
+                                &w_plus_list,
+                                &w_minus_list,
+                                &w_minus,
+                                soft,
+                            )
+                        });
+                    if all_hit {
+                        stats.cache_hits += cands.len() as u64;
+                        let best = old.best(i).ok_or(SliceError::NoAnchoredPath)?;
+                        old.load(i, best, &mut cp);
+                        new.copy_iteration(&old, i);
+                        break 'choose;
+                    }
+
+                    // Some start must re-search. The chosen winner decides
+                    // whether the state keeps tracking the old run: the old
+                    // winner, off every weight-dirty node, evolves both
+                    // runs identically.
+                    let old_best = old.best(i);
+                    if !search.classify(n, &state.assigned, &state.rel, &state.dl) {
+                        return Err(SliceError::NoAnchoredPath);
+                    }
+                    for c in cands {
+                        if weight_clean(
+                            old.dep(c),
+                            old.path(i, c),
+                            &state.assigned,
+                            &w_plus_list,
+                            &w_minus_list,
+                            &w_minus,
+                            soft,
+                        ) {
+                            stats.cache_hits += 1;
+                            new.reuse(&old, i, c);
+                        } else {
+                            stats.cache_misses += 1;
+                            let s = old.cands[c].start as usize;
+                            let start_release =
+                                state.rel[s].expect("cached starts are release-anchored");
+                            new.run_search(
+                                &mut search,
+                                &exp,
+                                &vweights,
+                                &state.dl,
+                                s,
+                                start_release,
+                                rule,
+                            );
+                        }
+                    }
+                    let best = new.close().ok_or(SliceError::NoAnchoredPath)?;
+                    matched = old_best.is_some_and(|ob| old.same_winner(i, ob, &new, i, best))
+                        && !new
+                            .path(i, best)
+                            .iter()
+                            .any(|&u| bit(&w_minus, u) || bit(&w_plus, u));
+                    new.load(i, best, &mut cp);
+                    break 'choose;
+                }
+
+                // Diverged: per-candidate reuse against the freshly diffed
+                // dirty set, with the live weight dirt folded in at
+                // read-set strength (decreases stay at winner strength
+                // while `soft`).
+                for &v in &w_plus_list {
                     if !state.assigned[v as usize] && !bit(&dirty, v) {
                         dirty[(v >> 6) as usize] |= 1u64 << (v & 63);
                         stats.dirty_nodes += 1;
                     }
                 }
-            }
-
-            if !search.classify(n, &state.assigned, &state.rel, &state.dl) {
-                return Err(SliceError::NoAnchoredPath);
-            }
-
-            let mut old_cands = old_cands;
-            let mut candidates: Vec<StartCandidate> = Vec::with_capacity(old_cands.len().max(4));
-            let mut old_pos = 0usize;
-            for s in 0..n {
-                if state.assigned[s] || state.rel[s].is_none() {
-                    continue;
-                }
-                while old_pos < old_cands.len() && (old_cands[old_pos].start as usize) < s {
-                    old_pos += 1;
-                }
-                let hit = old_pos < old_cands.len() && old_cands[old_pos].start as usize == s && {
-                    let c = &old_cands[old_pos];
-                    !bit(&rel_val, s as u32)
-                        && c.dep.iter().zip(&dirty).all(|(d, x)| d & x == 0)
-                        && c.dep.iter().zip(&dl_val).all(|(d, x)| d & x == 0)
-                        && (!soft || path_avoids(&c.cand, &w_minus))
-                };
-
-                let entry = if hit {
-                    stats.cache_hits += 1;
-                    // Move (not copy) the recorded winner and read set into
-                    // the new trace; each old entry is consumed at most
-                    // once because `old_pos` only advances.
-                    let c = &mut old_cands[old_pos];
-                    StartCandidate {
-                        start: s as u32,
-                        dep: std::mem::take(&mut c.dep),
-                        cand: c.cand.take(),
+                if !soft {
+                    for &v in &w_minus_list {
+                        if !state.assigned[v as usize] && !bit(&dirty, v) {
+                            dirty[(v >> 6) as usize] |= 1u64 << (v & 63);
+                            stats.dirty_nodes += 1;
+                        }
                     }
-                } else {
-                    stats.cache_misses += 1;
-                    let start_release = state.rel[s].expect("checked above");
-                    let mut dep = vec![0u64; words];
-                    let cand = search.search_from(
-                        &exp,
-                        &vweights,
-                        &state.dl,
-                        s,
-                        start_release,
-                        rule,
-                        Some(&mut dep),
-                    );
-                    StartCandidate {
-                        start: s as u32,
-                        dep,
-                        cand,
+                }
+
+                if !search.classify(n, &state.assigned, &state.rel, &state.dl) {
+                    return Err(SliceError::NoAnchoredPath);
+                }
+
+                let cands = old.cands_of(i);
+                let mut pos = cands.start;
+                for s in 0..n {
+                    if state.assigned[s] || state.rel[s].is_none() {
+                        continue;
                     }
-                };
-                candidates.push(entry);
+                    while pos < cands.end && (old.cands[pos].start as usize) < s {
+                        pos += 1;
+                    }
+                    let hit = pos < cands.end && old.cands[pos].start as usize == s && {
+                        let dep = old.dep(pos);
+                        !bit(&rel_val, s as u32)
+                            && dep.iter().zip(&dirty).all(|(d, x)| d & x == 0)
+                            && dep.iter().zip(&dl_val).all(|(d, x)| d & x == 0)
+                            && (!soft || path_avoids(old.path(i, pos), &w_minus))
+                    };
+                    if hit {
+                        stats.cache_hits += 1;
+                        new.reuse(&old, i, pos);
+                    } else {
+                        stats.cache_misses += 1;
+                        let start_release = state.rel[s].expect("checked above");
+                        new.run_search(
+                            &mut search,
+                            &exp,
+                            &vweights,
+                            &state.dl,
+                            s,
+                            start_release,
+                            rule,
+                        );
+                    }
+                }
+                let best = new.close().ok_or(SliceError::NoAnchoredPath)?;
+                new.load(i, best, &mut cp);
             }
 
-            let best = best_index(&candidates).ok_or(SliceError::NoAnchoredPath)?;
-            let cp = candidates[best]
-                .cand
-                .clone()
-                .expect("best candidate is Some");
-
-            // Snapshot the state *at iteration start* (unchanged so far)
-            // together with this iteration's candidates, then advance.
-            let (dep_union, path_union) = unions(&candidates, words);
-            new_trace.push(IterationTrace {
-                assigned: state.assigned.clone(),
-                rel: state.rel.clone(),
-                dl: state.dl.clone(),
-                candidates,
-                dep_union,
-                path_union,
-            });
             paths += 1;
             apply_path(
                 &exp,
@@ -850,6 +1069,10 @@ impl Slicer {
                 &mut slices,
                 paths,
             );
+            new.record_steps(&exp, &cp.nodes, &state);
+            if i < old.iters() {
+                old.advance(i, &mut old_state);
+            }
         }
 
         tracing::debug!(
@@ -863,12 +1086,19 @@ impl Slicer {
         );
 
         let assignment = finalize(self, graph, &exp, state)?;
+        if !replay {
+            new.trim();
+        }
+        // The replayed trace becomes the spare: emptied, capacity kept.
+        let mut spare = old;
+        spare.reset(n);
         memo.inner = Some(MemoInner {
             fingerprint: self.fingerprint(platform),
             graph_sig: sig,
             exp,
             vweights,
-            trace: new_trace,
+            trace: new,
+            spare,
             search,
         });
         Ok(assignment)
@@ -881,7 +1111,7 @@ mod tests {
     use taskgraph::{Subtask, SubtaskId};
 
     use super::*;
-    use crate::GraphDelta;
+    use crate::{CommEstimate, GraphDelta};
 
     fn chain(wcets: &[i64], deadline: i64) -> TaskGraph {
         let mut b = TaskGraph::builder();
@@ -1144,5 +1374,156 @@ mod tests {
             assert!(!red.stats.fell_back);
             assert_eq!(red.assignment, slicer.distribute(&current, &p).unwrap());
         }
+    }
+
+    /// Stats of [`paper_graph_tightenings_pin_replay_decisions`], captured
+    /// before the trace moved to flat arenas: per estimate (CCNE, CCAA),
+    /// per seed 0..8, per step 0..4, `(cache_hits, cache_misses,
+    /// dirty_nodes, scanned_nodes, fell_back)`. A storage change that
+    /// alters no replay decision leaves every row untouched.
+    const PINNED_PAPER_STATS: [(u64, u64, u64, u64, bool); 64] = [
+        (369, 31, 35, 624, false),
+        (364, 36, 0, 96, false),
+        (339, 61, 19, 288, false),
+        (394, 6, 0, 96, false),
+        (396, 28, 31, 770, false),
+        (0, 456, 585, 1760, false),
+        (359, 98, 138, 1595, false),
+        (371, 89, 81, 1320, false),
+        (0, 387, 528, 1683, false),
+        (0, 391, 528, 1683, false),
+        (259, 139, 192, 1581, false),
+        (366, 32, 2, 102, false),
+        (337, 103, 116, 1537, false),
+        (386, 55, 9, 265, false),
+        (405, 41, 27, 530, false),
+        (412, 39, 32, 636, false),
+        (356, 79, 123, 1560, false),
+        (433, 2, 0, 104, false),
+        (2, 437, 613, 1924, false),
+        (0, 390, 719, 1872, false),
+        (507, 66, 0, 104, false),
+        (533, 40, 11, 312, false),
+        (7, 595, 641, 1872, false),
+        (601, 1, 0, 104, false),
+        (434, 2, 2, 159, false),
+        (394, 47, 54, 1113, false),
+        (352, 85, 125, 1060, false),
+        (408, 29, 0, 106, false),
+        (27, 332, 354, 1247, false),
+        (294, 65, 2, 86, false),
+        (348, 11, 3, 172, false),
+        (347, 13, 10, 215, false),
+        (611, 212, 297, 5240, false),
+        (709, 114, 72, 3668, false),
+        (460, 376, 397, 6026, false),
+        (696, 110, 169, 5764, false),
+        (56, 1131, 1434, 8848, false),
+        (553, 646, 761, 8848, false),
+        (725, 475, 553, 7584, false),
+        (870, 328, 223, 6794, false),
+        (46, 932, 1221, 7599, false),
+        (22, 933, 1247, 7599, false),
+        (157, 820, 948, 7301, false),
+        (948, 29, 4, 447, false),
+        (774, 366, 449, 8100, false),
+        (978, 162, 33, 3450, false),
+        (1038, 94, 111, 4350, false),
+        (1039, 89, 137, 3750, false),
+        (1114, 239, 188, 6594, false),
+        (1053, 300, 300, 6751, false),
+        (2, 1348, 1930, 9420, false),
+        (0, 1384, 1931, 9420, false),
+        (75, 1530, 1869, 9472, false),
+        (1417, 195, 93, 5032, false),
+        (7, 1595, 2152, 9472, false),
+        (1525, 77, 42, 1776, false),
+        (1178, 177, 66, 1920, false),
+        (1314, 42, 36, 1760, false),
+        (1075, 285, 216, 7040, false),
+        (1121, 237, 132, 5440, false),
+        (546, 83, 123, 1824, false),
+        (320, 316, 259, 3192, false),
+        (575, 57, 55, 1938, false),
+        (599, 41, 73, 1368, false),
+    ];
+
+    /// Paper-size replays: 8 seeded MDET graphs on 8 processors, each
+    /// tightened four times in a chain, under CCNE and under CCAA (whose
+    /// materialized messages push the expanded graph past 64 nodes, so
+    /// every bitset spans several words). Each step must match a scratch
+    /// `distribute` bit for bit and make exactly the pinned decisions.
+    #[test]
+    fn paper_graph_tightenings_pin_replay_decisions() {
+        use taskgraph::gen::{generate_seeded, ExecVariation, WorkloadSpec};
+
+        let spec = WorkloadSpec::paper(ExecVariation::Mdet);
+        let p = Platform::paper(8).unwrap();
+        let mut got = Vec::new();
+        for estimate in [CommEstimate::Ccne, CommEstimate::Ccaa] {
+            let multi_word = estimate == CommEstimate::Ccaa;
+            let slicer = Slicer::bst_norm().with_estimate(estimate);
+            for seed in 0..8u64 {
+                let g = generate_seeded(&spec, seed).unwrap();
+                let mut memo = SliceMemo::new();
+                slicer.distribute_traced(&g, &p, &mut memo).unwrap();
+                let nodes = memo.inner.as_ref().unwrap().exp.len();
+                assert_eq!(nodes > 64, multi_word, "seed {seed}: {nodes} nodes");
+                let n = g.subtask_count() as u64;
+                let mut current = g;
+                for step in 0..4u64 {
+                    let id = SubtaskId::new(((seed * 7 + step * 13) % n) as u32);
+                    let w = current.subtask(id).wcet().as_i64();
+                    let delta = GraphDelta::new().set_wcet(id, Time::new((w * 3 / 4).max(1)));
+                    current = delta.apply(&current, &Pinning::new()).unwrap().graph;
+                    let red = slicer.redistribute(&current, &p, &mut memo).unwrap();
+                    assert_eq!(red.assignment, slicer.distribute(&current, &p).unwrap());
+                    let s = red.stats;
+                    got.push((
+                        s.cache_hits,
+                        s.cache_misses,
+                        s.dirty_nodes,
+                        s.scanned_nodes,
+                        s.fell_back,
+                    ));
+                }
+            }
+        }
+        assert_eq!(got, PINNED_PAPER_STATS);
+    }
+
+    /// A memo clone shares no buffer with its original: both replay one
+    /// delta identically, and chaining a second delta on the clone leaves
+    /// the original describing its own run.
+    #[test]
+    fn cloned_memo_replays_independently() {
+        let g = forked(&[10, 40, 25, 30, 35, 20, 15], 400);
+        let p = Platform::paper(3).unwrap();
+        let slicer = Slicer::bst_norm();
+        let mut original = SliceMemo::new();
+        slicer.distribute_traced(&g, &p, &mut original).unwrap();
+        let mut clone = original.clone();
+
+        let step = |graph: &TaskGraph, node: u32, wcet: i64| {
+            let delta = GraphDelta::new().set_wcet(SubtaskId::new(node), Time::new(wcet));
+            delta.apply(graph, &Pinning::new()).unwrap().graph
+        };
+        let g1 = step(&g, 1, 32);
+        let from_clone = slicer.redistribute(&g1, &p, &mut clone).unwrap();
+        let from_original = slicer.redistribute(&g1, &p, &mut original).unwrap();
+        assert_eq!(from_clone.assignment, from_original.assignment);
+        assert_eq!(from_clone.stats, from_original.stats);
+        assert!(!from_clone.stats.fell_back);
+
+        let g2 = step(&g1, 4, 28);
+        let chained = slicer.redistribute(&g2, &p, &mut clone).unwrap();
+        assert_eq!(chained.assignment, slicer.distribute(&g2, &p).unwrap());
+
+        // The original still describes `g1`: replaying it is a full hit.
+        let replay = slicer.redistribute(&g1, &p, &mut original).unwrap();
+        assert_eq!(replay.assignment, from_original.assignment);
+        assert_eq!(replay.stats.cache_misses, 0);
+        assert_eq!(replay.stats.dirty_nodes, 0);
+        assert!(replay.stats.cache_hits > 0);
     }
 }

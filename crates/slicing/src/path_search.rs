@@ -47,13 +47,30 @@ pub(crate) struct CriticalPath {
     pub window_end: Time,
 }
 
+/// The local winner of one per-start search: its score and window, plus
+/// where its path ends so the DP's parent links can walk it back. The walk
+/// reads scratch that the next search overwrites, so callers take the path
+/// ([`PathSearch::path_into`], [`PathSearch::critical_path`]) first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Winner {
+    end: u32,
+    len: u32,
+    use_max: bool,
+    /// The metric score R of the path (lower = more critical).
+    pub score: f64,
+    /// The release anchor of the start node.
+    pub window_start: Time,
+    /// The deadline anchor of the end node.
+    pub window_end: Time,
+}
+
 const NO_PARENT: u32 = u32::MAX;
 
 /// Marks node `v` in the optional dependency bitset (one bit per expanded
 /// node). A no-op when no recording is requested, so the untraced hot path
 /// pays one predictable branch.
 #[inline]
-fn mark(dep: &mut Option<&mut Vec<u64>>, v: usize) {
+fn mark(dep: &mut Option<&mut [u64]>, v: usize) {
     if let Some(bits) = dep.as_deref_mut() {
         bits[v >> 6] |= 1u64 << (v & 63);
     }
@@ -195,9 +212,9 @@ impl PathSearch {
                 continue;
             }
             let start_release = rel[s].expect("checked above");
-            if let Some(cand) = self.search_from(exp, vweights, dl, s, start_release, rule, None) {
-                if best.as_ref().is_none_or(|b| cand.score < b.score) {
-                    best = Some(cand);
+            if let Some(w) = self.search_from(exp, vweights, dl, s, start_release, rule, None) {
+                if best.as_ref().is_none_or(|b| w.score < b.score) {
+                    best = Some(self.critical_path(&w));
                 }
             }
         }
@@ -206,6 +223,7 @@ impl PathSearch {
 
     /// Runs the DP from one release-anchored start `s` and returns the best
     /// candidate path it can reach, or `None` if no endpoint is reachable.
+    /// Take the winner's path before the next search.
     ///
     /// [`classify`](Self::classify) must have been called for the current
     /// `assigned`/`rel`/`dl` state first. Within a start, candidates are
@@ -216,7 +234,8 @@ impl PathSearch {
     ///
     /// When `dep` is `Some`, every node whose *mutable per-iteration state*
     /// the search reads (the start, every popped node, every examined
-    /// successor) is marked in the bitset. A cached result from this start
+    /// successor) is marked in the caller's bitset (one bit per expanded
+    /// node; existing bits are kept). A cached result from this start
     /// stays valid as long as none of those nodes' state changed: unreached
     /// nodes beyond the recorded boundary cannot influence the search
     /// without some boundary node's `can_enter`/anchor state changing
@@ -230,11 +249,11 @@ impl PathSearch {
         s: usize,
         start_release: Time,
         rule: ShareRule,
-        mut dep: Option<&mut Vec<u64>>,
-    ) -> Option<CriticalPath> {
+        mut dep: Option<&mut [u64]>,
+    ) -> Option<Winner> {
         let cols = self.cols;
         let epoch = self.next_epoch();
-        let mut best: Option<CriticalPath> = None;
+        let mut best: Option<Winner> = None;
         mark(&mut dep, s);
 
         // Seed the single-node path (s, length 1).
@@ -332,9 +351,10 @@ impl PathSearch {
                 for (total, use_max) in [(st.wmax, true), (st.wmin, false)] {
                     let score = rule.score(window, total, k as usize);
                     if best.as_ref().is_none_or(|b| score < b.score) {
-                        let nodes = self.reconstruct(t, k as usize, use_max);
-                        best = Some(CriticalPath {
-                            nodes,
+                        best = Some(Winner {
+                            end: t as u32,
+                            len: k,
+                            use_max,
                             score,
                             window_start: start_release,
                             window_end,
@@ -347,23 +367,41 @@ impl PathSearch {
         best
     }
 
-    fn reconstruct(&self, end: usize, len: usize, use_max: bool) -> Vec<usize> {
-        let mut nodes = Vec::with_capacity(len);
-        let mut v = end;
-        let mut k = len;
+    /// Visits the last search's winner path from its end back to its start.
+    fn walk(&self, w: &Winner, mut visit: impl FnMut(u32)) {
+        let mut v = w.end as usize;
+        let mut k = w.len as usize;
         loop {
-            nodes.push(v);
+            visit(v as u32);
             if k == 1 {
                 break;
             }
             let st = &self.states[v * self.cols + k];
-            let p = if use_max { st.pmax } else { st.pmin };
+            let p = if w.use_max { st.pmax } else { st.pmin };
             debug_assert_ne!(p, NO_PARENT, "state must have a parent");
             v = p as usize;
             k -= 1;
         }
+    }
+
+    /// Appends the last search's winner path, start to end, to `out`.
+    pub(crate) fn path_into(&self, w: &Winner, out: &mut Vec<u32>) {
+        let at = out.len();
+        self.walk(w, |v| out.push(v));
+        out[at..].reverse();
+    }
+
+    /// The last search's winner as an owned [`CriticalPath`].
+    fn critical_path(&self, w: &Winner) -> CriticalPath {
+        let mut nodes = Vec::with_capacity(w.len as usize);
+        self.walk(w, |v| nodes.push(v as usize));
         nodes.reverse();
-        nodes
+        CriticalPath {
+            nodes,
+            score: w.score,
+            window_start: w.window_start,
+            window_end: w.window_end,
+        }
     }
 }
 

@@ -596,6 +596,22 @@ fn amendments_feed_the_redistribute_telemetry() {
     assert!(delta.delta_scanned_nodes > 0);
 }
 
+/// A controller admit that misses the slice cache records a fresh delta
+/// memo, so the `redistribute` histogram holds it too; `delta_fallbacks`
+/// counts it, which tells such admits apart from incremental amendments.
+#[test]
+fn controller_admits_count_as_delta_fallbacks() {
+    let mut controller = AdmissionController::new(config(8)).unwrap();
+    let before = telemetry::global().snapshot();
+    assert!(controller.admit(0, graph(2), Time::ZERO).unwrap().admitted);
+
+    // Other tests in this binary feed the global registry concurrently,
+    // so only lower bounds hold.
+    let delta = telemetry::global().snapshot().delta(&before);
+    assert!(delta.redistribute.count >= 1, "{:?}", delta.redistribute);
+    assert!(delta.delta_fallbacks >= 1, "{}", delta.delta_fallbacks);
+}
+
 /// The consolidated error surface: admission failures flow through
 /// `AdmitError` into the crate-wide `feast::Error` with `?` alone, and
 /// the chain preserves the typed variants.

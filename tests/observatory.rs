@@ -113,6 +113,7 @@ fn for_every_field(snap: &MetricsSnapshot, check: impl Fn(&str, u64)) {
         delta_cache_misses,
         delta_dirty_nodes,
         delta_scanned_nodes,
+        delta_fallbacks,
         admissions_admitted,
         admissions_rejected,
         admissions_shed,
@@ -146,6 +147,7 @@ fn for_every_field(snap: &MetricsSnapshot, check: impl Fn(&str, u64)) {
         ("delta_cache_misses", *delta_cache_misses),
         ("delta_dirty_nodes", *delta_dirty_nodes),
         ("delta_scanned_nodes", *delta_scanned_nodes),
+        ("delta_fallbacks", *delta_fallbacks),
         ("admissions_admitted", *admissions_admitted),
         ("admissions_rejected", *admissions_rejected),
         ("admissions_shed", *admissions_shed),
@@ -214,7 +216,7 @@ fn populated_registry() -> Registry {
         cache_misses: 2,
         dirty_nodes: 4,
         scanned_nodes: 40,
-        fell_back: false,
+        fell_back: true,
     });
     registry.record_admission(true, Duration::from_micros(45));
     registry.record_admission(false, Duration::from_micros(60));
@@ -271,7 +273,7 @@ fn metrics_snapshot_json_is_byte_stable() {
         r#""structural_violations":3,"window_violations":2,"schedule_violations":1,"#,
         r#""replications_failed":1,"checkpoint_retries":1,"#,
         r#""delta_cache_hits":5,"delta_cache_misses":2,"delta_dirty_nodes":4,"#,
-        r#""delta_scanned_nodes":40,"#,
+        r#""delta_scanned_nodes":40,"delta_fallbacks":1,"#,
         r#""admissions_admitted":1,"admissions_rejected":1,"admissions_shed":1,"#,
         r#""admissions_worker_failed":1,"admissions_evicted":1,"admissions_prefiltered":1,"#,
         r#""admissions_structural_fallbacks":1,"#,
