@@ -1708,9 +1708,9 @@ impl AdmissionService {
                                     ) {
                                         panic!("injected admission worker panic");
                                     }
-                                    // No memo: a traced slice costs more,
-                                    // and the resident's first amendment
-                                    // records one (`reslice`).
+                                    // No memo is kept here: the
+                                    // resident's first amendment records
+                                    // one (`reslice`).
                                     pipeline
                                         .slice(&job.graph, &platform)
                                         .map(|sliced| sliced.into_parts().0)

@@ -233,7 +233,7 @@ impl Pipeline {
     }
 
     /// [`slice`](Pipeline::slice) with a caller-owned delta memo. `None`
-    /// runs plain distribution and records nothing. `Some` runs
+    /// runs [`Slicer::distribute`] and keeps no memo. `Some` runs
     /// [`Slicer::redistribute`] against the memo — copying it first only
     /// while a cache entry still shares it — so a fresh memo records the
     /// run and a memo of an earlier version of `graph` reuses its
@@ -242,6 +242,7 @@ impl Pipeline {
     /// cache hit hands out the entry's memo instead, when it has one.
     /// Output is bit-identical either way; baselines record nothing.
     ///
+    /// [`Slicer::distribute`]: slicing::Slicer::distribute
     /// [`Slicer::redistribute`]: slicing::Slicer::redistribute
     ///
     /// # Errors

@@ -367,7 +367,9 @@ metrics! {
         /// redistribution.
         #[serde(default)]
         delta_cache_hits,
-        /// Per-start path searches run live during redistribution.
+        /// Per-start path searches during redistribution not answered from
+        /// the delta cache: run live, or carried from the previous
+        /// iteration of the same run.
         #[serde(default)]
         delta_cache_misses,
         /// Dirty (node, iteration) pairs seen by redistributions.

@@ -22,10 +22,10 @@ use platform::Platform;
 use taskgraph::{TaskGraph, Time};
 
 use crate::expanded::{ExpKind, ExpandedGraph};
-use crate::path_search::{CriticalPath, PathSearch};
+use crate::path_search::CriticalPath;
 use crate::{
-    CommEstimate, DeadlineAssignment, MetricContext, MetricKind, ShareRule, SliceError,
-    SliceMetric, Thres, Window,
+    CommEstimate, DeadlineAssignment, MetricKind, ShareRule, SliceError, SliceMemo, SliceMetric,
+    Thres, Window,
 };
 
 /// The deadline-distribution engine: a metric plus a communication-cost
@@ -175,6 +175,13 @@ impl Slicer {
     /// producing a window for every subtask and every non-negligible
     /// communication subtask.
     ///
+    /// This is the slicing loop of [`distribute_traced`] run over a
+    /// scratch [`SliceMemo`] that is dropped afterwards. Each iteration
+    /// carries over every per-start search the previous slice left
+    /// untouched, which pays for the recording.
+    ///
+    /// [`distribute_traced`]: Slicer::distribute_traced
+    ///
     /// # Errors
     ///
     /// Returns [`SliceError::NoAnchoredPath`] if the internal invariant that
@@ -185,74 +192,18 @@ impl Slicer {
         graph: &TaskGraph,
         platform: &Platform,
     ) -> Result<DeadlineAssignment, SliceError> {
-        let _span = tracing::debug_span!(
-            "distribute",
-            metric = self.metric.name(),
-            estimate = self.estimate.label(),
-            subtasks = graph.subtask_count()
-        )
-        .entered();
-
-        let ctx = MetricContext::for_workload(graph, platform);
-        let exp = ExpandedGraph::build(graph, &self.estimate, platform);
-        let rule = self.metric.share_rule();
-
-        let n = exp.len();
-        let vweights: Vec<f64> = (0..n)
-            .map(|v| self.metric.virtual_time(exp.weight(v), &ctx))
-            .collect();
-
-        let mut state = SliceState::init(graph, &exp);
-        let mut search = PathSearch::new(n, exp.max_chain());
-        let mut paths = 0usize;
-        // Scratch reused across loop iterations: the hot loop runs once per
-        // critical path and must not allocate per path.
-        let mut path_weights: Vec<f64> = Vec::new();
-        let mut slices: Vec<Window> = Vec::new();
-
-        while state.remaining > 0 {
-            let cp = search
-                .find_critical_path(
-                    &exp,
-                    &vweights,
-                    &state.assigned,
-                    &state.rel,
-                    &state.dl,
-                    rule,
-                )
-                .ok_or(SliceError::NoAnchoredPath)?;
-            paths += 1;
-            apply_path(
-                &exp,
-                &vweights,
-                rule,
-                &cp,
-                &mut state,
-                &mut path_weights,
-                &mut slices,
-                paths,
-            );
-        }
-
-        tracing::debug!(
-            paths = paths,
-            inverted = state.inverted,
-            expanded_nodes = n,
-            "deadline distribution complete"
-        );
-
-        finalize(self, graph, &exp, state)
+        self.distribute_traced(graph, platform, &mut SliceMemo::new())
     }
 }
 
 /// Mutable per-run slicing state: which expanded nodes are sliced, the
 /// accumulated release/deadline anchors, and the windows produced so far.
 ///
-/// Factored out of [`Slicer::distribute`] so the incremental replay in
-/// [`crate::SliceMemo`]-driven redistribution advances the *same* state with
-/// the *same* transition function — bit-identity between the two is then a
-/// matter of feeding identical critical paths in, which the per-start
-/// dependency sets guarantee.
+/// The slicing loop in [`crate::incremental`] advances it with
+/// [`apply_path`] and turns it into an assignment with [`finalize`]; the
+/// test-only reference loop below advances the *same* state with the
+/// *same* transition function, so bit-identity between the two is a matter
+/// of choosing identical critical paths.
 #[derive(Debug, Clone)]
 pub(crate) struct SliceState {
     pub(crate) assigned: Vec<bool>,
@@ -445,6 +396,7 @@ mod tests {
     use taskgraph::{Subtask, SubtaskId, TaskGraph};
 
     use super::*;
+    use crate::MetricContext;
 
     fn chain(wcets: &[i64], deadline: i64) -> TaskGraph {
         let mut b = TaskGraph::builder();
@@ -740,5 +692,148 @@ mod tests {
         // Chain B is more critical: (80-40)/2 = 20 < (100-20)/2 = 40.
         assert_eq!(asg.window(b1).relative_deadline(), Time::new(40));
         assert_eq!(asg.window(a1).relative_deadline(), Time::new(50));
+    }
+
+    /// The independent oracle for the slicing loop: `distribute` against
+    /// the plain loop it replaced, which records and reuses nothing.
+    mod oracle {
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use taskgraph::gen::{generate_seeded, ExecVariation, WorkloadSpec};
+
+        use super::*;
+        use crate::path_search::PathSearch;
+
+        /// The plain slicing loop: one whole-iteration
+        /// [`PathSearch::find_critical_path`] per critical path, through the
+        /// same state transition as the production loop.
+        fn reference_distribute(
+            slicer: &Slicer,
+            graph: &TaskGraph,
+            platform: &Platform,
+        ) -> Result<DeadlineAssignment, SliceError> {
+            let ctx = MetricContext::for_workload(graph, platform);
+            let exp = ExpandedGraph::build(graph, slicer.estimate(), platform);
+            let rule = slicer.metric().share_rule();
+            let vweights: Vec<f64> = (0..exp.len())
+                .map(|v| slicer.metric().virtual_time(exp.weight(v), &ctx))
+                .collect();
+            let mut state = SliceState::init(graph, &exp);
+            let mut search = PathSearch::new(exp.len(), exp.max_chain());
+            let (mut path_weights, mut slices, mut paths) = (Vec::new(), Vec::new(), 0);
+            while state.remaining > 0 {
+                let cp = search
+                    .find_critical_path(
+                        &exp,
+                        &vweights,
+                        &state.assigned,
+                        &state.rel,
+                        &state.dl,
+                        rule,
+                    )
+                    .ok_or(SliceError::NoAnchoredPath)?;
+                paths += 1;
+                apply_path(
+                    &exp,
+                    &vweights,
+                    rule,
+                    &cp,
+                    &mut state,
+                    &mut path_weights,
+                    &mut slices,
+                    paths,
+                );
+            }
+            finalize(slicer, graph, &exp, state)
+        }
+
+        fn slicer(metric: usize, ccaa: bool) -> Slicer {
+            let slicer = match metric {
+                0 => Slicer::bst_norm(),
+                1 => Slicer::bst_pure(),
+                2 => Slicer::ast_thres(1.0),
+                _ => Slicer::ast_adapt(),
+            };
+            let estimate = if ccaa {
+                CommEstimate::Ccaa
+            } else {
+                CommEstimate::Ccne
+            };
+            slicer.with_estimate(estimate)
+        }
+
+        /// A random DAG (forward-only edges), anchored inputs and outputs,
+        /// and a release or deadline on any other subtask at random.
+        fn random_graph(rng: &mut StdRng, n: usize, density: f64) -> TaskGraph {
+            let edges: Vec<(usize, usize)> = (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .filter(|_| rng.gen_bool(density))
+                .collect();
+            let mut b = TaskGraph::builder();
+            let ids: Vec<_> = (0..n)
+                .map(|v| {
+                    let mut s = Subtask::new(Time::new(rng.gen_range(1..=50)));
+                    if !edges.iter().any(|&(_, j)| j == v) || rng.gen_bool(0.3) {
+                        s = s.released_at(Time::new(rng.gen_range(0..=30)));
+                    }
+                    if !edges.iter().any(|&(i, _)| i == v) || rng.gen_bool(0.3) {
+                        s = s.due_at(Time::new(rng.gen_range(40..=400)));
+                    }
+                    b.add_subtask(s)
+                })
+                .collect();
+            for (i, j) in edges {
+                b.add_edge(ids[i], ids[j], rng.gen_range(1..=20))
+                    .expect("forward edges cannot cycle or duplicate");
+            }
+            b.build().expect("anchored inputs and outputs")
+        }
+
+        proptest! {
+            // Honours `PROPTEST_CASES` (the CI deep step scales it up).
+            #![proptest_config(ProptestConfig::default())]
+
+            #[test]
+            fn distribute_matches_reference_loop_on_random_graphs(
+                seed in 0u64..u64::MAX,
+                n in 1usize..=16,
+                density in 0.0f64..0.6,
+                metric in 0usize..4,
+                ccaa in proptest::bool::ANY,
+            ) {
+                let graph = random_graph(&mut StdRng::seed_from_u64(seed), n, density);
+                let platform = Platform::paper(2).expect("valid platform");
+                let slicer = slicer(metric, ccaa);
+                prop_assert_eq!(
+                    slicer.distribute(&graph, &platform),
+                    reference_distribute(&slicer, &graph, &platform)
+                );
+            }
+        }
+
+        proptest! {
+            // Each case slices a 40-60 subtask graph (CCAA: ~150 expanded
+            // nodes) twice, so the count is pinned.
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn distribute_matches_reference_loop_on_paper_graphs(
+                seed in 0u64..u64::MAX,
+                variation in 0usize..3,
+                procs in 1usize..=16,
+                metric in 0usize..4,
+                ccaa in proptest::bool::ANY,
+            ) {
+                let spec = WorkloadSpec::paper(ExecVariation::paper_scenarios()[variation]);
+                let graph = generate_seeded(&spec, seed).expect("paper graph");
+                let platform = Platform::paper(procs).expect("valid platform");
+                let slicer = slicer(metric, ccaa);
+                prop_assert_eq!(
+                    slicer.distribute(&graph, &platform),
+                    reference_distribute(&slicer, &graph, &platform)
+                );
+            }
+        }
     }
 }

@@ -1,33 +1,43 @@
-//! Incremental re-slicing: replay the slicing loop against a memoized
-//! previous run, re-searching only the dirty cone of a graph delta.
+//! The slicing loop (Figure 1). Every run records what a later run can
+//! reuse, and a replay against a memoized previous run re-searches only
+//! the dirty cone of a graph delta. [`Slicer::distribute`] is this loop
+//! over a scratch memo it drops.
 //!
 //! # How it works
 //!
-//! The slicing loop (Figure 1) is deterministic: given the expanded graph,
-//! per-node virtual times, and the accumulated `assigned`/release/deadline
-//! state at the top of an iteration, the chosen critical path — and hence
-//! the whole rest of the run — is a pure function of those inputs. A traced
-//! run therefore records the state each iteration starts from plus the
-//! *local* winner of every per-start DP search together with the search's
-//! **read set** (every node whose mutable state it touched, as a bitset).
+//! The loop is deterministic: given the expanded graph, per-node virtual
+//! times, and the accumulated `assigned`/release/deadline state at the top
+//! of an iteration, the chosen critical path — and hence the whole rest of
+//! the run — is a pure function of those inputs. A run therefore records
+//! the *local* winner of every per-start DP search together with the
+//! search's **read set** (every node whose mutable state it touched, as a
+//! bitset), and the nodes each slice changed (its **steps**).
+//!
+//! Within one run, a start's search carries over from the previous
+//! iteration while its read set misses that iteration's steps: no node it
+//! read changed, so a new search would reproduce it bit for bit. Only
+//! newly anchored starts and those whose read set the last slice touched
+//! are searched live, about a fifth on the paper's graphs.
 //!
 //! On redistribute, the loop replays from a fresh state over the mutated
-//! graph. Invalidation works at three strengths:
+//! graph, answering each start from the old run's same iteration when the
+//! delta cannot have changed it. Invalidation works at three strengths:
 //!
-//! * **State dirt** (read-set level). At each iteration the new state is
-//!   diffed against the old snapshot. The diff distinguishes what a search
-//!   can actually observe: interior exploration branches only on anchor
-//!   *presence* (`assigned`, `rel.is_none()`, `dl.is_some()`), while anchor
-//!   *values* are read in exactly two places — the start's release and the
-//!   deadlines of reached endpoints. An assignment or presence flip
-//!   therefore dirties the node for every cached search whose read set
-//!   touches it, but a value-only change (a still-anchored node whose
-//!   anchor moved) invalidates only searches *starting* at the node
-//!   (release values) or reaching it as an endpoint (deadline values,
-//!   checked against the read set). This is what keeps the re-anchoring
-//!   ripple of an accepted slice — which rewrites neighbor anchor values
-//!   but rarely their presence — from cascading into a full re-search. A
-//!   node assigned in both runs is always clean.
+//! * **State dirt** (read-set level). The new state is diffed against the
+//!   old run's at the same iteration; both runs change only the nodes their
+//!   steps record, so the diff is kept up to date from those. It
+//!   distinguishes what a search can actually observe: interior
+//!   exploration branches only on anchor *presence* (`assigned`,
+//!   `rel.is_none()`, `dl.is_some()`), while anchor *values* are read in
+//!   exactly two places — the start's release and the deadlines of reached
+//!   endpoints. An assignment or presence flip therefore dirties the node
+//!   for every cached search whose read set touches it, but a value-only
+//!   change (a still-anchored node whose anchor moved) invalidates only
+//!   searches *starting* at the node (release values) or reaching it as an
+//!   endpoint (deadline values, checked against the read set). This keeps
+//!   the re-anchoring ripple of an accepted slice — which rewrites
+//!   neighbour anchor values but rarely their presence — from cascading
+//!   into a full re-search. A node assigned in both runs is always clean.
 //! * **Increased virtual weights** (read-set level). The DP's exploration
 //!   order is weight-independent, but a larger weight can promote any path
 //!   through the node, so every cached search that examined it re-runs.
@@ -41,15 +51,14 @@
 //!   through a decreased node. This is what makes WCET *tightenings* — the
 //!   common direction for measurement-based re-estimation — nearly free.
 //!
-//! On top of the dirty rules, the replay tracks whether the state still
-//! **matches** the old snapshot (it does until a different winner is
+//! A start the old run cannot answer is carried or searched live as
+//! above. On top of the dirty rules, the replay tracks whether the state
+//! still **matches** the old run's (it does until a different winner is
 //! chosen, and again once a divergent region has been sliced away in both
-//! runs). On the matched prefix the per-node diff and the `classify` pass
-//! are skipped and only the few weight-dirty nodes are consulted; an
-//! iteration they leave clean is copied into the new trace as a few short
-//! slice copies (its candidates, read sets and paths, never a per-node
-//! row), so an identity or far-from-the-cone delta replays in time
-//! proportional to the candidates it copies.
+//! runs). On the matched prefix only the few weight-dirty nodes are
+//! consulted; an iteration they leave clean is copied into the new trace
+//! as a few short slice copies, so an identity or far-from-the-cone delta
+//! replays in time proportional to the candidates it copies.
 //!
 //! # Trace layout
 //!
@@ -61,32 +70,36 @@
 //! applying those steps to one rolling snapshot, so no per-node row is
 //! stored or copied per iteration. Candidates live in one table: each
 //! one's read set is a fixed-width row of a shared word array and its
-//! winner path a range of a shared node array; the read-set and
-//! winner-path unions are one row per iteration. A search marks straight
-//! into its arena row and its winner's path is walked straight into the
-//! node array, so recording allocates nothing per start. A replay reads
-//! the old arenas and appends to a second set; the two swap afterwards,
-//! and the memo keeps the spare (emptied, capacity intact) so chained
-//! amendments reuse its buffers. Cloning or dropping a memo therefore
-//! touches a few buffers, whatever the iteration count.
+//! winner path a range of a shared node array; the read-set union is one
+//! row per iteration. A search marks straight into its arena row and its
+//! winner's path is walked straight into the node array, and a reused or
+//! carried run of candidates is one slice copy per arena, so recording
+//! allocates nothing per start. A replay reads the old arenas and appends
+//! to a second set; the two swap afterwards, and the memo keeps the spare
+//! (emptied, capacity intact) so chained amendments reuse its buffers.
+//! Cloning or dropping a memo therefore touches a few buffers, whatever the
+//! iteration count.
 //!
 //! Winners compose across ascending starts with the same strict `<` as the
 //! full sweep, so the chosen path — and therefore the produced
-//! [`DeadlineAssignment`] — is **bit-identical** to a from-scratch
-//! [`Slicer::distribute`], which the delta-equivalence property suite
-//! enforces over random delta sequences.
+//! [`DeadlineAssignment`] — is **bit-identical** to the plain loop that
+//! searches every start each iteration. The slicing tests keep that loop
+//! as an oracle, and the delta-equivalence property suite checks
+//! redistribute against a from-scratch [`Slicer::distribute`] over random
+//! delta sequences.
 //!
 //! # Fallback
 //!
-//! The replay silently falls back to a full traced run (still priming the
-//! memo for next time) when reuse would be unsound: the memo is unprimed,
-//! the slicer configuration or platform changed, or the delta changed the
-//! *structure* of the expanded graph (subtask/edge insertion or removal,
-//! or a message crossing the materialization threshold). Anchor, WCET and
-//! pin deltas keep the structure intact and stay on the incremental path;
-//! they also leave the subtask/edge signature untouched, in which case the
-//! memoized expanded graph is reused without being rebuilt.
-//! [`RedistributeStats::fell_back`] reports which path ran.
+//! The replay silently falls back to a full run (still priming the memo
+//! for next time, and still carrying searches within the run) when reuse
+//! would be unsound: the memo is unprimed, the slicer configuration or
+//! platform changed, or the delta changed the *structure* of the expanded
+//! graph (subtask/edge insertion or removal, or a message crossing the
+//! materialization threshold). Anchor, WCET and pin deltas keep the
+//! structure intact and stay on the incremental path; they also leave the
+//! subtask/edge signature untouched, in which case the memoized expanded
+//! graph is reused without being rebuilt. [`RedistributeStats::fell_back`]
+//! reports which path ran.
 
 use std::ops::Range;
 
@@ -207,8 +220,63 @@ struct Snapshot {
     dl: Vec<Option<Time>>,
 }
 
+/// Where the live state differs from the old run's at the same iteration
+/// (the module docs' state dirt), one bit per node: hard dirt, and value
+/// dirt of releases and of deadlines. A slice changes only the nodes its
+/// steps record, so after each iteration only those of either run are
+/// re-checked.
+#[derive(Debug)]
+struct Diff {
+    hard: Vec<u64>,
+    rel_val: Vec<u64>,
+    dl_val: Vec<u64>,
+}
+
+impl Diff {
+    fn new(words: usize) -> Self {
+        Diff {
+            hard: vec![0; words],
+            rel_val: vec![0; words],
+            dl_val: vec![0; words],
+        }
+    }
+
+    /// Re-checks node `v` of `state` against the old run's `snap`.
+    fn check(&mut self, v: usize, state: &SliceState, snap: &Snapshot) {
+        let mut hard = state.assigned[v] != snap.assigned[v];
+        let (mut rel_val, mut dl_val) = (false, false);
+        if !hard && !state.assigned[v] {
+            for (new, old, val) in [
+                (state.rel[v], snap.rel[v], &mut rel_val),
+                (state.dl[v], snap.dl[v], &mut dl_val),
+            ] {
+                match (new, old) {
+                    (Some(a), Some(b)) => *val = a != b,
+                    (a, b) => hard |= a.is_some() != b.is_some(),
+                }
+            }
+        }
+        let (w, b) = (v >> 6, 1u64 << (v & 63));
+        for (bits, on) in [
+            (&mut self.hard, hard),
+            (&mut self.rel_val, rel_val),
+            (&mut self.dl_val, dl_val),
+        ] {
+            bits[w] = if on { bits[w] | b } else { bits[w] & !b };
+        }
+    }
+
+    /// The number of dirty nodes.
+    fn dirt(&self) -> u64 {
+        let words = self.hard.iter().zip(&self.rel_val).zip(&self.dl_val);
+        words
+            .map(|((h, r), d)| u64::from((h | r | d).count_ones()))
+            .sum()
+    }
+}
+
 /// The record of one traced run in flat, append-only arenas (see the
-/// module docs). Iteration `i` owns row `i` of the union arenas (`words`
+/// module docs). Iteration `i` owns row `i` of the union arena (`words`
 /// bitset words wide) and the ranges of `steps`, the candidate table and
 /// the path-node array that end at `step_end[i]`, `cand_end[i]` and
 /// `path_end[i]`. An iteration's candidates run ascending by start.
@@ -231,10 +299,6 @@ struct Trace {
     /// node outside it cannot invalidate any cached search of the
     /// iteration, letting a matched replay skip the per-candidate checks.
     dep_union: Vec<u64>,
-    /// Per iteration: union of every recorded winner's path — the
-    /// whole-iteration screen for decreased weights held at winner
-    /// strength.
-    path_union: Vec<u64>,
     /// Per iteration: one past its last candidate in `cands`.
     cand_end: Vec<u32>,
     /// Per iteration: one past its last node in `path_nodes`.
@@ -267,7 +331,6 @@ impl Trace {
         self.steps.clear();
         self.step_end.clear();
         self.dep_union.clear();
-        self.path_union.clear();
         self.cand_end.clear();
         self.path_end.clear();
         self.cands.clear();
@@ -296,7 +359,6 @@ impl Trace {
         self.steps.reserve(steps);
         self.step_end.reserve(iters);
         self.dep_union.reserve(iters * words);
-        self.path_union.reserve(iters * words);
         self.cand_end.reserve(iters);
         self.path_end.reserve(iters);
         self.cands.reserve(cands);
@@ -309,7 +371,6 @@ impl Trace {
         self.steps.shrink_to_fit();
         self.step_end.shrink_to_fit();
         self.dep_union.shrink_to_fit();
-        self.path_union.shrink_to_fit();
         self.cand_end.shrink_to_fit();
         self.path_end.shrink_to_fit();
         self.cands.shrink_to_fit();
@@ -343,10 +404,6 @@ impl Trace {
         row(&self.dep_union, i, self.words)
     }
 
-    fn path_union(&self, i: usize) -> &[u64] {
-        row(&self.path_union, i, self.words)
-    }
-
     /// The read set of candidate `c`.
     fn dep(&self, c: usize) -> &[u64] {
         row(&self.deps, c, self.words)
@@ -374,14 +431,27 @@ impl Trace {
         }
     }
 
+    /// The nodes iteration `i`'s slice changed, with their state after it.
+    fn steps_of(&self, i: usize) -> &[Step] {
+        &self.steps[span(&self.step_end, i)]
+    }
+
     /// Rolls `snap` from the start of iteration `i` to the start of the
     /// next one.
     fn advance(&self, i: usize, snap: &mut Snapshot) {
-        for step in &self.steps[span(&self.step_end, i)] {
+        for step in self.steps_of(i) {
             let v = step.node as usize;
             snap.assigned[v] = step.assigned;
             snap.rel[v] = step.rel;
             snap.dl[v] = step.dl;
+        }
+    }
+
+    /// Sets `bits` to the nodes iteration `i`'s slice changed.
+    fn mark_steps(&self, i: usize, bits: &mut [u64]) {
+        bits.fill(0);
+        for step in self.steps_of(i) {
+            bits[(step.node >> 6) as usize] |= 1u64 << (step.node & 63);
         }
     }
 
@@ -428,7 +498,7 @@ impl Trace {
             s,
             start_release,
             rule,
-            Some(&mut self.deps[at..]),
+            &mut self.deps[at..],
         );
         let path = self.path_nodes.len() - self.open_paths();
         let mut cand = Cand {
@@ -449,31 +519,111 @@ impl Trace {
         self.cands.push(cand);
     }
 
-    /// Appends candidate `c` of `old`'s iteration `i` to the open iteration.
-    fn reuse(&mut self, old: &Trace, i: usize, c: usize) {
-        self.deps.extend_from_slice(old.dep(c));
-        let path = self.path_nodes.len() - self.open_paths();
-        self.path_nodes.extend_from_slice(old.path(i, c));
-        self.cands.push(Cand {
-            path: path as u32,
-            ..old.cands[c]
-        });
+    /// Appends the run of candidates `cands` to the open iteration, one
+    /// slice copy each for their read sets, paths and entries. The run is
+    /// `old`'s from iteration `i` when `from_old`, else this trace's own
+    /// from iteration `i - 1`; `cands` is left empty.
+    fn copy_run(&mut self, old: &Trace, i: usize, (from_old, cands): &mut (bool, Range<usize>)) {
+        let cands = std::mem::replace(cands, 0..0);
+        if cands.is_empty() {
+            return;
+        }
+        let (src, j) = if *from_old { (old, i) } else { (&*self, i - 1) };
+        let (first, last) = (src.cands[cands.start], src.cands[cands.end - 1]);
+        let base = src.paths_of(j).start;
+        let paths = base + first.path as usize..base + (last.path + last.len) as usize;
+        let deps = cands.start * self.words..cands.end * self.words;
+        // Path offsets are iteration-relative: shift the run's to the open
+        // iteration's end.
+        let shift = ((self.path_nodes.len() - self.open_paths()) as u32).wrapping_sub(first.path);
+        let at = self.cands.len();
+        if *from_old {
+            self.deps.extend_from_slice(&old.deps[deps]);
+            self.path_nodes.extend_from_slice(&old.path_nodes[paths]);
+            self.cands.extend_from_slice(&old.cands[cands]);
+        } else {
+            self.deps.extend_from_within(deps);
+            self.path_nodes.extend_from_within(paths);
+            self.cands.extend_from_within(cands);
+        }
+        for cand in &mut self.cands[at..] {
+            cand.path = cand.path.wrapping_add(shift);
+        }
     }
 
-    /// Closes the open iteration (its unions and ranges) and returns its
+    /// One iteration's per-start pass. Every unassigned release-anchored
+    /// start, ascending, is answered from `old`'s candidate `c` of
+    /// iteration `i` when `hit(c)` holds (a cache hit); otherwise (a cache
+    /// miss) it is carried from this run's previous iteration when that
+    /// iteration searched it and its read set misses `touched`, the nodes
+    /// the previous slice changed, and searched live when not. Consecutive
+    /// answers from one source are copied as one run. Closes the open
+    /// iteration and returns its winning candidate.
+    #[allow(clippy::too_many_arguments)]
+    fn pass(
+        &mut self,
+        old: &Trace,
+        i: usize,
+        search: &mut PathSearch,
+        exp: &ExpandedGraph,
+        vweights: &[f64],
+        rule: ShareRule,
+        state: &SliceState,
+        touched: &[u64],
+        stats: &mut RedistributeStats,
+        hit: &dyn Fn(usize) -> bool,
+    ) -> Result<usize, SliceError> {
+        let mut classified = false;
+        let mut cached = if i < old.iters() {
+            old.cands_of(i)
+        } else {
+            0..0
+        };
+        let mut prev = if i > 0 { self.cands_of(i - 1) } else { 0..0 };
+        let mut run = (true, 0..0);
+        for s in 0..exp.len() {
+            let Some(release) = state.rel[s].filter(|_| !state.assigned[s]) else {
+                continue;
+            };
+            let answer = if seek(&old.cands, &mut cached, s) && hit(cached.start) {
+                stats.cache_hits += 1;
+                (true, cached.start)
+            } else {
+                stats.cache_misses += 1;
+                if seek(&self.cands, &mut prev, s) && disjoint(self.dep(prev.start), touched) {
+                    (false, prev.start)
+                } else {
+                    self.copy_run(old, i, &mut run);
+                    // Most passes search nothing live: classify on demand.
+                    if !std::mem::replace(&mut classified, true)
+                        && !search.classify(exp.len(), &state.assigned, &state.rel, &state.dl)
+                    {
+                        return Err(SliceError::NoAnchoredPath);
+                    }
+                    self.run_search(search, exp, vweights, &state.dl, s, release, rule);
+                    continue;
+                }
+            };
+            if run.0 != answer.0 || run.1.end != answer.1 {
+                self.copy_run(old, i, &mut run);
+                run = (answer.0, answer.1..answer.1);
+            }
+            run.1.end += 1;
+        }
+        self.copy_run(old, i, &mut run);
+        self.close().ok_or(SliceError::NoAnchoredPath)
+    }
+
+    /// Closes the open iteration (its union and ranges) and returns its
     /// winning candidate.
     fn close(&mut self) -> Option<usize> {
         let (words, cands) = (self.words, self.open_cands()..self.cands.len());
         let at = self.dep_union.len();
         self.dep_union.resize(at + words, 0);
-        self.path_union.resize(at + words, 0);
         for d in self.deps[cands.start * words..].chunks_exact(words) {
             for (u, x) in self.dep_union[at..].iter_mut().zip(d) {
                 *u |= x;
             }
-        }
-        for &v in &self.path_nodes[self.open_paths()..] {
-            self.path_union[at + (v >> 6) as usize] |= 1u64 << (v & 63);
         }
         self.cand_end.push(cands.end as u32);
         self.path_end.push(self.path_nodes.len() as u32);
@@ -481,17 +631,12 @@ impl Trace {
     }
 
     /// Appends iteration `i` of `old`'s candidates, read sets, paths and
-    /// unions whole, one slice copy each (candidate path offsets are
+    /// union whole, one slice copy each (candidate path offsets are
     /// iteration-relative). Its steps are recorded from the live state like
     /// any other iteration's.
     fn copy_iteration(&mut self, old: &Trace, i: usize) {
-        let (cands, paths) = (old.cands_of(i), old.paths_of(i));
-        self.deps
-            .extend_from_slice(&old.deps[cands.start * self.words..cands.end * self.words]);
-        self.cands.extend_from_slice(&old.cands[cands]);
-        self.path_nodes.extend_from_slice(&old.path_nodes[paths]);
+        self.copy_run(old, i, &mut (true, old.cands_of(i)));
         self.dep_union.extend_from_slice(old.dep_union(i));
-        self.path_union.extend_from_slice(old.path_union(i));
         self.cand_end.push(self.cands.len() as u32);
         self.path_end.push(self.path_nodes.len() as u32);
     }
@@ -536,7 +681,8 @@ impl Trace {
 pub struct RedistributeStats {
     /// Per-start searches answered from the memo.
     pub cache_hits: u64,
-    /// Per-start searches that ran the DP live.
+    /// Per-start searches not answered from the memo: searched live, or
+    /// carried from the previous iteration of the same run.
     pub cache_misses: u64,
     /// Dirty (node, iteration) pairs across all diffed iterations.
     pub dirty_nodes: u64,
@@ -574,34 +720,19 @@ fn bit(bits: &[u64], v: u32) -> bool {
     bits[(v >> 6) as usize] & (1u64 << (v & 63)) != 0
 }
 
-fn path_avoids(path: &[u32], bits: &[u64]) -> bool {
-    !path.iter().any(|&u| bit(bits, u))
+/// Whether two bitsets share no node.
+fn disjoint(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x & y == 0)
 }
 
-/// Whether a cached candidate (read set `dep`, winner `path`) survives the
-/// weight dirt alone: increased (and, when the monotonicity shortcut is
-/// unusable, decreased) weights must be outside its read set; under the
-/// shortcut the recorded winner must not route through a decreased node.
-/// Weight-dirty nodes already assigned are inert — no search reads their
-/// weight.
-fn weight_clean(
-    dep: &[u64],
-    path: &[u32],
-    assigned: &[bool],
-    plus: &[u32],
-    minus: &[u32],
-    minus_bits: &[u64],
-    soft: bool,
-) -> bool {
-    let dep_clear = |list: &[u32]| list.iter().all(|&v| assigned[v as usize] || !bit(dep, v));
-    if !dep_clear(plus) {
-        return false;
+/// Advances `range`, a run of candidates ascending by start, past every
+/// start below `s`; returns whether its first candidate is the one from
+/// `s`.
+fn seek(cands: &[Cand], range: &mut Range<usize>, s: usize) -> bool {
+    while range.start < range.end && (cands[range.start].start as usize) < s {
+        range.start += 1;
     }
-    if soft {
-        path_avoids(path, minus_bits)
-    } else {
-        dep_clear(minus)
-    }
+    range.start < range.end && cands[range.start].start as usize == s
 }
 
 /// Every admissible window is non-negative iff the smallest unassigned
@@ -626,12 +757,9 @@ fn windows_nonneg(state: &SliceState) -> bool {
 }
 
 impl Slicer {
-    /// [`distribute`](Slicer::distribute), additionally priming `memo` so a
-    /// later [`redistribute`](Slicer::redistribute) can reuse this run.
-    ///
-    /// The produced assignment is bit-identical to a plain `distribute`
-    /// over the same inputs (the trace records reads; it never alters the
-    /// search).
+    /// [`distribute`](Slicer::distribute), keeping the run in `memo` so a
+    /// later [`redistribute`](Slicer::redistribute) can reuse it
+    /// (`distribute` is this call over a scratch memo).
     ///
     /// # Errors
     ///
@@ -693,9 +821,9 @@ impl Slicer {
         }
     }
 
-    /// The traced slicing loop: runs over `graph`, consuming whatever
-    /// usable memo state exists (structure still has to match — checked
-    /// here) and leaving `memo` primed with this run.
+    /// The slicing loop: runs over `graph`, consuming whatever usable memo
+    /// state exists (structure still has to match — checked here) and
+    /// leaving `memo` primed with this run.
     fn run_traced(
         &self,
         graph: &TaskGraph,
@@ -704,7 +832,7 @@ impl Slicer {
         stats: &mut RedistributeStats,
     ) -> Result<DeadlineAssignment, SliceError> {
         let _span = tracing::debug_span!(
-            "redistribute",
+            "distribute",
             metric = self.metric_name(),
             estimate = self.estimate_label(),
             subtasks = graph.subtask_count()
@@ -730,23 +858,18 @@ impl Slicer {
                 inner.vweights,
                 inner.search,
             ),
-            Some(inner) => {
+            inner => {
                 let exp = ExpandedGraph::build(graph, self.estimate(), platform);
-                if inner.exp.same_structure(&exp) {
-                    (exp, inner.trace, inner.spare, inner.vweights, inner.search)
-                } else {
-                    stats.fell_back = true;
-                    let (nodes, chain) = (exp.len(), exp.max_chain());
-                    let search = PathSearch::new(nodes, chain);
-                    (exp, Trace::default(), Trace::default(), Vec::new(), search)
+                match inner {
+                    Some(inner) if inner.exp.same_structure(&exp) => {
+                        (exp, inner.trace, inner.spare, inner.vweights, inner.search)
+                    }
+                    _ => {
+                        stats.fell_back = true;
+                        let search = PathSearch::new(exp.len(), exp.max_chain());
+                        (exp, Trace::default(), Trace::default(), Vec::new(), search)
+                    }
                 }
-            }
-            None => {
-                let exp = ExpandedGraph::build(graph, self.estimate(), platform);
-                stats.fell_back = true;
-                let (nodes, chain) = (exp.len(), exp.max_chain());
-                let search = PathSearch::new(nodes, chain);
-                (exp, Trace::default(), Trace::default(), Vec::new(), search)
             }
         };
 
@@ -792,9 +915,14 @@ impl Slicer {
         // The old run's state at the current iteration, rolled forward
         // through its recorded steps.
         let mut old_state = old.first_snapshot();
-        let mut dirty = vec![0u64; words];
-        let mut rel_val = vec![0u64; words];
-        let mut dl_val = vec![0u64; words];
+        let mut diff = Diff::new(words);
+        if replay {
+            for v in 0..n {
+                diff.check(v, &state, &old_state);
+            }
+        }
+        // The nodes the previous iteration's slice changed.
+        let mut touched = vec![0u64; words];
         let mut path_weights: Vec<f64> = Vec::new();
         let mut slices: Vec<Window> = Vec::new();
         // The chosen path of each iteration, reloaded in place.
@@ -815,91 +943,34 @@ impl Slicer {
         while state.remaining > 0 {
             // The iteration both traces are at: `i` indexes `old` and the
             // open iteration of `new` alike. Each branch below closes it
-            // and loads its chosen path into `cp`.
+            // and yields its winning candidate in `new`.
             let i = new.iters();
-            'choose: {
+            let mut pass = |hit: &dyn Fn(usize) -> bool, stats: &mut RedistributeStats| {
+                new.pass(
+                    &old,
+                    i,
+                    &mut search,
+                    &exp,
+                    &vweights,
+                    rule,
+                    &state,
+                    &touched,
+                    stats,
+                    hit,
+                )
+            };
+            let best = 'choose: {
                 if i >= old.iters() {
                     // The old run finished earlier (or there is no trace):
-                    // everything left runs live.
-                    if !search.classify(n, &state.assigned, &state.rel, &state.dl) {
-                        return Err(SliceError::NoAnchoredPath);
-                    }
-                    for s in 0..n {
-                        if state.assigned[s] || state.rel[s].is_none() {
-                            continue;
-                        }
-                        stats.cache_misses += 1;
-                        let start_release = state.rel[s].expect("checked above");
-                        new.run_search(
-                            &mut search,
-                            &exp,
-                            &vweights,
-                            &state.dl,
-                            s,
-                            start_release,
-                            rule,
-                        );
-                    }
-                    let best = new.close().ok_or(SliceError::NoAnchoredPath)?;
-                    new.load(i, best, &mut cp);
-                    break 'choose;
+                    // nothing is answered from it.
+                    break 'choose pass(&|_| false, stats)?;
                 }
 
-                // Lazily computed Proportional gate (see `windows_nonneg`);
-                // the diff below folds it in for free when it runs.
-                let mut gate: Option<bool> = None;
-
                 if !matched {
-                    dirty.fill(0);
-                    rel_val.fill(0);
-                    dl_val.fill(0);
-                    let mut dirt = 0u64;
-                    let (mut min_dl, mut max_rel) = (i64::MAX, i64::MIN);
-                    for v in 0..n {
-                        // Hard dirt: a flag any exploring search branches
-                        // on flipped. Value dirt: the node stayed anchored
-                        // but the anchor moved — observable only by a
-                        // search starting there (release) or reaching it as
-                        // an endpoint (deadline).
-                        let mut hard = state.assigned[v] != old_state.assigned[v];
-                        let mut val = false;
-                        if !hard && !state.assigned[v] {
-                            match (state.rel[v], old_state.rel[v]) {
-                                (Some(a), Some(b)) if a != b => {
-                                    rel_val[v >> 6] |= 1u64 << (v & 63);
-                                    val = true;
-                                }
-                                (a, b) if a.is_some() != b.is_some() => hard = true,
-                                _ => {}
-                            }
-                            match (state.dl[v], old_state.dl[v]) {
-                                (Some(a), Some(b)) if a != b => {
-                                    dl_val[v >> 6] |= 1u64 << (v & 63);
-                                    val = true;
-                                }
-                                (a, b) if a.is_some() != b.is_some() => hard = true,
-                                _ => {}
-                            }
-                        }
-                        if !state.assigned[v] {
-                            if let Some(r) = state.rel[v] {
-                                max_rel = max_rel.max(r.as_i64());
-                            }
-                            if let Some(d) = state.dl[v] {
-                                min_dl = min_dl.min(d.as_i64());
-                            }
-                        }
-                        if hard {
-                            dirty[v >> 6] |= 1u64 << (v & 63);
-                        }
-                        if hard || val {
-                            dirt += 1;
-                        }
-                    }
+                    let dirt = diff.dirt();
                     stats.scanned_nodes += n as u64;
                     stats.dirty_nodes += dirt;
                     matched = dirt == 0;
-                    gate = Some(min_dl == i64::MAX || max_rel == i64::MIN || min_dl >= max_rel);
                 }
 
                 let minus_live = w_minus_list.iter().any(|&v| !state.assigned[v as usize]);
@@ -907,9 +978,24 @@ impl Slicer {
                 // Winner-strength handling of decreases needs the score to
                 // be monotone in total weight: unconditional for
                 // EqualShare, window-gated for Proportional.
-                let soft = minus_live
-                    && (rule == ShareRule::EqualShare
-                        || *gate.get_or_insert_with(|| windows_nonneg(&state)));
+                let soft = minus_live && (rule == ShareRule::EqualShare || windows_nonneg(&state));
+
+                // Whether old candidate `c` survives the weight dirt alone:
+                // increased (and, without the monotonicity shortcut,
+                // decreased) weights must be outside its read set; under
+                // the shortcut its winner must not route through a
+                // decreased node (a winner lies inside its read set).
+                // Assigned nodes' weights are never read.
+                let weight_clean = |c: usize| {
+                    let read = |&v: &u32| !state.assigned[v as usize] && bit(old.dep(c), v);
+                    let routed = |v: &u32| read(v) && old.path(i, c).contains(v);
+                    !w_plus_list.iter().any(read)
+                        && if soft {
+                            !w_minus_list.iter().any(routed)
+                        } else {
+                            !w_minus_list.iter().any(read)
+                        }
+                };
 
                 if matched {
                     // The state equals the old snapshot, so the start set
@@ -917,147 +1003,58 @@ impl Slicer {
                     // only weight dirt can invalidate, and with none live
                     // the whole iteration fast-forwards.
                     // Whole-iteration screen first: weight dirt outside the
-                    // recorded read-set (resp. winner-path) union cannot
-                    // touch any cached search, so the per-candidate checks
-                    // — the dominant cost of a fast-forwarded iteration —
-                    // are skipped for the overwhelmingly common off-cone
-                    // iteration.
-                    let clear = |v: u32, bits: &[u64]| state.assigned[v as usize] || !bit(bits, v);
-                    let minus_union = if soft {
-                        old.path_union(i)
-                    } else {
-                        old.dep_union(i)
-                    };
-                    let union_clear = w_plus_list.iter().all(|&v| clear(v, old.dep_union(i)))
-                        && w_minus_list.iter().all(|&v| clear(v, minus_union));
+                    // recorded read-set union cannot touch any cached
+                    // search (a winner path lies inside its read set), so
+                    // the per-candidate checks — the dominant cost of a
+                    // fast-forwarded iteration — are skipped for the
+                    // overwhelmingly common off-cone iteration.
+                    let union_clear = w_plus_list
+                        .iter()
+                        .chain(&w_minus_list)
+                        .all(|&v| state.assigned[v as usize] || !bit(old.dep_union(i), v));
                     let cands = old.cands_of(i);
-                    let all_hit = (!minus_live && !plus_live)
-                        || union_clear
-                        || cands.clone().all(|c| {
-                            weight_clean(
-                                old.dep(c),
-                                old.path(i, c),
-                                &state.assigned,
-                                &w_plus_list,
-                                &w_minus_list,
-                                &w_minus,
-                                soft,
-                            )
-                        });
-                    if all_hit {
+                    if (!minus_live && !plus_live) || union_clear || cands.clone().all(weight_clean)
+                    {
                         stats.cache_hits += cands.len() as u64;
-                        let best = old.best(i).ok_or(SliceError::NoAnchoredPath)?;
-                        old.load(i, best, &mut cp);
                         new.copy_iteration(&old, i);
-                        break 'choose;
+                        break 'choose new.best(i).ok_or(SliceError::NoAnchoredPath)?;
                     }
 
                     // Some start must re-search. The chosen winner decides
                     // whether the state keeps tracking the old run: the old
                     // winner, off every weight-dirty node, evolves both
                     // runs identically.
-                    let old_best = old.best(i);
-                    if !search.classify(n, &state.assigned, &state.rel, &state.dl) {
-                        return Err(SliceError::NoAnchoredPath);
-                    }
-                    for c in cands {
-                        if weight_clean(
-                            old.dep(c),
-                            old.path(i, c),
-                            &state.assigned,
-                            &w_plus_list,
-                            &w_minus_list,
-                            &w_minus,
-                            soft,
-                        ) {
-                            stats.cache_hits += 1;
-                            new.reuse(&old, i, c);
-                        } else {
-                            stats.cache_misses += 1;
-                            let s = old.cands[c].start as usize;
-                            let start_release =
-                                state.rel[s].expect("cached starts are release-anchored");
-                            new.run_search(
-                                &mut search,
-                                &exp,
-                                &vweights,
-                                &state.dl,
-                                s,
-                                start_release,
-                                rule,
-                            );
-                        }
-                    }
-                    let best = new.close().ok_or(SliceError::NoAnchoredPath)?;
-                    matched = old_best.is_some_and(|ob| old.same_winner(i, ob, &new, i, best))
+                    let best = pass(&weight_clean, stats)?;
+                    matched = old
+                        .best(i)
+                        .is_some_and(|ob| old.same_winner(i, ob, &new, i, best))
                         && !new
                             .path(i, best)
                             .iter()
                             .any(|&u| bit(&w_minus, u) || bit(&w_plus, u));
-                    new.load(i, best, &mut cp);
-                    break 'choose;
+                    break 'choose best;
                 }
 
-                // Diverged: per-candidate reuse against the freshly diffed
-                // dirty set, with the live weight dirt folded in at
-                // read-set strength (decreases stay at winner strength
-                // while `soft`).
-                for &v in &w_plus_list {
-                    if !state.assigned[v as usize] && !bit(&dirty, v) {
-                        dirty[(v >> 6) as usize] |= 1u64 << (v & 63);
-                        stats.dirty_nodes += 1;
-                    }
-                }
-                if !soft {
-                    for &v in &w_minus_list {
-                        if !state.assigned[v as usize] && !bit(&dirty, v) {
-                            dirty[(v >> 6) as usize] |= 1u64 << (v & 63);
-                            stats.dirty_nodes += 1;
-                        }
-                    }
-                }
+                // Diverged: per-candidate reuse against the diff and the
+                // weight dirt. Live weight-dirty nodes held at read-set
+                // strength count as dirty nodes too.
+                let minus = if soft { &[][..] } else { &w_minus_list[..] };
+                stats.dirty_nodes += w_plus_list
+                    .iter()
+                    .chain(minus)
+                    .filter(|&&v| !state.assigned[v as usize] && !bit(&diff.hard, v))
+                    .count() as u64;
+                let clean = |c: usize| {
+                    let dep = old.dep(c);
+                    !bit(&diff.rel_val, old.cands[c].start)
+                        && disjoint(dep, &diff.hard)
+                        && disjoint(dep, &diff.dl_val)
+                        && weight_clean(c)
+                };
+                pass(&clean, stats)?
+            };
 
-                if !search.classify(n, &state.assigned, &state.rel, &state.dl) {
-                    return Err(SliceError::NoAnchoredPath);
-                }
-
-                let cands = old.cands_of(i);
-                let mut pos = cands.start;
-                for s in 0..n {
-                    if state.assigned[s] || state.rel[s].is_none() {
-                        continue;
-                    }
-                    while pos < cands.end && (old.cands[pos].start as usize) < s {
-                        pos += 1;
-                    }
-                    let hit = pos < cands.end && old.cands[pos].start as usize == s && {
-                        let dep = old.dep(pos);
-                        !bit(&rel_val, s as u32)
-                            && dep.iter().zip(&dirty).all(|(d, x)| d & x == 0)
-                            && dep.iter().zip(&dl_val).all(|(d, x)| d & x == 0)
-                            && (!soft || path_avoids(old.path(i, pos), &w_minus))
-                    };
-                    if hit {
-                        stats.cache_hits += 1;
-                        new.reuse(&old, i, pos);
-                    } else {
-                        stats.cache_misses += 1;
-                        let start_release = state.rel[s].expect("checked above");
-                        new.run_search(
-                            &mut search,
-                            &exp,
-                            &vweights,
-                            &state.dl,
-                            s,
-                            start_release,
-                            rule,
-                        );
-                    }
-                }
-                let best = new.close().ok_or(SliceError::NoAnchoredPath)?;
-                new.load(i, best, &mut cp);
-            }
-
+            new.load(i, best, &mut cp);
             paths += 1;
             apply_path(
                 &exp,
@@ -1070,8 +1067,12 @@ impl Slicer {
                 paths,
             );
             new.record_steps(&exp, &cp.nodes, &state);
+            new.mark_steps(i, &mut touched);
             if i < old.iters() {
                 old.advance(i, &mut old_state);
+                for step in new.steps_of(i).iter().chain(old.steps_of(i)) {
+                    diff.check(step.node as usize, &state, &old_state);
+                }
             }
         }
 
@@ -1082,7 +1083,7 @@ impl Slicer {
             cache_hits = stats.cache_hits,
             cache_misses = stats.cache_misses,
             fell_back = stats.fell_back,
-            "incremental deadline distribution complete"
+            "deadline distribution complete"
         );
 
         let assignment = finalize(self, graph, &exp, state)?;

@@ -50,7 +50,7 @@ pub(crate) struct CriticalPath {
 /// The local winner of one per-start search: its score and window, plus
 /// where its path ends so the DP's parent links can walk it back. The walk
 /// reads scratch that the next search overwrites, so callers take the path
-/// ([`PathSearch::path_into`], [`PathSearch::critical_path`]) first.
+/// ([`PathSearch::path_into`]) first.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Winner {
     end: u32,
@@ -66,14 +66,10 @@ pub(crate) struct Winner {
 
 const NO_PARENT: u32 = u32::MAX;
 
-/// Marks node `v` in the optional dependency bitset (one bit per expanded
-/// node). A no-op when no recording is requested, so the untraced hot path
-/// pays one predictable branch.
+/// Marks node `v` in a read-set bitset (one bit per expanded node).
 #[inline]
-fn mark(dep: &mut Option<&mut [u64]>, v: usize) {
-    if let Some(bits) = dep.as_deref_mut() {
-        bits[v >> 6] |= 1u64 << (v & 63);
-    }
+fn mark(dep: &mut [u64], v: usize) {
+    dep[v >> 6] |= 1u64 << (v & 63);
 }
 
 /// One DP state slot: extremes of total virtual time over admissible paths
@@ -178,49 +174,6 @@ impl PathSearch {
         !self.endpoints.is_empty()
     }
 
-    /// Finds the admissible path minimizing `rule`'s score, or `None` if no
-    /// anchored path exists (which the slicing loop treats as an internal
-    /// invariant violation).
-    ///
-    /// `vweights` are per-node virtual execution times; `assigned` marks
-    /// nodes already sliced; `rel`/`dl` are the accumulated release/deadline
-    /// anchors.
-    ///
-    /// Decomposed into one [`search_from`](Self::search_from) per
-    /// release-anchored start, composed with a strict `<` over ascending
-    /// starts — exactly the evaluation order of the original monolithic
-    /// sweep, so the winner (the first candidate attaining the global
-    /// minimum) is bit-identical. The per-start form is what incremental
-    /// redistribution replays, skipping starts whose recorded read set is
-    /// untouched by a delta.
-    pub(crate) fn find_critical_path(
-        &mut self,
-        exp: &ExpandedGraph,
-        vweights: &[f64],
-        assigned: &[bool],
-        rel: &[Option<Time>],
-        dl: &[Option<Time>],
-        rule: ShareRule,
-    ) -> Option<CriticalPath> {
-        let n = exp.len();
-        if !self.classify(n, assigned, rel, dl) {
-            return None;
-        }
-        let mut best: Option<CriticalPath> = None;
-        for s in 0..n {
-            if assigned[s] || rel[s].is_none() {
-                continue;
-            }
-            let start_release = rel[s].expect("checked above");
-            if let Some(w) = self.search_from(exp, vweights, dl, s, start_release, rule, None) {
-                if best.as_ref().is_none_or(|b| w.score < b.score) {
-                    best = Some(self.critical_path(&w));
-                }
-            }
-        }
-        best
-    }
-
     /// Runs the DP from one release-anchored start `s` and returns the best
     /// candidate path it can reach, or `None` if no endpoint is reachable.
     /// Take the winner's path before the next search.
@@ -232,11 +185,11 @@ impl PathSearch {
     /// winners across ascending starts with the same strict `<` reproduces
     /// the global sweep exactly.
     ///
-    /// When `dep` is `Some`, every node whose *mutable per-iteration state*
-    /// the search reads (the start, every popped node, every examined
-    /// successor) is marked in the caller's bitset (one bit per expanded
-    /// node; existing bits are kept). A cached result from this start
-    /// stays valid as long as none of those nodes' state changed: unreached
+    /// Every node whose *mutable per-iteration state* the search reads (the
+    /// start, every popped node, every examined successor) is marked in the
+    /// caller's `dep` bitset (one bit per expanded node; existing bits are
+    /// kept). A result from this start stays valid, in a later iteration or
+    /// a later run, as long as none of those nodes' state changed: unreached
     /// nodes beyond the recorded boundary cannot influence the search
     /// without some boundary node's `can_enter`/anchor state changing
     /// first, and that boundary node is in the set.
@@ -249,12 +202,12 @@ impl PathSearch {
         s: usize,
         start_release: Time,
         rule: ShareRule,
-        mut dep: Option<&mut [u64]>,
+        dep: &mut [u64],
     ) -> Option<Winner> {
         let cols = self.cols;
         let epoch = self.next_epoch();
         let mut best: Option<Winner> = None;
-        mark(&mut dep, s);
+        mark(dep, s);
 
         // Seed the single-node path (s, length 1).
         self.states[s * cols + 1] = State {
@@ -276,7 +229,7 @@ impl PathSearch {
         // it may extend iff it is not deadline-anchored.
         while let Some(Reverse(pos)) = self.frontier.pop() {
             let u = exp.topo()[pos as usize] as usize;
-            mark(&mut dep, u);
+            mark(dep, u);
             if dl[u].is_some() {
                 continue;
             }
@@ -293,7 +246,7 @@ impl PathSearch {
                 }
                 for &z in exp.succ(u) {
                     let z = z as usize;
-                    mark(&mut dep, z);
+                    mark(dep, z);
                     if !self.can_enter[z] {
                         continue;
                     }
@@ -389,6 +342,52 @@ impl PathSearch {
         let at = out.len();
         self.walk(w, |v| out.push(v));
         out[at..].reverse();
+    }
+}
+
+#[cfg(test)]
+impl PathSearch {
+    /// Finds the admissible path minimizing `rule`'s score, or `None` if no
+    /// anchored path exists.
+    ///
+    /// `vweights` are per-node virtual execution times; `assigned` marks
+    /// nodes already sliced; `rel`/`dl` are the accumulated release/deadline
+    /// anchors.
+    ///
+    /// One [`search_from`](Self::search_from) per release-anchored start,
+    /// composed with a strict `<` over ascending starts — the evaluation
+    /// order of the original monolithic sweep, so the winner (the first
+    /// candidate attaining the global minimum) is bit-identical. The
+    /// slicing loop composes the same per-start winners itself, skipping
+    /// starts whose recorded read set is untouched; this whole-iteration
+    /// form is the test oracles' view of one search.
+    pub(crate) fn find_critical_path(
+        &mut self,
+        exp: &ExpandedGraph,
+        vweights: &[f64],
+        assigned: &[bool],
+        rel: &[Option<Time>],
+        dl: &[Option<Time>],
+        rule: ShareRule,
+    ) -> Option<CriticalPath> {
+        let n = exp.len();
+        if !self.classify(n, assigned, rel, dl) {
+            return None;
+        }
+        let mut best: Option<CriticalPath> = None;
+        let mut dep = vec![0u64; n.div_ceil(64)];
+        for s in 0..n {
+            if assigned[s] || rel[s].is_none() {
+                continue;
+            }
+            let start_release = rel[s].expect("checked above");
+            if let Some(w) = self.search_from(exp, vweights, dl, s, start_release, rule, &mut dep) {
+                if best.as_ref().is_none_or(|b| w.score < b.score) {
+                    best = Some(self.critical_path(&w));
+                }
+            }
+        }
+        best
     }
 
     /// The last search's winner as an owned [`CriticalPath`].
