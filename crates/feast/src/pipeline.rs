@@ -406,7 +406,7 @@ impl Pipeline {
             graph,
             platform,
             &pinning,
-            shifted,
+            Some(shifted),
             outcome.schedule,
             output,
             origin,
@@ -424,7 +424,7 @@ impl Pipeline {
     ) -> Result<Verdict, RunError> {
         let pinning = self.pinning.build(graph, platform)?;
         let schedule_started = Instant::now();
-        let (assignment, schedule) = match base {
+        let (shifted, schedule) = match base {
             None => {
                 let schedule = self.scheduler.schedule_with(
                     graph,
@@ -433,7 +433,7 @@ impl Pipeline {
                     &pinning,
                     &mut self.ws,
                 )?;
-                (output.assignment.clone(), schedule)
+                (None, schedule)
             }
             Some((state, origin)) => {
                 let shifted = output.assignment.shifted(origin);
@@ -445,7 +445,7 @@ impl Pipeline {
                     state,
                     &mut self.ws,
                 )?;
-                (shifted, schedule)
+                (Some(shifted), schedule)
             }
         };
         let schedule_elapsed = schedule_started.elapsed();
@@ -454,7 +454,7 @@ impl Pipeline {
             graph,
             platform,
             &pinning,
-            assignment,
+            shifted,
             schedule,
             output,
             origin,
@@ -464,20 +464,30 @@ impl Pipeline {
     }
 
     /// Shared tail of every trial: schedule audit, lateness measurement,
-    /// verdict assembly.
+    /// verdict assembly. The verdict carries `shifted`, the assignment
+    /// re-anchored for committed load, or else the slice's own, moved
+    /// out of `output`.
     #[allow(clippy::too_many_arguments)]
     fn measure(
         &mut self,
         graph: &TaskGraph,
         platform: &Platform,
         pinning: &platform::Pinning,
-        assignment: DeadlineAssignment,
+        shifted: Option<DeadlineAssignment>,
         schedule: Schedule,
         output: SliceOutput,
         origin: Time,
         schedule_elapsed: Duration,
         repair_fell_back: Option<bool>,
     ) -> Result<Verdict, RunError> {
+        let SliceOutput {
+            assignment,
+            window_violations,
+            distribute,
+            window_audit,
+            redistribute,
+        } = output;
+        let assignment = shifted.unwrap_or(assignment);
         let audit_started = Instant::now();
         let schedule_violations = schedule
             .validate(
@@ -487,7 +497,7 @@ impl Pipeline {
                 self.spec.bus_model == BusModel::Contention,
             )
             .len();
-        let audit = output.window_audit + audit_started.elapsed();
+        let audit = window_audit + audit_started.elapsed();
 
         let report = LatenessReport::new(graph, &assignment, &schedule);
         Ok(Verdict {
@@ -495,12 +505,12 @@ impl Pipeline {
             max_lateness: report.max_lateness(),
             end_to_end: report.end_to_end_lateness() - origin,
             makespan: report.makespan(),
-            window_violations: output.window_violations,
+            window_violations,
             schedule_violations,
-            distribute: output.distribute,
+            distribute,
             schedule_time: schedule_elapsed,
             audit,
-            redistribute: output.redistribute,
+            redistribute,
             repair_fell_back,
             assignment,
             schedule,

@@ -6,8 +6,16 @@
 //!
 //! Every replication's workload seed is derived from its coordinates via
 //! [`stream_seed`] (never from a sequential RNG walk), so any replication
-//! is independently computable in any order on any worker. On top of that
-//! the engine layers:
+//! is independently computable in any order on any worker.
+//!
+//! The unit of work is one replication, as in the paper's experiment: one
+//! random graph, run at every system size of the sweep. A run generates
+//! every graph it still needs, then starts one pool of worker threads for
+//! the whole scenario. Each worker owns one [`Pipeline`] and claims the
+//! next replication from a shared index, and runs that graph at every size
+//! it still misses, back to back, while the graph is hot in cache. A cell
+//! is one `(system size, replication)` pair; duplicate sizes in the sweep
+//! name the same cell, which runs once. On top of that the engine layers:
 //!
 //! * **sharding** — [`ShardSpec`] partitions the replication indices;
 //!   [`Runner::run_partial`] computes one shard's [`PartialResult`] and
@@ -19,9 +27,9 @@
 //!   replication to a JSONL file; a restarted run loads it, skips the
 //!   completed `(system size, replication)` cells and computes only the
 //!   rest;
-//! * **cancellation** — a [`CancelToken`] checked between replications
+//! * **cancellation** — a [`CancelToken`] checked before every cell
 //!   stops the run with [`RunError::Cancelled`] while preserving the
-//!   checkpoint;
+//!   checkpoint, which holds every cell finished before it;
 //! * **bounded retry** — a rejected workload draw is retried on fresh
 //!   [`sub_stream`]s a bounded number of times
 //!   ([`Runner::MAX_GENERATE_ATTEMPTS`]) before the replication fails
@@ -56,7 +64,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -316,12 +324,12 @@ impl Default for ShardSpec {
     }
 }
 
-/// A cooperative cancellation flag, checked by the engine between
-/// replications.
+/// A cooperative cancellation flag, checked by the engine before every
+/// cell.
 ///
 /// Clone the token (cheap, shared) before handing the [`Runner`] to a
 /// worker thread; calling [`CancelToken::cancel`] makes the run stop at
-/// the next replication boundary with [`RunError::Cancelled`], leaving any
+/// the next cell boundary with [`RunError::Cancelled`], leaving any
 /// configured checkpoint valid for resumption.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
@@ -880,38 +888,64 @@ fn open_checkpoint(
     SealedLog::reopen(path, loaded.tail)
 }
 
-/// Splits `items` into at most `threads` contiguous chunks and runs
-/// `work` on each chunk in a scoped worker thread, collecting the chunk
-/// results in order. Worker panics surface as
-/// [`RunError::WorkerPanic`]`(stage)`.
-fn fan_out<T, R, F>(
+/// Runs `work` on every item from one scoped pool of `threads` workers.
+/// Each worker builds its own state with `init`, then claims the next
+/// unclaimed item from a shared atomic index until none is left or
+/// `cancel` fires. An `Err` stops every worker from claiming items past
+/// the failing one, and the earliest failing item's error is returned:
+/// the error a sequential run meets first. Otherwise the results come
+/// back in item order, without the items that cancellation skipped.
+/// Worker panics surface as [`RunError::WorkerPanic`]`(stage)`.
+fn claim_each<T, S, R>(
     items: &[T],
     threads: usize,
     stage: &'static str,
-    work: F,
+    cancel: &CancelToken,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, &T) -> Result<R, RunError> + Sync,
 ) -> Result<Vec<R>, RunError>
 where
     T: Sync,
     R: Send,
-    F: Fn(&[T]) -> R + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
-        return Ok(vec![work(items)]);
-    }
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| {
-                let work = &work;
-                scope.spawn(move || work(c))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| RunError::WorkerPanic(stage)))
-            .collect()
-    })
+    // Both atomics only decide which items run; they publish no data.
+    // `items` is read-only for the pool's lifetime, and the results come
+    // back through the joins, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let first_err = AtomicUsize::new(usize::MAX);
+    let worker = || {
+        let mut state = init();
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() || i > first_err.load(Ordering::Relaxed) || cancel.is_cancelled() {
+                return done;
+            }
+            let result = work(&mut state, &items[i]);
+            if result.is_err() {
+                first_err.fetch_min(i, Ordering::Relaxed);
+            }
+            done.push((i, result));
+        }
+    };
+    let mut done = if threads <= 1 || items.len() <= 1 {
+        worker()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads.min(items.len()))
+                .map(|_| scope.spawn(worker))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().map_err(|_| RunError::WorkerPanic(stage)))
+                .collect::<Result<Vec<_>, _>>()
+        })?
+        .into_iter()
+        .flatten()
+        .collect()
+    };
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// The sharded, resumable experiment engine: builds and executes one
@@ -1131,7 +1165,7 @@ impl Runner {
     }
 
     /// A clone of this runner's cancellation token. Cancel it from any
-    /// thread to stop the run at the next replication boundary.
+    /// thread to stop the run at the next cell boundary.
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
     }
@@ -1172,7 +1206,7 @@ impl Runner {
     /// Runs this runner's shard of the sweep and returns its records.
     ///
     /// Honours the checkpoint (completed cells are loaded, not recomputed)
-    /// and the cancellation token (checked between replications). The
+    /// and the cancellation token (checked before every cell). The
     /// returned [`PartialResult`] contains every known record for the
     /// shard — freshly computed and resumed alike — sorted by
     /// `(system size, replication)`.
@@ -1284,48 +1318,46 @@ impl Runner {
         );
 
         // Workloads are shared across system sizes: generate each needed
-        // replication's graph once, fanning out over the worker threads.
-        // Telemetry is emitted afterwards on the caller thread so
-        // `GraphGenerated` events stay ordered by replication index.
+        // replication's graph once, over the worker pool. Telemetry is
+        // emitted afterwards on the caller thread so `GraphGenerated`
+        // events stay ordered by replication index.
         let needed: Vec<usize> = owned
             .iter()
             .copied()
             .filter(|&rep| {
-                scenario
-                    .system_sizes
+                unique_sizes
                     .iter()
                     .any(|&size| !cells.contains_key(&(size, rep)))
             })
             .collect();
-        type Generated = (usize, Result<(TaskGraph, std::time::Duration), RunError>);
-        let generated: Vec<Vec<Generated>> =
-            fan_out(&needed, threads, "generate", |chunk: &[usize]| {
-                chunk
-                    .iter()
-                    .take_while(|_| !cancel.is_cancelled())
-                    .map(|&rep| {
-                        let started = Instant::now();
-                        let graph = workload(&scenario, stream, rep, faults, &events);
-                        (rep, graph.map(|g| (g, started.elapsed())))
-                    })
-                    .collect()
-            })?;
+        let generated = claim_each(
+            &needed,
+            threads,
+            "generate",
+            &cancel,
+            || (),
+            |(), &rep| {
+                let started = Instant::now();
+                let graph = workload(&scenario, stream, rep, faults, &events);
+                Ok(graph.map(|g| (g, started.elapsed())))
+            },
+        )?;
         if cancel.is_cancelled() {
             events.flush();
             return Err(RunError::Cancelled);
         }
-        let mut graphs: BTreeMap<usize, TaskGraph> = BTreeMap::new();
-        // Replications whose workload could not be generated. Under the
-        // degrade-don't-die policy they become typed failed cells at
-        // every swept size; `fail_fast` (and any deterministic spec
-        // error, where retrying cannot help) aborts instead.
-        let mut failed_generation: BTreeMap<usize, String> = BTreeMap::new();
-        for (rep, result) in generated.into_iter().flatten() {
+        // One unit of work per needed replication: its graph, or the
+        // error that degrades every cell it misses. Under the
+        // degrade-don't-die policy a generation failure becomes a typed
+        // failed cell at every missing size; `fail_fast` (and any
+        // deterministic spec error, where retrying cannot help) aborts
+        // instead.
+        let mut units: Vec<(usize, Result<TaskGraph, String>)> = Vec::with_capacity(needed.len());
+        for (&rep, result) in needed.iter().zip(generated) {
             let (graph, elapsed) = match result {
                 Ok(ok) => ok,
                 Err(e @ RunError::GenerateRejected { .. }) if !fail_fast => {
-                    tracing::warn!(replication = rep, "degrading replication: {e}");
-                    failed_generation.insert(rep, e.to_string());
+                    units.push((rep, Err(e.to_string())));
                     continue;
                 }
                 Err(e) => return Err(e),
@@ -1339,156 +1371,129 @@ impl Runner {
                 messages: graph.edge_count(),
                 generate_us: elapsed.as_micros() as u64,
             });
-            graphs.insert(rep, graph);
+            units.push((rep, Ok(graph)));
         }
 
-        for &size in &scenario.system_sizes {
-            let missing: Vec<usize> = owned
-                .iter()
-                .copied()
-                .filter(|&rep| !cells.contains_key(&(size, rep)))
-                .collect();
-            if missing.is_empty() {
-                continue;
+        // Each size's platform is built once, for the sizes some unit
+        // still misses.
+        let mut platforms: Vec<(usize, Platform)> = Vec::with_capacity(unique_sizes.len());
+        for &size in &unique_sizes {
+            if needed.iter().any(|&rep| !cells.contains_key(&(size, rep))) {
+                let topology = scenario.topology.build(size, scenario.cost_per_item);
+                platforms.push((size, Platform::homogeneous(size, topology)?));
             }
-            if cancel.is_cancelled() {
-                events.flush();
-                return Err(RunError::Cancelled);
-            }
-            let _size_span = tracing::debug_span!("system_size", procs = size).entered();
-            let topology = scenario.topology.build(size, scenario.cost_per_item);
-            let platform = Platform::homogeneous(size, topology)?;
+        }
 
-            let mut schedulable = Vec::with_capacity(missing.len());
-            for &rep in &missing {
-                match failed_generation.get(&rep) {
-                    None => schedulable.push(rep),
-                    Some(error) => {
-                        let outcome = ReplicationOutcome::Failed(FailedReplication {
+        // One pool for the whole scenario. A worker owns one pipeline (and
+        // thus one scheduling workspace), so steady-state cells run
+        // allocation-free, and claims whole replications: the graph stays
+        // hot while it runs at every size the unit misses. All workers
+        // share the run's deadline-miss budget.
+        let computed = claim_each(
+            &units,
+            threads,
+            "schedule",
+            &cancel,
+            || {
+                let mut pipeline = Pipeline::new(&scenario);
+                pipeline.set_miss_log(Some(Arc::clone(miss_log)));
+                pipeline
+            },
+            |pipeline, (rep, graph)| {
+                let rep = *rep;
+                let _span = tracing::debug_span!("replication", index = rep).entered();
+                let mut out = Vec::with_capacity(platforms.len());
+                for (size, platform) in &platforms {
+                    let size = *size;
+                    if cells.contains_key(&(size, rep)) {
+                        continue;
+                    }
+                    if cancel.is_cancelled() {
+                        break;
+                    }
+                    let failed = |stage: &str, error: String| {
+                        ReplicationOutcome::Failed(FailedReplication {
                             system_size: size,
                             replication: rep,
-                            stage: "generate".to_owned(),
-                            error: error.clone(),
-                        });
+                            stage: stage.to_owned(),
+                            error,
+                        })
+                    };
+                    let outcome = match graph {
+                        Err(error) => failed("generate", error.clone()),
+                        Ok(graph) => {
+                            let inject_panic =
+                                inject_fault(faults, FaultSite::WorkerPanic, size, rep, 0, &events);
+                            let result = catch_unwind(AssertUnwindSafe(|| {
+                                if inject_panic {
+                                    panic!("injected worker panic (fault plan)");
+                                }
+                                run_once(&scenario, graph, platform, rep, &events, pipeline)
+                            }));
+                            match result {
+                                Ok(Ok(record)) => ReplicationOutcome::Ok(record),
+                                Ok(Err(e)) if fail_fast => return Err(e),
+                                Ok(Err(e)) => {
+                                    let stage = match &e {
+                                        RunError::Slice(_) => "distribute",
+                                        _ => "schedule",
+                                    };
+                                    failed(stage, e.to_string())
+                                }
+                                Err(_) if fail_fast => {
+                                    return Err(RunError::WorkerPanic("schedule"))
+                                }
+                                Err(panic) => failed("panic", panic_message(panic.as_ref())),
+                            }
+                        }
+                    };
+                    if let ReplicationOutcome::Failed(f) = &outcome {
+                        tracing::warn!(
+                            system_size = size,
+                            replication = rep,
+                            stage = %f.stage,
+                            "degrading replication: {}",
+                            f.error
+                        );
                         telemetry::global().replications_failed.inc();
                         events.emit(|| RunEvent::ReplicationFailed {
                             scenario: scenario.label.clone(),
                             system_size: size,
                             replication: rep,
-                            stage: "generate".to_owned(),
-                            error: error.clone(),
+                            stage: f.stage.clone(),
+                            error: f.error.clone(),
                         });
-                        // Failure events reach disk immediately: a process
-                        // that dies later still leaves them in events.jsonl.
+                        // Flush straight after a degraded cell so
+                        // events.jsonl records it even if the process is
+                        // killed before the end-of-run flush.
                         events.flush();
-                        if let Some(log) = &writer {
-                            checkpoint_outcome(log, &outcome, faults, &events)?;
+                    }
+                    if let Some(log) = &writer {
+                        checkpoint_outcome(log, &outcome, faults, &events)?;
+                    }
+                    match &outcome {
+                        ReplicationOutcome::Ok(r) => {
+                            progress.record_cell(true, r.violations as u64);
                         }
-                        progress.record_cell(false, 0);
-                        cells.insert((size, rep), outcome);
+                        ReplicationOutcome::Failed(_) => progress.record_cell(false, 0),
+                    }
+                    if let Some(m) = &metrics {
+                        m.maybe_write(&progress, || telemetry::global().snapshot());
+                    }
+                    out.push(outcome);
+                    if inject_fault(faults, FaultSite::CancelRace, size, rep, 0, &events) {
+                        cancel.cancel();
                     }
                 }
-            }
-
-            let computed: Vec<Result<Vec<ReplicationOutcome>, RunError>> =
-                fan_out(&schedulable, threads, "schedule", |chunk: &[usize]| {
-                    let mut out = Vec::with_capacity(chunk.len());
-                    // One pipeline (and thus one scheduling workspace) per
-                    // worker: steady-state replications run allocation-free.
-                    // All workers share the run's deadline-miss budget.
-                    let mut pipeline = Pipeline::new(&scenario);
-                    pipeline.set_miss_log(Some(Arc::clone(miss_log)));
-                    for &rep in chunk {
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        let graph = &graphs[&rep];
-                        let inject_panic =
-                            inject_fault(faults, FaultSite::WorkerPanic, size, rep, 0, &events);
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            if inject_panic {
-                                panic!("injected worker panic (fault plan)");
-                            }
-                            run_once(&scenario, graph, &platform, rep, &events, &mut pipeline)
-                        }));
-                        let outcome = match result {
-                            Ok(Ok(record)) => ReplicationOutcome::Ok(record),
-                            Ok(Err(e)) => {
-                                if fail_fast {
-                                    return Err(e);
-                                }
-                                let stage = match &e {
-                                    RunError::Slice(_) => "distribute",
-                                    _ => "schedule",
-                                };
-                                ReplicationOutcome::Failed(FailedReplication {
-                                    system_size: size,
-                                    replication: rep,
-                                    stage: stage.to_owned(),
-                                    error: e.to_string(),
-                                })
-                            }
-                            Err(panic) => {
-                                if fail_fast {
-                                    return Err(RunError::WorkerPanic("schedule"));
-                                }
-                                ReplicationOutcome::Failed(FailedReplication {
-                                    system_size: size,
-                                    replication: rep,
-                                    stage: "panic".to_owned(),
-                                    error: panic_message(panic.as_ref()),
-                                })
-                            }
-                        };
-                        if let ReplicationOutcome::Failed(f) = &outcome {
-                            tracing::warn!(
-                                system_size = size,
-                                replication = rep,
-                                stage = %f.stage,
-                                "degrading replication: {}",
-                                f.error
-                            );
-                            telemetry::global().replications_failed.inc();
-                            events.emit(|| RunEvent::ReplicationFailed {
-                                scenario: scenario.label.clone(),
-                                system_size: size,
-                                replication: rep,
-                                stage: f.stage.clone(),
-                                error: f.error.clone(),
-                            });
-                            // Flush straight after a degraded replication so
-                            // events.jsonl records it even if the process is
-                            // killed before the end-of-run flush.
-                            events.flush();
-                        }
-                        if let Some(log) = &writer {
-                            checkpoint_outcome(log, &outcome, faults, &events)?;
-                        }
-                        match &outcome {
-                            ReplicationOutcome::Ok(r) => {
-                                progress.record_cell(true, r.violations as u64);
-                            }
-                            ReplicationOutcome::Failed(_) => progress.record_cell(false, 0),
-                        }
-                        if let Some(m) = &metrics {
-                            m.maybe_write(&progress, || telemetry::global().snapshot());
-                        }
-                        out.push(outcome);
-                        if inject_fault(faults, FaultSite::CancelRace, size, rep, 0, &events) {
-                            cancel.cancel();
-                        }
-                    }
-                    Ok(out)
-                })?;
-            for worker in computed {
-                for outcome in worker? {
-                    cells.insert(outcome.cell(), outcome);
-                }
-            }
-            if cancel.is_cancelled() {
-                events.flush();
-                return Err(RunError::Cancelled);
-            }
+                Ok(out)
+            },
+        )?;
+        for outcome in computed.into_iter().flatten() {
+            cells.insert(outcome.cell(), outcome);
+        }
+        if cancel.is_cancelled() {
+            events.flush();
+            return Err(RunError::Cancelled);
         }
 
         if strict_validate {

@@ -24,8 +24,8 @@ use taskgraph::{TaskGraph, Time};
 use crate::expanded::{ExpKind, ExpandedGraph};
 use crate::path_search::CriticalPath;
 use crate::{
-    CommEstimate, DeadlineAssignment, MetricKind, ShareRule, SliceError, SliceMemo, SliceMetric,
-    Thres, Window,
+    CommEstimate, DeadlineAssignment, MetricKind, RedistributeStats, ShareRule, SliceError,
+    SliceMetric, Thres, Window,
 };
 
 /// The deadline-distribution engine: a metric plus a communication-cost
@@ -175,10 +175,10 @@ impl Slicer {
     /// producing a window for every subtask and every non-negligible
     /// communication subtask.
     ///
-    /// This is the slicing loop of [`distribute_traced`] run over a
-    /// scratch [`SliceMemo`] that is dropped afterwards. Each iteration
-    /// carries over every per-start search the previous slice left
-    /// untouched, which pays for the recording.
+    /// This is the slicing loop of [`distribute_traced`] with no memo to
+    /// keep: the run records its trace for its own use and drops it,
+    /// untrimmed. Each iteration carries over every per-start search the
+    /// previous slice left untouched, which pays for the recording.
     ///
     /// [`distribute_traced`]: Slicer::distribute_traced
     ///
@@ -192,7 +192,7 @@ impl Slicer {
         graph: &TaskGraph,
         platform: &Platform,
     ) -> Result<DeadlineAssignment, SliceError> {
-        self.distribute_traced(graph, platform, &mut SliceMemo::new())
+        self.run_traced(graph, platform, None, &mut RedistributeStats::default())
     }
 }
 

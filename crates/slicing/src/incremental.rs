@@ -1,7 +1,8 @@
 //! The slicing loop (Figure 1). Every run records what a later run can
 //! reuse, and a replay against a memoized previous run re-searches only
 //! the dirty cone of a graph delta. [`Slicer::distribute`] is this loop
-//! over a scratch memo it drops.
+//! with no memo: its trace serves only its own carry and is dropped
+//! untrimmed.
 //!
 //! # How it works
 //!
@@ -759,7 +760,7 @@ fn windows_nonneg(state: &SliceState) -> bool {
 impl Slicer {
     /// [`distribute`](Slicer::distribute), keeping the run in `memo` so a
     /// later [`redistribute`](Slicer::redistribute) can reuse it
-    /// (`distribute` is this call over a scratch memo).
+    /// (`distribute` is the same loop, keeping no memo).
     ///
     /// # Errors
     ///
@@ -775,7 +776,7 @@ impl Slicer {
             fell_back: true,
             ..RedistributeStats::default()
         };
-        self.run_traced(graph, platform, memo, &mut stats)
+        self.run_traced(graph, platform, Some(memo), &mut stats)
     }
 
     /// Recomputes the deadline assignment for `graph` — typically the
@@ -807,7 +808,7 @@ impl Slicer {
             memo.inner = None;
         }
         stats.fell_back = memo.inner.is_none();
-        let assignment = self.run_traced(graph, platform, memo, &mut stats)?;
+        let assignment = self.run_traced(graph, platform, Some(memo), &mut stats)?;
         Ok(Redistribution { assignment, stats })
     }
 
@@ -823,12 +824,14 @@ impl Slicer {
 
     /// The slicing loop: runs over `graph`, consuming whatever usable memo
     /// state exists (structure still has to match — checked here) and
-    /// leaving `memo` primed with this run.
-    fn run_traced(
+    /// leaving `memo` primed with this run. Without a memo the run is
+    /// scratch ([`distribute`](Slicer::distribute)): it records the same
+    /// trace for its own carry, but neither trims it nor keeps it.
+    pub(crate) fn run_traced(
         &self,
         graph: &TaskGraph,
         platform: &Platform,
-        memo: &mut SliceMemo,
+        mut memo: Option<&mut SliceMemo>,
         stats: &mut RedistributeStats,
     ) -> Result<DeadlineAssignment, SliceError> {
         let _span = tracing::debug_span!(
@@ -841,7 +844,7 @@ impl Slicer {
 
         let ctx = MetricContext::for_workload(graph, platform);
         let rule = self.metric().share_rule();
-        let sig = GraphSig::of(graph);
+        let sig = memo.is_some().then(|| GraphSig::of(graph));
 
         // A structural change invalidates every recorded read set (node
         // indices shift, reachability changes): ignore the old trace and
@@ -850,8 +853,9 @@ impl Slicer {
         // expanded graph is node-for-node identical (the fingerprint pins
         // the platform and estimate, so every communication weight is
         // too), and the rebuild is skipped entirely.
-        let (exp, old, mut new, old_vweights, mut search) = match memo.inner.take() {
-            Some(inner) if inner.graph_sig == sig => (
+        let prior = memo.as_deref_mut().and_then(|memo| memo.inner.take());
+        let (exp, old, mut new, old_vweights, mut search) = match prior {
+            Some(inner) if sig.as_ref() == Some(&inner.graph_sig) => (
                 inner.exp,
                 inner.trace,
                 inner.spare,
@@ -1087,21 +1091,24 @@ impl Slicer {
         );
 
         let assignment = finalize(self, graph, &exp, state)?;
-        if !replay {
-            new.trim();
+        // A scratch run keeps nothing, so it has nothing to trim.
+        if let Some((memo, graph_sig)) = memo.zip(sig) {
+            if !replay {
+                new.trim();
+            }
+            // The replayed trace becomes the spare: emptied, capacity kept.
+            let mut spare = old;
+            spare.reset(n);
+            memo.inner = Some(MemoInner {
+                fingerprint: self.fingerprint(platform),
+                graph_sig,
+                exp,
+                vweights,
+                trace: new,
+                spare,
+                search,
+            });
         }
-        // The replayed trace becomes the spare: emptied, capacity kept.
-        let mut spare = old;
-        spare.reset(n);
-        memo.inner = Some(MemoInner {
-            fingerprint: self.fingerprint(platform),
-            graph_sig: sig,
-            exp,
-            vweights,
-            trace: new,
-            spare,
-            search,
-        });
         Ok(assignment)
     }
 }

@@ -239,6 +239,96 @@ fn checkpoint_survives_extending_the_sweep() {
     assert_eq!(extended, uninterrupted);
 }
 
+/// The `(system size, replication)` cell of every record line of a
+/// checkpoint, in file order; none before the file exists.
+fn checkpoint_cells(path: &std::path::Path) -> Vec<(usize, usize)> {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    text.lines()
+        .skip(1)
+        .map(|line| {
+            // `{"Sealed":{"crc":…,"record":{…}}}`
+            let start = line.find("\"record\":").expect("a sealed record") + "\"record\":".len();
+            let record: ReplicationRecord =
+                serde_json::from_str(&line[start..line.len() - 2]).unwrap();
+            (record.system_size, record.replication)
+        })
+        .collect()
+}
+
+/// The cells of `sizes` × `reps`, sorted.
+fn grid(sizes: &[usize], reps: std::ops::Range<usize>) -> Vec<(usize, usize)> {
+    sizes
+        .iter()
+        .flat_map(|&size| reps.clone().map(move |rep| (size, rep)))
+        .collect()
+}
+
+#[test]
+fn resume_into_more_sizes_computes_only_the_missing_cells() {
+    // A replication resumed at more sizes than its checkpoint holds runs
+    // only the sizes it misses: the fingerprint ignores the sweep shape.
+    let checkpoint = TempPath::new("grow-sizes");
+    let reps = scenario().replications;
+    let resume = |scenario: Scenario| {
+        let before = checkpoint_cells(&checkpoint.0);
+        let resumed = Runner::new(scenario.clone())
+            .threads(2)
+            .checkpoint(&checkpoint.0)
+            .run()
+            .unwrap();
+        let uninterrupted = Runner::new(scenario).threads(2).run().unwrap();
+        assert_eq!(resumed, uninterrupted);
+        let after = checkpoint_cells(&checkpoint.0);
+        assert_eq!(after[..before.len()], before[..]);
+        let mut added = after[before.len()..].to_vec();
+        added.sort_unstable();
+        added
+    };
+    assert_eq!(resume(scenario()), grid(&[2, 8], 0..reps));
+
+    let grown = scenario().with_system_sizes(vec![2, 4, 8, 16]);
+    assert_eq!(
+        resume(grown),
+        grid(&[4, 16], 0..reps),
+        "exactly the 2 x reps missing cells"
+    );
+
+    // Two new replications need every size, so every size's platform is
+    // built; the old replications still run only the one size they miss.
+    let mut expected = grid(&[6], 0..reps);
+    expected.extend(grid(&[2, 4, 6, 8, 16], reps..reps + 2));
+    expected.sort_unstable();
+    let wider = scenario()
+        .with_system_sizes(vec![2, 4, 6, 8, 16])
+        .with_replications(reps + 2);
+    assert_eq!(resume(wider), expected);
+}
+
+#[test]
+fn duplicate_sizes_run_each_cell_once() {
+    let checkpoint = TempPath::new("dup-sizes");
+    let reps = scenario().replications;
+    let result = Runner::new(scenario().with_system_sizes(vec![2, 8, 2]))
+        .threads(2)
+        .checkpoint(&checkpoint.0)
+        .run()
+        .unwrap();
+    let mut cells = checkpoint_cells(&checkpoint.0);
+    cells.sort_unstable();
+    assert_eq!(
+        cells,
+        grid(&[2, 8], 0..reps),
+        "one checkpoint line per unique cell"
+    );
+
+    // The sweep keeps its shape: the repeated size folds the same cells.
+    let sizes: Vec<usize> = result.points.iter().map(|p| p.system_size).collect();
+    assert_eq!(sizes, vec![2, 8, 2]);
+    assert_eq!(result.points[0], result.points[2]);
+    let plain = Runner::new(scenario()).threads(1).run().unwrap();
+    assert_eq!(result.points[..2], plain.points[..]);
+}
+
 #[test]
 fn merge_rejects_mismatched_and_incomplete_parts() {
     let part0 = Runner::new(scenario())
