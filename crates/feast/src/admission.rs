@@ -69,7 +69,7 @@ use taskgraph::{TaskGraph, Time};
 
 use crate::error::AdmitError;
 use crate::fault::{self, FaultPlan, FaultSite};
-use crate::pipeline::{Pipeline, SharedSliceCache, SliceOutput, Sliced, Verdict};
+use crate::pipeline::{Pipeline, SharedSliceCache, SliceOutput, Verdict};
 use crate::runner::{fingerprint, Runner};
 use crate::scenario::Scenario;
 use crate::sealed_log::{self, seal, sealed_line, SealedLine, SealedLog};
@@ -518,16 +518,15 @@ impl EvictionPolicy for LowestUtilization {
 }
 
 /// One committed admission: the graph, its reserved schedule, when it
-/// arrived / departs, and the delta memo of the graph's latest slicing run
-/// (shared with a slice-cache entry after a hit; `None` until the first
-/// amendment when a memo-less slicer worker sliced it).
+/// arrived / departs, and its own delta memo, unprimed until the
+/// resident's first amendment re-slices through it.
 #[derive(Debug)]
 struct Resident {
     graph: Arc<TaskGraph>,
     schedule: Schedule,
     origin: Time,
     horizon: Time,
-    memo: Option<Arc<SliceMemo>>,
+    memo: SliceMemo,
 }
 
 /// One line of an admission write-ahead log.
@@ -1056,25 +1055,13 @@ impl AdmissionController {
         origin: Time,
     ) -> Result<AdmitVerdict, AdmitError> {
         let graph = graph.into();
-        let prefiltered = self
-            .config
-            .prefilter
-            .then(|| self.pipeline.prefilter(&graph, &self.platform))
-            .flatten();
-        let sliced = match prefiltered {
-            Some(reject) => Err(AdmitError::Prefilter(reject)),
-            // A fresh memo records the slice, so the resident's first
-            // amendment already re-slices incrementally.
-            None => self
-                .pipeline
-                .slice_with(&graph, &self.platform, Some(Arc::default()))
-                .map(Sliced::into_parts)
-                .map_err(AdmitError::Trial),
-        };
-        let result = match sliced {
-            Ok((output, memo)) => self.decide(id, &graph, origin, output, memo),
-            Err(e) => Err(e),
-        };
+        let result = slice_admit(
+            &mut self.pipeline,
+            &self.platform,
+            self.config.prefilter,
+            &graph,
+        )
+        .and_then(|output| self.decide(id, &graph, origin, output));
         let request = AdmitRequest::Admit { id, graph, origin };
         self.conclude(&request, result)
     }
@@ -1136,16 +1123,14 @@ impl AdmissionController {
     }
 
     /// The serial half of an admit: retire, trial against committed load,
-    /// commit on admit (keeping `memo` with the new resident). The
-    /// service's coordinator calls this with products sliced on worker
-    /// threads, which record no memo.
+    /// commit on admit. The service's coordinator calls this with products
+    /// sliced on worker threads.
     pub(crate) fn decide(
         &mut self,
         id: u64,
         graph: &Arc<TaskGraph>,
         origin: Time,
         output: SliceOutput,
-        memo: Option<Arc<SliceMemo>>,
     ) -> Result<AdmitVerdict, AdmitError> {
         let started = Instant::now();
         self.retire(origin);
@@ -1205,7 +1190,7 @@ impl AdmissionController {
                     horizon: verdict.makespan,
                     origin,
                     schedule: verdict.schedule,
-                    memo,
+                    memo: SliceMemo::new(),
                 },
             );
             self.order.push_back(id);
@@ -1359,7 +1344,8 @@ impl AdmissionController {
         }
     }
 
-    /// Re-slices `resident`'s amended graph and re-trials it at the
+    /// Re-slices `resident`'s amended graph against the resident's own
+    /// delta memo (its first amendment primes it) and re-trials it at the
     /// resident's origin, through the repair path when the preceding
     /// rollback kept the base content unchanged.
     fn retrial(
@@ -1368,7 +1354,9 @@ impl AdmissionController {
         resident: &mut Resident,
         fast: bool,
     ) -> Result<Verdict, RunError> {
-        let output = self.reslice(graph, resident)?;
+        let output = self
+            .pipeline
+            .reslice(graph, &self.platform, &mut resident.memo)?;
         if fast {
             self.pipeline.repair_output_against(
                 graph,
@@ -1387,31 +1375,6 @@ impl AdmissionController {
                 resident.origin,
             )
         }
-    }
-
-    /// Slices `resident`'s amended `graph` against the resident's own
-    /// delta memo — a fresh one when a memo-less slicer worker sliced it —
-    /// and stores the memo back, now describing `graph`. Amended graphs
-    /// are per-resident mutations, so the cross-request cache is bypassed
-    /// (see `Pipeline::suspend_slice_cache`).
-    fn reslice(
-        &mut self,
-        graph: &TaskGraph,
-        resident: &mut Resident,
-    ) -> Result<SliceOutput, RunError> {
-        let cache = self.pipeline.suspend_slice_cache();
-        let sliced = self
-            .pipeline
-            .slice_with(
-                graph,
-                &self.platform,
-                Some(resident.memo.take().unwrap_or_default()),
-            )
-            .map(Sliced::into_parts);
-        self.pipeline.resume_slice_cache(cache);
-        let (output, memo) = sliced?;
-        resident.memo = memo;
-        Ok(output)
     }
 
     /// Releases every resident whose horizon has passed the decision
@@ -1510,6 +1473,28 @@ fn service_pipeline(
     }
     pipeline.set_miss_log(Some(Arc::clone(miss_log)));
     pipeline
+}
+
+/// Stage one of an admit, for the controller and every slicer worker
+/// alike: the feasibility pre-filter (when `prefilter` is on), then the
+/// slice through the cross-request cache. The pre-filter's bounds are
+/// necessary conditions, so a graph it refuses would have been rejected
+/// by the full path too; no DP search runs for it. No delta memo is
+/// recorded: a resident's first amendment primes its own.
+fn slice_admit(
+    pipeline: &mut Pipeline,
+    platform: &Platform,
+    prefilter: bool,
+    graph: &TaskGraph,
+) -> Result<SliceOutput, AdmitError> {
+    if let Some(reject) = prefilter
+        .then(|| pipeline.prefilter(graph, platform))
+        .flatten()
+    {
+        return Err(AdmitError::Prefilter(reject));
+    }
+    let sliced = pipeline.slice(graph, platform).map_err(AdmitError::Trial)?;
+    Ok(sliced.into_output())
 }
 
 /// A slicing job shipped to a worker: stage one never reads committed
@@ -1682,15 +1667,6 @@ impl AdmissionService {
                             let output = if let Some(waited_us) = over_budget(budget, job.accepted)
                             {
                                 Err(AdmitError::Shed { waited_us })
-                            } else if let Some(reject) = prefilter_on
-                                .then(|| pipeline.prefilter(&job.graph, &platform))
-                                .flatten()
-                            {
-                                // Necessary-condition bounds refuse the
-                                // graph before any DP search runs; the
-                                // bounds are conservative, so no admissible
-                                // graph is lost here.
-                                Err(AdmitError::Prefilter(reject))
                             } else {
                                 // Supervision: a panicking slicer (real or
                                 // injected) is caught, its possibly-
@@ -1708,16 +1684,10 @@ impl AdmissionService {
                                     ) {
                                         panic!("injected admission worker panic");
                                     }
-                                    // No memo is kept here: the
-                                    // resident's first amendment records
-                                    // one (`reslice`).
-                                    pipeline
-                                        .slice(&job.graph, &platform)
-                                        .map(|sliced| sliced.into_parts().0)
+                                    slice_admit(&mut pipeline, &platform, prefilter_on, &job.graph)
                                 }));
                                 match sliced {
-                                    Ok(Ok(output)) => Ok(output),
-                                    Ok(Err(e)) => Err(AdmitError::Trial(e)),
+                                    Ok(output) => output,
                                     Err(_) => {
                                         pipeline = build();
                                         Err(AdmitError::WorkerFailed { stage: "slice" })
@@ -1899,7 +1869,7 @@ impl AdmissionService {
                 let result = match output {
                     Ok(output) => match over_budget(budget, accepted) {
                         Some(waited_us) => Err(AdmitError::Shed { waited_us }),
-                        None => controller.decide(id, &graph, origin, output, None),
+                        None => controller.decide(id, &graph, origin, output),
                     },
                     Err(e) => Err(e),
                 };
@@ -2066,7 +2036,7 @@ impl AdmissionLog {
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    use slicing::{CommEstimate, DeltaOp, MetricKind};
+    use slicing::{CommEstimate, DeltaOp, MetricKind, RedistributeStats};
     use taskgraph::gen::{generate_seeded, ExecVariation, WorkloadSpec};
     use taskgraph::SubtaskId;
 
@@ -2243,149 +2213,95 @@ mod tests {
         assert_eq!(controller.digest(), fresh.digest());
     }
 
-    /// The memo the controller's slice cache holds for `graph`, if any.
-    fn cached_memo(controller: &AdmissionController, graph: &TaskGraph) -> Option<Arc<SliceMemo>> {
-        let key = controller.pipeline.cache_key(graph, &controller.platform)?;
-        let entry = controller.slice_cache.as_ref()?.lock().unwrap().get(&key)?;
-        entry.memo.clone()
+    fn tighten(subtask: u32, wcet: i64) -> GraphDelta {
+        GraphDelta::new().push(DeltaOp::SetWcet {
+            subtask: SubtaskId::new(subtask),
+            wcet: Time::new(wcet),
+        })
     }
 
-    /// Each resident re-slices against the memo of its own graph. With
-    /// the cache off, and with a capacity-1 cache whose only slot B's
-    /// admit took over, amending the older resident A still runs the
-    /// incremental path (a fallback would mean A's amended graph was
-    /// re-sliced against B's trace). With room for both entries, A's memo
-    /// is still shared with its cache entry, so the re-slice copies it and
-    /// leaves the entry's trace untouched.
-    #[test]
-    fn amendment_reslices_against_the_residents_own_memo() {
-        let delta = GraphDelta::new().push(DeltaOp::SetWcet {
-            subtask: SubtaskId::new(2),
-            wcet: Time::new(25),
-        });
-        for cache in [0, 1, 64] {
-            let mut controller =
-                AdmissionController::new(config(8).with_slice_cache(cache)).unwrap();
-            assert!(controller.admit(1, graph(5), Time::ZERO).unwrap().admitted);
-            assert!(controller.admit(2, graph(6), Time::ZERO).unwrap().admitted);
-
-            // The steps `amend` takes: apply the delta, then re-slice.
-            let mut a = controller.residents.remove(&1).unwrap();
-            let pins = controller
-                .config
-                .scenario
-                .pinning
-                .build(&a.graph, &controller.platform)
-                .unwrap();
-            let amended = delta.apply(&a.graph, &pins).unwrap().graph;
-            let before = Arc::as_ptr(a.memo.as_ref().expect("the controller records memos"));
-            let output = controller.reslice(&amended, &mut a).unwrap();
-            let stats = output.redistribute.expect("re-sliced through a memo");
-            assert!(!stats.fell_back, "cache {cache}: {stats:?}");
-            assert!(stats.scanned_nodes > 0, "cache {cache}: {stats:?}");
-
-            let after = Arc::as_ptr(a.memo.as_ref().expect("the memo is stored back"));
-            // Only a memo a cache entry still shares is copied.
-            assert_eq!(before == after, cache != 64, "cache {cache}");
-            if cache == 64 {
-                let entry = cached_memo(&controller, &graph(5)).unwrap();
-                assert_eq!(Arc::as_ptr(&entry), before);
-            }
-        }
-    }
-
-    /// A resident a slicer worker sliced carries no memo; its first
-    /// amendment records one, so its second amendment re-slices
-    /// incrementally.
-    #[test]
-    fn a_memo_less_resident_records_its_memo_on_its_first_amendment() {
-        let tighten = |subtask, wcet| {
-            GraphDelta::new().push(DeltaOp::SetWcet {
-                subtask: SubtaskId::new(subtask),
-                wcet: Time::new(wcet),
-            })
-        };
-        let mut controller = AdmissionController::new(config(8)).unwrap();
-        // The worker path: a plain slice, decided without a memo.
-        let template = graph(5);
-        let (output, _) = controller
-            .pipeline
-            .slice(&template, &controller.platform)
-            .unwrap()
-            .into_parts();
-        let admitted = controller.decide(1, &template, Time::ZERO, output, None);
-        assert!(admitted.unwrap().admitted);
-        assert!(controller.residents[&1].memo.is_none());
-
-        assert!(controller.amend(1, &tighten(2, 25)).unwrap().admitted);
-        let memo = controller.residents[&1].memo.as_ref();
-        assert!(memo.is_some_and(|memo| memo.is_primed()));
-
-        // The second amendment's re-slice, step by step as `amend` runs it.
-        let mut resident = controller.residents.remove(&1).unwrap();
+    /// The steps `amend` takes before its trial: applies `delta` to
+    /// resident `id`'s graph and re-slices it against the resident's own
+    /// memo. Returns the re-slice's delta stats; the resident keeps its
+    /// graph, and its memo now describes the amended one.
+    fn reslice_stats(
+        controller: &mut AdmissionController,
+        id: u64,
+        delta: &GraphDelta,
+    ) -> RedistributeStats {
+        let mut resident = controller.residents.remove(&id).unwrap();
         let pins = controller
             .config
             .scenario
             .pinning
             .build(&resident.graph, &controller.platform)
             .unwrap();
-        let amended = tighten(3, 20).apply(&resident.graph, &pins).unwrap().graph;
-        let output = controller.reslice(&amended, &mut resident).unwrap();
-        let stats = output.redistribute.expect("re-sliced through a memo");
-        assert!(!stats.fell_back, "{stats:?}");
-        assert!(stats.scanned_nodes > 0, "{stats:?}");
+        let amended = delta.apply(&resident.graph, &pins).unwrap().graph;
+        let output = controller
+            .pipeline
+            .reslice(&amended, &controller.platform, &mut resident.memo)
+            .unwrap();
+        controller.residents.insert(id, resident);
+        output.redistribute.expect("re-sliced through a memo")
     }
 
-    /// A cache hit shares the entry's memo rather than copying it, and a
-    /// resident that is evicted or retires releases its reference.
+    /// Each resident re-slices against its own memo, whatever the cache
+    /// size. Residents A and B are amended once each, then A again: A's
+    /// second re-slice replays its own first amendment's trace (a fallback
+    /// would mean B's amendment had disturbed it). When A and B are one
+    /// template, B's admit is a cache hit, and equal content still gets
+    /// two private memos: A's second re-slice reads the same whether or
+    /// not B was amended.
     #[test]
-    fn cache_hits_share_the_entry_memo_and_departures_release_it() {
-        let mut controller = AdmissionController::new(config(8).with_capacity(2)).unwrap();
-        let template = graph(3);
-        assert!(
-            controller
-                .admit(1, Arc::clone(&template), Time::ZERO)
-                .unwrap()
-                .admitted
-        );
-        // Equal content in a separate allocation: the hit is by content.
-        let copy = Arc::new(TaskGraph::clone(&template));
-        assert!(controller.admit(2, copy, Time::ZERO).unwrap().admitted);
+    fn amendment_reslices_against_the_residents_own_memo() {
+        // Admits A and `b`, amends A once and (when `amend_b`) B once,
+        // and returns the stats of A's second re-slice.
+        let second_reslice_of_a = |cache: usize, b: &Arc<TaskGraph>, amend_b: bool| {
+            let mut controller =
+                AdmissionController::new(config(8).with_slice_cache(cache)).unwrap();
+            assert!(controller.admit(1, graph(5), Time::ZERO).unwrap().admitted);
+            assert!(
+                controller
+                    .admit(2, Arc::clone(b), Time::ZERO)
+                    .unwrap()
+                    .admitted
+            );
+            assert!(controller.amend(1, &tighten(2, 25)).unwrap().admitted);
+            if amend_b {
+                assert!(controller.amend(2, &tighten(4, 10)).unwrap().admitted);
+            }
+            reslice_stats(&mut controller, 1, &tighten(3, 20))
+        };
+        // Equal content in a separate allocation: a cache hit is by content.
+        let twin = Arc::new(TaskGraph::clone(&graph(5)));
+        for cache in [0, 1, 64] {
+            for b in [graph(6), Arc::clone(&twin)] {
+                let stats = second_reslice_of_a(cache, &b, true);
+                assert!(!stats.fell_back, "cache {cache}: {stats:?}");
+                assert!(stats.scanned_nodes > 0, "cache {cache}: {stats:?}");
+            }
+            assert_eq!(
+                second_reslice_of_a(cache, &twin, true),
+                second_reslice_of_a(cache, &twin, false),
+                "cache {cache}"
+            );
+        }
+    }
 
-        let shared = cached_memo(&controller, &template).expect("entries keep the memo");
-        let memo_of = |c: &AdmissionController, id: u64| c.residents[&id].memo.clone().unwrap();
-        assert!(Arc::ptr_eq(&memo_of(&controller, 1), &shared));
-        assert!(Arc::ptr_eq(&memo_of(&controller, 2), &shared));
-        // The cache entry, residents 1 and 2, and `shared`.
-        assert_eq!(Arc::strong_count(&shared), 4);
+    /// An admit records no delta memo; the resident's first amendment
+    /// primes it, so its second amendment re-slices incrementally.
+    #[test]
+    fn a_memo_less_resident_records_its_memo_on_its_first_amendment() {
+        let mut controller = AdmissionController::new(config(8)).unwrap();
+        assert!(controller.admit(1, graph(5), Time::ZERO).unwrap().admitted);
+        assert!(!controller.residents[&1].memo.is_primed());
 
-        // A third admit before either resident departs evicts resident 1
-        // (capacity 2).
-        let first_horizon = controller
-            .residents
-            .values()
-            .map(|r| r.horizon)
-            .min()
-            .unwrap();
-        let origin = first_horizon - Time::new(1);
-        let third = (10..40)
-            .find(|&id| controller.admit(id, graph(id), origin).unwrap().admitted)
-            .expect("8 processors admit a third graph");
-        assert!(!controller.is_resident(1));
-        assert_eq!(Arc::strong_count(&shared), 3);
+        assert!(controller.amend(1, &tighten(2, 25)).unwrap().admitted);
+        assert!(controller.residents[&1].memo.is_primed());
 
-        // An arrival past every horizon retires residents 2 and `third`.
-        let horizon = controller
-            .residents
-            .values()
-            .map(|r| r.horizon)
-            .max()
-            .unwrap();
-        controller
-            .admit(100, graph(100), horizon + Time::new(1))
-            .unwrap();
-        assert!(!controller.is_resident(2) && !controller.is_resident(third));
-        assert_eq!(Arc::strong_count(&shared), 2);
+        let stats = reslice_stats(&mut controller, 1, &tighten(3, 20));
+        assert!(!stats.fell_back, "{stats:?}");
+        assert!(stats.scanned_nodes > 0, "{stats:?}");
     }
 
     #[test]

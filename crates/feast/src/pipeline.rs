@@ -21,13 +21,19 @@
 //! only on the graph and the platform *shape* (never on committed load),
 //! so an admission service can slice requests on parallel workers and
 //! trial them serially against the platform's [`CommittedState`] — see
-//! [`Sliced::into_parts`] and [`Pipeline::trial_output_against`]. A caller
-//! that will re-slice an amended graph passes a [`SliceMemo`] to
-//! [`Pipeline::slice_with`] and keeps the memo it gets back.
+//! [`Sliced::into_output`] and [`Pipeline::trial_output_against`].
+//!
+//! Slicing runs once per graph. Only an amended graph is re-sliced, and
+//! only the admission controller does it: each resident owns a
+//! [`SliceMemo`], unprimed until its first amendment, and the crate's
+//! re-slice path runs [`Slicer::redistribute`] against it. That path is
+//! the only one that feeds the `redistribute` stage and the `delta_*`
+//! counters; a fresh slice never does.
 //!
 //! [`Runner`]: crate::Runner
 //! [`AdmissionController`]: crate::AdmissionController
 //! [`Slicer::distribute`]: slicing::Slicer::distribute
+//! [`Slicer::redistribute`]: slicing::Slicer::redistribute
 //! [`ListScheduler::schedule_with`]: sched::ListScheduler::schedule_with
 
 use std::sync::{Arc, Mutex};
@@ -39,7 +45,7 @@ use sched::{
 };
 use slicing::{
     distribute_baseline, prefilter, BaselineStrategy, DeadlineAssignment, PrefilterReject,
-    RedistributeStats, SliceCache, SliceKey, SliceMemo, Slicer,
+    RedistributeStats, SliceCache, SliceMemo, Slicer,
 };
 use taskgraph::{TaskGraph, Time};
 
@@ -48,20 +54,10 @@ use crate::telemetry::{self, Stage};
 use crate::RunError;
 
 /// A cross-request slice cache shared between pipelines (the admission
-/// controller and its slicer workers): full-content [`SliceKey`]s mapping
-/// to shared [`CachedSlice`] entries. A hit bumps a refcount and copies
-/// only the assignment; the memo is handed out shared, and an amendment
-/// that redistributes against it copies it first ([`Arc::make_mut`]) only
-/// while the entry still holds it.
-pub type SharedSliceCache = Arc<Mutex<SliceCache<Arc<CachedSlice>>>>;
-
-/// One [`SharedSliceCache`] entry: the memoized [`SliceOutput`] plus, when
-/// the producing pipeline recorded one, the [`SliceMemo`] of that run.
-#[derive(Debug)]
-pub struct CachedSlice {
-    output: SliceOutput,
-    pub(crate) memo: Option<Arc<SliceMemo>>,
-}
+/// controller and its slicer workers): full-content
+/// [`SliceKey`](slicing::SliceKey)s mapping to shared [`SliceOutput`]s. A
+/// hit bumps a refcount and copies only the assignment.
+pub type SharedSliceCache = Arc<Mutex<SliceCache<Arc<SliceOutput>>>>;
 
 /// How a pipeline distributes deadlines: the scenario's technique,
 /// materialized once.
@@ -80,10 +76,8 @@ enum Distributor {
 ///
 /// A pipeline owns its scratch state (a [`SchedWorkspace`]), so
 /// steady-state trials are allocation-free; hand each worker thread its
-/// own pipeline. Delta memos belong to the caller, not the pipeline: see
-/// [`Pipeline::slice_with`]. It is the
-/// single entry point both the sweep engine and the admission service
-/// drive.
+/// own pipeline. It is the single entry point both the sweep engine and
+/// the admission service drive.
 ///
 /// # Examples
 ///
@@ -193,25 +187,6 @@ impl Pipeline {
         prefilter(graph, platform, Some(&pins))
     }
 
-    /// Detaches the cross-request slice cache, returning it for
-    /// [`resume_slice_cache`](Pipeline::resume_slice_cache). Amendment
-    /// re-slices run between the two, against the amended resident's own
-    /// memo ([`slice_with`](Pipeline::slice_with)): an amended graph is a
-    /// per-resident mutation that essentially never repeats across
-    /// requests, so caching it would only pay key overhead, pin a second
-    /// memo, and churn useful fresh-admit entries out of the LRU.
-    pub(crate) fn suspend_slice_cache(&mut self) -> Option<SharedSliceCache> {
-        self.cache.take()
-    }
-
-    /// Reattaches a cache detached by
-    /// [`suspend_slice_cache`](Pipeline::suspend_slice_cache).
-    pub(crate) fn resume_slice_cache(&mut self, cache: Option<SharedSliceCache>) {
-        if cache.is_some() {
-            self.cache = cache;
-        }
-    }
-
     /// Stage one: distributes deadlines over `graph` for `platform` and
     /// audits the produced windows, returning a [`Sliced`] handle that
     /// trial-schedules fluently (or detaches into a [`SliceOutput`] for a
@@ -229,47 +204,24 @@ impl Pipeline {
         graph: &'g TaskGraph,
         platform: &'g Platform,
     ) -> Result<Sliced<'p, 'g>, RunError> {
-        self.slice_with(graph, platform, None)
-    }
-
-    /// [`slice`](Pipeline::slice) with a caller-owned delta memo. `None`
-    /// runs [`Slicer::distribute`] and keeps no memo. `Some` runs
-    /// [`Slicer::redistribute`] against the memo — copying it first only
-    /// while a cache entry still shares it — so a fresh memo records the
-    /// run and a memo of an earlier version of `graph` reuses its
-    /// unaffected per-start searches; [`Sliced::into_parts`] hands the memo
-    /// back, now describing `graph`, for the caller to keep with it. A
-    /// cache hit hands out the entry's memo instead, when it has one.
-    /// Output is bit-identical either way; baselines record nothing.
-    ///
-    /// [`Slicer::distribute`]: slicing::Slicer::distribute
-    /// [`Slicer::redistribute`]: slicing::Slicer::redistribute
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::Slice`] when deadline distribution fails.
-    pub fn slice_with<'p, 'g>(
-        &'p mut self,
-        graph: &'g TaskGraph,
-        platform: &'g Platform,
-        mut memo: Option<Arc<SliceMemo>>,
-    ) -> Result<Sliced<'p, 'g>, RunError> {
         let started = Instant::now();
         // Cross-request cache probe: a full-content key hit returns the
-        // memoized product verbatim (bit-identical by the key contract)
-        // and shares the entry's memo so later amendments keep their
-        // incremental path.
-        let key = self.cache_key(graph, platform);
+        // memoized product verbatim (bit-identical by the key contract).
+        // Baselines never consult the cache.
+        let key = match (&self.distributor, &self.cache) {
+            (Distributor::Slicing(slicer), Some(_)) => Some(slicer.cache_key(graph, platform)),
+            _ => None,
+        };
         if let (Some(key), Some(cache)) = (&key, &self.cache) {
             let hit = cache.lock().ok().and_then(|mut c| c.get(key));
             if let Some(entry) = hit {
                 telemetry::global().slice_cache_hits.inc();
                 // The cached timings described the producing run; report
-                // this call's (lookup) cost and no redistribute stats so
-                // stage accounting stays honest.
+                // this call's (lookup) cost so stage accounting stays
+                // honest.
                 let output = SliceOutput {
-                    assignment: entry.output.assignment.clone(),
-                    window_violations: entry.output.window_violations,
+                    assignment: entry.assignment.clone(),
+                    window_violations: entry.window_violations,
                     distribute: started.elapsed(),
                     window_audit: Duration::ZERO,
                     redistribute: None,
@@ -278,50 +230,18 @@ impl Pipeline {
                     pipeline: self,
                     graph,
                     output,
-                    memo: entry.memo.clone().or(memo),
                 });
             }
             telemetry::global().slice_cache_misses.inc();
         }
-        let (assignment, redistribute) = match (&self.distributor, &mut memo) {
-            (Distributor::Slicing(slicer), None) => (slicer.distribute(graph, platform)?, None),
-            (Distributor::Slicing(slicer), Some(memo)) => {
-                let redistribute_started = Instant::now();
-                let r = slicer.redistribute(graph, platform, Arc::make_mut(memo))?;
-                let registry = telemetry::global();
-                registry.record_stage(Stage::Redistribute, redistribute_started.elapsed());
-                registry.count_redistribute(&r.stats);
-                (r.assignment, Some(r.stats))
-            }
-            (Distributor::Baseline(strategy), _) => (distribute_baseline(graph, *strategy), None),
+        let assignment = match &self.distributor {
+            Distributor::Slicing(slicer) => slicer.distribute(graph, platform)?,
+            Distributor::Baseline(strategy) => distribute_baseline(graph, *strategy),
         };
-        let distribute = started.elapsed();
-
-        // Baselines produce deliberately overlapping windows, so
-        // structural window validation only applies to slicing.
-        let audit_started = Instant::now();
-        let window_violations = match &self.distributor {
-            Distributor::Slicing(_) => assignment.validate(graph).violations().len(),
-            Distributor::Baseline(_) => 0,
-        };
-        let window_audit = audit_started.elapsed();
-
-        let output = SliceOutput {
-            assignment,
-            window_violations,
-            distribute,
-            window_audit,
-            redistribute,
-        };
+        let output = self.audited(graph, assignment, started.elapsed(), None);
         if let (Some(key), Some(cache)) = (key, &self.cache) {
-            // The memo (when recorded) describes exactly this graph's
-            // trace; the entry shares it rather than copying it.
-            let entry = Arc::new(CachedSlice {
-                output: output.clone(),
-                memo: memo.clone(),
-            });
             if let Ok(mut c) = cache.lock() {
-                if c.insert(key, entry) {
+                if c.insert(key, Arc::new(output.clone())) {
                     telemetry::global().slice_cache_evictions.inc();
                 }
             }
@@ -330,17 +250,63 @@ impl Pipeline {
             pipeline: self,
             graph,
             output,
-            memo,
         })
     }
 
-    /// The cross-request cache key [`slice`](Pipeline::slice) probes for
-    /// `graph`; `None` when no cache is attached or the distributor is a
-    /// baseline (baselines never consult the cache).
-    pub(crate) fn cache_key(&self, graph: &TaskGraph, platform: &Platform) -> Option<SliceKey> {
-        match (&self.distributor, &self.cache) {
-            (Distributor::Slicing(slicer), Some(_)) => Some(slicer.cache_key(graph, platform)),
-            _ => None,
+    /// Stage one for an amended graph: runs [`Slicer::redistribute`]
+    /// against the caller's delta `memo`, which an earlier re-slice left
+    /// describing a previous version of the graph (its unaffected
+    /// per-start searches are reused) or which is still unprimed (the run
+    /// falls back to a full traced run and primes it). Either way the
+    /// memo describes `graph` afterwards. Output is bit-identical to
+    /// [`slice`](Pipeline::slice)'s; baselines record nothing. The
+    /// cross-request cache is never consulted: an amended graph is a
+    /// per-resident mutation that essentially never repeats across
+    /// requests.
+    ///
+    /// [`Slicer::redistribute`]: slicing::Slicer::redistribute
+    pub(crate) fn reslice(
+        &mut self,
+        graph: &TaskGraph,
+        platform: &Platform,
+        memo: &mut SliceMemo,
+    ) -> Result<SliceOutput, RunError> {
+        let started = Instant::now();
+        let (assignment, redistribute) = match &self.distributor {
+            Distributor::Slicing(slicer) => {
+                let r = slicer.redistribute(graph, platform, memo)?;
+                let registry = telemetry::global();
+                registry.record_stage(Stage::Redistribute, started.elapsed());
+                registry.count_redistribute(&r.stats);
+                (r.assignment, Some(r.stats))
+            }
+            Distributor::Baseline(strategy) => (distribute_baseline(graph, *strategy), None),
+        };
+        Ok(self.audited(graph, assignment, started.elapsed(), redistribute))
+    }
+
+    /// Stage one's tail: the always-on window audit over a fresh
+    /// assignment, assembled into a [`SliceOutput`].
+    fn audited(
+        &self,
+        graph: &TaskGraph,
+        assignment: DeadlineAssignment,
+        distribute: Duration,
+        redistribute: Option<RedistributeStats>,
+    ) -> SliceOutput {
+        // Baselines produce deliberately overlapping windows, so
+        // structural window validation only applies to slicing.
+        let audit_started = Instant::now();
+        let window_violations = match &self.distributor {
+            Distributor::Slicing(_) => assignment.validate(graph).violations().len(),
+            Distributor::Baseline(_) => 0,
+        };
+        SliceOutput {
+            assignment,
+            window_violations,
+            distribute,
+            window_audit: audit_started.elapsed(),
+            redistribute,
         }
     }
 
@@ -521,25 +487,23 @@ impl Pipeline {
 /// A graph with its deadlines distributed, bound to the pipeline that
 /// produced it: stage one's result, ready for a trial. Borrow-holds the
 /// pipeline so the fluent chain reuses its workspace; a pipelined service
-/// detaches the owned product with [`into_parts`](Sliced::into_parts)
+/// detaches the owned product with [`into_output`](Sliced::into_output)
 /// instead.
 #[derive(Debug)]
 pub struct Sliced<'p, 'g> {
     pipeline: &'p mut Pipeline,
     graph: &'g TaskGraph,
     output: SliceOutput,
-    memo: Option<Arc<SliceMemo>>,
 }
 
 impl Sliced<'_, '_> {
-    /// Detaches the owned slice product and the delta memo that describes
-    /// the sliced graph (see [`Pipeline::slice_with`]), releasing the
-    /// pipeline borrow. The product is `Send`: an admission service slices
-    /// on worker threads and ships products to the coordinator that owns
-    /// the committed state, which trials them with
+    /// Detaches the owned slice product, releasing the pipeline borrow.
+    /// The product is `Send`: an admission service slices on worker
+    /// threads and ships products to the coordinator that owns the
+    /// committed state, which trials them with
     /// [`Pipeline::trial_output_against`].
-    pub fn into_parts(self) -> (SliceOutput, Option<Arc<SliceMemo>>) {
-        (self.output, self.memo)
+    pub fn into_output(self) -> SliceOutput {
+        self.output
     }
 
     /// Trial-schedules against an empty platform and measures the result.
@@ -572,8 +536,8 @@ pub struct SliceOutput {
     pub distribute: Duration,
     /// Wall-clock of the window audit (accounted to the audit stage).
     pub window_audit: Duration,
-    /// Cache-effectiveness counters when the slice ran through a delta
-    /// memo ([`Pipeline::slice_with`]); `None` for plain distribution.
+    /// Delta-memo effectiveness counters when an amended graph was
+    /// re-sliced through its resident's memo; `None` for a fresh slice.
     pub redistribute: Option<RedistributeStats>,
 }
 
@@ -606,7 +570,7 @@ pub struct Verdict {
     pub schedule_time: Duration,
     /// Wall-clock of both audits combined.
     pub audit: Duration,
-    /// Re-slicing cache effectiveness, when stage one ran through a memo.
+    /// Delta-memo effectiveness, when stage one re-sliced an amended graph.
     pub redistribute: Option<RedistributeStats>,
     /// For repair trials ([`Pipeline::repair_output_against`]): whether
     /// the repair abandoned the retained dispatch log and re-ran in full.
@@ -656,7 +620,7 @@ mod tests {
         state: &CommittedState,
         origin: Time,
     ) -> Verdict {
-        let (output, _) = pipeline.slice(graph, platform).unwrap().into_parts();
+        let output = pipeline.slice(graph, platform).unwrap().into_output();
         pipeline
             .trial_output_against(graph, platform, output, state, origin)
             .unwrap()
@@ -768,7 +732,7 @@ mod tests {
         let graph = workload(4);
         let platform = Platform::paper(4).unwrap();
         let mut pipeline = Pipeline::new(&scenario);
-        let (output, _) = pipeline.slice(&graph, &platform).unwrap().into_parts();
+        let output = pipeline.slice(&graph, &platform).unwrap().into_output();
         assert_eq!(output.window_violations, 0);
         let verdict = pipeline
             .slice(&graph, &platform)
@@ -783,36 +747,27 @@ mod tests {
         let scenario = paper_scenario();
         let graph = workload(9);
         let platform = Platform::paper(4).unwrap();
+        let cache: SharedSliceCache = Arc::new(Mutex::new(SliceCache::new(8)));
+        let mut pipeline = Pipeline::new(&scenario).with_slice_cache(Arc::clone(&cache));
 
-        let mut pipeline = Pipeline::new(&scenario);
-        let fresh = || Some(Arc::new(SliceMemo::new()));
+        // A fresh slice records no delta stats; an unprimed memo re-slices
+        // bit-identically, falls back, and is primed by the run.
+        let a = pipeline.slice(&graph, &platform).unwrap().into_output();
+        assert!(a.redistribute.is_none());
+        let mut memo = SliceMemo::new();
+        let b = pipeline.reslice(&graph, &platform, &mut memo).unwrap();
+        assert_eq!(b.assignment, a.assignment);
+        assert!(b.redistribute.unwrap().fell_back);
+        assert!(memo.is_primed());
 
-        // Without a memo the slice is plain distribution and records none.
-        let (a, none) = pipeline.slice(&graph, &platform).unwrap().into_parts();
-        let (b, memo) = pipeline
-            .slice_with(&graph, &platform, fresh())
-            .unwrap()
-            .into_parts();
-        assert_eq!(a.assignment, b.assignment);
-        assert!(a.redistribute.is_none() && none.is_none());
-        assert!(b.redistribute.is_some());
-
-        // Second pass over the same graph against the returned memo: it
+        // Second pass over the same graph against the primed memo: it
         // now hits.
-        let (c, _) = pipeline
-            .slice_with(&graph, &platform, memo)
-            .unwrap()
-            .into_parts();
+        let c = pipeline.reslice(&graph, &platform, &mut memo).unwrap();
         assert_eq!(c.assignment, a.assignment);
-        let stats = c.redistribute.unwrap();
-        assert!(!stats.fell_back);
+        assert!(!c.redistribute.unwrap().fell_back);
 
-        // A fresh memo records the run from scratch.
-        let (d, _) = pipeline
-            .slice_with(&graph, &platform, fresh())
-            .unwrap()
-            .into_parts();
-        assert_eq!(d.assignment, a.assignment);
-        assert!(d.redistribute.unwrap().fell_back);
+        // Re-slices never touch the cross-request cache: it holds only
+        // the fresh slice's entry.
+        assert_eq!(cache.lock().unwrap().len(), 1);
     }
 }

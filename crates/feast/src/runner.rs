@@ -680,8 +680,7 @@ fn workload(
 /// Stage timing is self-time: `distribute_us` covers the slicer alone and
 /// `schedule_us` the list scheduler alone, while both validation passes
 /// (window audit + schedule audit) are accounted to [`Stage::Audit`].
-/// Every [`Runner::PROFILE_SAMPLE_EVERY`]th replication additionally
-/// emits a [`RunEvent::Profile`] with the per-stage breakdown.
+/// Each replication's [`RunEvent::Replication`] carries all three.
 fn run_once(
     scenario: &Scenario,
     graph: &TaskGraph,
@@ -710,16 +709,6 @@ fn run_once(
     registry.record_stage(Stage::Audit, verdict.audit);
     registry.count_schedule(record.feasible, violations);
     registry.count_audit(verdict.window_violations, verdict.schedule_violations);
-    if rep.is_multiple_of(Runner::PROFILE_SAMPLE_EVERY) {
-        events.emit(|| RunEvent::Profile {
-            scenario: scenario.label.clone(),
-            system_size: platform.processor_count(),
-            replication: rep,
-            distribute_us: verdict.distribute.as_micros() as u64,
-            schedule_us: verdict.schedule_time.as_micros() as u64,
-            audit_us: verdict.audit.as_micros() as u64,
-        });
-    }
     if violations > 0 {
         events.emit(|| RunEvent::AuditViolation {
             scenario: scenario.label.clone(),
@@ -735,6 +724,7 @@ fn run_once(
         replication: rep,
         distribute_us: verdict.distribute.as_micros() as u64,
         schedule_us: verdict.schedule_time.as_micros() as u64,
+        audit_us: verdict.audit.as_micros() as u64,
         feasible: record.feasible,
         violations,
         max_lateness: record.max_lateness,
@@ -1044,10 +1034,6 @@ impl Runner {
     /// limit).
     pub const CHECKPOINT_BACKOFF_BASE: Duration = Duration::from_millis(1);
 
-    /// Stage-profile sampling period: every Nth replication emits a
-    /// [`RunEvent::Profile`] with its per-stage self-times.
-    pub const PROFILE_SAMPLE_EVERY: usize = 16;
-
     /// Per-scenario budget of full deadline-miss WARN lines; the
     /// rest are counted and summarised in one
     /// [`RunEvent::DeadlineMissSummary`] at the end of the run. An
@@ -1060,9 +1046,7 @@ impl Runner {
 
     /// A runner for `scenario` with default settings: all cores, no shard,
     /// no checkpoint, events to the process-global stream, degrade-don't-
-    /// die failure policy, non-strict audit, profile sampling every
-    /// [`PROFILE_SAMPLE_EVERY`](Runner::PROFILE_SAMPLE_EVERY)th
-    /// replication, deadline-miss warnings capped at
+    /// die failure policy, non-strict audit, deadline-miss warnings capped at
     /// [`MISS_WARN_LIMIT`](Runner::MISS_WARN_LIMIT), no metrics file.
     pub fn new(scenario: Scenario) -> Runner {
         Runner {

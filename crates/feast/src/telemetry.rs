@@ -379,9 +379,10 @@ metrics! {
         /// denominator).
         #[serde(default)]
         delta_scanned_nodes,
-        /// Redistributions that fell back to a full traced run: every
-        /// memo recorded fresh (a controller admit that misses the slice
-        /// cache) plus every amendment the memo could not replay.
+        /// Amendment re-slices that fell back to a full traced run: every
+        /// resident's first amendment (its memo starts unprimed) plus
+        /// every later amendment its memo could not replay. No admit
+        /// lands here.
         #[serde(default)]
         delta_fallbacks,
         /// Admission requests answered with an admit verdict.
@@ -445,12 +446,12 @@ metrics! {
         Generate => generate,
         /// Deadline distribution (slicing or a baseline).
         Distribute => distribute,
-        /// Re-slicing through a delta memo
+        /// Re-slicing an amended resident through its delta memo
         /// ([`Slicer::redistribute`](slicing::Slicer::redistribute)):
-        /// incremental amendments and fallbacks to a full traced run alike.
-        /// A controller admit that misses the slice cache records a fresh
-        /// memo, so it lands here as a fallback; `delta_fallbacks` tells
-        /// the two apart.
+        /// incremental replays and fallbacks to a full traced run alike.
+        /// A resident's first amendment primes its memo, so it lands here
+        /// as a fallback; `delta_fallbacks` tells the two apart. Only
+        /// amendments land here: an admit's slice is a `distribute`.
         #[serde(default)]
         Redistribute => redistribute,
         /// List scheduling.
@@ -659,6 +660,10 @@ pub enum RunEvent {
         distribute_us: u64,
         /// List-scheduling wall-clock, µs.
         schedule_us: u64,
+        /// Audit self-time (assignment checker + schedule validation), µs;
+        /// `0` in event streams written before it was recorded.
+        #[serde(default)]
+        audit_us: u64,
         /// Did the schedule meet every assigned deadline?
         feasible: bool,
         /// Structural violations found by validation.
@@ -696,24 +701,6 @@ pub enum RunEvent {
         stage: String,
         /// The failure, rendered.
         error: String,
-    },
-    /// A sampled per-replication stage-profile breakdown (every Nth
-    /// replication; see `Runner::PROFILE_SAMPLE_EVERY`). Unlike the `Replication`
-    /// event's coarse timings this separates audit self-time from the
-    /// stages it checks.
-    Profile {
-        /// Scenario label.
-        scenario: String,
-        /// Processors.
-        system_size: usize,
-        /// Replication index.
-        replication: usize,
-        /// Deadline-distribution self-time, µs.
-        distribute_us: u64,
-        /// List-scheduling self-time, µs.
-        schedule_us: u64,
-        /// Audit self-time (assignment checker + schedule validation), µs.
-        audit_us: u64,
     },
     /// Deadline-miss warnings were rate-limited: only the first K misses
     /// of the scenario were logged; the rest are accounted for here
@@ -1057,6 +1044,7 @@ mod tests {
             replication: 0,
             distribute_us: 11,
             schedule_us: 22,
+            audit_us: 3,
             feasible: true,
             violations: 0,
             max_lateness: -12.5,
@@ -1087,6 +1075,15 @@ mod tests {
                 assert_eq!(distribute_us, 11);
                 assert!(feasible);
             }
+            other => panic!("expected Replication, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replication_events_without_audit_us_still_parse() {
+        let legacy = r#"{"Replication":{"scenario":"PURE/CCNE","system_size":4,"replication":0,"distribute_us":11,"schedule_us":22,"feasible":true,"violations":0,"max_lateness":-12.5}}"#;
+        match serde_json::from_str::<RunEvent>(legacy).unwrap() {
+            RunEvent::Replication { audit_us, .. } => assert_eq!(audit_us, 0),
             other => panic!("expected Replication, got {other:?}"),
         }
     }

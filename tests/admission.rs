@@ -577,39 +577,26 @@ fn rejects_and_failed_amends_leave_no_trace() {
 
 /// An amendment re-slices through the incremental path, and that work
 /// reaches the telemetry `metrics.json` reports: the `redistribute` stage
-/// histogram and the `delta_*` counters.
+/// histogram and the `delta_*` counters. The first amendment primes the
+/// resident's memo; the second replays it and scans node states.
 #[test]
 fn amendments_feed_the_redistribute_telemetry() {
     let mut controller = AdmissionController::new(config(8)).unwrap();
     assert!(controller.admit(0, graph(1), Time::ZERO).unwrap().admitted);
     let before = telemetry::global().snapshot();
-    let tighten = GraphDelta::new().push(DeltaOp::SetWcet {
-        subtask: SubtaskId::new(0),
-        wcet: Time::new(1),
-    });
-    controller.amend(0, &tighten).unwrap();
+    for subtask in [0, 1] {
+        let tighten = GraphDelta::new().push(DeltaOp::SetWcet {
+            subtask: SubtaskId::new(subtask),
+            wcet: Time::new(1),
+        });
+        controller.amend(0, &tighten).unwrap();
+    }
 
     // The registry is process-global and other tests in this binary may
     // feed it concurrently, so only lower bounds hold.
     let delta = telemetry::global().snapshot().delta(&before);
     assert!(delta.redistribute.count >= 1, "{:?}", delta.redistribute);
     assert!(delta.delta_scanned_nodes > 0);
-}
-
-/// A controller admit that misses the slice cache records a fresh delta
-/// memo, so the `redistribute` histogram holds it too; `delta_fallbacks`
-/// counts it, which tells such admits apart from incremental amendments.
-#[test]
-fn controller_admits_count_as_delta_fallbacks() {
-    let mut controller = AdmissionController::new(config(8)).unwrap();
-    let before = telemetry::global().snapshot();
-    assert!(controller.admit(0, graph(2), Time::ZERO).unwrap().admitted);
-
-    // Other tests in this binary feed the global registry concurrently,
-    // so only lower bounds hold.
-    let delta = telemetry::global().snapshot().delta(&before);
-    assert!(delta.redistribute.count >= 1, "{:?}", delta.redistribute);
-    assert!(delta.delta_fallbacks >= 1, "{}", delta.delta_fallbacks);
 }
 
 /// The consolidated error surface: admission failures flow through
