@@ -23,12 +23,15 @@
 //! trial them serially against the platform's [`CommittedState`] — see
 //! [`Sliced::into_output`] and [`Pipeline::trial_output_against`].
 //!
-//! Slicing runs once per graph. Only an amended graph is re-sliced, and
-//! only the admission controller does it: each resident owns a
-//! [`SliceMemo`], unprimed until its first amendment, and the crate's
-//! re-slice path runs [`Slicer::redistribute`] against it. That path is
-//! the only one that feeds the `redistribute` stage and the `delta_*`
-//! counters; a fresh slice never does.
+//! Slicing runs once per graph and distinct slicing input. A sweep
+//! replication runs one graph at every system size, and a size whose
+//! [`SliceInputs`] equal those of the last size it sliced reuses that
+//! slice product (see [`Pipeline::slice_or_share`]). Only an amended
+//! graph is re-sliced, and only the admission controller does it: each
+//! resident owns a [`SliceMemo`], unprimed until its first amendment, and
+//! the crate's re-slice path runs [`Slicer::redistribute`] against it.
+//! That path is the only one that feeds the `redistribute` stage and the
+//! `delta_*` counters; a fresh slice never does.
 //!
 //! [`Runner`]: crate::Runner
 //! [`AdmissionController`]: crate::AdmissionController
@@ -45,7 +48,7 @@ use sched::{
 };
 use slicing::{
     distribute_baseline, prefilter, BaselineStrategy, DeadlineAssignment, PrefilterReject,
-    RedistributeStats, SliceCache, SliceMemo, Slicer,
+    RedistributeStats, SliceCache, SliceInputs, SliceMemo, Slicer,
 };
 use taskgraph::{TaskGraph, Time};
 
@@ -234,9 +237,12 @@ impl Pipeline {
             }
             telemetry::global().slice_cache_misses.inc();
         }
-        let assignment = match &self.distributor {
-            Distributor::Slicing(slicer) => slicer.distribute(graph, platform)?,
-            Distributor::Baseline(strategy) => distribute_baseline(graph, *strategy),
+        let assignment = match (&self.distributor, &key) {
+            (Distributor::Slicing(slicer), Some(key)) => {
+                slicer.distribute_from(graph, key.inputs())?
+            }
+            (Distributor::Slicing(slicer), None) => slicer.distribute(graph, platform)?,
+            (Distributor::Baseline(strategy), _) => distribute_baseline(graph, *strategy),
         };
         let output = self.audited(graph, assignment, started.elapsed(), None);
         if let (Some(key), Some(cache)) = (key, &self.cache) {
@@ -251,6 +257,57 @@ impl Pipeline {
             graph,
             output,
         })
+    }
+
+    /// Stage one for the next system size of a sweep replication, which
+    /// runs one `graph` at every size. `last` holds the product of the
+    /// last size this replication sliced. When this size's slicing inputs
+    /// ([`Slicer::inputs`]) equal the ones `last` was sliced from, the
+    /// assignment would be bit-identical, so `last`'s product is reused:
+    /// no distribution and no window audit run, and both read zero time.
+    /// Otherwise the graph is sliced from these inputs and `last` becomes
+    /// the new product; a failed slice leaves `last` empty. Baselines
+    /// read no platform, so every size after the first shares. Returns
+    /// the product and whether it was shared. The cross-request cache is
+    /// never consulted.
+    ///
+    /// [`Slicer::inputs`]: slicing::Slicer::inputs
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError::Slice`] when deadline distribution fails.
+    pub(crate) fn slice_or_share(
+        &mut self,
+        graph: &TaskGraph,
+        platform: &Platform,
+        last: &mut Option<LastSlice>,
+    ) -> Result<(SliceOutput, bool), RunError> {
+        let started = Instant::now();
+        let inputs = match &self.distributor {
+            Distributor::Slicing(slicer) => Some(slicer.inputs(graph, platform)),
+            Distributor::Baseline(_) => None,
+        };
+        if let Some(last) = last.as_ref().filter(|last| last.inputs == inputs) {
+            let output = SliceOutput {
+                distribute: Duration::ZERO,
+                window_audit: Duration::ZERO,
+                ..last.output.clone()
+            };
+            return Ok((output, true));
+        }
+        *last = None;
+        let assignment = match &self.distributor {
+            Distributor::Slicing(slicer) => {
+                slicer.distribute_from(graph, inputs.as_ref().expect("read for the slicer"))?
+            }
+            Distributor::Baseline(strategy) => distribute_baseline(graph, *strategy),
+        };
+        let output = self.audited(graph, assignment, started.elapsed(), None);
+        *last = Some(LastSlice {
+            inputs,
+            output: output.clone(),
+        });
+        Ok((output, false))
     }
 
     /// Stage one for an amended graph: runs [`Slicer::redistribute`]
@@ -379,6 +436,17 @@ impl Pipeline {
             schedule_started.elapsed(),
             Some(fell_back),
         )
+    }
+
+    /// Stage two against an empty platform for a detached slice product:
+    /// what [`Sliced::trial`] runs.
+    pub(crate) fn trial_output(
+        &mut self,
+        graph: &TaskGraph,
+        platform: &Platform,
+        output: SliceOutput,
+    ) -> Result<Verdict, RunError> {
+        self.trial_inner(graph, platform, output, None)
     }
 
     fn trial_inner(
@@ -516,8 +584,17 @@ impl Sliced<'_, '_> {
     /// [`RunError::Sched`] when scheduling fails.
     pub fn trial(self, platform: &Platform) -> Result<Verdict, RunError> {
         self.pipeline
-            .trial_inner(self.graph, platform, self.output, None)
+            .trial_output(self.graph, platform, self.output)
     }
+}
+
+/// The slice product a sweep replication keeps for its later system
+/// sizes ([`Pipeline::slice_or_share`]): what stage one read (`None` for
+/// a baseline, which reads no platform) and what it produced.
+#[derive(Debug)]
+pub(crate) struct LastSlice {
+    inputs: Option<SliceInputs>,
+    output: SliceOutput,
 }
 
 /// The detached product of [`Pipeline::slice`]: the assignment plus the
@@ -532,9 +609,11 @@ pub struct SliceOutput {
     /// Structural window violations found by the always-on audit (always
     /// zero for baselines, whose overlapping windows are intentional).
     pub window_violations: usize,
-    /// Wall-clock of the distribution stage alone.
+    /// Wall-clock of the distribution stage alone; zero for a sweep cell
+    /// that shared the product of an earlier system size.
     pub distribute: Duration,
-    /// Wall-clock of the window audit (accounted to the audit stage).
+    /// Wall-clock of the window audit (accounted to the audit stage);
+    /// zero for a shared product, whose audit result is reused.
     pub window_audit: Duration,
     /// Delta-memo effectiveness counters when an amended graph was
     /// re-sliced through its resident's memo; `None` for a fresh slice.

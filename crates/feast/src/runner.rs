@@ -13,9 +13,12 @@
 //! every graph it still needs, then starts one pool of worker threads for
 //! the whole scenario. Each worker owns one [`Pipeline`] and claims the
 //! next replication from a shared index, and runs that graph at every size
-//! it still misses, back to back, while the graph is hot in cache. A cell
-//! is one `(system size, replication)` pair; duplicate sizes in the sweep
-//! name the same cell, which runs once. On top of that the engine layers:
+//! it still misses, back to back, while the graph is hot in cache. A size
+//! whose slicing inputs equal those of the last size the replication
+//! sliced shares that slice and only trials: equal inputs give a
+//! bit-identical assignment. A cell is one `(system size, replication)`
+//! pair; duplicate sizes in the sweep name the same cell, which runs
+//! once. On top of that the engine layers:
 //!
 //! * **sharding** — [`ShardSpec`] partitions the replication indices;
 //!   [`Runner::run_partial`] computes one shard's [`PartialResult`] and
@@ -78,6 +81,7 @@ use taskgraph::gen::{
 use taskgraph::TaskGraph;
 
 use crate::fault::{self, FaultPlan, FaultSite};
+use crate::pipeline::LastSlice;
 use crate::progress::{MetricsWriter, ProgressTracker};
 use crate::sealed_log::{self, seal, sealed_line, SealedLine, SealedLog};
 use crate::telemetry::{self, EventSink, RunEvent, Stage};
@@ -677,10 +681,17 @@ fn workload(
 /// replications (even after a caught panic) changes nothing but the
 /// allocation count.
 ///
+/// `last` is the slice product of the last size this replication sliced:
+/// a size whose slicing inputs equal its inputs shares it
+/// ([`Pipeline::slice_or_share`]) and only trials.
+///
 /// Stage timing is self-time: `distribute_us` covers the slicer alone and
 /// `schedule_us` the list scheduler alone, while both validation passes
 /// (window audit + schedule audit) are accounted to [`Stage::Audit`].
-/// Each replication's [`RunEvent::Replication`] carries all three.
+/// Each replication's [`RunEvent::Replication`] carries all three. A
+/// shared cell ran no distribution and no window audit: it adds no
+/// `distribute` sample, counts in `slices_shared`, and its event reads
+/// `distribute_us` 0.
 fn run_once(
     scenario: &Scenario,
     graph: &TaskGraph,
@@ -688,8 +699,10 @@ fn run_once(
     rep: usize,
     events: &EventScope,
     pipeline: &mut Pipeline,
+    last: &mut Option<LastSlice>,
 ) -> Result<ReplicationRecord, RunError> {
-    let verdict = pipeline.slice(graph, platform)?.trial(platform)?;
+    let (output, shared) = pipeline.slice_or_share(graph, platform, last)?;
+    let verdict = pipeline.trial_output(graph, platform, output)?;
     let violations = verdict.violations();
     let record = ReplicationRecord {
         system_size: platform.processor_count(),
@@ -704,7 +717,11 @@ fn run_once(
     };
 
     let registry = telemetry::global();
-    registry.record_stage(Stage::Distribute, verdict.distribute);
+    if shared {
+        registry.slices_shared.inc();
+    } else {
+        registry.record_stage(Stage::Distribute, verdict.distribute);
+    }
     registry.record_stage(Stage::Schedule, verdict.schedule_time);
     registry.record_stage(Stage::Audit, verdict.audit);
     registry.count_schedule(record.feasible, violations);
@@ -1387,6 +1404,7 @@ impl Runner {
                 let rep = *rep;
                 let _span = tracing::debug_span!("replication", index = rep).entered();
                 let mut out = Vec::with_capacity(platforms.len());
+                let mut last = None;
                 for (size, platform) in &platforms {
                     let size = *size;
                     if cells.contains_key(&(size, rep)) {
@@ -1412,7 +1430,9 @@ impl Runner {
                                 if inject_panic {
                                     panic!("injected worker panic (fault plan)");
                                 }
-                                run_once(&scenario, graph, platform, rep, &events, pipeline)
+                                run_once(
+                                    &scenario, graph, platform, rep, &events, pipeline, &mut last,
+                                )
                             }));
                             match result {
                                 Ok(Ok(record)) => ReplicationOutcome::Ok(record),
@@ -1562,6 +1582,81 @@ mod tests {
         )
         .with_replications(4)
         .with_system_sizes(vec![2, 8])
+    }
+
+    /// Every cell of `scenario` at `sizes`, sliced and trialed on its own
+    /// through `Pipeline::slice(..).trial(..)`: an oracle that shares
+    /// nothing across sizes.
+    fn per_cell_records(scenario: &Scenario, sizes: &[usize]) -> Vec<ReplicationRecord> {
+        let stream = workload_stream(&scenario.workload);
+        let mut pipeline = Pipeline::new(scenario);
+        let mut records = Vec::new();
+        for &size in sizes {
+            let topology = scenario.topology.build(size, scenario.cost_per_item);
+            let platform = Platform::homogeneous(size, topology).unwrap();
+            for rep in 0..scenario.replications {
+                let graph = workload(scenario, stream, rep, None, &EventScope::default()).unwrap();
+                let verdict = pipeline.slice(&graph, &platform).unwrap().trial(&platform);
+                let verdict = verdict.unwrap();
+                records.push(ReplicationRecord {
+                    system_size: size,
+                    replication: rep,
+                    max_lateness: verdict.max_lateness.as_f64(),
+                    end_to_end: verdict.end_to_end.as_f64(),
+                    makespan: verdict.makespan.as_f64(),
+                    feasible: verdict.admit,
+                    violations: verdict.violations(),
+                    window_violations: Some(verdict.window_violations),
+                    schedule_violations: Some(verdict.schedule_violations),
+                });
+            }
+        }
+        records
+    }
+
+    #[test]
+    fn shared_slices_match_per_cell_slicing() {
+        // PURE shares every size after a replication's first; ADAPT's
+        // surplus reads N_proc, so it slices every size.
+        for metric in [MetricKind::pure(), MetricKind::adapt()] {
+            let scenario = tiny_scenario(metric)
+                .with_replications(6)
+                .with_system_sizes(vec![1, 2, 4, 8, 16]);
+            let partial = Runner::new(scenario.clone())
+                .threads(2)
+                .run_partial()
+                .unwrap();
+            assert!(partial.failed.is_empty());
+            assert_eq!(
+                partial.records,
+                per_cell_records(&scenario, &[1, 2, 4, 8, 16]),
+                "{}",
+                metric.label()
+            );
+        }
+    }
+
+    #[test]
+    fn resume_into_more_sizes_matches_per_cell_slicing() {
+        // The resumed units start at a size they never sliced: their
+        // first missing size slices, the later ones share it.
+        let checkpoint = std::env::temp_dir().join(format!(
+            "feast-runner-shared-resume-{}.jsonl",
+            std::process::id()
+        ));
+        std::fs::remove_file(&checkpoint).ok();
+        let scenario = tiny_scenario(MetricKind::pure());
+        let run = |sizes: Vec<usize>| {
+            Runner::new(scenario.clone().with_system_sizes(sizes))
+                .threads(2)
+                .checkpoint(&checkpoint)
+                .run_partial()
+                .unwrap()
+        };
+        run(vec![2, 8]);
+        let resumed = run(vec![2, 4, 8, 16]);
+        std::fs::remove_file(&checkpoint).ok();
+        assert_eq!(resumed.records, per_cell_records(&scenario, &[2, 4, 8, 16]));
     }
 
     #[test]

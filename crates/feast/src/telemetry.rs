@@ -363,6 +363,11 @@ metrics! {
         replications_failed,
         /// Checkpoint appends retried after a transient I/O failure.
         checkpoint_retries,
+        /// Sweep cells that reused the slice product of an earlier system
+        /// size of their replication, whose slicing inputs were equal: no
+        /// distribution ran, so they add no `distribute` sample.
+        #[serde(default)]
+        slices_shared,
         /// Per-start path searches answered from the delta cache during
         /// redistribution.
         #[serde(default)]
@@ -656,7 +661,9 @@ pub enum RunEvent {
         system_size: usize,
         /// Replication index.
         replication: usize,
-        /// Deadline-distribution wall-clock, µs.
+        /// Deadline-distribution wall-clock, µs; `0` for a cell that
+        /// shared the slice product of an earlier system size (counted in
+        /// `slices_shared`).
         distribute_us: u64,
         /// List-scheduling wall-clock, µs.
         schedule_us: u64,

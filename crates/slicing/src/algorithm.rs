@@ -16,6 +16,7 @@
 //! non-negligible, which is what lets the algorithm run *before* task
 //! assignment (relaxed locality constraints).
 
+use std::borrow::Cow;
 use std::fmt;
 
 use platform::Platform;
@@ -25,7 +26,7 @@ use crate::expanded::{ExpKind, ExpandedGraph};
 use crate::path_search::CriticalPath;
 use crate::{
     CommEstimate, DeadlineAssignment, MetricKind, RedistributeStats, ShareRule, SliceError,
-    SliceMetric, Thres, Window,
+    SliceInputs, SliceMetric, Thres, Window,
 };
 
 /// The deadline-distribution engine: a metric plus a communication-cost
@@ -192,7 +193,33 @@ impl Slicer {
         graph: &TaskGraph,
         platform: &Platform,
     ) -> Result<DeadlineAssignment, SliceError> {
-        self.run_traced(graph, platform, None, &mut RedistributeStats::default())
+        self.distribute_from(graph, &self.inputs(graph, platform))
+    }
+
+    /// [`distribute`](Slicer::distribute) from inputs already read for
+    /// `graph` by this slicer's [`inputs`](Slicer::inputs): a caller that
+    /// compares inputs (to share one assignment across platforms the loop
+    /// cannot tell apart, or to key a cache) slices without reading them
+    /// twice.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `inputs` were read for a graph of another shape.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`distribute`](Slicer::distribute).
+    pub fn distribute_from(
+        &self,
+        graph: &TaskGraph,
+        inputs: &SliceInputs,
+    ) -> Result<DeadlineAssignment, SliceError> {
+        self.run_traced(
+            graph,
+            Cow::Borrowed(inputs),
+            None,
+            &mut RedistributeStats::default(),
+        )
     }
 }
 
@@ -398,6 +425,22 @@ mod tests {
     use super::*;
     use crate::MetricContext;
 
+    /// A custom metric that inflates everything 2x.
+    #[derive(Debug)]
+    struct Doubler;
+
+    impl crate::SliceMetric for Doubler {
+        fn name(&self) -> &str {
+            "DOUBLER"
+        }
+        fn virtual_time(&self, real: Time, _ctx: &MetricContext) -> f64 {
+            real.as_f64() * 2.0
+        }
+        fn share_rule(&self) -> ShareRule {
+            ShareRule::Proportional
+        }
+    }
+
     fn chain(wcets: &[i64], deadline: i64) -> TaskGraph {
         let mut b = TaskGraph::builder();
         let mut prev = None;
@@ -563,20 +606,8 @@ mod tests {
     #[test]
     fn custom_metric_through_trait_object() {
         // Users can plug their own metric: one that inflates everything 2x
-        // behaves like PURE (uniform inflation cancels in the equal share).
-        #[derive(Debug)]
-        struct Doubler;
-        impl crate::SliceMetric for Doubler {
-            fn name(&self) -> &str {
-                "DOUBLER"
-            }
-            fn virtual_time(&self, real: Time, _ctx: &MetricContext) -> f64 {
-                real.as_f64() * 2.0
-            }
-            fn share_rule(&self) -> ShareRule {
-                ShareRule::Proportional
-            }
-        }
+        // behaves like NORM (uniform inflation cancels in the proportional
+        // share).
         let g = chain(&[10, 30, 20], 120);
         let p = Platform::paper(2).unwrap();
         let asg = Slicer::new(Doubler).distribute(&g, &p).unwrap();
@@ -714,10 +745,18 @@ mod tests {
             platform: &Platform,
         ) -> Result<DeadlineAssignment, SliceError> {
             let ctx = MetricContext::for_workload(graph, platform);
-            let exp = ExpandedGraph::build(graph, slicer.estimate(), platform);
+            let exp = ExpandedGraph::estimated(graph, slicer.estimate(), platform);
             let rule = slicer.metric().share_rule();
             let vweights: Vec<f64> = (0..exp.len())
-                .map(|v| slicer.metric().virtual_time(exp.weight(v), &ctx))
+                .map(|v| {
+                    let real = match exp.kind(v) {
+                        ExpKind::Task(id) => graph.subtask(id).wcet(),
+                        ExpKind::Comm(eid) => {
+                            slicer.estimate().estimated_cost(graph.edge(eid), platform)
+                        }
+                    };
+                    slicer.metric().virtual_time(real, &ctx)
+                })
                 .collect();
             let mut state = SliceState::init(graph, &exp);
             let mut search = PathSearch::new(exp.len(), exp.max_chain());
@@ -765,7 +804,7 @@ mod tests {
 
         /// A random DAG (forward-only edges), anchored inputs and outputs,
         /// and a release or deadline on any other subtask at random.
-        fn random_graph(rng: &mut StdRng, n: usize, density: f64) -> TaskGraph {
+        pub(super) fn random_graph(rng: &mut StdRng, n: usize, density: f64) -> TaskGraph {
             let edges: Vec<(usize, usize)> = (0..n)
                 .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
                 .filter(|_| rng.gen_bool(density))
@@ -833,6 +872,93 @@ mod tests {
                     slicer.distribute(&graph, &platform),
                     reference_distribute(&slicer, &graph, &platform)
                 );
+            }
+        }
+    }
+
+    /// [`SliceInputs`] as the witness for sharing one assignment across
+    /// platforms: equal inputs give identical assignments and cache keys,
+    /// unequal inputs never share a key.
+    mod shared_inputs {
+        use platform::{Pinning, ProcessorId, Topology};
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        use super::oracle::random_graph;
+        use super::*;
+
+        fn slicer(metric: usize, estimate: usize, pins: Pinning) -> Slicer {
+            let slicer = match metric {
+                0 => Slicer::bst_norm(),
+                1 => Slicer::bst_pure(),
+                2 => Slicer::ast_thres(1.0),
+                3 => Slicer::ast_adapt(),
+                _ => Slicer::new(Doubler),
+            };
+            slicer.with_estimate(match estimate {
+                0 => CommEstimate::Ccne,
+                1 => CommEstimate::Ccaa,
+                _ => CommEstimate::Known(pins),
+            })
+        }
+
+        /// A bus, a ring or a near-square mesh of `n` processors.
+        fn platform(topology: usize, n: usize) -> Platform {
+            let cost = Time::new(1);
+            let topology = match topology {
+                0 => Topology::SharedBus {
+                    cost_per_item: cost,
+                },
+                1 => Topology::Ring {
+                    cost_per_item_hop: cost,
+                },
+                _ => {
+                    let width = (1..=n)
+                        .rev()
+                        .find(|&w| n.is_multiple_of(w) && w * w <= n)
+                        .unwrap_or(1);
+                    Topology::Mesh2D {
+                        width,
+                        height: n / width,
+                        cost_per_item_hop: cost,
+                    }
+                }
+            };
+            Platform::homogeneous(n, topology).expect("valid platform")
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::default())]
+
+            #[test]
+            fn equal_inputs_share_an_assignment_and_unequal_never_share_a_key(
+                seed in 0u64..u64::MAX,
+                n in 1usize..=16,
+                density in 0.0f64..0.6,
+                metric in 0usize..5,
+                estimate in 0usize..3,
+                topology in 0usize..3,
+                sizes in (1usize..=16, 1usize..=16),
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let graph = random_graph(&mut rng, n, density);
+                // Pins may name processors a small platform lacks; those
+                // messages are estimated at the worst case.
+                let mut pins = Pinning::new();
+                for id in graph.subtask_ids() {
+                    pins.pin(id, ProcessorId::new(rng.gen_range(0..16))).expect("one pin each");
+                }
+                let slicer = slicer(metric, estimate, pins);
+                let (a, b) = (platform(topology, sizes.0), platform(topology, sizes.1));
+                let (ia, ib) = (slicer.inputs(&graph, &a), slicer.inputs(&graph, &b));
+                let (ka, kb) = (slicer.cache_key(&graph, &a), slicer.cache_key(&graph, &b));
+                prop_assert_eq!(ka == kb, ia == ib);
+                let from_a = slicer.distribute_from(&graph, &ia);
+                prop_assert_eq!(&from_a, &slicer.distribute(&graph, &a));
+                if ia == ib {
+                    prop_assert_eq!(&from_a, &slicer.distribute(&graph, &b));
+                }
             }
         }
     }

@@ -5,11 +5,18 @@
 //! graph may legally share one slicing run. The [`SliceKey`] captures
 //! *every* input the produced [`DeadlineAssignment`] is a function of:
 //!
-//! * per-subtask content — WCET, given release, given deadline;
-//! * the edge list — endpoints and item counts;
-//! * the slicer fingerprint — metric name, estimation-strategy label,
-//!   share rule, strict-windows flag;
-//! * the platform (processor count, topology, costs).
+//! * what the loop reads of the platform and the metric, the
+//!   [`SliceInputs`]: every expanded node's virtual time (bit for bit)
+//!   and every message's estimated cost;
+//! * per-subtask anchors — given release, given deadline;
+//! * the edge list — endpoints;
+//! * the slicer fingerprint — metric name and estimation-strategy label
+//!   (both recorded in the assignment), share rule, strict-windows flag.
+//!
+//! The metric's parameters and the platform enter only through the
+//! inputs, so two THRES surpluses, or two `Known` pinnings, share a key
+//! exactly when they give every node the same virtual time and every
+//! message the same cost — that is, when slicing cannot tell them apart.
 //!
 //! This is deliberately stronger than the structural `GraphSig` the
 //! incremental memo uses: the memo only needs the *expanded shape* to
@@ -31,7 +38,7 @@ use std::hash::{Hash, Hasher};
 use platform::Platform;
 use taskgraph::{TaskGraph, Time};
 
-use crate::{ShareRule, Slicer};
+use crate::{ShareRule, SliceInputs, Slicer};
 
 /// The complete set of slicing inputs, hashed for fast comparison.
 /// Two equal keys guarantee bit-identical [`Slicer::distribute`] output.
@@ -44,63 +51,59 @@ pub struct SliceKey {
     estimate: &'static str,
     rule: ShareRule,
     strict: bool,
-    platform: Platform,
-    /// Per subtask: (wcet, given release, given deadline).
-    subtasks: Vec<(i64, Option<i64>, Option<i64>)>,
-    /// Per edge: (src, dst, items).
-    edges: Vec<(u32, u32, u64)>,
+    inputs: SliceInputs,
+    /// Per subtask: (given release, given deadline).
+    anchors: Vec<(Option<i64>, Option<i64>)>,
+    /// Per edge: (src, dst).
+    edges: Vec<(u32, u32)>,
 }
 
 impl SliceKey {
-    fn new(
-        graph: &TaskGraph,
-        metric: String,
-        estimate: &'static str,
-        rule: ShareRule,
-        strict: bool,
-        platform: &Platform,
-    ) -> SliceKey {
-        let subtasks: Vec<(i64, Option<i64>, Option<i64>)> = (0..graph.subtask_count())
-            .map(|i| {
-                let s = graph.subtask(taskgraph::SubtaskId::new(i as u32));
+    fn new(slicer: &Slicer, graph: &TaskGraph, inputs: SliceInputs) -> SliceKey {
+        let anchors: Vec<(Option<i64>, Option<i64>)> = graph
+            .subtask_ids()
+            .map(|id| {
+                let s = graph.subtask(id);
                 (
-                    s.wcet().as_i64(),
                     s.release().map(Time::as_i64),
                     s.deadline().map(Time::as_i64),
                 )
             })
             .collect();
-        let edges: Vec<(u32, u32, u64)> = graph
+        let edges: Vec<(u32, u32)> = graph
             .edge_ids()
             .map(|eid| {
                 let e = graph.edge(eid);
-                (e.src().index() as u32, e.dst().index() as u32, e.items())
+                (e.src().index() as u32, e.dst().index() as u32)
             })
             .collect();
+        let rule = slicer.metric().share_rule();
         // DefaultHasher with default keys is deterministic within a
         // process, which is all the in-memory cache needs (hashes are
-        // never persisted or compared across processes).
+        // never persisted or compared across processes). The hash covers
+        // the configuration and the per-node content; the message costs
+        // and the edge list are compared on a hash match only.
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        metric.hash(&mut h);
-        estimate.hash(&mut h);
+        slicer.metric_name().hash(&mut h);
+        slicer.estimate_label().hash(&mut h);
         (match rule {
             ShareRule::EqualShare => 0u8,
             ShareRule::Proportional => 1u8,
         })
         .hash(&mut h);
-        strict.hash(&mut h);
-        platform.processor_count().hash(&mut h);
-        platform.worst_case_cost_per_item().as_i64().hash(&mut h);
-        subtasks.hash(&mut h);
-        edges.hash(&mut h);
+        slicer.strict().hash(&mut h);
+        for w in &inputs.vweights {
+            w.to_bits().hash(&mut h);
+        }
+        anchors.hash(&mut h);
         SliceKey {
             hash: h.finish(),
-            metric,
-            estimate,
+            metric: slicer.metric_name().to_owned(),
+            estimate: slicer.estimate_label(),
             rule,
-            strict,
-            platform: platform.clone(),
-            subtasks,
+            strict: slicer.strict(),
+            inputs,
+            anchors,
             edges,
         }
     }
@@ -108,6 +111,13 @@ impl SliceKey {
     /// The precomputed 64-bit content hash (a filter, not a witness).
     pub fn content_hash(&self) -> u64 {
         self.hash
+    }
+
+    /// What the slicer read of the platform and its metric; on a miss,
+    /// [`Slicer::distribute_from`] slices from them without reading them
+    /// again.
+    pub fn inputs(&self) -> &SliceInputs {
+        &self.inputs
     }
 }
 
@@ -120,9 +130,9 @@ impl PartialEq for SliceKey {
             && self.rule == other.rule
             && self.estimate == other.estimate
             && self.metric == other.metric
-            && self.subtasks == other.subtasks
+            && self.inputs == other.inputs
+            && self.anchors == other.anchors
             && self.edges == other.edges
-            && self.platform == other.platform
     }
 }
 
@@ -133,14 +143,7 @@ impl Slicer {
     /// this slicer's configuration: equal keys guarantee bit-identical
     /// [`distribute`](Slicer::distribute) output.
     pub fn cache_key(&self, graph: &TaskGraph, platform: &Platform) -> SliceKey {
-        SliceKey::new(
-            graph,
-            self.metric_name().to_owned(),
-            self.estimate_label(),
-            self.metric().share_rule(),
-            self.strict(),
-            platform,
-        )
+        SliceKey::new(self, graph, self.inputs(graph, platform))
     }
 }
 
@@ -310,6 +313,69 @@ mod tests {
             .with_strict_windows(true)
             .cache_key(&chain(&[10, 20], 100), &p);
         assert_ne!(base, strict);
+    }
+
+    /// THRES's surplus is a metric parameter the old key did not name:
+    /// Δ=1 and Δ=4 got one key but slice HDET graphs differently. The key
+    /// now holds the virtual times, so a probe for Δ=4 never returns
+    /// Δ=1's assignment.
+    #[test]
+    fn thres_surpluses_that_slice_differently_get_different_keys() {
+        use taskgraph::gen::{generate_seeded, ExecVariation, WorkloadSpec};
+
+        let spec = WorkloadSpec::paper(ExecVariation::Hdet);
+        let p = Platform::paper(4).unwrap();
+        let (one, four) = (Slicer::ast_thres(1.0), Slicer::ast_thres(4.0));
+        let mut differing = 0;
+        for seed in 0..50 {
+            let g = generate_seeded(&spec, seed).unwrap();
+            let (a1, a4) = (
+                one.distribute(&g, &p).unwrap(),
+                four.distribute(&g, &p).unwrap(),
+            );
+            let mut cache = SliceCache::new(4);
+            cache.insert(one.cache_key(&g, &p), a1.clone());
+            match cache.get(&four.cache_key(&g, &p)) {
+                Some(hit) => assert_eq!(hit, a4, "seed {seed}: a hit must be Δ=4's own"),
+                None => assert_ne!(a1, a4, "seed {seed}: equal inputs must share a key"),
+            }
+            differing += usize::from(a1 != a4);
+        }
+        assert_eq!(differing, 50);
+    }
+
+    /// The old key named a `Known` estimate by its label alone, so two
+    /// pinnings collided. The key now holds every message's cost.
+    #[test]
+    fn known_pinnings_with_different_costs_get_different_keys() {
+        use platform::{Pinning, ProcessorId};
+
+        use crate::CommEstimate;
+
+        let g = chain(&[10, 20, 30], 200);
+        let p = platform(4);
+        let pinned = |procs: [u32; 3]| {
+            let mut pins = Pinning::new();
+            for (i, proc) in procs.into_iter().enumerate() {
+                pins.pin(taskgraph::SubtaskId::new(i as u32), ProcessorId::new(proc))
+                    .unwrap();
+            }
+            Slicer::bst_pure().with_estimate(CommEstimate::Known(pins))
+        };
+        let (local, remote) = (pinned([0, 0, 0]), pinned([0, 1, 2]));
+        let (a_local, a_remote) = (
+            local.distribute(&g, &p).unwrap(),
+            remote.distribute(&g, &p).unwrap(),
+        );
+        assert_ne!(a_local, a_remote);
+        let mut cache = SliceCache::new(4);
+        cache.insert(local.cache_key(&g, &p), a_local);
+        assert_eq!(cache.get(&remote.cache_key(&g, &p)), None);
+        // Pinnings that cost the same are the same slicing input.
+        assert_eq!(
+            pinned([1, 2, 3]).cache_key(&g, &p),
+            remote.cache_key(&g, &p)
+        );
     }
 
     #[test]

@@ -14,10 +14,7 @@
 //! flat layout keeps those walks on a handful of cache lines with no
 //! per-node pointer chase.
 
-use platform::Platform;
 use taskgraph::{EdgeId, SubtaskId, TaskGraph, Time};
-
-use crate::CommEstimate;
 
 /// What an expanded-graph node represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,9 +29,6 @@ pub(crate) enum ExpKind {
 #[derive(Debug, Clone)]
 pub(crate) struct ExpandedGraph {
     kinds: Vec<ExpKind>,
-    /// Real execution time (subtasks) or estimated communication cost
-    /// (communication subtasks) per node.
-    weights: Vec<Time>,
     /// CSR successors: node `v`'s successors are
     /// `succ_idx[succ_off[v] .. succ_off[v + 1]]`, in arc-insertion order.
     succ_off: Vec<u32>,
@@ -79,34 +73,28 @@ fn csr<F: Fn(&(usize, usize)) -> (usize, usize)>(
 }
 
 impl ExpandedGraph {
-    /// Builds the expanded graph for `graph` under the given estimation
-    /// strategy.
-    pub(crate) fn build(
-        graph: &TaskGraph,
-        estimate: &CommEstimate,
-        platform: &Platform,
-    ) -> ExpandedGraph {
+    /// Builds the expanded graph for `graph` given every edge's estimated
+    /// communication cost (`comm`, in edge order): each positive cost
+    /// becomes a communication subtask.
+    pub(crate) fn build(graph: &TaskGraph, comm: &[Time]) -> ExpandedGraph {
         let n_tasks = graph.subtask_count();
         let mut kinds: Vec<ExpKind> = Vec::with_capacity(n_tasks);
-        let mut weights: Vec<Time> = Vec::with_capacity(n_tasks);
         let mut task_node = Vec::with_capacity(n_tasks);
         for id in graph.subtask_ids() {
             task_node.push(kinds.len());
             kinds.push(ExpKind::Task(id));
-            weights.push(graph.subtask(id).wcet());
         }
 
         let mut comm_node = vec![None; graph.edge_count()];
         let mut arcs: Vec<(usize, usize)> = Vec::with_capacity(graph.edge_count() * 2);
         for eid in graph.edge_ids() {
             let edge = graph.edge(eid);
-            let cost = estimate.estimated_cost(edge, platform);
+            let cost = comm[eid.index()];
             let from = task_node[edge.src().index()];
             let to = task_node[edge.dst().index()];
             if cost.is_positive() {
                 let chi = kinds.len();
                 kinds.push(ExpKind::Comm(eid));
-                weights.push(cost);
                 comm_node[eid.index()] = Some(chi);
                 arcs.push((from, chi));
                 arcs.push((chi, to));
@@ -153,7 +141,6 @@ impl ExpandedGraph {
 
         ExpandedGraph {
             kinds,
-            weights,
             succ_off,
             succ_idx,
             pred_off,
@@ -174,11 +161,6 @@ impl ExpandedGraph {
     /// What node `v` represents.
     pub(crate) fn kind(&self, v: usize) -> ExpKind {
         self.kinds[v]
-    }
-
-    /// Real execution time or estimated communication cost of node `v`.
-    pub(crate) fn weight(&self, v: usize) -> Time {
-        self.weights[v]
     }
 
     /// Successor node indices of `v`.
@@ -238,10 +220,29 @@ impl ExpandedGraph {
 }
 
 #[cfg(test)]
+impl ExpandedGraph {
+    /// The expanded graph under `estimate` on `platform`, for tests that
+    /// build one without a slicer.
+    pub(crate) fn estimated(
+        graph: &TaskGraph,
+        estimate: &crate::CommEstimate,
+        platform: &platform::Platform,
+    ) -> ExpandedGraph {
+        let comm: Vec<Time> = graph
+            .edge_ids()
+            .map(|eid| estimate.estimated_cost(graph.edge(eid), platform))
+            .collect();
+        ExpandedGraph::build(graph, &comm)
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use platform::Platform;
     use taskgraph::Subtask;
 
     use super::*;
+    use crate::CommEstimate;
 
     fn chain_graph() -> TaskGraph {
         let mut b = TaskGraph::builder();
@@ -257,7 +258,7 @@ mod tests {
     fn ccne_keeps_messages_transparent() {
         let g = chain_graph();
         let p = Platform::paper(4).unwrap();
-        let exp = ExpandedGraph::build(&g, &CommEstimate::Ccne, &p);
+        let exp = ExpandedGraph::estimated(&g, &CommEstimate::Ccne, &p);
         assert_eq!(exp.len(), 3);
         assert!(g.edge_ids().all(|e| exp.comm_node(e).is_none()));
         assert_eq!(exp.max_chain(), 3);
@@ -271,12 +272,11 @@ mod tests {
     fn ccaa_materializes_comm_subtasks() {
         let g = chain_graph();
         let p = Platform::paper(4).unwrap();
-        let exp = ExpandedGraph::build(&g, &CommEstimate::Ccaa, &p);
+        let exp = ExpandedGraph::estimated(&g, &CommEstimate::Ccaa, &p);
         assert_eq!(exp.len(), 5);
         assert_eq!(exp.max_chain(), 5);
         let e0 = g.edge_ids().next().unwrap();
         let chi = exp.comm_node(e0).expect("materialized");
-        assert_eq!(exp.weight(chi), Time::new(15));
         assert_eq!(exp.kind(chi), ExpKind::Comm(e0));
         // a -> chi -> c
         let a = exp.task_node(SubtaskId::new(0));
@@ -294,13 +294,29 @@ mod tests {
         assert!(seen.into_iter().all(|s| s));
     }
 
+    /// A slicer's inputs list virtual times in expanded-node order: under
+    /// PURE (virtual = real) each subtask's is its WCET and each
+    /// materialized message's its estimated cost.
     #[test]
     fn weights_mirror_wcet_for_tasks() {
         let g = chain_graph();
         let p = Platform::paper(2).unwrap();
-        let exp = ExpandedGraph::build(&g, &CommEstimate::Ccne, &p);
-        for id in g.subtask_ids() {
-            assert_eq!(exp.weight(exp.task_node(id)), g.subtask(id).wcet());
+        for estimate in [CommEstimate::Ccne, CommEstimate::Ccaa] {
+            let exp = ExpandedGraph::estimated(&g, &estimate, &p);
+            let inputs = crate::Slicer::bst_pure()
+                .with_estimate(estimate.clone())
+                .inputs(&g, &p);
+            assert_eq!(inputs.vweights.len(), exp.len());
+            for id in g.subtask_ids() {
+                let real = g.subtask(id).wcet().as_f64();
+                assert_eq!(inputs.vweights[exp.task_node(id)], real);
+            }
+            for eid in g.edge_ids() {
+                if let Some(chi) = exp.comm_node(eid) {
+                    let cost = estimate.estimated_cost(g.edge(eid), &p).as_f64();
+                    assert_eq!(inputs.vweights[chi], cost);
+                }
+            }
         }
     }
 
@@ -320,7 +336,7 @@ mod tests {
         b.add_edge(y, d, 1).unwrap();
         let g = b.build().unwrap();
         let p = Platform::paper(2).unwrap();
-        let exp = ExpandedGraph::build(&g, &CommEstimate::Ccne, &p);
+        let exp = ExpandedGraph::estimated(&g, &CommEstimate::Ccne, &p);
         let node = |i: u32| exp.task_node(SubtaskId::new(i)) as u32;
         assert_eq!(exp.succ(node(0) as usize), &[node(1), node(2), node(3)]);
         assert_eq!(exp.pred(node(3) as usize), &[node(0), node(1), node(2)]);

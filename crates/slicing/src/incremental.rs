@@ -94,31 +94,32 @@
 //! The replay silently falls back to a full run (still priming the memo
 //! for next time, and still carrying searches within the run) when reuse
 //! would be unsound: the memo is unprimed, the slicer configuration or
-//! platform changed, or the delta changed the *structure* of the expanded
-//! graph (subtask/edge insertion or removal, or a message crossing the
-//! materialization threshold). Anchor, WCET and pin deltas keep the
-//! structure intact and stay on the incremental path; they also leave the
-//! subtask/edge signature untouched, in which case the memoized expanded
-//! graph is reused without being rebuilt. [`RedistributeStats::fell_back`]
-//! reports which path ran.
+//! the system size changed, or the delta changed the *structure* of the
+//! expanded graph (subtask/edge insertion or removal, or a message
+//! crossing the materialization threshold). Anchor, WCET and pin deltas
+//! keep the structure intact and stay on the incremental path; when they
+//! also leave the subtask/edge signature and every estimated message cost
+//! untouched, the memoized expanded graph is reused without being
+//! rebuilt. [`RedistributeStats::fell_back`] reports which path ran.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use platform::Platform;
 use taskgraph::{TaskGraph, Time};
 
 use crate::algorithm::{apply_path, finalize, SliceState};
-use crate::expanded::{ExpKind, ExpandedGraph};
+use crate::expanded::ExpandedGraph;
 use crate::path_search::{CriticalPath, PathSearch};
-use crate::{DeadlineAssignment, MetricContext, ShareRule, SliceError, Slicer, Window};
+use crate::{DeadlineAssignment, ShareRule, SliceError, SliceInputs, Slicer, Window};
 
 /// Memoized state of one traced slicing run, consumed and refreshed by
 /// [`Slicer::redistribute`].
 ///
 /// Create one with [`SliceMemo::new`] (unprimed), then prime it with
 /// [`Slicer::distribute_traced`] or let the first `redistribute` fall back
-/// and prime it. A memo is tied to the slicer configuration and platform
-/// it was primed with; mismatches are detected and degrade to a full
+/// and prime it. A memo is tied to the slicer configuration and system
+/// size it was primed with; mismatches are detected and degrade to a full
 /// recompute rather than an error.
 #[derive(Debug, Default, Clone)]
 pub struct SliceMemo {
@@ -142,7 +143,8 @@ struct MemoInner {
     fingerprint: Fingerprint,
     graph_sig: GraphSig,
     exp: ExpandedGraph,
-    vweights: Vec<f64>,
+    /// What the run read; `exp` was built from its message costs.
+    inputs: SliceInputs,
     trace: Trace,
     /// An empty trace whose buffers the next replay appends to.
     spare: Trace,
@@ -152,25 +154,25 @@ struct MemoInner {
 /// The configuration a memo was primed under. Virtual times are compared
 /// per node separately, so metric *parameters* (e.g. a THRES surplus) need
 /// not be captured here — only inputs that could change behaviour while
-/// leaving every virtual time bit-identical.
+/// leaving every virtual time bit-identical. The system size is kept so
+/// that a memo primed at one size falls back at another: a replay there
+/// would be sound, but no caller amends a graph across sizes.
 #[derive(Debug, Clone, PartialEq)]
 struct Fingerprint {
     metric: String,
     estimate: &'static str,
     rule: ShareRule,
     strict: bool,
-    platform: Platform,
+    processors: usize,
 }
 
-/// The task-graph inputs the expanded graph's *shape and communication
-/// weights* are a function of (together with the platform and estimate,
-/// which the [`Fingerprint`] pins). While this signature holds, the
-/// memoized [`ExpandedGraph`] is valid verbatim except for task-node
-/// weights, which are re-read from the graph.
+/// The task-graph inputs the expanded graph's *shape* is a function of,
+/// together with the estimated message costs. While this signature and
+/// the costs hold, the memoized [`ExpandedGraph`] is valid verbatim.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct GraphSig {
     subtasks: usize,
-    edges: Vec<(u32, u32, u64)>,
+    edges: Vec<(u32, u32)>,
 }
 
 impl GraphSig {
@@ -181,7 +183,7 @@ impl GraphSig {
                 .edge_ids()
                 .map(|eid| {
                     let e = graph.edge(eid);
-                    (e.src().index() as u32, e.dst().index() as u32, e.items())
+                    (e.src().index() as u32, e.dst().index() as u32)
                 })
                 .collect(),
         }
@@ -776,7 +778,8 @@ impl Slicer {
             fell_back: true,
             ..RedistributeStats::default()
         };
-        self.run_traced(graph, platform, Some(memo), &mut stats)
+        let inputs = self.inputs(graph, platform);
+        self.run_traced(graph, Cow::Owned(inputs), Some(memo), &mut stats)
     }
 
     /// Recomputes the deadline assignment for `graph` — typically the
@@ -799,7 +802,8 @@ impl Slicer {
         memo: &mut SliceMemo,
     ) -> Result<Redistribution, SliceError> {
         let mut stats = RedistributeStats::default();
-        let fingerprint = self.fingerprint(platform);
+        let inputs = self.inputs(graph, platform);
+        let fingerprint = self.fingerprint(&inputs);
         let reusable = match &memo.inner {
             Some(inner) => inner.fingerprint == fingerprint,
             None => false,
@@ -808,29 +812,31 @@ impl Slicer {
             memo.inner = None;
         }
         stats.fell_back = memo.inner.is_none();
-        let assignment = self.run_traced(graph, platform, Some(memo), &mut stats)?;
+        let assignment = self.run_traced(graph, Cow::Owned(inputs), Some(memo), &mut stats)?;
         Ok(Redistribution { assignment, stats })
     }
 
-    fn fingerprint(&self, platform: &Platform) -> Fingerprint {
+    fn fingerprint(&self, inputs: &SliceInputs) -> Fingerprint {
         Fingerprint {
             metric: self.metric_name().to_owned(),
             estimate: self.estimate_label(),
             rule: self.metric().share_rule(),
             strict: self.strict(),
-            platform: platform.clone(),
+            processors: inputs.ctx.processors,
         }
     }
 
-    /// The slicing loop: runs over `graph`, consuming whatever usable memo
-    /// state exists (structure still has to match — checked here) and
-    /// leaving `memo` primed with this run. Without a memo the run is
-    /// scratch ([`distribute`](Slicer::distribute)): it records the same
-    /// trace for its own carry, but neither trims it nor keeps it.
+    /// The slicing loop: runs over `graph` with what [`Slicer::inputs`]
+    /// read for it, and reads neither the platform nor the metric's
+    /// virtual times anywhere else. Consumes whatever usable memo state
+    /// exists (structure still has to match — checked here) and leaves
+    /// `memo` primed with this run. Without a memo the run is scratch
+    /// ([`distribute`](Slicer::distribute)): it records the same trace for
+    /// its own carry, but neither trims it nor keeps it.
     pub(crate) fn run_traced(
         &self,
         graph: &TaskGraph,
-        platform: &Platform,
+        inputs: Cow<'_, SliceInputs>,
         mut memo: Option<&mut SliceMemo>,
         stats: &mut RedistributeStats,
     ) -> Result<DeadlineAssignment, SliceError> {
@@ -842,32 +848,38 @@ impl Slicer {
         )
         .entered();
 
-        let ctx = MetricContext::for_workload(graph, platform);
         let rule = self.metric().share_rule();
         let sig = memo.is_some().then(|| GraphSig::of(graph));
 
         // A structural change invalidates every recorded read set (node
         // indices shift, reachability changes): ignore the old trace and
         // run everything live, which primes the memo for the next delta.
-        // An unchanged subtask/edge signature goes further: the memoized
-        // expanded graph is node-for-node identical (the fingerprint pins
-        // the platform and estimate, so every communication weight is
-        // too), and the rebuild is skipped entirely.
+        // An unchanged subtask/edge signature with unchanged message costs
+        // goes further: the memoized expanded graph is node-for-node
+        // identical, and the rebuild is skipped entirely.
         let prior = memo.as_deref_mut().and_then(|memo| memo.inner.take());
         let (exp, old, mut new, old_vweights, mut search) = match prior {
-            Some(inner) if sig.as_ref() == Some(&inner.graph_sig) => (
-                inner.exp,
-                inner.trace,
-                inner.spare,
-                inner.vweights,
-                inner.search,
-            ),
+            Some(inner)
+                if sig.as_ref() == Some(&inner.graph_sig) && inner.inputs.comm == inputs.comm =>
+            {
+                (
+                    inner.exp,
+                    inner.trace,
+                    inner.spare,
+                    inner.inputs.vweights,
+                    inner.search,
+                )
+            }
             inner => {
-                let exp = ExpandedGraph::build(graph, self.estimate(), platform);
+                let exp = ExpandedGraph::build(graph, &inputs.comm);
                 match inner {
-                    Some(inner) if inner.exp.same_structure(&exp) => {
-                        (exp, inner.trace, inner.spare, inner.vweights, inner.search)
-                    }
+                    Some(inner) if inner.exp.same_structure(&exp) => (
+                        exp,
+                        inner.trace,
+                        inner.spare,
+                        inner.inputs.vweights,
+                        inner.search,
+                    ),
                     _ => {
                         stats.fell_back = true;
                         let search = PathSearch::new(exp.len(), exp.max_chain());
@@ -878,21 +890,12 @@ impl Slicer {
         };
 
         let n = exp.len();
+        let vweights = &inputs.vweights[..];
+        assert_eq!(vweights.len(), n, "inputs computed for another graph");
         let words = n.div_ceil(64);
         let replay = old.iters() > 0;
         new.reset(n);
         new.reserve_like(replay.then_some(&old));
-        // Task-node weights come from the (possibly mutated) graph, not
-        // the expanded graph, which may be the memoized one.
-        let vweights: Vec<f64> = (0..n)
-            .map(|v| {
-                let w = match exp.kind(v) {
-                    ExpKind::Task(id) => graph.subtask(id).wcet(),
-                    ExpKind::Comm(_) => exp.weight(v),
-                };
-                self.metric().virtual_time(w, &ctx)
-            })
-            .collect();
 
         // Weight dirt for the whole call, split by direction (see module
         // docs): decreases invalidate at winner strength, everything else
@@ -955,7 +958,7 @@ impl Slicer {
                     i,
                     &mut search,
                     &exp,
-                    &vweights,
+                    vweights,
                     rule,
                     &state,
                     &touched,
@@ -1062,7 +1065,7 @@ impl Slicer {
             paths += 1;
             apply_path(
                 &exp,
-                &vweights,
+                vweights,
                 rule,
                 &cp,
                 &mut state,
@@ -1100,10 +1103,10 @@ impl Slicer {
             let mut spare = old;
             spare.reset(n);
             memo.inner = Some(MemoInner {
-                fingerprint: self.fingerprint(platform),
+                fingerprint: self.fingerprint(&inputs),
                 graph_sig,
                 exp,
-                vweights,
+                inputs: inputs.into_owned(),
                 trace: new,
                 spare,
                 search,

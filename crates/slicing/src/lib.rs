@@ -60,6 +60,7 @@ mod error;
 mod estimate;
 mod expanded;
 mod incremental;
+mod inputs;
 pub mod metrics;
 mod path_search;
 mod prefilter;
@@ -73,6 +74,7 @@ pub use delta::{Applied, DeltaError, DeltaOp, GraphDelta};
 pub use error::SliceError;
 pub use estimate::CommEstimate;
 pub use incremental::{RedistributeStats, Redistribution, SliceMemo};
+pub use inputs::SliceInputs;
 pub use metrics::{Adapt, MetricKind, Norm, Pure, ShareRule, SliceMetric, Thres, ThresholdSpec};
 pub use prefilter::{prefilter, PrefilterReject};
 
@@ -99,6 +101,7 @@ mod send_sync_tests {
         assert_send_sync::<Redistribution>();
         assert_send_sync::<RedistributeStats>();
         assert_send_sync::<SliceKey>();
+        assert_send_sync::<SliceInputs>();
         assert_send_sync::<SliceCache<u32>>();
         assert_send_sync::<PrefilterReject>();
     }

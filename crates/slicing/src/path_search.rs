@@ -634,7 +634,7 @@ mod equivalence {
             } else {
                 ShareRule::EqualShare
             };
-            let exp = ExpandedGraph::build(&graph, &estimate, &platform);
+            let exp = ExpandedGraph::estimated(&graph, &estimate, &platform);
             let en = exp.len();
 
             // Random anchor/assignment pattern over the *expanded* nodes,
@@ -697,6 +697,13 @@ mod tests {
     use super::*;
     use crate::CommEstimate;
 
+    /// The real execution times in expanded-node order (PURE's virtual
+    /// times), for graphs with transparent messages.
+    fn weights(g: &TaskGraph) -> Vec<f64> {
+        let p = Platform::paper(2).unwrap();
+        crate::Slicer::bst_pure().inputs(g, &p).vweights
+    }
+
     /// Diamond a -> {b, c} -> d with distinct weights.
     fn diamond(wb: i64, wc: i64) -> (TaskGraph, ExpandedGraph) {
         let mut b = TaskGraph::builder();
@@ -710,7 +717,7 @@ mod tests {
         b.add_edge(y, d, 1).unwrap();
         let g = b.build().unwrap();
         let p = Platform::paper(2).unwrap();
-        let exp = ExpandedGraph::build(&g, &CommEstimate::Ccne, &p);
+        let exp = ExpandedGraph::estimated(&g, &CommEstimate::Ccne, &p);
         (g, exp)
     }
 
@@ -732,7 +739,7 @@ mod tests {
     fn picks_heavier_branch_under_equal_share() {
         let (g, exp) = diamond(60, 20);
         let (assigned, rel, dl) = anchors(&g, &exp);
-        let w: Vec<f64> = (0..exp.len()).map(|v| exp.weight(v).as_f64()).collect();
+        let w = weights(&g);
         let mut search = PathSearch::new(exp.len(), exp.max_chain());
         let cp = search
             .find_critical_path(&exp, &w, &assigned, &rel, &dl, ShareRule::EqualShare)
@@ -755,7 +762,7 @@ mod tests {
     fn proportional_rule_prefers_heavy_paths_too() {
         let (g, exp) = diamond(60, 20);
         let (assigned, rel, dl) = anchors(&g, &exp);
-        let w: Vec<f64> = (0..exp.len()).map(|v| exp.weight(v).as_f64()).collect();
+        let w = weights(&g);
         let mut search = PathSearch::new(exp.len(), exp.max_chain());
         let cp = search
             .find_critical_path(&exp, &w, &assigned, &rel, &dl, ShareRule::Proportional)
@@ -775,7 +782,7 @@ mod tests {
         let d = exp.task_node(SubtaskId::new(3));
         dl[a] = Some(Time::new(10));
         rel[d] = Some(Time::new(150));
-        let w: Vec<f64> = (0..exp.len()).map(|v| exp.weight(v).as_f64()).collect();
+        let w = weights(&g);
         let mut search = PathSearch::new(exp.len(), exp.max_chain());
         let cp = search
             .find_critical_path(&exp, &w, &assigned, &rel, &dl, ShareRule::EqualShare)
@@ -801,7 +808,7 @@ mod tests {
         );
         let g = b.build().unwrap();
         let p = Platform::paper(2).unwrap();
-        let exp = ExpandedGraph::build(&g, &CommEstimate::Ccne, &p);
+        let exp = ExpandedGraph::estimated(&g, &CommEstimate::Ccne, &p);
         let (assigned, rel, dl) = anchors(&g, &exp);
         let w = vec![5.0];
         let mut search = PathSearch::new(exp.len(), exp.max_chain());
@@ -833,7 +840,7 @@ mod tests {
         // epoch stamps must fully isolate consecutive searches.
         let (g, exp) = diamond(60, 20);
         let (assigned, rel, dl) = anchors(&g, &exp);
-        let w: Vec<f64> = (0..exp.len()).map(|v| exp.weight(v).as_f64()).collect();
+        let w = weights(&g);
         let mut search = PathSearch::new(exp.len(), exp.max_chain());
         let first = search
             .find_critical_path(&exp, &w, &assigned, &rel, &dl, ShareRule::EqualShare)

@@ -295,3 +295,50 @@ fn cancel_races_leave_a_resumable_checkpoint() {
         .unwrap();
     assert_eq!(resumed, fault_free);
 }
+
+#[test]
+fn a_panic_at_a_replications_first_size_leaves_nothing_to_share() {
+    // PURE on the bus shares each replication's first slice with its later
+    // size. A panic at the first size must leave the later size to slice
+    // on its own, bit-identically, and a fault-free resume must fill the
+    // panicked cells in to the uninterrupted result.
+    let plan = FaultPlan::new(0xBEEF).with_fault(FaultSpec::new(FaultSite::WorkerPanic, 0.4));
+    let fires = |size, rep| plan.should_fire(FaultSite::WorkerPanic, size, rep, 0);
+    let first_only: Vec<usize> = (0..REPS)
+        .filter(|&rep| fires(SIZES[0], rep) && !fires(SIZES[1], rep))
+        .collect();
+    assert!(
+        !first_only.is_empty(),
+        "seed must fault some replication at its first size only"
+    );
+
+    let uninterrupted = Runner::new(scenario()).threads(2).run_partial().unwrap();
+    let checkpoint = TempPath::new("first-size-panic");
+    let faulted = Runner::new(scenario())
+        .threads(2)
+        .checkpoint(&checkpoint.0)
+        .faults(plan)
+        .run_partial()
+        .unwrap();
+    for rep in first_only {
+        let later = |records: &[feast::ReplicationRecord]| {
+            records
+                .iter()
+                .find(|r| (r.system_size, r.replication) == (SIZES[1], rep))
+                .copied()
+        };
+        assert!(later(&faulted.records).is_some());
+        assert_eq!(later(&faulted.records), later(&uninterrupted.records));
+    }
+    assert!(faulted
+        .records
+        .iter()
+        .all(|r| uninterrupted.records.contains(r)));
+
+    let resumed = Runner::new(scenario())
+        .threads(2)
+        .checkpoint(&checkpoint.0)
+        .run_partial()
+        .unwrap();
+    assert_eq!(resumed, uninterrupted);
+}

@@ -109,6 +109,7 @@ fn for_every_field(snap: &MetricsSnapshot, check: impl Fn(&str, u64)) {
         schedule_violations,
         replications_failed,
         checkpoint_retries,
+        slices_shared,
         delta_cache_hits,
         delta_cache_misses,
         delta_dirty_nodes,
@@ -143,6 +144,7 @@ fn for_every_field(snap: &MetricsSnapshot, check: impl Fn(&str, u64)) {
         ("schedule_violations", *schedule_violations),
         ("replications_failed", *replications_failed),
         ("checkpoint_retries", *checkpoint_retries),
+        ("slices_shared", *slices_shared),
         ("delta_cache_hits", *delta_cache_hits),
         ("delta_cache_misses", *delta_cache_misses),
         ("delta_dirty_nodes", *delta_dirty_nodes),
@@ -211,6 +213,7 @@ fn populated_registry() -> Registry {
     registry.count_audit(2, 1);
     registry.replications_failed.inc();
     registry.checkpoint_retries.inc();
+    registry.slices_shared.inc();
     registry.count_redistribute(&slicing::RedistributeStats {
         cache_hits: 5,
         cache_misses: 2,
@@ -271,7 +274,7 @@ fn metrics_snapshot_json_is_byte_stable() {
     let golden = [
         r#"{"graphs_generated":1,"schedules_built":1,"feasibility_failures":1,"#,
         r#""structural_violations":3,"window_violations":2,"schedule_violations":1,"#,
-        r#""replications_failed":1,"checkpoint_retries":1,"#,
+        r#""replications_failed":1,"checkpoint_retries":1,"slices_shared":1,"#,
         r#""delta_cache_hits":5,"delta_cache_misses":2,"delta_dirty_nodes":4,"#,
         r#""delta_scanned_nodes":40,"delta_fallbacks":1,"#,
         r#""admissions_admitted":1,"admissions_rejected":1,"admissions_shed":1,"#,
