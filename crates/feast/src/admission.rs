@@ -1137,13 +1137,10 @@ impl AdmissionController {
         if self.residents.contains_key(&id) {
             return Err(AdmitError::DuplicateId { id });
         }
-        let verdict = self.pipeline.trial_output_against(
-            graph,
-            &self.platform,
-            output,
-            &self.state,
-            origin,
-        )?;
+        let against = Some((&self.state, origin, None));
+        let verdict = self
+            .pipeline
+            .trial(graph, &self.platform, output, against)?;
         let admitted = verdict.admit;
         if admitted {
             // The capacity bound evicts via the configured policy, only on
@@ -1180,8 +1177,7 @@ impl AdmissionController {
                 self.evict(victim);
                 telemetry::global().admissions_evicted.inc();
             }
-            let receipt = self.state.commit(&verdict.schedule)?;
-            self.last_commit = Some((id, receipt));
+            self.commit(id, &verdict.schedule)?;
             let decision = self.verdict_of(id, true, false, &verdict, self.residents.len() + 1);
             self.residents.insert(
                 id,
@@ -1304,77 +1300,64 @@ impl AdmissionController {
         }
         self.last_commit = None;
 
-        match self.retrial(&amended, &mut resident, fast) {
-            Ok(verdict) => {
-                let repaired = verdict.repair_fell_back == Some(false);
-                if verdict.admit {
-                    let receipt = match self.state.commit(&verdict.schedule) {
-                        Ok(receipt) => receipt,
-                        Err(e) => return (resident, Err(e.into())),
-                    };
-                    self.last_commit = Some((id, receipt));
-                    let decision =
-                        self.verdict_of(id, true, repaired, &verdict, self.residents.len() + 1);
-                    resident.graph = Arc::new(amended);
-                    resident.horizon = verdict.makespan;
-                    resident.schedule = verdict.schedule;
-                    (resident, Ok(decision))
-                } else {
-                    // Reject leaves no trace: restore the original
-                    // reservation (content-identical, so the state digest
-                    // is unchanged).
-                    let decision =
-                        self.verdict_of(id, false, repaired, &verdict, self.residents.len() + 1);
-                    match self.state.commit(&resident.schedule) {
-                        Ok(receipt) => self.last_commit = Some((id, receipt)),
-                        Err(e) => return (resident, Err(e.into())),
-                    }
-                    (resident, Ok(decision))
-                }
-            }
+        // Re-slice against the resident's own delta memo (its first
+        // amendment primes it) and re-trial at the resident's origin,
+        // repairing the previous schedule when the rollback above kept
+        // the base content unchanged.
+        let prev = fast.then_some(&resident.schedule);
+        let result = self
+            .pipeline
+            .reslice(&amended, &self.platform, &mut resident.memo)
+            .and_then(|output| {
+                let against = Some((&self.state, resident.origin, prev));
+                self.pipeline
+                    .trial(&amended, &self.platform, output, against)
+            });
+        let verdict = match result {
+            Ok(verdict) => verdict,
             Err(e) => {
                 // Pipeline failure: restore the original reservation, then
                 // surface the error.
-                match self.state.commit(&resident.schedule) {
-                    Ok(receipt) => self.last_commit = Some((id, receipt)),
-                    Err(restore) => return (resident, Err(restore.into())),
-                }
-                (resident, Err(AdmitError::Trial(e)))
+                let error = match self.commit(id, &resident.schedule) {
+                    Ok(()) => AdmitError::Trial(e),
+                    Err(restore) => restore.into(),
+                };
+                return (resident, Err(error));
             }
+        };
+        let repaired = verdict.repair_fell_back == Some(false);
+        let decision = self.verdict_of(
+            id,
+            verdict.admit,
+            repaired,
+            &verdict,
+            self.residents.len() + 1,
+        );
+        // An admit replaces the reservation with the new schedule. A
+        // reject leaves no trace: it restores the original reservation
+        // (content-identical, so the state digest is unchanged).
+        let kept = if verdict.admit {
+            &verdict.schedule
+        } else {
+            &resident.schedule
+        };
+        if let Err(e) = self.commit(id, kept) {
+            return (resident, Err(e.into()));
         }
+        if verdict.admit {
+            resident.graph = Arc::new(amended);
+            resident.horizon = verdict.makespan;
+            resident.schedule = verdict.schedule;
+        }
+        (resident, Ok(decision))
     }
 
-    /// Re-slices `resident`'s amended graph against the resident's own
-    /// delta memo (its first amendment primes it) and re-trials it at the
-    /// resident's origin, through the repair path when the preceding
-    /// rollback kept the base content unchanged.
-    fn retrial(
-        &mut self,
-        graph: &TaskGraph,
-        resident: &mut Resident,
-        fast: bool,
-    ) -> Result<Verdict, RunError> {
-        let output = self
-            .pipeline
-            .reslice(graph, &self.platform, &mut resident.memo)?;
-        if fast {
-            self.pipeline.repair_output_against(
-                graph,
-                &self.platform,
-                output,
-                &resident.schedule,
-                &self.state,
-                resident.origin,
-            )
-        } else {
-            self.pipeline.trial_output_against(
-                graph,
-                &self.platform,
-                output,
-                &self.state,
-                resident.origin,
-            )
-        }
+    /// Commits `schedule` as resident `id`'s reservation and keeps the
+    /// receipt, so `id`'s next amendment can roll the commit back while it
+    /// is still the state's latest mutation.
+    fn commit(&mut self, id: u64, schedule: &Schedule) -> Result<(), sched::SchedError> {
+        self.last_commit = Some((id, self.state.commit(schedule)?));
+        Ok(())
     }
 
     /// Releases every resident whose horizon has passed the decision

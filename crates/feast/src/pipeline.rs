@@ -17,21 +17,34 @@
 //! are unchanged and remain the primitives the facade composes, so output
 //! is bit-identical to the hand-wired sequence.
 //!
+//! # Entry points
+//!
+//! Stage one has one entry per caller:
+//!
+//! * [`Pipeline::slice`] slices a fresh graph, first probing the
+//!   cross-request slice cache when one is attached. It is the public
+//!   path and the admission service's.
+//! * [`Pipeline::slice_or_share`] slices the next system size of a sweep
+//!   replication. A replication runs one graph at every size, and a size
+//!   whose [`SliceInputs`] equal those of the last size it sliced reuses
+//!   that slice product.
+//! * [`Pipeline::reslice`] re-slices an amended graph, which only the
+//!   admission controller does: each resident owns a [`SliceMemo`],
+//!   unprimed until its first amendment, and the re-slice runs
+//!   [`Slicer::redistribute`] against it. It is the only path that feeds
+//!   the `redistribute` stage and the `delta_*` counters.
+//!
+//! Stage two has one: [`Pipeline::trial`] schedules a slice product,
+//! audits the schedule and measures its lateness. It trials on an empty
+//! platform ([`Sliced::trial`] and every sweep cell), against a
+//! [`CommittedState`] at an origin (an admission decision), or as a
+//! repair of the previous trial's schedule (an amendment).
+//!
 //! The two stages are deliberately separable: [`Pipeline::slice`] depends
 //! only on the graph and the platform *shape* (never on committed load),
 //! so an admission service can slice requests on parallel workers and
-//! trial them serially against the platform's [`CommittedState`] — see
-//! [`Sliced::into_output`] and [`Pipeline::trial_output_against`].
-//!
-//! Slicing runs once per graph and distinct slicing input. A sweep
-//! replication runs one graph at every system size, and a size whose
-//! [`SliceInputs`] equal those of the last size it sliced reuses that
-//! slice product (see [`Pipeline::slice_or_share`]). Only an amended
-//! graph is re-sliced, and only the admission controller does it: each
-//! resident owns a [`SliceMemo`], unprimed until its first amendment, and
-//! the crate's re-slice path runs [`Slicer::redistribute`] against it.
-//! That path is the only one that feeds the `redistribute` stage and the
-//! `delta_*` counters; a fresh slice never does.
+//! trial them serially against the platform's committed state (see
+//! [`Sliced::into_output`]).
 //!
 //! [`Runner`]: crate::Runner
 //! [`AdmissionController`]: crate::AdmissionController
@@ -367,152 +380,31 @@ impl Pipeline {
         }
     }
 
-    /// Stage two against committed load: re-anchors the slice product at
-    /// `origin` (every window shifted uniformly), trial-schedules it
-    /// around `base`'s reservations, and measures the predicted lateness.
-    /// `base` is untouched — an admission service commits the verdict's
-    /// schedule only on admit.
+    /// Stage two, the one trial path: schedules the slice product `output`
+    /// of `graph`, audits the schedule and measures its lateness. Without
+    /// `against`, the trial runs on an empty platform ([`Sliced::trial`],
+    /// every sweep cell). With `(base, origin, prev)`, it re-anchors the
+    /// product at `origin` (every window shifted uniformly) and schedules
+    /// it around `base`'s reservations; `base` is untouched, since an
+    /// admission service commits the verdict's schedule only on admit. A
+    /// `prev` makes the trial a repair: it replays the retained dispatch
+    /// log of `prev`, the schedule of this pipeline's immediately
+    /// preceding trial against the same base content, and recomputes only
+    /// the dispatches an amendment disturbed. A repair whose retained
+    /// state is unusable runs in full instead, with bit-identical output;
+    /// [`Verdict::repair_fell_back`] reports which path ran.
     ///
     /// # Errors
     ///
     /// Returns [`RunError::Platform`] for an invalid pinning and
     /// [`RunError::Sched`] when scheduling fails (including a `base`
     /// incompatible with the platform or bus model).
-    pub fn trial_output_against(
+    pub(crate) fn trial(
         &mut self,
         graph: &TaskGraph,
         platform: &Platform,
         output: SliceOutput,
-        base: &CommittedState,
-        origin: Time,
-    ) -> Result<Verdict, RunError> {
-        self.trial_inner(graph, platform, output, Some((base, origin)))
-    }
-
-    /// Stage two as a repair: like
-    /// [`trial_output_against`](Pipeline::trial_output_against), but
-    /// replays the retained dispatch log of `prev` (the schedule produced
-    /// by this pipeline's immediately preceding trial against the same
-    /// base content) and recomputes only the dispatches the amendment
-    /// disturbed. Falls back to a full trial — silently, with bit-identical
-    /// output — whenever the retained state is unusable; the verdict's
-    /// [`repair_fell_back`](Verdict::repair_fell_back) reports which path
-    /// ran.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of
-    /// [`trial_output_against`](Pipeline::trial_output_against).
-    pub fn repair_output_against(
-        &mut self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        output: SliceOutput,
-        prev: &Schedule,
-        base: &CommittedState,
-        origin: Time,
-    ) -> Result<Verdict, RunError> {
-        let pinning = self.pinning.build(graph, platform)?;
-        let shifted = output.assignment.shifted(origin);
-        let schedule_started = Instant::now();
-        let outcome = self.scheduler.repair_against(
-            graph,
-            platform,
-            &shifted,
-            &pinning,
-            prev,
-            base,
-            &mut self.ws,
-        )?;
-        let fell_back = outcome.fell_back;
-        self.measure(
-            graph,
-            platform,
-            &pinning,
-            Some(shifted),
-            outcome.schedule,
-            output,
-            origin,
-            schedule_started.elapsed(),
-            Some(fell_back),
-        )
-    }
-
-    /// Stage two against an empty platform for a detached slice product:
-    /// what [`Sliced::trial`] runs.
-    pub(crate) fn trial_output(
-        &mut self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        output: SliceOutput,
-    ) -> Result<Verdict, RunError> {
-        self.trial_inner(graph, platform, output, None)
-    }
-
-    fn trial_inner(
-        &mut self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        output: SliceOutput,
-        base: Option<(&CommittedState, Time)>,
-    ) -> Result<Verdict, RunError> {
-        let pinning = self.pinning.build(graph, platform)?;
-        let schedule_started = Instant::now();
-        let (shifted, schedule) = match base {
-            None => {
-                let schedule = self.scheduler.schedule_with(
-                    graph,
-                    platform,
-                    &output.assignment,
-                    &pinning,
-                    &mut self.ws,
-                )?;
-                (None, schedule)
-            }
-            Some((state, origin)) => {
-                let shifted = output.assignment.shifted(origin);
-                let schedule = self.scheduler.schedule_against(
-                    graph,
-                    platform,
-                    &shifted,
-                    &pinning,
-                    state,
-                    &mut self.ws,
-                )?;
-                (Some(shifted), schedule)
-            }
-        };
-        let schedule_elapsed = schedule_started.elapsed();
-        let origin = base.map_or(Time::ZERO, |(_, origin)| origin);
-        self.measure(
-            graph,
-            platform,
-            &pinning,
-            shifted,
-            schedule,
-            output,
-            origin,
-            schedule_elapsed,
-            None,
-        )
-    }
-
-    /// Shared tail of every trial: schedule audit, lateness measurement,
-    /// verdict assembly. The verdict carries `shifted`, the assignment
-    /// re-anchored for committed load, or else the slice's own, moved
-    /// out of `output`.
-    #[allow(clippy::too_many_arguments)]
-    fn measure(
-        &mut self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        pinning: &platform::Pinning,
-        shifted: Option<DeadlineAssignment>,
-        schedule: Schedule,
-        output: SliceOutput,
-        origin: Time,
-        schedule_elapsed: Duration,
-        repair_fell_back: Option<bool>,
+        against: Option<(&CommittedState, Time, Option<&Schedule>)>,
     ) -> Result<Verdict, RunError> {
         let SliceOutput {
             assignment,
@@ -521,13 +413,43 @@ impl Pipeline {
             window_audit,
             redistribute,
         } = output;
-        let assignment = shifted.unwrap_or(assignment);
+        let pinning = self.pinning.build(graph, platform)?;
+        let (assignment, origin) = match against {
+            Some((_, origin, _)) => (assignment.shifted(origin), origin),
+            None => (assignment, Time::ZERO),
+        };
+        let (scheduler, ws) = (&self.scheduler, &mut self.ws);
+        let schedule_started = Instant::now();
+        let (schedule, repair_fell_back) = match against {
+            None => (
+                scheduler.schedule_with(graph, platform, &assignment, &pinning, ws)?,
+                None,
+            ),
+            Some((base, _, None)) => (
+                scheduler.schedule_against(graph, platform, &assignment, &pinning, base, ws)?,
+                None,
+            ),
+            Some((base, _, Some(prev))) => {
+                let outcome = scheduler.repair_against(
+                    graph,
+                    platform,
+                    &assignment,
+                    &pinning,
+                    prev,
+                    base,
+                    ws,
+                )?;
+                (outcome.schedule, Some(outcome.fell_back))
+            }
+        };
+        let schedule_time = schedule_started.elapsed();
+
         let audit_started = Instant::now();
         let schedule_violations = schedule
             .validate(
                 graph,
                 platform,
-                pinning,
+                &pinning,
                 self.spec.bus_model == BusModel::Contention,
             )
             .len();
@@ -542,7 +464,7 @@ impl Pipeline {
             window_violations,
             schedule_violations,
             distribute,
-            schedule_time: schedule_elapsed,
+            schedule_time,
             audit,
             redistribute,
             repair_fell_back,
@@ -568,8 +490,7 @@ impl Sliced<'_, '_> {
     /// Detaches the owned slice product, releasing the pipeline borrow.
     /// The product is `Send`: an admission service slices on worker
     /// threads and ships products to the coordinator that owns the
-    /// committed state, which trials them with
-    /// [`Pipeline::trial_output_against`].
+    /// committed state, which trials them against it.
     pub fn into_output(self) -> SliceOutput {
         self.output
     }
@@ -583,8 +504,7 @@ impl Sliced<'_, '_> {
     /// Returns [`RunError::Platform`] for an invalid pinning and
     /// [`RunError::Sched`] when scheduling fails.
     pub fn trial(self, platform: &Platform) -> Result<Verdict, RunError> {
-        self.pipeline
-            .trial_output(self.graph, platform, self.output)
+        self.pipeline.trial(self.graph, platform, self.output, None)
     }
 }
 
@@ -651,9 +571,9 @@ pub struct Verdict {
     pub audit: Duration,
     /// Delta-memo effectiveness, when stage one re-sliced an amended graph.
     pub redistribute: Option<RedistributeStats>,
-    /// For repair trials ([`Pipeline::repair_output_against`]): whether
-    /// the repair abandoned the retained dispatch log and re-ran in full.
-    /// `None` for ordinary trials.
+    /// For a repair trial (an amendment re-trialled against its previous
+    /// schedule): whether the repair abandoned the retained dispatch log
+    /// and re-ran in full. `None` for ordinary trials.
     pub repair_fell_back: Option<bool>,
     /// The assignment the trial measured (shifted to the trial's origin).
     pub assignment: DeadlineAssignment,
@@ -701,7 +621,7 @@ mod tests {
     ) -> Verdict {
         let output = pipeline.slice(graph, platform).unwrap().into_output();
         pipeline
-            .trial_output_against(graph, platform, output, state, origin)
+            .trial(graph, platform, output, Some((state, origin, None)))
             .unwrap()
     }
 
@@ -752,11 +672,21 @@ mod tests {
             .trial(&platform)
             .unwrap();
         let against = trial_against(&mut pipeline, &graph, &platform, &state, Time::ZERO);
+        // The repair form: the same base and inputs, with `prev` the
+        // schedule of the trial just run, replays every dispatch.
+        let output = pipeline.slice(&graph, &platform).unwrap().into_output();
+        let prev = Some(&against.schedule);
+        let repaired = pipeline
+            .trial(&graph, &platform, output, Some((&state, Time::ZERO, prev)))
+            .unwrap();
+        assert_eq!(repaired.repair_fell_back, Some(false));
 
-        assert_eq!(against.schedule, plain.schedule);
-        assert_eq!(against.max_lateness, plain.max_lateness);
-        assert_eq!(against.end_to_end, plain.end_to_end);
-        assert_eq!(against.admit, plain.admit);
+        for verdict in [&against, &repaired] {
+            assert_eq!(verdict.schedule, plain.schedule);
+            assert_eq!(verdict.max_lateness, plain.max_lateness);
+            assert_eq!(verdict.end_to_end, plain.end_to_end);
+            assert_eq!(verdict.admit, plain.admit);
+        }
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! is independently computable in any order on any worker.
 //!
 //! The unit of work is one replication, as in the paper's experiment: one
-//! random graph, run at every system size of the sweep. A run generates
-//! every graph it still needs, then starts one pool of worker threads for
-//! the whole scenario. Each worker owns one [`Pipeline`] and claims the
-//! next replication from a shared index, and runs that graph at every size
-//! it still misses, back to back, while the graph is hot in cache. A size
+//! random graph, run at every system size of the sweep. A run starts one
+//! pool of worker threads for the whole scenario. Each worker owns one
+//! [`Pipeline`] and claims the next replication from a shared index,
+//! generates its graph and runs it at every size it still misses, back to
+//! back, while the graph is hot in cache. A size
 //! whose slicing inputs equal those of the last size the replication
 //! sliced shares that slice and only trials: equal inputs give a
 //! bit-identical assignment. A cell is one `(system size, replication)`
@@ -688,7 +688,8 @@ fn workload(
 /// Stage timing is self-time: `distribute_us` covers the slicer alone and
 /// `schedule_us` the list scheduler alone, while both validation passes
 /// (window audit + schedule audit) are accounted to [`Stage::Audit`].
-/// Each replication's [`RunEvent::Replication`] carries all three. A
+/// [`telemetry::account_cell`] records all three, and each replication's
+/// [`RunEvent::Replication`] carries them. A
 /// shared cell ran no distribution and no window audit: it adds no
 /// `distribute` sample, counts in `slices_shared`, and its event reads
 /// `distribute_us` 0.
@@ -702,8 +703,7 @@ fn run_once(
     last: &mut Option<LastSlice>,
 ) -> Result<ReplicationRecord, RunError> {
     let (output, shared) = pipeline.slice_or_share(graph, platform, last)?;
-    let verdict = pipeline.trial_output(graph, platform, output)?;
-    let violations = verdict.violations();
+    let verdict = pipeline.trial(graph, platform, output, None)?;
     let record = ReplicationRecord {
         system_size: platform.processor_count(),
         replication: rep,
@@ -711,41 +711,18 @@ fn run_once(
         end_to_end: verdict.end_to_end.as_f64(),
         makespan: verdict.makespan.as_f64(),
         feasible: verdict.admit,
-        violations,
+        violations: verdict.violations(),
         window_violations: Some(verdict.window_violations),
         schedule_violations: Some(verdict.schedule_violations),
     };
-
-    let registry = telemetry::global();
-    if shared {
-        registry.slices_shared.inc();
-    } else {
-        registry.record_stage(Stage::Distribute, verdict.distribute);
-    }
-    registry.record_stage(Stage::Schedule, verdict.schedule_time);
-    registry.record_stage(Stage::Audit, verdict.audit);
-    registry.count_schedule(record.feasible, violations);
-    registry.count_audit(verdict.window_violations, verdict.schedule_violations);
-    if violations > 0 {
-        events.emit(|| RunEvent::AuditViolation {
-            scenario: scenario.label.clone(),
-            system_size: platform.processor_count(),
-            replication: rep,
-            window: verdict.window_violations,
-            schedule: verdict.schedule_violations,
-        });
-    }
-    events.emit(|| RunEvent::Replication {
-        scenario: scenario.label.clone(),
-        system_size: platform.processor_count(),
-        replication: rep,
-        distribute_us: verdict.distribute.as_micros() as u64,
-        schedule_us: verdict.schedule_time.as_micros() as u64,
-        audit_us: verdict.audit.as_micros() as u64,
-        feasible: record.feasible,
-        violations,
-        max_lateness: record.max_lateness,
-    });
+    telemetry::account_cell(
+        &scenario.label,
+        &record,
+        (!shared).then_some(verdict.distribute),
+        verdict.schedule_time,
+        verdict.audit,
+        events.0.as_deref(),
+    );
     Ok(record)
 }
 
@@ -902,11 +879,10 @@ fn open_checkpoint(
 /// the failing one, and the earliest failing item's error is returned:
 /// the error a sequential run meets first. Otherwise the results come
 /// back in item order, without the items that cancellation skipped.
-/// Worker panics surface as [`RunError::WorkerPanic`]`(stage)`.
+/// Worker panics surface as [`RunError::WorkerPanic`]`("schedule")`.
 fn claim_each<T, S, R>(
     items: &[T],
     threads: usize,
-    stage: &'static str,
     cancel: &CancelToken,
     init: impl Fn() -> S + Sync,
     work: impl Fn(&mut S, &T) -> Result<R, RunError> + Sync,
@@ -944,7 +920,7 @@ where
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().map_err(|_| RunError::WorkerPanic(stage)))
+                .map(|h| h.join().map_err(|_| RunError::WorkerPanic("schedule")))
                 .collect::<Result<Vec<_>, _>>()
         })?
         .into_iter()
@@ -1126,7 +1102,11 @@ impl Runner {
 
     /// Restores abort-on-first-failure: a replication that fails after
     /// retries aborts the run with its typed error instead of degrading
-    /// to a [`ReplicationOutcome::Failed`] cell.
+    /// to a [`ReplicationOutcome::Failed`] cell. A generation failure and
+    /// a cell error abort alike: no replication after the failing one
+    /// starts, but earlier ones in flight may finish and checkpoint
+    /// first, and the error of the earliest failing replication is
+    /// returned.
     #[must_use]
     pub fn fail_fast(mut self, fail_fast: bool) -> Runner {
         self.fail_fast = fail_fast;
@@ -1318,10 +1298,7 @@ impl Runner {
             resumed_cells,
         );
 
-        // Workloads are shared across system sizes: generate each needed
-        // replication's graph once, over the worker pool. Telemetry is
-        // emitted afterwards on the caller thread so `GraphGenerated`
-        // events stay ordered by replication index.
+        // One unit of work per replication some size still misses.
         let needed: Vec<usize> = owned
             .iter()
             .copied()
@@ -1331,49 +1308,6 @@ impl Runner {
                     .any(|&size| !cells.contains_key(&(size, rep)))
             })
             .collect();
-        let generated = claim_each(
-            &needed,
-            threads,
-            "generate",
-            &cancel,
-            || (),
-            |(), &rep| {
-                let started = Instant::now();
-                let graph = workload(&scenario, stream, rep, faults, &events);
-                Ok(graph.map(|g| (g, started.elapsed())))
-            },
-        )?;
-        if cancel.is_cancelled() {
-            events.flush();
-            return Err(RunError::Cancelled);
-        }
-        // One unit of work per needed replication: its graph, or the
-        // error that degrades every cell it misses. Under the
-        // degrade-don't-die policy a generation failure becomes a typed
-        // failed cell at every missing size; `fail_fast` (and any
-        // deterministic spec error, where retrying cannot help) aborts
-        // instead.
-        let mut units: Vec<(usize, Result<TaskGraph, String>)> = Vec::with_capacity(needed.len());
-        for (&rep, result) in needed.iter().zip(generated) {
-            let (graph, elapsed) = match result {
-                Ok(ok) => ok,
-                Err(e @ RunError::GenerateRejected { .. }) if !fail_fast => {
-                    units.push((rep, Err(e.to_string())));
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let registry = telemetry::global();
-            registry.record_stage(Stage::Generate, elapsed);
-            registry.graphs_generated.inc();
-            events.emit(|| RunEvent::GraphGenerated {
-                replication: rep,
-                subtasks: graph.subtask_count(),
-                messages: graph.edge_count(),
-                generate_us: elapsed.as_micros() as u64,
-            });
-            units.push((rep, Ok(graph)));
-        }
 
         // Each size's platform is built once, for the sizes some unit
         // still misses.
@@ -1387,22 +1321,46 @@ impl Runner {
 
         // One pool for the whole scenario. A worker owns one pipeline (and
         // thus one scheduling workspace), so steady-state cells run
-        // allocation-free, and claims whole replications: the graph stays
-        // hot while it runs at every size the unit misses. All workers
-        // share the run's deadline-miss budget.
+        // allocation-free, and claims whole replications: it generates the
+        // unit's graph, which then stays hot while it runs at every size
+        // the unit misses. All workers share the run's deadline-miss
+        // budget. Under the degrade-don't-die policy a generation failure
+        // becomes a typed failed cell at every missing size. `fail_fast`
+        // (and any deterministic spec error, where retrying cannot help)
+        // aborts instead, by the rule a cell error follows: earlier
+        // replications may finish and checkpoint first.
         let computed = claim_each(
-            &units,
+            &needed,
             threads,
-            "schedule",
             &cancel,
             || {
                 let mut pipeline = Pipeline::new(&scenario);
                 pipeline.set_miss_log(Some(Arc::clone(miss_log)));
                 pipeline
             },
-            |pipeline, (rep, graph)| {
-                let rep = *rep;
+            |pipeline, &rep| {
                 let _span = tracing::debug_span!("replication", index = rep).entered();
+                let started = Instant::now();
+                let graph = match workload(&scenario, stream, rep, faults, &events) {
+                    Ok(graph) => Ok(graph),
+                    Err(e @ RunError::GenerateRejected { .. }) if !fail_fast => Err(e.to_string()),
+                    Err(e) => return Err(e),
+                };
+                // Telemetry counts the graph now; its event is emitted
+                // from the ordered results, so `GraphGenerated` events
+                // stay ordered by replication index.
+                let generated = graph.as_ref().ok().map(|graph| {
+                    let elapsed = started.elapsed();
+                    let registry = telemetry::global();
+                    registry.record_stage(Stage::Generate, elapsed);
+                    registry.graphs_generated.inc();
+                    RunEvent::GraphGenerated {
+                        replication: rep,
+                        subtasks: graph.subtask_count(),
+                        messages: graph.edge_count(),
+                        generate_us: elapsed.as_micros() as u64,
+                    }
+                });
                 let mut out = Vec::with_capacity(platforms.len());
                 let mut last = None;
                 for (size, platform) in &platforms {
@@ -1421,7 +1379,7 @@ impl Runner {
                             error,
                         })
                     };
-                    let outcome = match graph {
+                    let outcome = match &graph {
                         Err(error) => failed("generate", error.clone()),
                         Ok(graph) => {
                             let inject_panic =
@@ -1489,11 +1447,16 @@ impl Runner {
                         cancel.cancel();
                     }
                 }
-                Ok(out)
+                Ok((generated, out))
             },
         )?;
-        for outcome in computed.into_iter().flatten() {
-            cells.insert(outcome.cell(), outcome);
+        for (generated, outcomes) in computed {
+            if let Some(event) = generated {
+                events.emit(|| event);
+            }
+            for outcome in outcomes {
+                cells.insert(outcome.cell(), outcome);
+            }
         }
         if cancel.is_cancelled() {
             events.flush();

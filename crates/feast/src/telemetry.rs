@@ -37,6 +37,8 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
+use crate::ReplicationRecord;
+
 /// Number of power-of-two histogram buckets; bucket `i` counts durations
 /// with `floor(log2(µs)) == i - 1` (bucket 0 is `< 1 µs`), so the top
 /// bucket covers everything from ~35 minutes up.
@@ -837,6 +839,59 @@ pub fn emit_with(f: impl FnOnce() -> RunEvent) {
     if let Some(sink) = installed() {
         sink.emit(&f());
     }
+}
+
+/// Accounts one finished sweep cell, as the [`Runner`](crate::Runner)
+/// does after every trial: the stage timings and counters go to the
+/// [`global`] registry, and the cell's events (a
+/// [`RunEvent::AuditViolation`] when its audits found any, then its
+/// [`RunEvent::Replication`]) go to `sink`, or to the installed
+/// process-global sink when `sink` is `None`. `distribute` is `None` for
+/// a cell that shared the slice product of an earlier system size; such
+/// a cell counts in `slices_shared` instead.
+pub fn account_cell(
+    scenario: &str,
+    record: &ReplicationRecord,
+    distribute: Option<Duration>,
+    schedule: Duration,
+    audit: Duration,
+    sink: Option<&EventSink>,
+) {
+    let emit = |event: &dyn Fn() -> RunEvent| match sink {
+        Some(sink) => sink.emit(&event()),
+        None => emit_with(event),
+    };
+    let registry = global();
+    match distribute {
+        Some(elapsed) => registry.record_stage(Stage::Distribute, elapsed),
+        None => registry.slices_shared.inc(),
+    }
+    registry.record_stage(Stage::Schedule, schedule);
+    registry.record_stage(Stage::Audit, audit);
+    let window = record.window_violations.unwrap_or(0);
+    let scheduled = record.schedule_violations.unwrap_or(0);
+    registry.count_schedule(record.feasible, record.violations);
+    registry.count_audit(window, scheduled);
+    if record.violations > 0 {
+        emit(&|| RunEvent::AuditViolation {
+            scenario: scenario.to_owned(),
+            system_size: record.system_size,
+            replication: record.replication,
+            window,
+            schedule: scheduled,
+        });
+    }
+    emit(&|| RunEvent::Replication {
+        scenario: scenario.to_owned(),
+        system_size: record.system_size,
+        replication: record.replication,
+        distribute_us: distribute.unwrap_or_default().as_micros() as u64,
+        schedule_us: schedule.as_micros() as u64,
+        audit_us: audit.as_micros() as u64,
+        feasible: record.feasible,
+        violations: record.violations,
+        max_lateness: record.max_lateness,
+    });
 }
 
 #[cfg(test)]

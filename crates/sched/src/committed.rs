@@ -40,9 +40,11 @@ static NEXT_STATE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Identity of a committed-load snapshot: which state, at which token.
 ///
-/// Recorded into the workspace provenance by
+/// Recorded into the workspace provenance by the fresh dispatch run
+/// ([`ListScheduler::fresh`](crate::ListScheduler::fresh)) of a
 /// [`ListScheduler::schedule_against`](crate::ListScheduler::schedule_against)
-/// and compared by
+/// and compared by the retained-log replay
+/// ([`ListScheduler::replay`](crate::ListScheduler::replay)) of a
 /// [`ListScheduler::repair_against`](crate::ListScheduler::repair_against).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BaseStamp {

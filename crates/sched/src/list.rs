@@ -191,7 +191,7 @@ impl ListScheduler {
         pinning: &Pinning,
     ) -> Result<Schedule, SchedError> {
         let mut ws = SchedWorkspace::new();
-        self.schedule_with(graph, platform, assignment, pinning, &mut ws)
+        self.fresh(graph, platform, assignment, pinning, None, &mut ws)
     }
 
     /// Schedules `graph` on `platform`, reusing the buffers in `ws`.
@@ -214,33 +214,7 @@ impl ListScheduler {
         pinning: &Pinning,
         ws: &mut SchedWorkspace,
     ) -> Result<Schedule, SchedError> {
-        if assignment.subtask_count() != graph.subtask_count() {
-            return Err(SchedError::AssignmentMismatch {
-                graph_subtasks: graph.subtask_count(),
-                assignment_subtasks: assignment.subtask_count(),
-            });
-        }
-        pinning.validate(graph, platform)?;
-
-        let _span = tracing::debug_span!(
-            "schedule",
-            subtasks = graph.subtask_count(),
-            processors = platform.processor_count(),
-            bus = ?self.bus,
-            placement = self.placement.label()
-        )
-        .entered();
-
-        ws.reset(
-            graph.subtask_count(),
-            graph.edge_count(),
-            platform.processor_count(),
-        );
-        Self::seed_ready(graph, assignment, ws);
-
-        let schedule = self.run_dispatch(graph, platform, assignment, pinning, ws)?;
-        ws.provenance = Some(self.provenance(graph, platform, None));
-        Ok(schedule)
+        self.fresh(graph, platform, assignment, pinning, None, ws)
     }
 
     /// Schedules `graph` on `platform` **against committed load**: the
@@ -269,73 +243,7 @@ impl ListScheduler {
         base: &CommittedState,
         ws: &mut SchedWorkspace,
     ) -> Result<Schedule, SchedError> {
-        if assignment.subtask_count() != graph.subtask_count() {
-            return Err(SchedError::AssignmentMismatch {
-                graph_subtasks: graph.subtask_count(),
-                assignment_subtasks: assignment.subtask_count(),
-            });
-        }
-        pinning.validate(graph, platform)?;
-        self.check_base(platform, base)?;
-
-        let _span = tracing::debug_span!(
-            "schedule_against",
-            subtasks = graph.subtask_count(),
-            processors = platform.processor_count(),
-            residents = base.residents(),
-            bus = ?self.bus
-        )
-        .entered();
-
-        ws.reset(
-            graph.subtask_count(),
-            graph.edge_count(),
-            platform.processor_count(),
-        );
-        for (tl, committed) in ws.procs.iter_mut().zip(&base.procs) {
-            tl.clone_from(committed);
-        }
-        if self.bus == BusModel::Contention {
-            ws.bus.clone_from(&base.bus);
-        }
-        Self::seed_ready(graph, assignment, ws);
-
-        let schedule = self.run_dispatch(graph, platform, assignment, pinning, ws)?;
-        ws.provenance = Some(self.provenance(graph, platform, Some(base)));
-        Ok(schedule)
-    }
-
-    fn check_base(&self, platform: &Platform, base: &CommittedState) -> Result<(), SchedError> {
-        if base.processor_count() != platform.processor_count() {
-            return Err(SchedError::BaseMismatch(format!(
-                "committed state covers {} processors but the platform has {}",
-                base.processor_count(),
-                platform.processor_count()
-            )));
-        }
-        if base.bus_model() != self.bus {
-            return Err(SchedError::BaseMismatch(format!(
-                "committed state was built for bus model {:?} but the scheduler uses {:?}",
-                base.bus_model(),
-                self.bus
-            )));
-        }
-        Ok(())
-    }
-
-    /// Seeds the dependency counters and the EDF-ready heap for a fresh
-    /// dispatch run over `graph`.
-    fn seed_ready(graph: &TaskGraph, assignment: &DeadlineAssignment, ws: &mut SchedWorkspace) {
-        ws.missing_preds.clear();
-        ws.missing_preds
-            .extend(graph.subtask_ids().map(|id| graph.in_edges(id).len()));
-        ws.ready.clear();
-        for id in graph.subtask_ids() {
-            if ws.missing_preds[id.index()] == 0 {
-                ws.ready
-                    .push(Reverse((assignment.absolute_deadline(id), id)));
-            }
-        }
+        self.fresh(graph, platform, assignment, pinning, Some(base), ws)
     }
 
     /// Repairs the schedule of the *previous* run through `ws` for a
@@ -372,7 +280,7 @@ impl ListScheduler {
         prev: &Schedule,
         ws: &mut SchedWorkspace,
     ) -> Result<RepairOutcome, SchedError> {
-        self.repair_inner(graph, platform, assignment, pinning, prev, None, ws)
+        self.replay(graph, platform, assignment, pinning, prev, None, ws)
     }
 
     /// [`ListScheduler::repair`] for a run that was trial-scheduled against
@@ -402,12 +310,125 @@ impl ListScheduler {
         base: &CommittedState,
         ws: &mut SchedWorkspace,
     ) -> Result<RepairOutcome, SchedError> {
-        self.check_base(platform, base)?;
-        self.repair_inner(graph, platform, assignment, pinning, prev, Some(base), ws)
+        self.replay(graph, platform, assignment, pinning, prev, Some(base), ws)
     }
 
+    /// Rejects inputs no dispatch run may start from: an assignment that
+    /// does not cover the graph, a pinning outside the platform, and a
+    /// `base` of another processor count or bus model.
+    fn check(
+        &self,
+        graph: &TaskGraph,
+        platform: &Platform,
+        assignment: &DeadlineAssignment,
+        pinning: &Pinning,
+        base: Option<&CommittedState>,
+    ) -> Result<(), SchedError> {
+        if assignment.subtask_count() != graph.subtask_count() {
+            return Err(SchedError::AssignmentMismatch {
+                graph_subtasks: graph.subtask_count(),
+                assignment_subtasks: assignment.subtask_count(),
+            });
+        }
+        pinning.validate(graph, platform)?;
+        let Some(base) = base else { return Ok(()) };
+        if base.processor_count() != platform.processor_count() {
+            return Err(SchedError::BaseMismatch(format!(
+                "committed state covers {} processors but the platform has {}",
+                base.processor_count(),
+                platform.processor_count()
+            )));
+        }
+        if base.bus_model() != self.bus {
+            return Err(SchedError::BaseMismatch(format!(
+                "committed state was built for bus model {:?} but the scheduler uses {:?}",
+                base.bus_model(),
+                self.bus
+            )));
+        }
+        Ok(())
+    }
+
+    /// The fresh dispatch run behind every scheduling entry, and behind a
+    /// repair that cannot trust its retained state: resets `ws`, seeds its
+    /// timelines from `base` when one is given (an empty platform
+    /// otherwise), dispatches the whole graph and records the run's
+    /// provenance for a later [`replay`](Self::replay).
+    fn fresh(
+        &self,
+        graph: &TaskGraph,
+        platform: &Platform,
+        assignment: &DeadlineAssignment,
+        pinning: &Pinning,
+        base: Option<&CommittedState>,
+        ws: &mut SchedWorkspace,
+    ) -> Result<Schedule, SchedError> {
+        self.check(graph, platform, assignment, pinning, base)?;
+
+        let _span = tracing::debug_span!(
+            "schedule",
+            subtasks = graph.subtask_count(),
+            processors = platform.processor_count(),
+            residents = base.map_or(0, CommittedState::residents),
+            bus = ?self.bus,
+            placement = self.placement.label()
+        )
+        .entered();
+
+        ws.reset(
+            graph.subtask_count(),
+            graph.edge_count(),
+            platform.processor_count(),
+        );
+        if let Some(base) = base {
+            for (tl, committed) in ws.procs.iter_mut().zip(&base.procs) {
+                tl.clone_from(committed);
+            }
+            if self.bus == BusModel::Contention {
+                ws.bus.clone_from(&base.bus);
+            }
+        }
+        Self::seed_ready(graph, assignment, ws);
+
+        let schedule = self.run_dispatch(graph, platform, assignment, pinning, ws)?;
+        ws.provenance = Some(Provenance {
+            scheduler: *self,
+            platform: platform.clone(),
+            subtasks: graph.subtask_count(),
+            edges: graph
+                .edge_ids()
+                .map(|eid| {
+                    let e = graph.edge(eid);
+                    (e.src().index() as u32, e.dst().index() as u32, e.items())
+                })
+                .collect(),
+            base: base.map(CommittedState::stamp),
+        });
+        Ok(schedule)
+    }
+
+    /// Seeds the dependency counters and the EDF-ready heap for a fresh
+    /// dispatch run over `graph`.
+    fn seed_ready(graph: &TaskGraph, assignment: &DeadlineAssignment, ws: &mut SchedWorkspace) {
+        ws.missing_preds.clear();
+        ws.missing_preds
+            .extend(graph.subtask_ids().map(|id| graph.in_edges(id).len()));
+        ws.ready.clear();
+        for id in graph.subtask_ids() {
+            if ws.missing_preds[id.index()] == 0 {
+                ws.ready
+                    .push(Reverse((assignment.absolute_deadline(id), id)));
+            }
+        }
+    }
+
+    /// The retained-log replay behind [`repair`](Self::repair) and
+    /// [`repair_against`](Self::repair_against): keeps the longest
+    /// untouched prefix of the previous run through `ws` and re-dispatches
+    /// the rest, or runs [`fresh`](Self::fresh) when the retained state
+    /// does not describe that run.
     #[allow(clippy::too_many_arguments)]
-    fn repair_inner(
+    fn replay(
         &self,
         graph: &TaskGraph,
         platform: &Platform,
@@ -417,14 +438,6 @@ impl ListScheduler {
         base: Option<&CommittedState>,
         ws: &mut SchedWorkspace,
     ) -> Result<RepairOutcome, SchedError> {
-        if assignment.subtask_count() != graph.subtask_count() {
-            return Err(SchedError::AssignmentMismatch {
-                graph_subtasks: graph.subtask_count(),
-                assignment_subtasks: assignment.subtask_count(),
-            });
-        }
-        pinning.validate(graph, platform)?;
-
         let n = graph.subtask_count();
         let usable = ws.provenance.as_ref().is_some_and(|prov| {
             prov.scheduler == *self
@@ -450,19 +463,14 @@ impl ListScheduler {
                 .enumerate()
                 .all(|(i, e)| ws.placed.get(i).copied().flatten().as_ref() == Some(e));
         if !usable {
-            let schedule = match base {
-                None => self.schedule_with(graph, platform, assignment, pinning, ws)?,
-                Some(base) => {
-                    self.schedule_against(graph, platform, assignment, pinning, base, ws)?
-                }
-            };
             return Ok(RepairOutcome {
-                schedule,
+                schedule: self.fresh(graph, platform, assignment, pinning, base, ws)?,
                 reused: 0,
                 evicted: n,
                 fell_back: true,
             });
         }
+        self.check(graph, platform, assignment, pinning, base)?;
 
         let _span = tracing::debug_span!(
             "repair",
@@ -585,27 +593,6 @@ impl ListScheduler {
         })
     }
 
-    fn provenance(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        base: Option<&CommittedState>,
-    ) -> Provenance {
-        Provenance {
-            scheduler: *self,
-            platform: platform.clone(),
-            subtasks: graph.subtask_count(),
-            edges: graph
-                .edge_ids()
-                .map(|eid| {
-                    let e = graph.edge(eid);
-                    (e.src().index() as u32, e.dst().index() as u32, e.items())
-                })
-                .collect(),
-            base: base.map(CommittedState::stamp),
-        }
-    }
-
     /// The placement lower bound of `id` that does not depend on earlier
     /// placements: the assigned release (when respected) joined with the
     /// given release.
@@ -625,10 +612,9 @@ impl ListScheduler {
         lb
     }
 
-    /// The dispatch loop shared by [`schedule_with`](Self::schedule_with)
-    /// (from an empty, freshly seeded workspace) and
-    /// [`repair`](Self::repair) (from the retained state of the kept
-    /// prefix): drains the ready heap, committing one dispatch per pop and
+    /// The dispatch loop shared by [`fresh`](Self::fresh) (from a freshly
+    /// seeded workspace) and [`replay`](Self::replay) (from the retained
+    /// state of the kept prefix): drains the ready heap, committing one dispatch per pop and
     /// appending a [`DispatchRecord`] to the workspace log, then assembles
     /// the [`Schedule`].
     fn run_dispatch(

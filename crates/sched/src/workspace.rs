@@ -13,8 +13,10 @@ use crate::misslog::MissLog;
 use crate::timeline::Timeline;
 use crate::{MessageSlot, ScheduleEntry};
 
-/// Reusable scratch buffers for
-/// [`ListScheduler::schedule_with`](crate::ListScheduler::schedule_with).
+/// Reusable scratch buffers for the list scheduler's workspace-taking
+/// entries ([`ListScheduler::schedule_with`],
+/// [`ListScheduler::schedule_against`], [`ListScheduler::repair`] and
+/// [`ListScheduler::repair_against`]).
 ///
 /// Scheduling a graph needs per-subtask placement state, per-edge message
 /// slots, one reservation timeline per processor (plus the bus and a trial
@@ -28,18 +30,17 @@ use crate::{MessageSlot, ScheduleEntry};
 /// to the returned [`Schedule`](crate::Schedule), which owns its entries and
 /// message slots by value.
 ///
-/// A workspace never leaks state *into* a run — `schedule_with` fully
+/// A workspace never leaks state *into* a run — every fresh run fully
 /// resets it on entry, so a workspace may be reused freely across different
 /// graphs, platforms, scheduler configurations, and even after a panic
 /// unwound through a previous call. (The only state that survives a reset
 /// is configuration the caller attached deliberately: the optional
 /// [`MissLog`] set via [`SchedWorkspace::set_miss_log`].) It *does* retain
 /// state **out of** a successful run: the committed timelines, placements,
-/// and a dispatch log tagged with the run's provenance, which
-/// [`ListScheduler::repair`] consumes to rebuild only the suffix of a
-/// schedule downstream of a change. Calls that cannot use that state
-/// simply reset it; nothing a later full `schedule_with` produces can be
-/// affected by it. It is deliberately *not* `Clone`: hand each worker
+/// and a dispatch log tagged with the run's provenance, which a repair
+/// consumes to rebuild only the suffix of a schedule downstream of a
+/// change. A repair that cannot use that state runs fresh and resets it;
+/// nothing a later fresh run produces can be affected by it. It is deliberately *not* `Clone`: hand each worker
 /// thread its own via [`SchedWorkspace::new`].
 ///
 /// # Examples
@@ -85,7 +86,7 @@ pub struct SchedWorkspace {
     pub(crate) missing_preds: Vec<usize>,
     /// Schedulable subtasks, min-ordered by `(absolute deadline, id)`.
     pub(crate) ready: BinaryHeap<Reverse<(Time, SubtaskId)>>,
-    /// All platform processors, hoisted once per `schedule_with` call so
+    /// All platform processors, hoisted once per fresh run so
     /// unpinned dispatches don't rebuild the candidate list.
     pub(crate) all_procs: Vec<ProcessorId>,
     /// Message slots produced while estimating the current candidate.
@@ -97,9 +98,9 @@ pub struct SchedWorkspace {
     /// leaves it in place.
     pub(crate) miss_log: Option<Arc<MissLog>>,
     /// Commit-ordered record of the last successful run's dispatches —
-    /// the replay script [`ListScheduler::repair`] diffs against.
+    /// the replay script [`ListScheduler::replay`] diffs against.
     pub(crate) log: Vec<DispatchRecord>,
-    /// What the last successful run ran *on*. `repair` refuses to reuse
+    /// What the last successful run ran *on*. `replay` refuses to reuse
     /// retained state unless this matches its inputs exactly.
     pub(crate) provenance: Option<Provenance>,
 }
@@ -131,11 +132,10 @@ pub(crate) struct Provenance {
     pub(crate) platform: Platform,
     pub(crate) subtasks: usize,
     pub(crate) edges: Vec<(u32, u32, u64)>,
-    /// The committed-load snapshot the run was seeded from: `None` for a
-    /// plain [`ListScheduler::schedule_with`] (empty platform), the base
-    /// state's stamp for
-    /// [`ListScheduler::schedule_against`](crate::ListScheduler::schedule_against).
-    /// Repairs refuse retained state whose base no longer matches.
+    /// The committed-load snapshot [`ListScheduler::fresh`] seeded the run
+    /// from: `None` for a run on an empty platform, the base state's stamp
+    /// otherwise. [`ListScheduler::replay`] refuses retained state whose
+    /// base no longer matches.
     pub(crate) base: Option<BaseStamp>,
 }
 
@@ -147,7 +147,7 @@ impl SchedWorkspace {
 
     /// Attaches (or with `None`, detaches) a shared [`MissLog`] that
     /// rate-limits the scheduler's per-subtask deadline-miss warnings
-    /// across every `schedule_with` call through this workspace. Without
+    /// across every scheduling call through this workspace. Without
     /// one, every miss warns — the standalone default.
     pub fn set_miss_log(&mut self, log: Option<Arc<MissLog>>) {
         self.miss_log = log;

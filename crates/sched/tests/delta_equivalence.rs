@@ -163,7 +163,7 @@ proptest! {
         // can reject slicing outright; such cases exercise nothing
         // incremental, so bail out.
         let mut memo = SliceMemo::new();
-        let Ok(assignment) = slicer.distribute_traced(&graph, &platform, &mut memo)
+        let Ok(assignment) = slicer.redistribute(&graph, &platform, &mut memo).map(|r| r.assignment)
         else { return Ok(()); };
         let mut ws = SchedWorkspace::new();
         let mut prev = scheduler
@@ -307,8 +307,9 @@ proptest! {
 
         let mut memo = SliceMemo::new();
         let assignment = slicer
-            .distribute_traced(&graph, &platform, &mut memo)
-            .expect("paper graphs slice");
+            .redistribute(&graph, &platform, &mut memo)
+            .expect("paper graphs slice")
+            .assignment;
         let mut ws = SchedWorkspace::new();
         let mut prev = scheduler
             .schedule_with(&graph, &platform, &assignment, &pinning, &mut ws)

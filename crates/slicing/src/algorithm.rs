@@ -176,12 +176,12 @@ impl Slicer {
     /// producing a window for every subtask and every non-negligible
     /// communication subtask.
     ///
-    /// This is the slicing loop of [`distribute_traced`] with no memo to
-    /// keep: the run records its trace for its own use and drops it,
-    /// untrimmed. Each iteration carries over every per-start search the
-    /// previous slice left untouched, which pays for the recording.
+    /// This is the slicing loop of [`redistribute`] with no memo to keep:
+    /// the run records its trace for its own use and drops it, untrimmed.
+    /// Each iteration carries over every per-start search the previous
+    /// slice left untouched, which pays for the recording.
     ///
-    /// [`distribute_traced`]: Slicer::distribute_traced
+    /// [`redistribute`]: Slicer::redistribute
     ///
     /// # Errors
     ///

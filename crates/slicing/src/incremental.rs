@@ -116,9 +116,9 @@ use crate::{DeadlineAssignment, ShareRule, SliceError, SliceInputs, Slicer, Wind
 /// Memoized state of one traced slicing run, consumed and refreshed by
 /// [`Slicer::redistribute`].
 ///
-/// Create one with [`SliceMemo::new`] (unprimed), then prime it with
-/// [`Slicer::distribute_traced`] or let the first `redistribute` fall back
-/// and prime it. A memo is tied to the slicer configuration and system
+/// Create one with [`SliceMemo::new`] (unprimed): the first
+/// `redistribute` against it falls back to a full traced run, which
+/// primes it. A memo is tied to the slicer configuration and system
 /// size it was primed with; mismatches are detected and degrade to a full
 /// recompute rather than an error.
 #[derive(Debug, Default, Clone)]
@@ -760,28 +760,6 @@ fn windows_nonneg(state: &SliceState) -> bool {
 }
 
 impl Slicer {
-    /// [`distribute`](Slicer::distribute), keeping the run in `memo` so a
-    /// later [`redistribute`](Slicer::redistribute) can reuse it
-    /// (`distribute` is the same loop, keeping no memo).
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`distribute`](Slicer::distribute).
-    pub fn distribute_traced(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        memo: &mut SliceMemo,
-    ) -> Result<DeadlineAssignment, SliceError> {
-        memo.inner = None;
-        let mut stats = RedistributeStats {
-            fell_back: true,
-            ..RedistributeStats::default()
-        };
-        let inputs = self.inputs(graph, platform);
-        self.run_traced(graph, Cow::Owned(inputs), Some(memo), &mut stats)
-    }
-
     /// Recomputes the deadline assignment for `graph` — typically the
     /// output of [`GraphDelta::apply`](crate::GraphDelta::apply) on the
     /// memoized run's graph — reusing every per-start search whose read
@@ -1151,7 +1129,7 @@ mod tests {
         for slicer in [Slicer::bst_pure(), Slicer::bst_norm(), Slicer::ast_adapt()] {
             let plain = slicer.distribute(&g, &p).unwrap();
             let mut memo = SliceMemo::new();
-            let traced = slicer.distribute_traced(&g, &p, &mut memo).unwrap();
+            let traced = slicer.redistribute(&g, &p, &mut memo).unwrap().assignment;
             assert_eq!(plain, traced);
             assert!(memo.is_primed());
         }
@@ -1163,7 +1141,7 @@ mod tests {
         let p = Platform::paper(4).unwrap();
         let slicer = Slicer::bst_pure();
         let mut memo = SliceMemo::new();
-        slicer.distribute_traced(&g, &p, &mut memo).unwrap();
+        slicer.redistribute(&g, &p, &mut memo).unwrap();
 
         let delta = GraphDelta::new().set_wcet(SubtaskId::new(2), Time::new(35));
         let applied = delta.apply(&g, &Pinning::new()).unwrap();
@@ -1180,7 +1158,7 @@ mod tests {
         let p = Platform::paper(4).unwrap();
         let slicer = Slicer::bst_pure();
         let mut memo = SliceMemo::new();
-        let primed = slicer.distribute_traced(&g, &p, &mut memo).unwrap();
+        let primed = slicer.redistribute(&g, &p, &mut memo).unwrap().assignment;
         let red = slicer.redistribute(&g, &p, &mut memo).unwrap();
         assert_eq!(red.assignment, primed);
         assert_eq!(red.stats.cache_misses, 0);
@@ -1195,7 +1173,7 @@ mod tests {
         let p = Platform::paper(2).unwrap();
         let slicer = Slicer::bst_pure();
         let mut memo = SliceMemo::new();
-        slicer.distribute_traced(&g, &p, &mut memo).unwrap();
+        slicer.redistribute(&g, &p, &mut memo).unwrap();
 
         let delta = GraphDelta::new()
             .add_subtask(Subtask::new(Time::new(12)).due_at(Time::new(280)))
@@ -1237,9 +1215,7 @@ mod tests {
         let g = chain(&[10, 30, 20], 120);
         let p = Platform::paper(2).unwrap();
         let mut memo = SliceMemo::new();
-        Slicer::bst_pure()
-            .distribute_traced(&g, &p, &mut memo)
-            .unwrap();
+        Slicer::bst_pure().redistribute(&g, &p, &mut memo).unwrap();
         // Different metric, same memo: must fall back, not corrupt.
         let red = Slicer::bst_norm().redistribute(&g, &p, &mut memo).unwrap();
         assert!(red.stats.fell_back);
@@ -1250,9 +1226,7 @@ mod tests {
         // Different processor count likewise (ADAPT reads it).
         let p8 = Platform::paper(8).unwrap();
         let mut memo = SliceMemo::new();
-        Slicer::ast_adapt()
-            .distribute_traced(&g, &p, &mut memo)
-            .unwrap();
+        Slicer::ast_adapt().redistribute(&g, &p, &mut memo).unwrap();
         let red = Slicer::ast_adapt()
             .redistribute(&g, &p8, &mut memo)
             .unwrap();
@@ -1304,7 +1278,7 @@ mod tests {
             Slicer::ast_adapt(),
         ] {
             let mut memo = SliceMemo::new();
-            slicer.distribute_traced(&g, &p, &mut memo).unwrap();
+            slicer.redistribute(&g, &p, &mut memo).unwrap();
             let mut current = g.clone();
             // Tighten one node per step, walking across both branches.
             for (node, wcet) in [(1u32, 32i64), (4, 28), (3, 22), (1, 30)] {
@@ -1337,7 +1311,7 @@ mod tests {
         let p = Platform::paper(2).unwrap();
         let slicer = Slicer::bst_norm();
         let mut memo = SliceMemo::new();
-        slicer.distribute_traced(&g, &p, &mut memo).unwrap();
+        slicer.redistribute(&g, &p, &mut memo).unwrap();
         let delta = GraphDelta::new().set_wcet(SubtaskId::new(1), Time::new(12));
         let mutated = delta.apply(&g, &Pinning::new()).unwrap().graph;
         let red = slicer.redistribute(&mutated, &p, &mut memo).unwrap();
@@ -1351,7 +1325,7 @@ mod tests {
         let p = Platform::paper(3).unwrap();
         let slicer = Slicer::ast_thres(1.0);
         let mut memo = SliceMemo::new();
-        slicer.distribute_traced(&g, &p, &mut memo).unwrap();
+        slicer.redistribute(&g, &p, &mut memo).unwrap();
         // Anchor value changes perturb the very first iteration's state, so
         // the replay starts diverged and must reconverge (or re-search) —
         // either way the result must be exact.
@@ -1376,7 +1350,7 @@ mod tests {
         let p = Platform::paper(4).unwrap();
         let slicer = Slicer::ast_adapt();
         let mut memo = SliceMemo::new();
-        slicer.distribute_traced(&g, &p, &mut memo).unwrap();
+        slicer.redistribute(&g, &p, &mut memo).unwrap();
         let mut current = g;
         for (node, wcet) in [(1u32, 45i64), (3, 10), (1, 30), (5, 60)] {
             let delta = GraphDelta::new().set_wcet(SubtaskId::new(node), Time::new(wcet));
@@ -1477,7 +1451,7 @@ mod tests {
             for seed in 0..8u64 {
                 let g = generate_seeded(&spec, seed).unwrap();
                 let mut memo = SliceMemo::new();
-                slicer.distribute_traced(&g, &p, &mut memo).unwrap();
+                slicer.redistribute(&g, &p, &mut memo).unwrap();
                 let nodes = memo.inner.as_ref().unwrap().exp.len();
                 assert_eq!(nodes > 64, multi_word, "seed {seed}: {nodes} nodes");
                 let n = g.subtask_count() as u64;
@@ -1512,7 +1486,7 @@ mod tests {
         let p = Platform::paper(3).unwrap();
         let slicer = Slicer::bst_norm();
         let mut original = SliceMemo::new();
-        slicer.distribute_traced(&g, &p, &mut original).unwrap();
+        slicer.redistribute(&g, &p, &mut original).unwrap();
         let mut clone = original.clone();
 
         let step = |graph: &TaskGraph, node: u32, wcet: i64| {

@@ -106,7 +106,7 @@ fn recording_and_cloning_a_memo_make_a_bounded_number_of_allocations() {
             let traced = calls(|| {
                 black_box(
                     slicer
-                        .distribute_traced(&graph, &platform, &mut memo)
+                        .redistribute(&graph, &platform, &mut memo)
                         .expect("slices"),
                 );
             });
