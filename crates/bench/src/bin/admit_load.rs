@@ -247,9 +247,7 @@ fn request_stream(
         let amend_due = amend_every > 0 && admits > 0 && admits.is_multiple_of(amend_every as u64);
         if amend_due {
             if let Some((id, graph)) = &last_admit {
-                // Tighten one WCET of the latest admit — the repair fast
-                // path's home turf (it is still the newest commit unless a
-                // retirement intervened, which the service handles too).
+                // Tighten one WCET of the latest admit.
                 let subtask = SubtaskId::new((draw % graph.subtask_count() as u64) as u32);
                 let old = graph.subtask(subtask).wcet().as_i64();
                 let wcet = (old - 1 - (draw >> 33) as i64 % 3).max(1);

@@ -1,21 +1,16 @@
 //! CI gates of the FEAST pipeline's hot paths.
 //!
 //! Performance is recorded by `perfbench/` (see `BENCHMARK.json`); this
-//! binary records nothing. One invocation measures two fixed-seed points —
-//! the incremental delta pair ([`DELTA_GRAPHS`] graphs ×
-//! [`DELTA_PERTURBATIONS`] perturbations) and the schedule-stage stress
-//! point ([`STRESS_GRAPHS`] graphs) — then runs every gate and exits with
-//! status 2 when one trips:
+//! binary records nothing. One invocation measures one fixed-seed point —
+//! the schedule-stage stress point ([`STRESS_GRAPHS`] graphs) — then runs
+//! every gate and exits with status 2 when one trips:
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench -- [--overhead-pct F]
 //! ```
 //!
-//! * the **bench guard**: the schedule-stage means at the stress and delta
-//!   points must stay within [`STRESS_SCHEDULE_LIMIT_US`] and
-//!   [`DELTA_SCHEDULE_LIMIT_US`], and the delta pair's incremental speedup
-//!   above [`DELTA_SPEEDUP_FLOOR`] (mean) and [`DELTA_P50_SPEEDUP_FLOOR`]
-//!   (p50);
+//! * the **bench guard**: the schedule-stage mean at the stress point
+//!   must stay within [`STRESS_SCHEDULE_LIMIT_US`];
 //! * the **observatory overhead gate**: schedule the stress workload twice
 //!   per iteration over identical seeds — bare, and with the runner's full
 //!   per-replication telemetry accounting (stage histograms, progress
@@ -34,9 +29,8 @@ use feast::telemetry;
 use feast::{MetricsWriter, ProgressTracker, ReplicationRecord, Runner};
 use platform::{Pinning, Platform};
 use sched::{BusModel, ListScheduler, MissLog, SchedWorkspace};
-use slicing::{GraphDelta, MetricKind, SliceMemo, Slicer};
+use slicing::{MetricKind, Slicer};
 use taskgraph::gen::{generate_seeded, stream_label, stream_seed, ExecVariation, WorkloadSpec};
-use taskgraph::{SubtaskId, Time};
 
 /// Base seed for workload generation; iteration `i` of a point draws from
 /// the seed stream `stream_seed(SEED, point stream, 0, i)`, so the same
@@ -57,61 +51,6 @@ const STRESS_GRAPHS: usize = 4;
 /// Limit of the stress point's schedule-stage mean: 1.25 × the 580.5 µs
 /// mean of the `post-pr7` run in the frozen `BENCH_pipeline.json` history.
 const STRESS_SCHEDULE_LIMIT_US: f64 = 725.625;
-
-/// Processor count of the delta stress point. The delta point runs THRES
-/// on [`BusModel::Delay`]: THRES keeps weight invalidation local to the
-/// perturbed node (ADAPT's ξ-coupled surplus re-inflates *every* stretched
-/// node on any WCET change, see EXPERIMENTS.md), and the paper's 8-way
-/// platform makes distribution dominate end-to-end cost — the regime the
-/// incremental pipeline targets.
-const DELTA_PROCESSORS: usize = 8;
-
-/// Label (and seed stream) of the incremental half of the delta stress
-/// point: per single-node WCET perturbation of the 4× graph, `distribute`
-/// carries the [`Slicer::redistribute`] time and `schedule` the
-/// [`ListScheduler::repair`] time.
-const DELTA_LABEL: &str = "stress-delta";
-
-/// Label of the paired from-scratch half: the same perturbed graphs
-/// recomputed with `distribute` + `schedule_with` from clean state. The
-/// incremental results are asserted bit-identical to these.
-const DELTA_FULL_LABEL: &str = "stress-delta-full";
-
-/// Graphs measured at the delta point.
-const DELTA_GRAPHS: usize = 4;
-
-/// Single-node WCET perturbations applied (and measured) per delta graph.
-const DELTA_PERTURBATIONS: usize = 16;
-
-/// Limit of the incremental delta point's schedule-stage (repair) mean:
-/// 1.25 × the 93.890625 µs mean of the `post-pr7` run in the frozen
-/// `BENCH_pipeline.json` history.
-const DELTA_SCHEDULE_LIMIT_US: f64 = 117.363_281_25;
-
-/// Minimum end-to-end (distribute + schedule) *mean* speedup of the
-/// incremental delta point over its from-scratch pair that the guard
-/// accepts.
-///
-/// The measured mean is ~1.4–1.7× (off-corridor deltas 6–14×, see
-/// EXPERIMENTS.md §Incremental deltas): winner paths funnel through a
-/// shared critical corridor, the corridor searches are the expensive ones,
-/// and a delta touching the corridor must re-run them to keep the
-/// bit-identity contract — so the uniform-random mean is dominated by the
-/// corridor share, not by the replay machinery. The mean is also
-/// tail-dominated (a few corridor hits carry most of the time), which
-/// makes it noisy run-to-run; this floor is therefore a loose safety net,
-/// and [`DELTA_P50_SPEEDUP_FLOOR`] is the sensitive detector.
-const DELTA_SPEEDUP_FLOOR: f64 = 1.15;
-
-/// Minimum end-to-end *median* (p50) speedup the guard accepts.
-///
-/// The p50 tracks the typical delta (measured ~2.3–2.5×) and is far more
-/// stable across runs and machines than the tail-dominated mean. A
-/// machinery regression — lost cache hits, a broken matched fast-forward —
-/// drags *every* row towards 1×, so the median collapses with it; noise
-/// does not move it much. 1.5× sits well below the measured value and
-/// well above a broken pipeline.
-const DELTA_P50_SPEEDUP_FLOOR: f64 = 1.5;
 
 /// Wall-clock statistics of one pipeline stage at one point.
 struct StageStats {
@@ -142,7 +81,8 @@ struct BenchPoint {
     schedule: StageStats,
 }
 
-/// The 4× paper workload both points draw their graphs from.
+/// The 4× paper workload the stress point and the overhead gate draw
+/// their graphs from.
 fn stress_spec() -> WorkloadSpec {
     WorkloadSpec::paper(ExecVariation::Mdet)
         .with_subtasks(160..=240)
@@ -194,164 +134,20 @@ fn measure_stress(iterations: usize) -> BenchPoint {
     }
 }
 
-/// The delta stress point: each iteration generates one 4× stress graph
-/// (THRES metric, [`DELTA_PROCESSORS`] processors, [`BusModel::Delay`]),
-/// primes a fresh [`SliceMemo`] (a first [`Slicer::redistribute`], which
-/// falls back to a full traced run) and a [`SchedWorkspace`]
-/// (`schedule_with`), then applies
-/// [`DELTA_PERTURBATIONS`] chained single-node WCET tightenings. Every
-/// perturbation is solved twice: incrementally
-/// ([`Slicer::redistribute`] + [`ListScheduler::repair`], point
-/// [`DELTA_LABEL`]) and from scratch (`distribute` + `schedule_with` into
-/// a separate workspace, point [`DELTA_FULL_LABEL`]), asserting the
-/// incremental assignment and schedule bit-identical to the from-scratch
-/// ones.
-fn measure_delta(iterations: usize) -> (BenchPoint, BenchPoint) {
-    let spec = stress_spec();
-    let platform = Platform::paper(DELTA_PROCESSORS).expect("paper platform is valid");
-    let slicer = Slicer::new(MetricKind::thres(1.0));
-    let scheduler = ListScheduler::new().with_bus_model(BusModel::Delay);
-    let pinning = Pinning::new();
-    let mut ws = SchedWorkspace::new();
-    let mut ws_full = SchedWorkspace::new();
-
-    let stream = stream_label(DELTA_LABEL.as_bytes());
-    let samples = iterations * DELTA_PERTURBATIONS;
-    let mut redist_us = Vec::with_capacity(samples);
-    let mut repair_us = Vec::with_capacity(samples);
-    let mut full_dist_us = Vec::with_capacity(samples);
-    let mut full_sched_us = Vec::with_capacity(samples);
-    for i in 0..iterations {
-        let seed = stream_seed(SEED, stream, 0, i as u64);
-        let mut graph = generate_seeded(&spec, seed).expect("workload spec is valid");
-        let mut memo = SliceMemo::new();
-        let assignment = slicer
-            .redistribute(&graph, &platform, &mut memo)
-            .expect("distribution succeeds")
-            .assignment;
-        let mut schedule = scheduler
-            .schedule_with(&graph, &platform, &assignment, &pinning, &mut ws)
-            .expect("scheduling succeeds");
-
-        for k in 0..DELTA_PERTURBATIONS {
-            let draw = stream_seed(SEED, stream, 1, (i * DELTA_PERTURBATIONS + k) as u64);
-            let id = SubtaskId::new((draw % graph.subtask_count() as u64) as u32);
-            let old = graph.subtask(id).wcet().as_i64();
-            let bump = 1 + (draw >> 33) as i64 % 3;
-            // Tighten only (measurement-based WCET re-estimation), never
-            // below one time unit.
-            let wcet = (old - bump).max(1);
-            graph = GraphDelta::new()
-                .set_wcet(id, Time::new(wcet))
-                .apply(&graph, &pinning)
-                .expect("WCET delta applies")
-                .graph;
-
-            let t = Instant::now();
-            let redist = slicer
-                .redistribute(&graph, &platform, &mut memo)
-                .expect("redistribution succeeds");
-            redist_us.push(t.elapsed().as_micros() as u64);
-            let t = Instant::now();
-            let repaired = scheduler
-                .repair(
-                    &graph,
-                    &platform,
-                    &redist.assignment,
-                    &pinning,
-                    &schedule,
-                    &mut ws,
-                )
-                .expect("repair succeeds");
-            repair_us.push(t.elapsed().as_micros() as u64);
-
-            let t = Instant::now();
-            let full_assignment = slicer
-                .distribute(&graph, &platform)
-                .expect("distribution succeeds");
-            full_dist_us.push(t.elapsed().as_micros() as u64);
-            let t = Instant::now();
-            let full_schedule = scheduler
-                .schedule_with(&graph, &platform, &full_assignment, &pinning, &mut ws_full)
-                .expect("scheduling succeeds");
-            full_sched_us.push(t.elapsed().as_micros() as u64);
-
-            assert!(
-                !redist.stats.fell_back,
-                "single-node WCET delta must not fall back"
-            );
-            assert_eq!(
-                redist.assignment, full_assignment,
-                "redistribute must be bit-identical to distribute"
-            );
-            assert_eq!(
-                repaired.schedule, full_schedule,
-                "repair must be bit-identical to schedule_with"
-            );
-            schedule = repaired.schedule;
-        }
-    }
-
-    let point = |label, dist: &[u64], sched: &[u64]| BenchPoint {
-        label,
-        metric: "THRES",
-        distribute: StageStats::from_samples(dist),
-        schedule: StageStats::from_samples(sched),
-    };
-    (
-        point(DELTA_LABEL, &redist_us, &repair_us),
-        point(DELTA_FULL_LABEL, &full_dist_us, &full_sched_us),
-    )
-}
-
-/// End-to-end (distribute + schedule) speedup of the incremental delta
-/// point over its from-scratch pair under `stat` (the mean, or the p50 —
-/// the typical-delta ratio, which summarises rather than hides the bimodal
-/// corridor/off-corridor mix).
-fn delta_speedup(delta: &BenchPoint, full: &BenchPoint, stat: fn(&StageStats) -> f64) -> f64 {
-    let total = |p: &BenchPoint| stat(&p.distribute) + stat(&p.schedule);
-    total(full) / total(delta)
-}
-
-/// The CI bench guard: the schedule-stage means at the stress and
-/// incremental-delta points must stay within their stated limits — those
-/// points carry the largest absolute schedule times, so they are the most
-/// stable signal across machines — and the incremental-vs-full speedup
-/// must clear [`DELTA_SPEEDUP_FLOOR`] and [`DELTA_P50_SPEEDUP_FLOOR`].
-fn guard(stress: &BenchPoint, delta: &BenchPoint, delta_full: &BenchPoint) -> Result<(), String> {
-    for (point, limit) in [
-        (stress, STRESS_SCHEDULE_LIMIT_US),
-        (delta, DELTA_SCHEDULE_LIMIT_US),
-    ] {
-        let mean = point.schedule.mean_us;
-        eprintln!(
-            "guard: {} × {:<5} schedule mean {mean:>9.1}us (limit {limit:>9.1}us)",
-            point.label, point.metric
-        );
-        if mean > limit {
-            return Err(format!(
-                "schedule-stage regression at the {} point ({}): \
-                 {mean:.1}us over the {limit}us limit",
-                point.label, point.metric
-            ));
-        }
-    }
-    let speedup = delta_speedup(delta, delta_full, |s| s.mean_us);
-    let p50 = delta_speedup(delta, delta_full, |s| s.p50_us as f64);
+/// The CI bench guard: the schedule-stage mean at the stress point — the
+/// largest absolute schedule time, so the most stable signal across
+/// machines — must stay within its stated limit.
+fn guard(stress: &BenchPoint) -> Result<(), String> {
+    let (mean, limit) = (stress.schedule.mean_us, STRESS_SCHEDULE_LIMIT_US);
     eprintln!(
-        "guard: delta speedup mean {speedup:.1}x (floor {DELTA_SPEEDUP_FLOOR}x), \
-         p50 {p50:.1}x (floor {DELTA_P50_SPEEDUP_FLOOR}x)"
+        "guard: {} × {:<5} schedule mean {mean:>9.1}us (limit {limit:>9.1}us)",
+        stress.label, stress.metric
     );
-    if speedup < DELTA_SPEEDUP_FLOOR {
+    if mean > limit {
         return Err(format!(
-            "incremental delta mean speedup {speedup:.1}x fell below the \
-             {DELTA_SPEEDUP_FLOOR}x floor"
-        ));
-    }
-    if p50 < DELTA_P50_SPEEDUP_FLOOR {
-        return Err(format!(
-            "incremental delta p50 speedup {p50:.1}x fell below the \
-             {DELTA_P50_SPEEDUP_FLOOR}x floor"
+            "schedule-stage regression at the {} point ({}): \
+             {mean:.1}us over the {limit}us limit",
+            stress.label, stress.metric
         ));
     }
     Ok(())
@@ -526,17 +322,12 @@ fn parse_overhead_pct() -> f64 {
 fn main() {
     let overhead_pct = parse_overhead_pct();
 
-    // The delta pair runs first: its 64 solves warm the process (allocator,
-    // caches, clock) before the few-iteration stress point is timed.
-    let (delta, delta_full) = measure_delta(DELTA_GRAPHS);
     let stress = measure_stress(STRESS_GRAPHS);
-    for point in [&stress, &delta, &delta_full] {
-        eprintln!(
-            "{:>17} × {:<5} distribute {:>11.1}us  schedule {:>9.1}us",
-            point.label, point.metric, point.distribute.mean_us, point.schedule.mean_us,
-        );
-    }
-    if let Err(message) = guard(&stress, &delta, &delta_full) {
+    eprintln!(
+        "{:>17} × {:<5} distribute {:>11.1}us  schedule {:>9.1}us",
+        stress.label, stress.metric, stress.distribute.mean_us, stress.schedule.mean_us,
+    );
+    if let Err(message) = guard(&stress) {
         eprintln!("bench guard FAILED: {message}");
         std::process::exit(2);
     }
@@ -603,17 +394,13 @@ mod tests {
         }
     }
 
-    /// The stated limits are exactly the limits the guard used to compute
-    /// from the frozen history: the post-pr7 means plus 25%.
+    /// The stated limit is exactly the limit the guard used to compute
+    /// from the frozen history: the post-pr7 mean plus 25%.
     #[test]
     fn guard_limits_are_the_post_pr7_means_plus_25_percent() {
         assert_eq!(
             STRESS_SCHEDULE_LIMIT_US,
             post_pr7_schedule_mean(STRESS_LABEL, "ADAPT") * 1.25
-        );
-        assert_eq!(
-            DELTA_SCHEDULE_LIMIT_US,
-            post_pr7_schedule_mean(DELTA_LABEL, "THRES") * 1.25
         );
     }
 }

@@ -12,8 +12,8 @@
 //!   one [`CommittedState`] and the resident set; [`admit`] trial-schedules
 //!   a new graph around the committed reservations (admitted graphs commit
 //!   exactly the trialed schedule, rejected ones leave no trace) and
-//!   [`amend`] re-trials a resident after a [`GraphDelta`], preferring the
-//!   rollback + schedule-repair fast path.
+//!   [`amend`] re-slices and re-trials a resident after a [`GraphDelta`],
+//!   exactly as a fresh admit of the amended graph would be trialled.
 //! * [`AdmissionService`] — the same semantics behind a bounded queue:
 //!   slicer workers distribute deadlines in parallel (stage one of the
 //!   pipeline never reads committed load), a single coordinator re-orders
@@ -61,9 +61,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use platform::Platform;
-use sched::{CommitReceipt, CommittedState, MissLog, Schedule};
+use sched::{CommittedState, MissLog, Schedule};
 use serde::{Deserialize, Serialize};
-use slicing::{DeltaError, GraphDelta, SliceMemo};
+use slicing::{DeltaError, GraphDelta};
 use taskgraph::gen::{stream_label, stream_seed};
 use taskgraph::{TaskGraph, Time};
 
@@ -129,9 +129,8 @@ impl AdmitConfig {
     /// A configuration with service defaults: queue depth 256, capacity
     /// 64 residents, 4 slicer workers, oldest-first eviction, no
     /// shedding, no write-ahead log, no fault plan, the feasibility
-    /// pre-filter on, and a 64-entry slice cache. Deadline-miss and
-    /// structural-fallback WARNs are each capped at
-    /// [`Runner::MISS_WARN_LIMIT`] lines per service.
+    /// pre-filter on, and a 64-entry slice cache. Deadline-miss WARNs are
+    /// capped at [`Runner::MISS_WARN_LIMIT`] lines per service.
     pub fn new(scenario: Scenario, system_size: usize) -> AdmitConfig {
         AdmitConfig {
             scenario,
@@ -281,9 +280,9 @@ pub struct AdmitVerdict {
     /// Structural violations found by the always-on window and schedule
     /// audits (expected zero).
     pub violations: usize,
-    /// For amendments: whether the schedule-repair fast path produced the
-    /// verdict (`false` when the trial re-ran in full — same result,
-    /// more work).
+    /// Always `false`: every amendment is a full trial. Kept only so
+    /// perfbench's frozen mirror compiles; goes with `mirror.rs` (ROADMAP
+    /// item 5(d)).
     pub repaired: bool,
     /// Residents committed after this decision.
     pub residents: usize,
@@ -517,16 +516,14 @@ impl EvictionPolicy for LowestUtilization {
     }
 }
 
-/// One committed admission: the graph, its reserved schedule, when it
-/// arrived / departs, and its own delta memo, unprimed until the
-/// resident's first amendment re-slices through it.
+/// One committed admission: the graph, its reserved schedule, and when
+/// it arrived / departs.
 #[derive(Debug)]
 struct Resident {
     graph: Arc<TaskGraph>,
     schedule: Schedule,
     origin: Time,
     horizon: Time,
-    memo: SliceMemo,
 }
 
 /// One line of an admission write-ahead log.
@@ -665,11 +662,13 @@ impl WalRecord {
 }
 
 /// The write-ahead log's record format, the last step of
-/// [`wal_fingerprint`]. Format 2 added [`WalRequest::AdmitRef`]; the step
-/// makes either build refuse the other's logs with a typed
-/// `CheckpointMismatch` instead of failing on (or silently dropping) a
-/// record it cannot read.
-const WAL_FORMAT: u64 = 2;
+/// [`wal_fingerprint`]. Format 2 added [`WalRequest::AdmitRef`]. Format 3
+/// seals every amendment verdict with `repaired: false`, since no
+/// amendment is repaired any more; a format-2 log would fail recovery at
+/// its first repaired amendment. The step makes each build refuse the
+/// others' logs with a typed `CheckpointMismatch` instead of failing on
+/// (or silently dropping) a record it cannot read or reproduce.
+const WAL_FORMAT: u64 = 3;
 
 /// Fingerprint of everything a write-ahead log's records depend on: the
 /// scenario's measurement-relevant content (reusing the checkpoint
@@ -806,16 +805,9 @@ pub struct AdmissionController {
     /// Resident ids in admission order — the capacity bound's eviction
     /// queue.
     order: VecDeque<u64>,
-    /// The latest commit, if its receipt is still rollback-eligible:
-    /// amendments to this resident can withdraw it without invalidating
-    /// the scheduler's retained dispatch log.
-    last_commit: Option<(u64, CommitReceipt)>,
     miss_log: Arc<MissLog>,
     /// The durable transcript, when [`AdmitConfig::wal_path`] is set.
     wal: Option<WalWriter>,
-    /// Remaining individually-logged structural-fallback WARNs (a budget
-    /// of [`Runner::MISS_WARN_LIMIT`]).
-    fallback_warns: u64,
     /// The cross-request slice cache, when enabled — shared with every
     /// slicer worker of an [`AdmissionService`] built on this controller.
     slice_cache: Option<SharedSliceCache>,
@@ -861,7 +853,6 @@ impl AdmissionController {
             )),
             None => None,
         };
-        let fallback_warns = Runner::MISS_WARN_LIMIT;
         Ok(AdmissionController {
             config,
             platform,
@@ -869,10 +860,8 @@ impl AdmissionController {
             state,
             residents: BTreeMap::new(),
             order: VecDeque::new(),
-            last_commit: None,
             miss_log,
             wal,
-            fallback_warns,
             slice_cache,
         })
     }
@@ -1137,7 +1126,7 @@ impl AdmissionController {
         if self.residents.contains_key(&id) {
             return Err(AdmitError::DuplicateId { id });
         }
-        let against = Some((&self.state, origin, None));
+        let against = Some((&self.state, origin));
         let verdict = self
             .pipeline
             .trial(graph, &self.platform, output, against)?;
@@ -1177,8 +1166,8 @@ impl AdmissionController {
                 self.evict(victim);
                 telemetry::global().admissions_evicted.inc();
             }
-            self.commit(id, &verdict.schedule)?;
-            let decision = self.verdict_of(id, true, false, &verdict, self.residents.len() + 1);
+            self.state.commit(&verdict.schedule)?;
+            let decision = self.verdict_of(id, &verdict, self.residents.len() + 1);
             self.residents.insert(
                 id,
                 Resident {
@@ -1186,30 +1175,24 @@ impl AdmissionController {
                     horizon: verdict.makespan,
                     origin,
                     schedule: verdict.schedule,
-                    memo: SliceMemo::new(),
                 },
             );
             self.order.push_back(id);
             telemetry::global().record_admission(true, started.elapsed());
             Ok(decision)
         } else {
-            let decision = self.verdict_of(id, false, false, &verdict, self.residents.len());
+            let decision = self.verdict_of(id, &verdict, self.residents.len());
             telemetry::global().record_admission(false, started.elapsed());
             Ok(decision)
         }
     }
 
-    /// Applies `delta` to the resident `id`, withdraws its reservation and
-    /// re-trials the amended graph at its original origin. On admit the
-    /// new schedule replaces the old reservation; on reject (or any
-    /// pipeline error) the original reservation is restored unchanged.
-    ///
-    /// When the resident's commit is still the state's latest mutation,
-    /// withdrawal is a receipt rollback and the re-trial runs through the
-    /// scheduler's repair path, reusing every dispatch the amendment did
-    /// not disturb; otherwise it releases and re-trials in full. Both
-    /// paths produce bit-identical verdicts — the fast path is reported in
-    /// [`AdmitVerdict::repaired`].
+    /// Applies `delta` to the resident `id`, withdraws its reservation,
+    /// slices the amended graph from scratch (the slice cache is not
+    /// consulted) and trials it at the resident's original origin, the
+    /// path every fresh trial takes. On admit the new schedule replaces
+    /// the old reservation; on reject (or any pipeline error) the
+    /// original reservation is restored unchanged.
     ///
     /// # Errors
     ///
@@ -1234,20 +1217,6 @@ impl AdmissionController {
         delta: &GraphDelta,
     ) -> Result<AdmitVerdict, AdmitError> {
         let started = Instant::now();
-        if !delta.is_attribute_only() {
-            // Structural amendments can never ride the schedule-repair
-            // fast path; count them so an operator can see when an
-            // amendment-heavy workload degrades to full re-trials.
-            telemetry::global().admissions_structural_fallbacks.inc();
-            if self.fallback_warns > 0 {
-                self.fallback_warns -= 1;
-                tracing::warn!(
-                    id = id,
-                    remaining = self.fallback_warns,
-                    "structural amendment forces a full re-slice (repair fast path unavailable)"
-                );
-            }
-        }
         let resident = match self.residents.remove(&id) {
             Some(resident) => resident,
             None => return Err(AdmitError::NoResident { id }),
@@ -1283,33 +1252,16 @@ impl AdmissionController {
             Err(e) => return (resident, Err(e.into())),
         };
 
-        // Withdraw the resident's reservation. When it is the latest
-        // commit, a receipt rollback restores the exact base content the
-        // previous trial ran against, keeping the retained dispatch log
-        // valid for repair; any other history forces release + full trial.
-        let fast = match &self.last_commit {
-            Some((last, receipt)) if *last == id => {
-                self.state.rollback(&resident.schedule, receipt).is_ok()
-            }
-            _ => false,
-        };
-        if !fast {
-            if let Err(e) = self.state.release(&resident.schedule) {
-                return (resident, Err(e.into()));
-            }
+        // Withdraw the resident's reservation, then slice the amended
+        // graph from scratch and trial it at the resident's origin.
+        if let Err(e) = self.state.release(&resident.schedule) {
+            return (resident, Err(e.into()));
         }
-        self.last_commit = None;
-
-        // Re-slice against the resident's own delta memo (its first
-        // amendment primes it) and re-trial at the resident's origin,
-        // repairing the previous schedule when the rollback above kept
-        // the base content unchanged.
-        let prev = fast.then_some(&resident.schedule);
         let result = self
             .pipeline
-            .reslice(&amended, &self.platform, &mut resident.memo)
-            .and_then(|output| {
-                let against = Some((&self.state, resident.origin, prev));
+            .slice_or_share(&amended, &self.platform, &mut None)
+            .and_then(|(output, _)| {
+                let against = Some((&self.state, resident.origin));
                 self.pipeline
                     .trial(&amended, &self.platform, output, against)
             });
@@ -1318,21 +1270,14 @@ impl AdmissionController {
             Err(e) => {
                 // Pipeline failure: restore the original reservation, then
                 // surface the error.
-                let error = match self.commit(id, &resident.schedule) {
-                    Ok(()) => AdmitError::Trial(e),
+                let error = match self.state.commit(&resident.schedule) {
+                    Ok(_) => AdmitError::Trial(e),
                     Err(restore) => restore.into(),
                 };
                 return (resident, Err(error));
             }
         };
-        let repaired = verdict.repair_fell_back == Some(false);
-        let decision = self.verdict_of(
-            id,
-            verdict.admit,
-            repaired,
-            &verdict,
-            self.residents.len() + 1,
-        );
+        let decision = self.verdict_of(id, &verdict, self.residents.len() + 1);
         // An admit replaces the reservation with the new schedule. A
         // reject leaves no trace: it restores the original reservation
         // (content-identical, so the state digest is unchanged).
@@ -1341,7 +1286,7 @@ impl AdmissionController {
         } else {
             &resident.schedule
         };
-        if let Err(e) = self.commit(id, kept) {
+        if let Err(e) = self.state.commit(kept) {
             return (resident, Err(e.into()));
         }
         if verdict.admit {
@@ -1350,14 +1295,6 @@ impl AdmissionController {
             resident.schedule = verdict.schedule;
         }
         (resident, Ok(decision))
-    }
-
-    /// Commits `schedule` as resident `id`'s reservation and keeps the
-    /// receipt, so `id`'s next amendment can roll the commit back while it
-    /// is still the state's latest mutation.
-    fn commit(&mut self, id: u64, schedule: &Schedule) -> Result<(), sched::SchedError> {
-        self.last_commit = Some((id, self.state.commit(schedule)?));
-        Ok(())
     }
 
     /// Releases every resident whose horizon has passed the decision
@@ -1374,36 +1311,25 @@ impl AdmissionController {
         }
     }
 
-    /// Removes a resident and releases its reservations. Departure stamps
-    /// fresh state, so any retained rollback receipt is invalidated.
+    /// Removes a resident and releases its reservations.
     fn evict(&mut self, id: u64) {
         if let Some(resident) = self.residents.remove(&id) {
             // Shape mismatch is impossible for a schedule this state
             // committed, so the release cannot fail meaningfully.
             let _ = self.state.release(&resident.schedule);
             self.order.retain(|&other| other != id);
-            if matches!(self.last_commit, Some((last, _)) if last == id) {
-                self.last_commit = None;
-            }
         }
     }
 
-    fn verdict_of(
-        &self,
-        id: u64,
-        admitted: bool,
-        repaired: bool,
-        verdict: &Verdict,
-        residents: usize,
-    ) -> AdmitVerdict {
+    fn verdict_of(&self, id: u64, verdict: &Verdict, residents: usize) -> AdmitVerdict {
         AdmitVerdict {
             id,
-            admitted,
+            admitted: verdict.admit,
             max_lateness: verdict.max_lateness,
             end_to_end: verdict.end_to_end,
             makespan: verdict.makespan,
             violations: verdict.violations(),
-            repaired,
+            repaired: false,
             residents,
         }
     }
@@ -1462,8 +1388,7 @@ fn service_pipeline(
 /// alike: the feasibility pre-filter (when `prefilter` is on), then the
 /// slice through the cross-request cache. The pre-filter's bounds are
 /// necessary conditions, so a graph it refuses would have been rejected
-/// by the full path too; no DP search runs for it. No delta memo is
-/// recorded: a resident's first amendment primes its own.
+/// by the full path too; no DP search runs for it.
 fn slice_admit(
     pipeline: &mut Pipeline,
     platform: &Platform,
@@ -2019,7 +1944,7 @@ impl AdmissionLog {
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    use slicing::{CommEstimate, DeltaOp, MetricKind, RedistributeStats};
+    use slicing::{CommEstimate, DeltaOp, MetricKind};
     use taskgraph::gen::{generate_seeded, ExecVariation, WorkloadSpec};
     use taskgraph::SubtaskId;
 
@@ -2153,10 +2078,6 @@ mod tests {
         let mut controller = AdmissionController::new(config(8)).unwrap();
         assert!(controller.admit(1, graph(5), Time::ZERO).unwrap().admitted);
         let amended = controller.amend(1, &delta).unwrap();
-        assert!(
-            amended.repaired,
-            "latest-commit amendment takes the repair fast path"
-        );
 
         // A fresh controller admitting the amended graph directly must
         // land on the identical committed state and lateness.
@@ -2180,111 +2101,17 @@ mod tests {
         let mut controller = AdmissionController::new(config(8)).unwrap();
         assert!(controller.admit(1, graph(5), Time::ZERO).unwrap().admitted);
         assert!(controller.admit(2, graph(6), Time::ZERO).unwrap().admitted);
-        // Resident 1 is no longer the latest commit: rollback is
-        // impossible, so the amendment releases and re-trials in full.
+        // Resident 1 is no longer the latest commit.
         let amended = controller.amend(1, &delta).unwrap();
-        assert!(!amended.repaired);
 
-        // The fallback path is still deterministic: a fresh controller
-        // handling the identical request sequence lands on the identical
-        // verdict and committed state.
+        // A fresh controller handling the identical request sequence
+        // lands on the identical verdict and committed state.
         let mut fresh = AdmissionController::new(config(8)).unwrap();
         fresh.admit(1, graph(5), Time::ZERO).unwrap();
         fresh.admit(2, graph(6), Time::ZERO).unwrap();
         let replayed = fresh.amend(1, &delta).unwrap();
         assert_eq!(amended, replayed);
         assert_eq!(controller.digest(), fresh.digest());
-    }
-
-    fn tighten(subtask: u32, wcet: i64) -> GraphDelta {
-        GraphDelta::new().push(DeltaOp::SetWcet {
-            subtask: SubtaskId::new(subtask),
-            wcet: Time::new(wcet),
-        })
-    }
-
-    /// The steps `amend` takes before its trial: applies `delta` to
-    /// resident `id`'s graph and re-slices it against the resident's own
-    /// memo. Returns the re-slice's delta stats; the resident keeps its
-    /// graph, and its memo now describes the amended one.
-    fn reslice_stats(
-        controller: &mut AdmissionController,
-        id: u64,
-        delta: &GraphDelta,
-    ) -> RedistributeStats {
-        let mut resident = controller.residents.remove(&id).unwrap();
-        let pins = controller
-            .config
-            .scenario
-            .pinning
-            .build(&resident.graph, &controller.platform)
-            .unwrap();
-        let amended = delta.apply(&resident.graph, &pins).unwrap().graph;
-        let output = controller
-            .pipeline
-            .reslice(&amended, &controller.platform, &mut resident.memo)
-            .unwrap();
-        controller.residents.insert(id, resident);
-        output.redistribute.expect("re-sliced through a memo")
-    }
-
-    /// Each resident re-slices against its own memo, whatever the cache
-    /// size. Residents A and B are amended once each, then A again: A's
-    /// second re-slice replays its own first amendment's trace (a fallback
-    /// would mean B's amendment had disturbed it). When A and B are one
-    /// template, B's admit is a cache hit, and equal content still gets
-    /// two private memos: A's second re-slice reads the same whether or
-    /// not B was amended.
-    #[test]
-    fn amendment_reslices_against_the_residents_own_memo() {
-        // Admits A and `b`, amends A once and (when `amend_b`) B once,
-        // and returns the stats of A's second re-slice.
-        let second_reslice_of_a = |cache: usize, b: &Arc<TaskGraph>, amend_b: bool| {
-            let mut controller =
-                AdmissionController::new(config(8).with_slice_cache(cache)).unwrap();
-            assert!(controller.admit(1, graph(5), Time::ZERO).unwrap().admitted);
-            assert!(
-                controller
-                    .admit(2, Arc::clone(b), Time::ZERO)
-                    .unwrap()
-                    .admitted
-            );
-            assert!(controller.amend(1, &tighten(2, 25)).unwrap().admitted);
-            if amend_b {
-                assert!(controller.amend(2, &tighten(4, 10)).unwrap().admitted);
-            }
-            reslice_stats(&mut controller, 1, &tighten(3, 20))
-        };
-        // Equal content in a separate allocation: a cache hit is by content.
-        let twin = Arc::new(TaskGraph::clone(&graph(5)));
-        for cache in [0, 1, 64] {
-            for b in [graph(6), Arc::clone(&twin)] {
-                let stats = second_reslice_of_a(cache, &b, true);
-                assert!(!stats.fell_back, "cache {cache}: {stats:?}");
-                assert!(stats.scanned_nodes > 0, "cache {cache}: {stats:?}");
-            }
-            assert_eq!(
-                second_reslice_of_a(cache, &twin, true),
-                second_reslice_of_a(cache, &twin, false),
-                "cache {cache}"
-            );
-        }
-    }
-
-    /// An admit records no delta memo; the resident's first amendment
-    /// primes it, so its second amendment re-slices incrementally.
-    #[test]
-    fn a_memo_less_resident_records_its_memo_on_its_first_amendment() {
-        let mut controller = AdmissionController::new(config(8)).unwrap();
-        assert!(controller.admit(1, graph(5), Time::ZERO).unwrap().admitted);
-        assert!(!controller.residents[&1].memo.is_primed());
-
-        assert!(controller.amend(1, &tighten(2, 25)).unwrap().admitted);
-        assert!(controller.residents[&1].memo.is_primed());
-
-        let stats = reslice_stats(&mut controller, 1, &tighten(3, 20));
-        assert!(!stats.fell_back, "{stats:?}");
-        assert!(stats.scanned_nodes > 0, "{stats:?}");
     }
 
     #[test]
@@ -2687,27 +2514,33 @@ mod tests {
     /// chain: the header every log written without references carries.
     const LEGACY_FINGERPRINT: u64 = 0x40DA_1A77_C982_0227;
 
+    /// [`wal_fingerprint`] of `config(8)` at format 2: the header of every
+    /// log whose amendment verdicts may read `repaired: true`.
+    const FORMAT_2_FINGERPRINT: u64 = 0xC5E9_2145_2C1F_B224;
+
     #[test]
     fn the_format_step_separates_new_logs_from_legacy_ones() {
-        assert_ne!(wal_fingerprint(&config(8)), LEGACY_FINGERPRINT);
+        for legacy_fingerprint in [LEGACY_FINGERPRINT, FORMAT_2_FINGERPRINT] {
+            assert_ne!(wal_fingerprint(&config(8)), legacy_fingerprint);
 
-        // A legacy log (one inline admit) is refused as a mismatch, not
-        // read record by record.
-        let wal = TempPath::new("legacy");
-        let mut durable = AdmissionController::new(config(8).durable(&wal.0)).unwrap();
-        durable.admit(1, graph(1), Time::ZERO).unwrap();
-        drop(durable);
-        let text = std::fs::read_to_string(&wal.0).unwrap();
-        let (_, records) = text.split_once('\n').unwrap();
-        let header = WalLine::Header {
-            fingerprint: LEGACY_FINGERPRINT,
-            label: "ADM/TEST".to_owned(),
-        };
-        let legacy = serde_json::to_string(&header).unwrap() + "\n" + records;
-        std::fs::write(&wal.0, legacy).unwrap();
-        match AdmissionController::recover(config(8), &wal.0) {
-            Err(AdmitError::Log(RunError::CheckpointMismatch { .. })) => {}
-            other => panic!("expected a format mismatch, got {other:?}"),
+            // A legacy log (one inline admit) is refused as a mismatch, not
+            // read record by record.
+            let wal = TempPath::new("legacy");
+            let mut durable = AdmissionController::new(config(8).durable(&wal.0)).unwrap();
+            durable.admit(1, graph(1), Time::ZERO).unwrap();
+            drop(durable);
+            let text = std::fs::read_to_string(&wal.0).unwrap();
+            let (_, records) = text.split_once('\n').unwrap();
+            let header = WalLine::Header {
+                fingerprint: legacy_fingerprint,
+                label: "ADM/TEST".to_owned(),
+            };
+            let legacy = serde_json::to_string(&header).unwrap() + "\n" + records;
+            std::fs::write(&wal.0, legacy).unwrap();
+            match AdmissionController::recover(config(8), &wal.0) {
+                Err(AdmitError::Log(RunError::CheckpointMismatch { .. })) => {}
+                other => panic!("expected a format mismatch, got {other:?}"),
+            }
         }
     }
 

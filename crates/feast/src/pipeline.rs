@@ -19,26 +19,23 @@
 //!
 //! # Entry points
 //!
-//! Stage one has one entry per caller:
+//! Stage one has two entries:
 //!
 //! * [`Pipeline::slice`] slices a fresh graph, first probing the
 //!   cross-request slice cache when one is attached. It is the public
-//!   path and the admission service's.
-//! * [`Pipeline::slice_or_share`] slices the next system size of a sweep
-//!   replication. A replication runs one graph at every size, and a size
-//!   whose [`SliceInputs`] equal those of the last size it sliced reuses
-//!   that slice product.
-//! * [`Pipeline::reslice`] re-slices an amended graph, which only the
-//!   admission controller does: each resident owns a [`SliceMemo`],
-//!   unprimed until its first amendment, and the re-slice runs
-//!   [`Slicer::redistribute`] against it. It is the only path that feeds
-//!   the `redistribute` stage and the `delta_*` counters.
+//!   path and the admission service's path for admits.
+//! * [`Pipeline::slice_or_share`] slices without the cache. A sweep
+//!   replication runs one graph at every system size, and a size whose
+//!   [`SliceInputs`] equal those of the last size it sliced reuses that
+//!   slice product. An amendment has no earlier size to share with, and
+//!   its amended graph essentially never repeats across requests, so the
+//!   admission controller slices it here from scratch.
 //!
 //! Stage two has one: [`Pipeline::trial`] schedules a slice product,
 //! audits the schedule and measures its lateness. It trials on an empty
-//! platform ([`Sliced::trial`] and every sweep cell), against a
-//! [`CommittedState`] at an origin (an admission decision), or as a
-//! repair of the previous trial's schedule (an amendment).
+//! platform ([`Sliced::trial`] and every sweep cell) or against a
+//! [`CommittedState`] at an origin (an admission decision: an admit or
+//! an amendment).
 //!
 //! The two stages are deliberately separable: [`Pipeline::slice`] depends
 //! only on the graph and the platform *shape* (never on committed load),
@@ -49,7 +46,6 @@
 //! [`Runner`]: crate::Runner
 //! [`AdmissionController`]: crate::AdmissionController
 //! [`Slicer::distribute`]: slicing::Slicer::distribute
-//! [`Slicer::redistribute`]: slicing::Slicer::redistribute
 //! [`ListScheduler::schedule_with`]: sched::ListScheduler::schedule_with
 
 use std::sync::{Arc, Mutex};
@@ -61,12 +57,12 @@ use sched::{
 };
 use slicing::{
     distribute_baseline, prefilter, BaselineStrategy, DeadlineAssignment, PrefilterReject,
-    RedistributeStats, SliceCache, SliceInputs, SliceMemo, Slicer,
+    SliceCache, SliceInputs, Slicer,
 };
 use taskgraph::{TaskGraph, Time};
 
 use crate::scenario::{PinningPolicy, Scenario, SchedulerSpec, Technique};
-use crate::telemetry::{self, Stage};
+use crate::telemetry;
 use crate::RunError;
 
 /// A cross-request slice cache shared between pipelines (the admission
@@ -240,7 +236,6 @@ impl Pipeline {
                     window_violations: entry.window_violations,
                     distribute: started.elapsed(),
                     window_audit: Duration::ZERO,
-                    redistribute: None,
                 };
                 return Ok(Sliced {
                     pipeline: self,
@@ -257,7 +252,7 @@ impl Pipeline {
             (Distributor::Slicing(slicer), None) => slicer.distribute(graph, platform)?,
             (Distributor::Baseline(strategy), _) => distribute_baseline(graph, *strategy),
         };
-        let output = self.audited(graph, assignment, started.elapsed(), None);
+        let output = self.audited(graph, assignment, started.elapsed());
         if let (Some(key), Some(cache)) = (key, &self.cache) {
             if let Ok(mut c) = cache.lock() {
                 if c.insert(key, Arc::new(output.clone())) {
@@ -272,17 +267,17 @@ impl Pipeline {
         })
     }
 
-    /// Stage one for the next system size of a sweep replication, which
-    /// runs one `graph` at every size. `last` holds the product of the
-    /// last size this replication sliced. When this size's slicing inputs
+    /// Stage one without the cross-request cache. `last` holds the
+    /// product of the last size a sweep replication sliced (a replication
+    /// runs one `graph` at every size). When this size's slicing inputs
     /// ([`Slicer::inputs`]) equal the ones `last` was sliced from, the
     /// assignment would be bit-identical, so `last`'s product is reused:
     /// no distribution and no window audit run, and both read zero time.
     /// Otherwise the graph is sliced from these inputs and `last` becomes
     /// the new product; a failed slice leaves `last` empty. Baselines
     /// read no platform, so every size after the first shares. Returns
-    /// the product and whether it was shared. The cross-request cache is
-    /// never consulted.
+    /// the product and whether it was shared. An amended graph is sliced
+    /// here with an empty `last`.
     ///
     /// [`Slicer::inputs`]: slicing::Slicer::inputs
     ///
@@ -315,44 +310,12 @@ impl Pipeline {
             }
             Distributor::Baseline(strategy) => distribute_baseline(graph, *strategy),
         };
-        let output = self.audited(graph, assignment, started.elapsed(), None);
+        let output = self.audited(graph, assignment, started.elapsed());
         *last = Some(LastSlice {
             inputs,
             output: output.clone(),
         });
         Ok((output, false))
-    }
-
-    /// Stage one for an amended graph: runs [`Slicer::redistribute`]
-    /// against the caller's delta `memo`, which an earlier re-slice left
-    /// describing a previous version of the graph (its unaffected
-    /// per-start searches are reused) or which is still unprimed (the run
-    /// falls back to a full traced run and primes it). Either way the
-    /// memo describes `graph` afterwards. Output is bit-identical to
-    /// [`slice`](Pipeline::slice)'s; baselines record nothing. The
-    /// cross-request cache is never consulted: an amended graph is a
-    /// per-resident mutation that essentially never repeats across
-    /// requests.
-    ///
-    /// [`Slicer::redistribute`]: slicing::Slicer::redistribute
-    pub(crate) fn reslice(
-        &mut self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        memo: &mut SliceMemo,
-    ) -> Result<SliceOutput, RunError> {
-        let started = Instant::now();
-        let (assignment, redistribute) = match &self.distributor {
-            Distributor::Slicing(slicer) => {
-                let r = slicer.redistribute(graph, platform, memo)?;
-                let registry = telemetry::global();
-                registry.record_stage(Stage::Redistribute, started.elapsed());
-                registry.count_redistribute(&r.stats);
-                (r.assignment, Some(r.stats))
-            }
-            Distributor::Baseline(strategy) => (distribute_baseline(graph, *strategy), None),
-        };
-        Ok(self.audited(graph, assignment, started.elapsed(), redistribute))
     }
 
     /// Stage one's tail: the always-on window audit over a fresh
@@ -362,7 +325,6 @@ impl Pipeline {
         graph: &TaskGraph,
         assignment: DeadlineAssignment,
         distribute: Duration,
-        redistribute: Option<RedistributeStats>,
     ) -> SliceOutput {
         // Baselines produce deliberately overlapping windows, so
         // structural window validation only applies to slicing.
@@ -376,23 +338,16 @@ impl Pipeline {
             window_violations,
             distribute,
             window_audit: audit_started.elapsed(),
-            redistribute,
         }
     }
 
     /// Stage two, the one trial path: schedules the slice product `output`
     /// of `graph`, audits the schedule and measures its lateness. Without
     /// `against`, the trial runs on an empty platform ([`Sliced::trial`],
-    /// every sweep cell). With `(base, origin, prev)`, it re-anchors the
+    /// every sweep cell). With `(base, origin)`, it re-anchors the
     /// product at `origin` (every window shifted uniformly) and schedules
     /// it around `base`'s reservations; `base` is untouched, since an
-    /// admission service commits the verdict's schedule only on admit. A
-    /// `prev` makes the trial a repair: it replays the retained dispatch
-    /// log of `prev`, the schedule of this pipeline's immediately
-    /// preceding trial against the same base content, and recomputes only
-    /// the dispatches an amendment disturbed. A repair whose retained
-    /// state is unusable runs in full instead, with bit-identical output;
-    /// [`Verdict::repair_fell_back`] reports which path ran.
+    /// admission service commits the verdict's schedule only on admit.
     ///
     /// # Errors
     ///
@@ -404,42 +359,25 @@ impl Pipeline {
         graph: &TaskGraph,
         platform: &Platform,
         output: SliceOutput,
-        against: Option<(&CommittedState, Time, Option<&Schedule>)>,
+        against: Option<(&CommittedState, Time)>,
     ) -> Result<Verdict, RunError> {
         let SliceOutput {
             assignment,
             window_violations,
             distribute,
             window_audit,
-            redistribute,
         } = output;
         let pinning = self.pinning.build(graph, platform)?;
         let (assignment, origin) = match against {
-            Some((_, origin, _)) => (assignment.shifted(origin), origin),
+            Some((_, origin)) => (assignment.shifted(origin), origin),
             None => (assignment, Time::ZERO),
         };
         let (scheduler, ws) = (&self.scheduler, &mut self.ws);
         let schedule_started = Instant::now();
-        let (schedule, repair_fell_back) = match against {
-            None => (
-                scheduler.schedule_with(graph, platform, &assignment, &pinning, ws)?,
-                None,
-            ),
-            Some((base, _, None)) => (
-                scheduler.schedule_against(graph, platform, &assignment, &pinning, base, ws)?,
-                None,
-            ),
-            Some((base, _, Some(prev))) => {
-                let outcome = scheduler.repair_against(
-                    graph,
-                    platform,
-                    &assignment,
-                    &pinning,
-                    prev,
-                    base,
-                    ws,
-                )?;
-                (outcome.schedule, Some(outcome.fell_back))
+        let schedule = match against {
+            None => scheduler.schedule_with(graph, platform, &assignment, &pinning, ws)?,
+            Some((base, _)) => {
+                scheduler.schedule_against(graph, platform, &assignment, &pinning, base, ws)?
             }
         };
         let schedule_time = schedule_started.elapsed();
@@ -466,8 +404,6 @@ impl Pipeline {
             distribute,
             schedule_time,
             audit,
-            redistribute,
-            repair_fell_back,
             assignment,
             schedule,
         })
@@ -535,9 +471,6 @@ pub struct SliceOutput {
     /// Wall-clock of the window audit (accounted to the audit stage);
     /// zero for a shared product, whose audit result is reused.
     pub window_audit: Duration,
-    /// Delta-memo effectiveness counters when an amended graph was
-    /// re-sliced through its resident's memo; `None` for a fresh slice.
-    pub redistribute: Option<RedistributeStats>,
 }
 
 /// The measured outcome of one trial: everything the sweep engine records
@@ -569,12 +502,6 @@ pub struct Verdict {
     pub schedule_time: Duration,
     /// Wall-clock of both audits combined.
     pub audit: Duration,
-    /// Delta-memo effectiveness, when stage one re-sliced an amended graph.
-    pub redistribute: Option<RedistributeStats>,
-    /// For a repair trial (an amendment re-trialled against its previous
-    /// schedule): whether the repair abandoned the retained dispatch log
-    /// and re-ran in full. `None` for ordinary trials.
-    pub repair_fell_back: Option<bool>,
     /// The assignment the trial measured (shifted to the trial's origin).
     pub assignment: DeadlineAssignment,
     /// The trial schedule. On admit, committing exactly this schedule
@@ -621,7 +548,7 @@ mod tests {
     ) -> Verdict {
         let output = pipeline.slice(graph, platform).unwrap().into_output();
         pipeline
-            .trial(graph, platform, output, Some((state, origin, None)))
+            .trial(graph, platform, output, Some((state, origin)))
             .unwrap()
     }
 
@@ -654,8 +581,6 @@ mod tests {
         assert_eq!(verdict.end_to_end, report.end_to_end_lateness());
         assert_eq!(verdict.makespan, report.makespan());
         assert_eq!(verdict.admit, report.is_feasible());
-        assert!(verdict.repair_fell_back.is_none());
-        assert!(verdict.redistribute.is_none());
     }
 
     #[test]
@@ -672,21 +597,10 @@ mod tests {
             .trial(&platform)
             .unwrap();
         let against = trial_against(&mut pipeline, &graph, &platform, &state, Time::ZERO);
-        // The repair form: the same base and inputs, with `prev` the
-        // schedule of the trial just run, replays every dispatch.
-        let output = pipeline.slice(&graph, &platform).unwrap().into_output();
-        let prev = Some(&against.schedule);
-        let repaired = pipeline
-            .trial(&graph, &platform, output, Some((&state, Time::ZERO, prev)))
-            .unwrap();
-        assert_eq!(repaired.repair_fell_back, Some(false));
-
-        for verdict in [&against, &repaired] {
-            assert_eq!(verdict.schedule, plain.schedule);
-            assert_eq!(verdict.max_lateness, plain.max_lateness);
-            assert_eq!(verdict.end_to_end, plain.end_to_end);
-            assert_eq!(verdict.admit, plain.admit);
-        }
+        assert_eq!(against.schedule, plain.schedule);
+        assert_eq!(against.max_lateness, plain.max_lateness);
+        assert_eq!(against.end_to_end, plain.end_to_end);
+        assert_eq!(against.admit, plain.admit);
     }
 
     #[test]
@@ -752,31 +666,23 @@ mod tests {
     }
 
     #[test]
-    fn delta_memo_reslice_is_bit_identical() {
+    fn uncached_slice_is_bit_identical_and_leaves_the_cache_alone() {
         let scenario = paper_scenario();
         let graph = workload(9);
         let platform = Platform::paper(4).unwrap();
         let cache: SharedSliceCache = Arc::new(Mutex::new(SliceCache::new(8)));
         let mut pipeline = Pipeline::new(&scenario).with_slice_cache(Arc::clone(&cache));
 
-        // A fresh slice records no delta stats; an unprimed memo re-slices
-        // bit-identically, falls back, and is primed by the run.
+        // An amendment's slice: no earlier size to share with, no cache.
         let a = pipeline.slice(&graph, &platform).unwrap().into_output();
-        assert!(a.redistribute.is_none());
-        let mut memo = SliceMemo::new();
-        let b = pipeline.reslice(&graph, &platform, &mut memo).unwrap();
+        let (b, shared) = pipeline
+            .slice_or_share(&graph, &platform, &mut None)
+            .unwrap();
+        assert!(!shared);
         assert_eq!(b.assignment, a.assignment);
-        assert!(b.redistribute.unwrap().fell_back);
-        assert!(memo.is_primed());
+        assert_eq!(b.window_violations, a.window_violations);
 
-        // Second pass over the same graph against the primed memo: it
-        // now hits.
-        let c = pipeline.reslice(&graph, &platform, &mut memo).unwrap();
-        assert_eq!(c.assignment, a.assignment);
-        assert!(!c.redistribute.unwrap().fell_back);
-
-        // Re-slices never touch the cross-request cache: it holds only
-        // the fresh slice's entry.
+        // The cache holds only the cached slice's entry.
         assert_eq!(cache.lock().unwrap().len(), 1);
     }
 }

@@ -370,28 +370,6 @@ metrics! {
         /// distribution ran, so they add no `distribute` sample.
         #[serde(default)]
         slices_shared,
-        /// Per-start path searches answered from the delta cache during
-        /// redistribution.
-        #[serde(default)]
-        delta_cache_hits,
-        /// Per-start path searches during redistribution not answered from
-        /// the delta cache: run live, or carried from the previous
-        /// iteration of the same run.
-        #[serde(default)]
-        delta_cache_misses,
-        /// Dirty (node, iteration) pairs seen by redistributions.
-        #[serde(default)]
-        delta_dirty_nodes,
-        /// Scanned (node, iteration) pairs (the dirty-fraction
-        /// denominator).
-        #[serde(default)]
-        delta_scanned_nodes,
-        /// Amendment re-slices that fell back to a full traced run: every
-        /// resident's first amendment (its memo starts unprimed) plus
-        /// every later amendment its memo could not replay. No admit
-        /// lands here.
-        #[serde(default)]
-        delta_fallbacks,
         /// Admission requests answered with an admit verdict.
         #[serde(default)]
         admissions_admitted,
@@ -413,10 +391,6 @@ metrics! {
         /// slicing work.
         #[serde(default)]
         admissions_prefiltered,
-        /// Structural amendments that fell back to a full rebuild and
-        /// re-trial instead of the schedule-repair fast path.
-        #[serde(default)]
-        admissions_structural_fallbacks,
         /// Slicing runs answered from the cross-request slice cache.
         #[serde(default)]
         slice_cache_hits,
@@ -453,14 +427,6 @@ metrics! {
         Generate => generate,
         /// Deadline distribution (slicing or a baseline).
         Distribute => distribute,
-        /// Re-slicing an amended resident through its delta memo
-        /// ([`Slicer::redistribute`](slicing::Slicer::redistribute)):
-        /// incremental replays and fallbacks to a full traced run alike.
-        /// A resident's first amendment primes its memo, so it lands here
-        /// as a fallback; `delta_fallbacks` tells the two apart. Only
-        /// amendments land here: an admit's slice is a `distribute`.
-        #[serde(default)]
-        Redistribute => redistribute,
         /// List scheduling.
         Schedule => schedule,
         /// The always-on audit (assignment checker plus schedule
@@ -494,18 +460,6 @@ impl Registry {
     pub fn count_audit(&self, window: usize, schedule: usize) {
         self.window_violations.add(window as u64);
         self.schedule_violations.add(schedule as u64);
-    }
-
-    /// Accumulates one incremental redistribution's cache-effectiveness
-    /// counters ([`slicing::RedistributeStats`]).
-    pub fn count_redistribute(&self, stats: &slicing::RedistributeStats) {
-        self.delta_cache_hits.add(stats.cache_hits);
-        self.delta_cache_misses.add(stats.cache_misses);
-        self.delta_dirty_nodes.add(stats.dirty_nodes);
-        self.delta_scanned_nodes.add(stats.scanned_nodes);
-        if stats.fell_back {
-            self.delta_fallbacks.inc();
-        }
     }
 
     /// Records one admission decision and the service time spent deciding
@@ -1004,16 +958,8 @@ mod tests {
         r.replications_failed.inc();
         r.checkpoint_retries.inc();
         r.checkpoint_retries.inc();
-        r.count_redistribute(&slicing::RedistributeStats {
-            cache_hits: 10,
-            cache_misses: 2,
-            dirty_nodes: 3,
-            scanned_nodes: 24,
-            fell_back: false,
-        });
         r.record_stage(Stage::Generate, Duration::from_micros(10));
         r.record_stage(Stage::Distribute, Duration::from_micros(20));
-        r.record_stage(Stage::Redistribute, Duration::from_micros(15));
         r.record_stage(Stage::Schedule, Duration::from_micros(30));
         r.record_stage(Stage::Audit, Duration::from_micros(5));
         r.record_admission(true, Duration::from_micros(40));
@@ -1033,11 +979,6 @@ mod tests {
         assert_eq!(r.schedule_violations.get(), 1);
         assert_eq!(r.replications_failed.get(), 1);
         assert_eq!(r.checkpoint_retries.get(), 2);
-        assert_eq!(r.delta_cache_hits.get(), 10);
-        assert_eq!(r.delta_cache_misses.get(), 2);
-        assert_eq!(r.delta_dirty_nodes.get(), 3);
-        assert_eq!(r.delta_scanned_nodes.get(), 24);
-        assert_eq!(r.delta_fallbacks.get(), 0);
         assert_eq!(r.admissions_admitted.get(), 2);
         assert_eq!(r.admissions_rejected.get(), 1);
         assert_eq!(r.admissions_prefiltered.get(), 1);
@@ -1052,8 +993,6 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.graphs_generated, 2);
         assert_eq!(snap.distribute.total_us, 20);
-        assert_eq!(snap.redistribute.total_us, 15);
-        assert_eq!(snap.delta_cache_hits, 10);
         assert_eq!(snap.admissions_admitted, 2);
         assert_eq!(snap.admissions_prefiltered, 1);
         assert_eq!(snap.slice_cache_hits, 2);
@@ -1068,14 +1007,10 @@ mod tests {
         assert_eq!(r.window_violations.get(), 0);
         assert_eq!(r.replications_failed.get(), 0);
         assert_eq!(r.checkpoint_retries.get(), 0);
-        assert_eq!(r.delta_cache_hits.get(), 0);
-        assert_eq!(r.delta_scanned_nodes.get(), 0);
-        assert_eq!(r.delta_dirty_nodes.get(), 0);
         assert_eq!(r.admissions_admitted.get(), 0);
         assert_eq!(r.admissions_rejected.get(), 0);
         assert_eq!(r.admission.count(), 0);
         assert_eq!(r.stage(Stage::Schedule).count(), 0);
-        assert_eq!(r.stage(Stage::Redistribute).count(), 0);
         assert_eq!(r.snapshot().schedule.buckets, vec![]);
     }
 

@@ -10,23 +10,11 @@
 //!   respect to the state (a rejected request leaves no trace);
 //! * [`CommittedState::commit`] splices an admitted schedule's reservations
 //!   into the state and returns a [`CommitReceipt`];
-//! * [`CommittedState::rollback`] undoes exactly that commit (amending the
-//!   most recent admission), restoring the state bit-for-bit;
 //! * [`CommittedState::release`] retires a resident schedule whose
-//!   reservations are no longer needed (departure).
-//!
-//! The state carries an opaque *token* that changes on every mutation and
-//! is restored by a rollback. [`ListScheduler::repair_against`] uses the
-//! token recorded at trial time to decide whether a workspace's retained
-//! dispatch log is still grounded in the present committed load: token
-//! equality implies interval-set equality, because fresh tokens are never
-//! reused and `rollback` — the only operation that restores one — provably
-//! restores the intervals it stamps.
+//!   reservations are no longer needed (departure, or an amendment
+//!   withdrawing its resident's reservation before the re-trial).
 //!
 //! [`ListScheduler::schedule_against`]: crate::ListScheduler::schedule_against
-//! [`ListScheduler::repair_against`]: crate::ListScheduler::repair_against
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use taskgraph::Time;
 
@@ -34,25 +22,9 @@ use crate::bus::BusModel;
 use crate::timeline::Timeline;
 use crate::{SchedError, Schedule};
 
-/// Process-global source of [`CommittedState`] identities, so stamps from
-/// different states can never compare equal.
-static NEXT_STATE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Identity of a committed-load snapshot: which state, at which token.
-///
-/// Recorded into the workspace provenance by the fresh dispatch run
-/// ([`ListScheduler::fresh`](crate::ListScheduler::fresh)) of a
-/// [`ListScheduler::schedule_against`](crate::ListScheduler::schedule_against)
-/// and compared by the retained-log replay
-/// ([`ListScheduler::replay`](crate::ListScheduler::replay)) of a
-/// [`ListScheduler::repair_against`](crate::ListScheduler::repair_against).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BaseStamp {
-    pub(crate) state: u64,
-    pub(crate) token: u64,
-}
-
 /// Proof of one [`CommittedState::commit`], required to roll it back.
+/// Kept only so perfbench's frozen mirror compiles; goes with `mirror.rs`
+/// (ROADMAP item 5(d)).
 ///
 /// A receipt is only honoured while its commit is the *latest* mutation of
 /// the state; interleaving another commit or release invalidates it (the
@@ -99,7 +71,6 @@ pub struct CommittedState {
     pub(crate) procs: Vec<Timeline>,
     pub(crate) bus: Timeline,
     bus_model: BusModel,
-    id: u64,
     /// Monotonic mutation counter; fresh token values come from here.
     next_token: u64,
     /// Current content token: changes on every mutation, restored only by
@@ -121,7 +92,6 @@ impl CommittedState {
             procs: (0..processors).map(|_| Timeline::new()).collect(),
             bus: Timeline::new(),
             bus_model: bus,
-            id: NEXT_STATE_ID.fetch_add(1, Ordering::Relaxed),
             next_token: 0,
             token: 0,
             residents: 0,
@@ -185,13 +155,6 @@ impl CommittedState {
         h
     }
 
-    pub(crate) fn stamp(&self) -> BaseStamp {
-        BaseStamp {
-            state: self.id,
-            token: self.token,
-        }
-    }
-
     /// Stamps a fresh, never-reused token after a mutation.
     fn touch(&mut self) {
         self.next_token += 1;
@@ -231,15 +194,13 @@ impl CommittedState {
 
     /// Rolls back the commit named by `receipt`, restoring the state —
     /// content *and* token — to the instant before it. Only the latest
-    /// commit can be rolled back; this is the amend path of an admission
-    /// service (retract the most recent admission, re-trial a changed
-    /// version of it, commit again or restore the original).
+    /// commit can be rolled back. Kept only so perfbench's frozen mirror
+    /// compiles; goes with `mirror.rs` (ROADMAP item 5(d)).
     ///
     /// # Errors
     ///
     /// Returns [`SchedError::RollbackMismatch`] if the state was mutated
-    /// since that commit; the reservations are left untouched. Callers then
-    /// fall back to [`CommittedState::release`] plus a full re-trial.
+    /// since that commit; the reservations are left untouched.
     pub fn rollback(
         &mut self,
         schedule: &Schedule,
@@ -251,17 +212,14 @@ impl CommittedState {
         self.check_shape(schedule)?;
         self.remove(schedule);
         // The commit being undone was the latest mutation, so releasing its
-        // reservations restores exactly the content `receipt.before` named;
-        // restoring the token re-validates retained workspace state built
-        // against it.
+        // reservations restores exactly the content `receipt.before` named.
         self.token = receipt.before;
         Ok(())
     }
 
-    /// Releases a resident schedule's reservations (departure). Unlike
-    /// [`CommittedState::rollback`] this stamps a *fresh* token: the
-    /// resulting content is new, so retained workspace state grounded in
-    /// any earlier token must re-trial from scratch.
+    /// Releases a resident schedule's reservations (departure, or an
+    /// amendment's withdrawal). Unlike [`CommittedState::rollback`] this
+    /// stamps a *fresh* token, so no earlier receipt rolls back after it.
     ///
     /// # Errors
     ///
@@ -349,23 +307,23 @@ mod tests {
         let mut ws = SchedWorkspace::new();
 
         let before_digest = state.digest();
-        let before_stamp = state.stamp();
+        let before_token = state.token;
         let schedule = scheduler
             .schedule_against(&g, &p, &a, &Pinning::new(), &state, &mut ws)
             .unwrap();
         // Trialling leaves no trace.
         assert_eq!(state.digest(), before_digest);
-        assert_eq!(state.stamp(), before_stamp);
+        assert_eq!(state.token, before_token);
 
         let receipt = state.commit(&schedule).unwrap();
         assert_eq!(state.residents(), 1);
         assert!(!state.is_empty());
-        assert_ne!(state.stamp(), before_stamp);
+        assert_ne!(state.token, before_token);
 
         state.rollback(&schedule, &receipt).unwrap();
         assert_eq!(state.residents(), 0);
         assert_eq!(state.digest(), before_digest);
-        assert_eq!(state.stamp(), before_stamp);
+        assert_eq!(state.token, before_token);
         assert!(state.is_empty());
     }
 
@@ -406,7 +364,7 @@ mod tests {
         let mut ws = SchedWorkspace::new();
 
         let empty_digest = state.digest();
-        let empty_stamp = state.stamp();
+        let empty_token = state.token;
         let s = scheduler
             .schedule_against(&g, &p, &a, &Pinning::new(), &state, &mut ws)
             .unwrap();
@@ -414,9 +372,9 @@ mod tests {
         state.release(&s).unwrap();
         assert_eq!(state.digest(), empty_digest);
         assert_eq!(state.residents(), 0);
-        // Same content, different token: retained trial state must not be
-        // trusted after an arbitrary release.
-        assert_ne!(state.stamp(), empty_stamp);
+        // Same content, different token: no receipt from before the
+        // release rolls back after it.
+        assert_ne!(state.token, empty_token);
     }
 
     #[test]
@@ -433,12 +391,5 @@ mod tests {
             state.release(&s),
             Err(SchedError::BaseMismatch(_))
         ));
-    }
-
-    #[test]
-    fn stamps_from_different_states_never_compare_equal() {
-        let a = CommittedState::new(1, BusModel::Delay);
-        let b = CommittedState::new(1, BusModel::Delay);
-        assert_ne!(a.stamp(), b.stamp());
     }
 }

@@ -42,7 +42,7 @@ use taskgraph::{SubtaskId, TaskGraph, Time};
 use crate::bus::BusModel;
 use crate::committed::CommittedState;
 use crate::timeline::Timeline;
-use crate::workspace::{DispatchRecord, Provenance, SchedWorkspace};
+use crate::workspace::SchedWorkspace;
 use crate::{MessageSlot, SchedError, Schedule, ScheduleEntry};
 
 #[cfg(test)]
@@ -70,19 +70,14 @@ impl PlacementPolicy {
     }
 }
 
-/// The result of [`ListScheduler::repair`]: the repaired schedule plus
-/// counters describing how much of the previous run was reused.
+/// The result of [`ListScheduler::repair_against`]. Kept only so
+/// perfbench's frozen mirror compiles; goes with `mirror.rs` (ROADMAP item
+/// 5(d)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairOutcome {
-    /// The new schedule — bit-identical to a from-scratch
-    /// [`ListScheduler::schedule_with`] over the same inputs.
+    /// The schedule [`ListScheduler::schedule_against`] produces.
     pub schedule: Schedule,
-    /// Dispatches kept verbatim from the previous run.
-    pub reused: usize,
-    /// Dispatches recomputed (zero only when the change had no effect).
-    pub evicted: usize,
-    /// Whether the retained workspace state was unusable and a full
-    /// reschedule ran instead.
+    /// Always `true`: every call schedules in full.
     pub fell_back: bool,
 }
 
@@ -246,55 +241,10 @@ impl ListScheduler {
         self.fresh(graph, platform, assignment, pinning, Some(base), ws)
     }
 
-    /// Repairs the schedule of the *previous* run through `ws` for a
-    /// changed assignment (and possibly changed WCETs, anchors, or pins),
-    /// recomputing only the dispatches downstream of the first change.
-    ///
-    /// `prev` must be the schedule that run produced. The repair replays
-    /// the EDF dispatch order under the new inputs against the recorded
-    /// dispatch log; the longest prefix whose dispatches are untouched is
-    /// kept verbatim, everything after it is evicted — committed processor
-    /// (and, under contention, bus) reservations are rolled back via
-    /// interval release — and re-dispatched by the ordinary dispatch loop.
-    /// The result is **bit-identical** to a from-scratch
-    /// [`schedule_with`](ListScheduler::schedule_with) over the same
-    /// inputs.
-    ///
-    /// When the retained state is unusable — the workspace ran a different
-    /// graph structure, platform, or scheduler configuration, or `prev` is
-    /// not that run's schedule — the call silently degrades to a full
-    /// reschedule and reports it via [`RepairOutcome::fell_back`]. Changing
-    /// the *graph structure* (subtask or edge insertion/removal) therefore
-    /// always falls back; WCET, anchor, deadline, and pin changes repair
-    /// incrementally.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`schedule_with`](ListScheduler::schedule_with).
-    pub fn repair(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        assignment: &DeadlineAssignment,
-        pinning: &Pinning,
-        prev: &Schedule,
-        ws: &mut SchedWorkspace,
-    ) -> Result<RepairOutcome, SchedError> {
-        self.replay(graph, platform, assignment, pinning, prev, None, ws)
-    }
-
-    /// [`ListScheduler::repair`] for a run that was trial-scheduled against
-    /// committed load via [`ListScheduler::schedule_against`]: bit-identical
-    /// to a fresh `schedule_against` over the same inputs and `base`.
-    ///
-    /// The retained workspace state is only trusted when `base` is the
-    /// *same* [`CommittedState`] **at the same token** the previous run was
-    /// seeded from — a rolled-back amend restores that token, any other
-    /// mutation (commit, release) invalidates it and the call silently
-    /// degrades to a full `schedule_against`, reported via
-    /// [`RepairOutcome::fell_back`]. This is the admission service's amend
-    /// hot path: retract the latest admission, repair its schedule for the
-    /// changed graph, re-commit.
+    /// [`schedule_against`](ListScheduler::schedule_against) under the
+    /// name of the schedule repair it replaced; `prev` is not read.
+    /// Kept only so perfbench's frozen mirror compiles; goes with
+    /// `mirror.rs` (ROADMAP item 5(d)).
     ///
     /// # Errors
     ///
@@ -306,11 +256,14 @@ impl ListScheduler {
         platform: &Platform,
         assignment: &DeadlineAssignment,
         pinning: &Pinning,
-        prev: &Schedule,
+        _prev: &Schedule,
         base: &CommittedState,
         ws: &mut SchedWorkspace,
     ) -> Result<RepairOutcome, SchedError> {
-        self.replay(graph, platform, assignment, pinning, prev, Some(base), ws)
+        Ok(RepairOutcome {
+            schedule: self.schedule_against(graph, platform, assignment, pinning, base, ws)?,
+            fell_back: true,
+        })
     }
 
     /// Rejects inputs no dispatch run may start from: an assignment that
@@ -349,11 +302,9 @@ impl ListScheduler {
         Ok(())
     }
 
-    /// The fresh dispatch run behind every scheduling entry, and behind a
-    /// repair that cannot trust its retained state: resets `ws`, seeds its
-    /// timelines from `base` when one is given (an empty platform
-    /// otherwise), dispatches the whole graph and records the run's
-    /// provenance for a later [`replay`](Self::replay).
+    /// The dispatch run behind every scheduling entry: resets `ws`, seeds
+    /// its timelines from `base` when one is given (an empty platform
+    /// otherwise) and dispatches the whole graph.
     fn fresh(
         &self,
         graph: &TaskGraph,
@@ -388,209 +339,15 @@ impl ListScheduler {
                 ws.bus.clone_from(&base.bus);
             }
         }
-        Self::seed_ready(graph, assignment, ws);
-
-        let schedule = self.run_dispatch(graph, platform, assignment, pinning, ws)?;
-        ws.provenance = Some(Provenance {
-            scheduler: *self,
-            platform: platform.clone(),
-            subtasks: graph.subtask_count(),
-            edges: graph
-                .edge_ids()
-                .map(|eid| {
-                    let e = graph.edge(eid);
-                    (e.src().index() as u32, e.dst().index() as u32, e.items())
-                })
-                .collect(),
-            base: base.map(CommittedState::stamp),
-        });
-        Ok(schedule)
-    }
-
-    /// Seeds the dependency counters and the EDF-ready heap for a fresh
-    /// dispatch run over `graph`.
-    fn seed_ready(graph: &TaskGraph, assignment: &DeadlineAssignment, ws: &mut SchedWorkspace) {
-        ws.missing_preds.clear();
         ws.missing_preds
             .extend(graph.subtask_ids().map(|id| graph.in_edges(id).len()));
-        ws.ready.clear();
         for id in graph.subtask_ids() {
             if ws.missing_preds[id.index()] == 0 {
                 ws.ready
                     .push(Reverse((assignment.absolute_deadline(id), id)));
             }
         }
-    }
-
-    /// The retained-log replay behind [`repair`](Self::repair) and
-    /// [`repair_against`](Self::repair_against): keeps the longest
-    /// untouched prefix of the previous run through `ws` and re-dispatches
-    /// the rest, or runs [`fresh`](Self::fresh) when the retained state
-    /// does not describe that run.
-    #[allow(clippy::too_many_arguments)]
-    fn replay(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        assignment: &DeadlineAssignment,
-        pinning: &Pinning,
-        prev: &Schedule,
-        base: Option<&CommittedState>,
-        ws: &mut SchedWorkspace,
-    ) -> Result<RepairOutcome, SchedError> {
-        let n = graph.subtask_count();
-        let usable = ws.provenance.as_ref().is_some_and(|prov| {
-            prov.scheduler == *self
-                && prov.platform == *platform
-                && prov.subtasks == n
-                && prov.base == base.map(CommittedState::stamp)
-                && prov.edges.len() == graph.edge_count()
-                && graph
-                    .edge_ids()
-                    .zip(&prov.edges)
-                    .all(|(eid, &(s, d, items))| {
-                        let e = graph.edge(eid);
-                        e.src().index() as u32 == s
-                            && e.dst().index() as u32 == d
-                            && e.items() == items
-                    })
-        }) && ws.log.len() == n
-            && prev.entries().len() == n
-            && prev.messages().len() == graph.edge_count()
-            && prev
-                .entries()
-                .iter()
-                .enumerate()
-                .all(|(i, e)| ws.placed.get(i).copied().flatten().as_ref() == Some(e));
-        if !usable {
-            return Ok(RepairOutcome {
-                schedule: self.fresh(graph, platform, assignment, pinning, base, ws)?,
-                reused: 0,
-                evicted: n,
-                fell_back: true,
-            });
-        }
-        self.check(graph, platform, assignment, pinning, base)?;
-
-        let _span = tracing::debug_span!(
-            "repair",
-            subtasks = n,
-            processors = platform.processor_count(),
-            bus = ?self.bus
-        )
-        .entered();
-
-        // Replay the EDF order under the new inputs against the dispatch
-        // log. A dispatch is kept while it pops the same subtask with the
-        // same placement-relevant inputs; by induction the committed state
-        // it saw is then identical too, so its entry is bit-identical.
-        // (With a base, the usable check above pinned the base content via
-        // its token, so the seeded-from load is identical as well.)
-        Self::seed_ready(graph, assignment, ws);
-        ws.trial_slots.clear();
-        ws.best_slots.clear();
-
-        let mut divergence = None;
-        let mut idx = 0usize;
-        while let Some(Reverse((deadline, id))) = ws.ready.pop() {
-            let mut clean = false;
-            if idx < ws.log.len() {
-                let rec = ws.log[idx];
-                if rec.subtask == id
-                    && rec.wcet == graph.subtask(id).wcet()
-                    && rec.pinned == pinning.processor_for(id)
-                {
-                    let new_lb = self.static_lower_bound(graph, assignment, id);
-                    // A changed static bound is placement-neutral when data
-                    // readiness dominates it everywhere: on every candidate
-                    // processor `data_ready` is at least the latest
-                    // predecessor finish, so a bound at or below that
-                    // finish never moves `max(data_ready, static_lb)`.
-                    // (The kept prefix's placements equal a fresh run's by
-                    // induction, so the recorded finishes are exact.)
-                    let lb_neutral = rec.static_lb == new_lb || {
-                        let mut latest: Option<Time> = None;
-                        for &eid in graph.in_edges(id) {
-                            let f = ws.placed[graph.edge(eid).src().index()]
-                                .as_ref()
-                                .expect("prefix predecessors are placed")
-                                .finish;
-                            latest = Some(latest.map_or(f, |l| l.max(f)));
-                        }
-                        latest.is_some_and(|l| rec.static_lb <= l && new_lb <= l)
-                    };
-                    if lb_neutral {
-                        // Future repairs diff against this run's inputs.
-                        ws.log[idx].static_lb = new_lb;
-                        clean = true;
-                    }
-                }
-            }
-            if !clean {
-                ws.ready.push(Reverse((deadline, id)));
-                divergence = Some(idx);
-                break;
-            }
-            idx += 1;
-            for succ in graph.successors(id) {
-                let slot = &mut ws.missing_preds[succ.index()];
-                *slot -= 1;
-                if *slot == 0 {
-                    ws.ready
-                        .push(Reverse((assignment.absolute_deadline(succ), succ)));
-                }
-            }
-        }
-        let p = divergence.unwrap_or(idx);
-
-        if p == n {
-            // Every dispatch replays identically: the previous schedule is
-            // already the answer and the retained state is already it.
-            return Ok(RepairOutcome {
-                schedule: prev.clone(),
-                reused: n,
-                evicted: 0,
-                fell_back: false,
-            });
-        }
-
-        // Evict the suffix: roll the committed reservations of every
-        // dispatch at or after the divergence point back out of the
-        // timelines. What remains is exactly the committed state a fresh
-        // run holds after dispatching the kept prefix.
-        let prov = ws.provenance.take().expect("checked usable above");
-        for rec in &ws.log[p..] {
-            let id = rec.subtask;
-            let entry = ws.placed[id.index()]
-                .take()
-                .expect("logged dispatch was placed");
-            ws.procs[entry.processor.index()].release(entry.start, entry.finish - entry.start);
-            if self.bus == BusModel::Contention {
-                for &eid in graph.in_edges(id) {
-                    if let Some(slot) = prev.messages()[eid.index()] {
-                        ws.bus.release(slot.depart, slot.arrive - slot.depart);
-                    }
-                }
-            }
-        }
-        ws.messages.clear();
-        ws.messages.resize(graph.edge_count(), None);
-        for eid in graph.edge_ids() {
-            if ws.placed[graph.edge(eid).dst().index()].is_some() {
-                ws.messages[eid.index()] = prev.messages()[eid.index()];
-            }
-        }
-        ws.log.truncate(p);
-
-        let schedule = self.run_dispatch(graph, platform, assignment, pinning, ws)?;
-        ws.provenance = Some(prov);
-        tracing::debug!(reused = p, evicted = n - p, "schedule repair complete");
-        Ok(RepairOutcome {
-            schedule,
-            reused: p,
-            evicted: n - p,
-            fell_back: false,
-        })
+        self.run_dispatch(graph, platform, assignment, pinning, ws)
     }
 
     /// The placement lower bound of `id` that does not depend on earlier
@@ -612,11 +369,8 @@ impl ListScheduler {
         lb
     }
 
-    /// The dispatch loop shared by [`fresh`](Self::fresh) (from a freshly
-    /// seeded workspace) and [`replay`](Self::replay) (from the retained
-    /// state of the kept prefix): drains the ready heap, committing one dispatch per pop and
-    /// appending a [`DispatchRecord`] to the workspace log, then assembles
-    /// the [`Schedule`].
+    /// The dispatch loop of [`fresh`](Self::fresh): drains the ready heap,
+    /// committing one dispatch per pop, then assembles the [`Schedule`].
     fn run_dispatch(
         &self,
         graph: &TaskGraph,
@@ -639,15 +393,11 @@ impl ListScheduler {
             trial_slots,
             best_slots,
             miss_log,
-            log,
-            provenance: _,
         } = ws;
 
         // Hoisted once per call: the unpinned candidate list is the same
-        // for every dispatch. (Already populated when continuing a repair.)
-        if all_procs.is_empty() {
-            all_procs.extend(platform.processors());
-        }
+        // for every dispatch.
+        all_procs.extend(platform.processors());
 
         // `(deadline, id)` keys are unique (ids are), so the min-heap pops
         // the exact sequence the previous BTreeSet walk produced.
@@ -703,12 +453,6 @@ impl ListScheduler {
                 processor: proc,
                 start,
                 finish,
-            });
-            log.push(DispatchRecord {
-                subtask: id,
-                static_lb,
-                wcet,
-                pinned,
             });
             tracing::trace!(
                 subtask = %id,
@@ -1141,159 +885,6 @@ mod tests {
     }
 
     #[test]
-    fn repair_with_unchanged_inputs_reuses_every_dispatch() {
-        let g = fork_graph(30, 2000);
-        let p = Platform::paper(4).unwrap();
-        let a = Slicer::bst_pure().distribute(&g, &p).unwrap();
-        let scheduler = ListScheduler::new();
-        let mut ws = SchedWorkspace::new();
-        let prev = scheduler
-            .schedule_with(&g, &p, &a, &Pinning::new(), &mut ws)
-            .unwrap();
-        let out = scheduler
-            .repair(&g, &p, &a, &Pinning::new(), &prev, &mut ws)
-            .unwrap();
-        assert!(!out.fell_back);
-        assert_eq!(out.reused, 4);
-        assert_eq!(out.evicted, 0);
-        assert_eq!(out.schedule, prev);
-    }
-
-    #[test]
-    fn repair_after_wcet_change_matches_fresh_schedule() {
-        for bus in [BusModel::Delay, BusModel::Contention] {
-            let g = fork_graph(30, 2000);
-            let p = Platform::paper(2).unwrap();
-            let a = Slicer::bst_pure().distribute(&g, &p).unwrap();
-            let scheduler = ListScheduler::new().with_bus_model(bus);
-            let mut ws = SchedWorkspace::new();
-            let prev = scheduler
-                .schedule_with(&g, &p, &a, &Pinning::new(), &mut ws)
-                .unwrap();
-
-            // Double one interior subtask's WCET and redo the slicing: both
-            // the assignment and the graph the repair sees have changed.
-            let g2 = slicing::GraphDelta::new()
-                .set_wcet(SubtaskId::new(1), Time::new(40))
-                .apply(&g, &Pinning::new())
-                .unwrap()
-                .graph;
-            let a2 = Slicer::bst_pure().distribute(&g2, &p).unwrap();
-            let out = scheduler
-                .repair(&g2, &p, &a2, &Pinning::new(), &prev, &mut ws)
-                .unwrap();
-            let fresh = scheduler.schedule(&g2, &p, &a2, &Pinning::new()).unwrap();
-            assert!(!out.fell_back, "bus={bus:?}");
-            assert_eq!(out.schedule, fresh, "bus={bus:?}");
-            assert_eq!(out.reused + out.evicted, 4);
-        }
-    }
-
-    #[test]
-    fn repair_after_pin_move_matches_fresh_schedule() {
-        let g = fork_graph(10, 2000);
-        let p = Platform::paper(4).unwrap();
-        let a = Slicer::bst_pure().distribute(&g, &p).unwrap();
-        let scheduler = ListScheduler::new();
-        let mut ws = SchedWorkspace::new();
-        let mut pins = Pinning::new();
-        pins.pin(SubtaskId::new(2), ProcessorId::new(0)).unwrap();
-        let prev = scheduler.schedule_with(&g, &p, &a, &pins, &mut ws).unwrap();
-
-        pins.unpin(SubtaskId::new(2));
-        pins.pin(SubtaskId::new(2), ProcessorId::new(3)).unwrap();
-        let out = scheduler.repair(&g, &p, &a, &pins, &prev, &mut ws).unwrap();
-        let fresh = scheduler.schedule(&g, &p, &a, &pins).unwrap();
-        assert!(!out.fell_back);
-        assert_eq!(out.schedule, fresh);
-        assert_eq!(
-            out.schedule.processor(SubtaskId::new(2)),
-            ProcessorId::new(3)
-        );
-    }
-
-    #[test]
-    fn repairs_chain_across_successive_changes() {
-        let g = fork_graph(30, 2000);
-        let p = Platform::paper(2).unwrap();
-        let scheduler = ListScheduler::new().with_bus_model(BusModel::Contention);
-        let mut ws = SchedWorkspace::new();
-        let a = Slicer::bst_pure().distribute(&g, &p).unwrap();
-        let mut prev = scheduler
-            .schedule_with(&g, &p, &a, &Pinning::new(), &mut ws)
-            .unwrap();
-        let mut current = g;
-        for (node, wcet) in [(1u32, 35i64), (2, 5), (1, 20)] {
-            current = slicing::GraphDelta::new()
-                .set_wcet(SubtaskId::new(node), Time::new(wcet))
-                .apply(&current, &Pinning::new())
-                .unwrap()
-                .graph;
-            let a = Slicer::bst_pure().distribute(&current, &p).unwrap();
-            let out = scheduler
-                .repair(&current, &p, &a, &Pinning::new(), &prev, &mut ws)
-                .unwrap();
-            assert!(!out.fell_back);
-            let fresh = scheduler
-                .schedule(&current, &p, &a, &Pinning::new())
-                .unwrap();
-            assert_eq!(out.schedule, fresh);
-            prev = out.schedule;
-        }
-    }
-
-    #[test]
-    fn repair_falls_back_on_structure_or_config_change() {
-        let g = fork_graph(30, 2000);
-        let p = Platform::paper(2).unwrap();
-        let a = Slicer::bst_pure().distribute(&g, &p).unwrap();
-        let scheduler = ListScheduler::new();
-        let mut ws = SchedWorkspace::new();
-        let prev = scheduler
-            .schedule_with(&g, &p, &a, &Pinning::new(), &mut ws)
-            .unwrap();
-
-        // Different message sizes = different edge structure: fall back.
-        let g2 = fork_graph(31, 2000);
-        let a2 = Slicer::bst_pure().distribute(&g2, &p).unwrap();
-        let out = scheduler
-            .repair(&g2, &p, &a2, &Pinning::new(), &prev, &mut ws)
-            .unwrap();
-        assert!(out.fell_back);
-        assert_eq!(out.reused, 0);
-        assert_eq!(
-            out.schedule,
-            scheduler.schedule(&g2, &p, &a2, &Pinning::new()).unwrap()
-        );
-
-        // The fallback re-primed the workspace for the new graph, so a
-        // follow-up repair is incremental again.
-        let again = scheduler
-            .repair(&g2, &p, &a2, &Pinning::new(), &out.schedule, &mut ws)
-            .unwrap();
-        assert!(!again.fell_back);
-        assert_eq!(again.reused, 4);
-
-        // A different scheduler configuration must not trust the state.
-        let contended = scheduler.with_bus_model(BusModel::Contention);
-        let out = contended
-            .repair(&g2, &p, &a2, &Pinning::new(), &again.schedule, &mut ws)
-            .unwrap();
-        assert!(out.fell_back);
-        assert_eq!(
-            out.schedule,
-            contended.schedule(&g2, &p, &a2, &Pinning::new()).unwrap()
-        );
-
-        // An unprimed workspace likewise.
-        let mut fresh_ws = SchedWorkspace::new();
-        let out = scheduler
-            .repair(&g2, &p, &a2, &Pinning::new(), &prev, &mut fresh_ws)
-            .unwrap();
-        assert!(out.fell_back);
-    }
-
-    #[test]
     fn workspace_reuse_across_shrinking_and_growing_graphs() {
         // Satellite coverage: a workspace cycled big → small → big must
         // produce bit-identical schedules to fresh workspaces each time.
@@ -1397,106 +988,6 @@ mod tests {
             ListScheduler::new().schedule_against(&g, &p, &a, &Pinning::new(), &wrong_bus, &mut ws),
             Err(SchedError::BaseMismatch(_))
         ));
-    }
-
-    #[test]
-    fn repair_against_reuses_after_rollback_and_falls_back_after_foreign_commit() {
-        use crate::CommittedState;
-
-        for bus in [BusModel::Delay, BusModel::Contention] {
-            let g = fork_graph(30, 4000);
-            let p = Platform::paper(2).unwrap();
-            let a = Slicer::bst_pure().distribute(&g, &p).unwrap();
-            let scheduler = ListScheduler::new().with_bus_model(bus);
-            let mut ws = SchedWorkspace::new();
-            let mut state = CommittedState::new(2, bus);
-
-            // Pre-load the platform with one resident, then trial + admit
-            // the graph under test.
-            let resident = scheduler
-                .schedule_against(&g, &p, &a, &Pinning::new(), &state, &mut ws)
-                .unwrap();
-            state.commit(&resident).unwrap();
-            let prev = scheduler
-                .schedule_against(&g, &p, &a, &Pinning::new(), &state, &mut ws)
-                .unwrap();
-            let receipt = state.commit(&prev).unwrap();
-
-            // Amend: roll the admission back, repair for a changed WCET.
-            state.rollback(&prev, &receipt).unwrap();
-            let g2 = slicing::GraphDelta::new()
-                .set_wcet(SubtaskId::new(2), Time::new(25))
-                .apply(&g, &Pinning::new())
-                .unwrap()
-                .graph;
-            let a2 = Slicer::bst_pure().distribute(&g2, &p).unwrap();
-            let out = scheduler
-                .repair_against(&g2, &p, &a2, &Pinning::new(), &prev, &state, &mut ws)
-                .unwrap();
-            assert!(!out.fell_back, "bus={bus:?}");
-            let mut fresh_ws = SchedWorkspace::new();
-            let fresh = scheduler
-                .schedule_against(&g2, &p, &a2, &Pinning::new(), &state, &mut fresh_ws)
-                .unwrap();
-            assert_eq!(out.schedule, fresh, "bus={bus:?}");
-            let receipt = state.commit(&out.schedule).unwrap();
-
-            // A mutation that is *not* a rollback of this run's commit must
-            // not be trusted: roll back, commit someone else, repair again.
-            state.rollback(&out.schedule, &receipt).unwrap();
-            let other = scheduler
-                .schedule_against(&g, &p, &a, &Pinning::new(), &state, &mut fresh_ws)
-                .unwrap();
-            state.commit(&other).unwrap();
-            let out2 = scheduler
-                .repair_against(
-                    &g2,
-                    &p,
-                    &a2,
-                    &Pinning::new(),
-                    &out.schedule,
-                    &state,
-                    &mut ws,
-                )
-                .unwrap();
-            assert!(out2.fell_back, "bus={bus:?}");
-            let fresh2 = scheduler
-                .schedule_against(&g2, &p, &a2, &Pinning::new(), &state, &mut fresh_ws)
-                .unwrap();
-            assert_eq!(out2.schedule, fresh2, "bus={bus:?}");
-        }
-    }
-
-    #[test]
-    fn plain_repair_refuses_state_retained_from_a_based_run() {
-        use crate::CommittedState;
-
-        let g = fork_graph(30, 4000);
-        let p = Platform::paper(2).unwrap();
-        let a = Slicer::bst_pure().distribute(&g, &p).unwrap();
-        let scheduler = ListScheduler::new();
-        let mut ws = SchedWorkspace::new();
-        let mut state = CommittedState::new(2, BusModel::Delay);
-
-        let resident = scheduler
-            .schedule_against(&g, &p, &a, &Pinning::new(), &state, &mut ws)
-            .unwrap();
-        state.commit(&resident).unwrap();
-        let prev = scheduler
-            .schedule_against(&g, &p, &a, &Pinning::new(), &state, &mut ws)
-            .unwrap();
-
-        // `repair` targets an *empty* platform; the retained state was
-        // seeded from committed load, so it must fall back — silently
-        // producing the correct empty-platform schedule.
-        let out = scheduler
-            .repair(&g, &p, &a, &Pinning::new(), &prev, &mut ws)
-            .unwrap();
-        assert!(out.fell_back);
-        assert_eq!(
-            out.schedule,
-            scheduler.schedule(&g, &p, &a, &Pinning::new()).unwrap()
-        );
     }
 
     #[test]

@@ -178,8 +178,7 @@ impl Timeline {
     ///
     /// Releasing free time is a no-op, as is a non-positive duration. The
     /// horizon is recomputed from the remaining intervals so
-    /// [`append_start`](Self::append_start) never points past freed time —
-    /// schedule repair rolls reservations back and then appends again.
+    /// [`append_start`](Self::append_start) never points past freed time.
     pub(crate) fn release(&mut self, start: Time, duration: Time) {
         if !duration.is_positive() {
             return;

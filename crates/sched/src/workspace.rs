@@ -4,19 +4,19 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use platform::{Platform, ProcessorId};
+use platform::ProcessorId;
 use taskgraph::{SubtaskId, Time};
 
-use crate::committed::BaseStamp;
-use crate::list::ListScheduler;
 use crate::misslog::MissLog;
 use crate::timeline::Timeline;
 use crate::{MessageSlot, ScheduleEntry};
 
 /// Reusable scratch buffers for the list scheduler's workspace-taking
-/// entries ([`ListScheduler::schedule_with`],
-/// [`ListScheduler::schedule_against`], [`ListScheduler::repair`] and
-/// [`ListScheduler::repair_against`]).
+/// entries ([`ListScheduler::schedule_with`] and
+/// [`ListScheduler::schedule_against`]).
+///
+/// [`ListScheduler::schedule_with`]: crate::ListScheduler::schedule_with
+/// [`ListScheduler::schedule_against`]: crate::ListScheduler::schedule_against
 ///
 /// Scheduling a graph needs per-subtask placement state, per-edge message
 /// slots, one reservation timeline per processor (plus the bus and a trial
@@ -30,18 +30,14 @@ use crate::{MessageSlot, ScheduleEntry};
 /// to the returned [`Schedule`](crate::Schedule), which owns its entries and
 /// message slots by value.
 ///
-/// A workspace never leaks state *into* a run — every fresh run fully
-/// resets it on entry, so a workspace may be reused freely across different
-/// graphs, platforms, scheduler configurations, and even after a panic
-/// unwound through a previous call. (The only state that survives a reset
-/// is configuration the caller attached deliberately: the optional
-/// [`MissLog`] set via [`SchedWorkspace::set_miss_log`].) It *does* retain
-/// state **out of** a successful run: the committed timelines, placements,
-/// and a dispatch log tagged with the run's provenance, which a repair
-/// consumes to rebuild only the suffix of a schedule downstream of a
-/// change. A repair that cannot use that state runs fresh and resets it;
-/// nothing a later fresh run produces can be affected by it. It is deliberately *not* `Clone`: hand each worker
-/// thread its own via [`SchedWorkspace::new`].
+/// A workspace never leaks state into a run — every run fully resets it
+/// on entry, so a workspace may be reused freely across different graphs,
+/// platforms, scheduler configurations, and even after a panic unwound
+/// through a previous call. (The only state that survives a reset is
+/// configuration the caller attached deliberately: the optional
+/// [`MissLog`] set via [`SchedWorkspace::set_miss_log`].) It is
+/// deliberately *not* `Clone`: hand each worker thread its own via
+/// [`SchedWorkspace::new`].
 ///
 /// # Examples
 ///
@@ -86,7 +82,7 @@ pub struct SchedWorkspace {
     pub(crate) missing_preds: Vec<usize>,
     /// Schedulable subtasks, min-ordered by `(absolute deadline, id)`.
     pub(crate) ready: BinaryHeap<Reverse<(Time, SubtaskId)>>,
-    /// All platform processors, hoisted once per fresh run so
+    /// All platform processors, hoisted once per run so
     /// unpinned dispatches don't rebuild the candidate list.
     pub(crate) all_procs: Vec<ProcessorId>,
     /// Message slots produced while estimating the current candidate.
@@ -97,46 +93,6 @@ pub struct SchedWorkspace {
     /// via `Arc`, across workspaces). Configuration, not scratch: `reset`
     /// leaves it in place.
     pub(crate) miss_log: Option<Arc<MissLog>>,
-    /// Commit-ordered record of the last successful run's dispatches —
-    /// the replay script [`ListScheduler::replay`] diffs against.
-    pub(crate) log: Vec<DispatchRecord>,
-    /// What the last successful run ran *on*. `replay` refuses to reuse
-    /// retained state unless this matches its inputs exactly.
-    pub(crate) provenance: Option<Provenance>,
-}
-
-/// One committed dispatch of the last successful run, in commit order:
-/// every input of the placement decision that is not derived from earlier
-/// placements. If these match (and every earlier dispatch matched), the
-/// dispatch is bit-identical by induction and its entry can be kept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DispatchRecord {
-    /// Which subtask was dispatched at this position.
-    pub(crate) subtask: SubtaskId,
-    /// The placement lower bound independent of predecessor data: the
-    /// assigned release (when respected) joined with the given release.
-    pub(crate) static_lb: Time,
-    /// Execution time reserved on the winning processor.
-    pub(crate) wcet: Time,
-    /// The locality constraint in force, if any.
-    pub(crate) pinned: Option<ProcessorId>,
-}
-
-/// Identity of the problem the retained workspace state belongs to.
-/// Everything a dispatch reads that the per-dispatch [`DispatchRecord`]s
-/// don't cover: scheduler configuration, the platform (processor count and
-/// communication costs), and the exact edge structure with message sizes.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Provenance {
-    pub(crate) scheduler: ListScheduler,
-    pub(crate) platform: Platform,
-    pub(crate) subtasks: usize,
-    pub(crate) edges: Vec<(u32, u32, u64)>,
-    /// The committed-load snapshot [`ListScheduler::fresh`] seeded the run
-    /// from: `None` for a run on an empty platform, the base state's stamp
-    /// otherwise. [`ListScheduler::replay`] refuses retained state whose
-    /// base no longer matches.
-    pub(crate) base: Option<BaseStamp>,
 }
 
 impl SchedWorkspace {
@@ -171,8 +127,6 @@ impl SchedWorkspace {
         self.all_procs.clear();
         self.trial_slots.clear();
         self.best_slots.clear();
-        self.log.clear();
-        self.provenance = None;
     }
 }
 

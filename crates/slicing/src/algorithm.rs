@@ -16,7 +16,6 @@
 //! non-negligible, which is what lets the algorithm run *before* task
 //! assignment (relaxed locality constraints).
 
-use std::borrow::Cow;
 use std::fmt;
 
 use platform::Platform;
@@ -25,8 +24,8 @@ use taskgraph::{TaskGraph, Time};
 use crate::expanded::{ExpKind, ExpandedGraph};
 use crate::path_search::CriticalPath;
 use crate::{
-    CommEstimate, DeadlineAssignment, MetricKind, RedistributeStats, ShareRule, SliceError,
-    SliceInputs, SliceMetric, Thres, Window,
+    CommEstimate, DeadlineAssignment, MetricKind, ShareRule, SliceError, SliceInputs, SliceMetric,
+    Thres, Window,
 };
 
 /// The deadline-distribution engine: a metric plus a communication-cost
@@ -157,12 +156,12 @@ impl Slicer {
         self.estimate.label()
     }
 
-    /// The metric, for the incremental replay path.
+    /// The metric, for the slicing loop and its inputs.
     pub(crate) fn metric(&self) -> &(dyn SliceMetric + Send + Sync) {
         self.metric.as_ref()
     }
 
-    /// The estimation strategy, for the incremental replay path.
+    /// The estimation strategy, for the slicing inputs.
     pub(crate) fn estimate(&self) -> &CommEstimate {
         &self.estimate
     }
@@ -176,12 +175,8 @@ impl Slicer {
     /// producing a window for every subtask and every non-negligible
     /// communication subtask.
     ///
-    /// This is the slicing loop of [`redistribute`] with no memo to keep:
-    /// the run records its trace for its own use and drops it, untrimmed.
-    /// Each iteration carries over every per-start search the previous
-    /// slice left untouched, which pays for the recording.
-    ///
-    /// [`redistribute`]: Slicer::redistribute
+    /// Each iteration of the loop carries over every per-start search the
+    /// previous slice left untouched and searches only the rest.
     ///
     /// # Errors
     ///
@@ -214,12 +209,7 @@ impl Slicer {
         graph: &TaskGraph,
         inputs: &SliceInputs,
     ) -> Result<DeadlineAssignment, SliceError> {
-        self.run_traced(
-            graph,
-            Cow::Borrowed(inputs),
-            None,
-            &mut RedistributeStats::default(),
-        )
+        self.run(graph, inputs)
     }
 }
 

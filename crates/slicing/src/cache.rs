@@ -18,11 +18,8 @@
 //! exactly when they give every node the same virtual time and every
 //! message the same cost — that is, when slicing cannot tell them apart.
 //!
-//! This is deliberately stronger than the structural `GraphSig` the
-//! incremental memo uses: the memo only needs the *expanded shape* to
-//! match (anchor and WCET changes replay incrementally), while a cache
-//! hit returns the memoized output verbatim and therefore must witness
-//! bit-equality of all inputs. A 64-bit content hash is precomputed for
+//! A cache hit returns the memoized output verbatim and therefore must
+//! witness bit-equality of all inputs. A 64-bit content hash is precomputed for
 //! cheap filtering; full key equality is confirmed on every hit, so hash
 //! collisions degrade to misses of the colliding entry, never to wrong
 //! output.
@@ -296,8 +293,7 @@ mod tests {
         let slicer = Slicer::ast_adapt();
         let p = platform(4);
         let base = slicer.cache_key(&chain(&[10, 20], 100), &p);
-        // WCET content (same structure — the incremental GraphSig would
-        // not distinguish these).
+        // WCET content (same structure).
         let wcet = slicer.cache_key(&chain(&[10, 21], 100), &p);
         assert_ne!(base, wcet);
         // Anchor content.

@@ -8,10 +8,8 @@
 //! [`Pinning`] pair, producing a fresh, fully re-validated pair (the
 //! original is untouched; `TaskGraph` is immutable by design).
 //!
-//! The applied result feeds [`Slicer::redistribute`](crate::Slicer) (and,
-//! downstream, schedule repair), which reuses as much of the previous run
-//! as the delta's dirty cone allows while staying bit-identical to a
-//! from-scratch recompute.
+//! The applied graph is sliced and scheduled from scratch, like any other
+//! graph: an amendment is an ordinary trial of the amended graph.
 
 use std::fmt;
 
@@ -256,8 +254,7 @@ impl GraphDelta {
     /// Whether every op only rewrites subtask attributes (WCET and anchor
     /// values). Attribute-only deltas take the in-place
     /// [`apply`](GraphDelta::apply) fast path; anything else (structure or
-    /// pinning) forces the full builder rebuild — and, downstream, a full
-    /// re-trial instead of schedule repair.
+    /// pinning) forces the full builder rebuild.
     pub fn is_attribute_only(&self) -> bool {
         self.ops.iter().all(|op| {
             matches!(

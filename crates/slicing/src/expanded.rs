@@ -201,22 +201,6 @@ impl ExpandedGraph {
     pub(crate) fn max_chain(&self) -> usize {
         self.max_chain
     }
-
-    /// Returns `true` when `other` has the same *structure*: the same nodes
-    /// (kinds, in the same order) and the same successor arcs. Weights are
-    /// deliberately excluded — incremental redistribution compares virtual
-    /// times per node instead, so a pure WCET delta keeps the structure
-    /// equal and stays on the incremental path.
-    ///
-    /// Everything else in the representation (predecessor CSR, node maps,
-    /// topological order, longest chain) is derived deterministically from
-    /// kinds + successors by [`build`](Self::build), so comparing these two
-    /// is exhaustive.
-    pub(crate) fn same_structure(&self, other: &ExpandedGraph) -> bool {
-        self.kinds == other.kinds
-            && self.succ_off == other.succ_off
-            && self.succ_idx == other.succ_idx
-    }
 }
 
 #[cfg(test)]

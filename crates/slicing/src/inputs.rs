@@ -18,13 +18,13 @@ use taskgraph::{TaskGraph, Time};
 use crate::{MetricContext, Slicer};
 
 /// Everything the slicing loop takes from the platform and the metric for
-/// one graph: the metric context, every edge's estimated communication
-/// cost, and every expanded node's virtual execution time.
+/// one graph: every edge's estimated communication cost, and every
+/// expanded node's virtual execution time in the metric context.
 ///
 /// Equality compares the costs and the virtual times (bit for bit), the
-/// whole of what the loop reads. The context is not compared: the loop
-/// reads it only through the virtual times, and comparing its N_proc
-/// would tell apart system sizes the loop cannot. Equal inputs computed by
+/// whole of what the loop reads. The loop reads the context (and so the
+/// system size) only through the virtual times, so no system size the
+/// loop cannot tell apart is told apart here. Equal inputs computed by
 /// one slicer for one graph therefore give bit-identical
 /// [`Slicer::distribute_from`] output.
 ///
@@ -46,8 +46,6 @@ use crate::{MetricContext, Slicer};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SliceInputs {
-    /// The context the virtual times were computed in.
-    pub(crate) ctx: MetricContext,
     /// Estimated cost of every edge's message, in edge order. The
     /// positive ones become communication subtasks.
     pub(crate) comm: Vec<Time>,
@@ -89,10 +87,6 @@ impl Slicer {
             .chain(comm.iter().copied().filter(|cost| cost.is_positive()))
             .map(|w| self.metric().virtual_time(w, &ctx))
             .collect();
-        SliceInputs {
-            ctx,
-            comm,
-            vweights,
-        }
+        SliceInputs { comm, vweights }
     }
 }

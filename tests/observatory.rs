@@ -110,17 +110,11 @@ fn for_every_field(snap: &MetricsSnapshot, check: impl Fn(&str, u64)) {
         replications_failed,
         checkpoint_retries,
         slices_shared,
-        delta_cache_hits,
-        delta_cache_misses,
-        delta_dirty_nodes,
-        delta_scanned_nodes,
-        delta_fallbacks,
         admissions_admitted,
         admissions_rejected,
         admissions_shed,
         admissions_worker_failed,
         admissions_evicted,
-        admissions_structural_fallbacks,
         admissions_prefiltered,
         admission_log_retries,
         admission_log_failures,
@@ -131,7 +125,6 @@ fn for_every_field(snap: &MetricsSnapshot, check: impl Fn(&str, u64)) {
         admission_sojourn,
         generate,
         distribute,
-        redistribute,
         schedule,
         audit,
     } = snap;
@@ -145,20 +138,11 @@ fn for_every_field(snap: &MetricsSnapshot, check: impl Fn(&str, u64)) {
         ("replications_failed", *replications_failed),
         ("checkpoint_retries", *checkpoint_retries),
         ("slices_shared", *slices_shared),
-        ("delta_cache_hits", *delta_cache_hits),
-        ("delta_cache_misses", *delta_cache_misses),
-        ("delta_dirty_nodes", *delta_dirty_nodes),
-        ("delta_scanned_nodes", *delta_scanned_nodes),
-        ("delta_fallbacks", *delta_fallbacks),
         ("admissions_admitted", *admissions_admitted),
         ("admissions_rejected", *admissions_rejected),
         ("admissions_shed", *admissions_shed),
         ("admissions_worker_failed", *admissions_worker_failed),
         ("admissions_evicted", *admissions_evicted),
-        (
-            "admissions_structural_fallbacks",
-            *admissions_structural_fallbacks,
-        ),
         ("admissions_prefiltered", *admissions_prefiltered),
         ("admission_log_retries", *admission_log_retries),
         ("admission_log_failures", *admission_log_failures),
@@ -173,7 +157,6 @@ fn for_every_field(snap: &MetricsSnapshot, check: impl Fn(&str, u64)) {
         ("admission_sojourn", admission_sojourn),
         ("generate", generate),
         ("distribute", distribute),
-        ("redistribute", redistribute),
         ("schedule", schedule),
         ("audit", audit),
     ] {
@@ -214,20 +197,12 @@ fn populated_registry() -> Registry {
     registry.replications_failed.inc();
     registry.checkpoint_retries.inc();
     registry.slices_shared.inc();
-    registry.count_redistribute(&slicing::RedistributeStats {
-        cache_hits: 5,
-        cache_misses: 2,
-        dirty_nodes: 4,
-        scanned_nodes: 40,
-        fell_back: true,
-    });
     registry.record_admission(true, Duration::from_micros(45));
     registry.record_admission(false, Duration::from_micros(60));
     registry.admission_sojourn.record(Duration::from_micros(90));
     registry.admissions_shed.inc();
     registry.admissions_worker_failed.inc();
     registry.admissions_evicted.inc();
-    registry.admissions_structural_fallbacks.inc();
     registry.admission_log_retries.inc();
     registry.admission_log_failures.inc();
     registry.admissions_prefiltered.inc();
@@ -275,11 +250,8 @@ fn metrics_snapshot_json_is_byte_stable() {
         r#"{"graphs_generated":1,"schedules_built":1,"feasibility_failures":1,"#,
         r#""structural_violations":3,"window_violations":2,"schedule_violations":1,"#,
         r#""replications_failed":1,"checkpoint_retries":1,"slices_shared":1,"#,
-        r#""delta_cache_hits":5,"delta_cache_misses":2,"delta_dirty_nodes":4,"#,
-        r#""delta_scanned_nodes":40,"delta_fallbacks":1,"#,
         r#""admissions_admitted":1,"admissions_rejected":1,"admissions_shed":1,"#,
         r#""admissions_worker_failed":1,"admissions_evicted":1,"admissions_prefiltered":1,"#,
-        r#""admissions_structural_fallbacks":1,"#,
         r#""slice_cache_hits":1,"slice_cache_misses":1,"slice_cache_evictions":1,"#,
         r#""admission_log_retries":1,"admission_log_failures":1,"#,
         r#""admission":{"count":2,"total_us":105,"mean_us":52,"p50_us":60,"p90_us":60,"#,
@@ -289,8 +261,6 @@ fn metrics_snapshot_json_is_byte_stable() {
         r#""generate":"#,
         HISTOGRAM_123,
         r#","distribute":"#,
-        HISTOGRAM_123,
-        r#","redistribute":"#,
         HISTOGRAM_123,
         r#","schedule":"#,
         HISTOGRAM_123,
