@@ -18,7 +18,9 @@
 //!   slicer workers distribute deadlines in parallel (stage one of the
 //!   pipeline never reads committed load), a single coordinator re-orders
 //!   their products by submission sequence and runs every trial + commit
-//!   in submission order, so concurrency never changes a verdict.
+//!   in submission order, so concurrency never changes a verdict. While
+//!   the next sequence is still out on a worker, the coordinator slices a
+//!   queued admit itself rather than wait idle.
 //! * [`AdmissionLog`] — the service's full transcript: every request and
 //!   outcome in submission order plus the final state digest. Replaying it
 //!   through a fresh sequential controller ([`AdmissionLog::replay`])
@@ -55,7 +57,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -1455,6 +1457,88 @@ impl CoordJob {
 /// `try_recv` comes back empty immediately, so batching adds no latency.
 const WORKER_BATCH: usize = 8;
 
+/// What stage one of a queued admit reads. Every slicer worker holds a
+/// copy, and so does the coordinator, which slices queued admits itself
+/// while the next sequence is still out on a worker.
+#[derive(Clone)]
+struct StageOne {
+    config: AdmitConfig,
+    platform: Platform,
+    slice_cache: Option<SharedSliceCache>,
+    miss_log: Arc<MissLog>,
+}
+
+impl StageOne {
+    fn of(controller: &AdmissionController) -> StageOne {
+        StageOne {
+            config: controller.config.clone(),
+            platform: controller.platform.clone(),
+            slice_cache: controller.slice_cache.clone(),
+            miss_log: Arc::clone(&controller.miss_log),
+        }
+    }
+
+    /// A fresh pipeline, built exactly as the controller builds its own.
+    fn pipeline(&self) -> Pipeline {
+        service_pipeline(
+            &self.config.scenario,
+            self.slice_cache.as_ref(),
+            &self.miss_log,
+        )
+    }
+
+    /// Stage one of one queued admit, on whichever thread took it off the
+    /// ingress queue. The product goes to `ship`, and so does the injected
+    /// queue-race echo after it, so that echo still meets the
+    /// coordinator's dedup guard. Returns `false` once `ship` reports the
+    /// coordinator gone.
+    fn run(
+        &self,
+        pipeline: &mut Pipeline,
+        job: WorkerJob,
+        mut ship: impl FnMut(CoordJob) -> bool,
+    ) -> bool {
+        let config = &self.config;
+        let fires = |site| {
+            let plan = config.fault_plan.as_deref();
+            fault::fires(plan, site, config.system_size, job.seq as usize, 0)
+        };
+        // Staleness-aware shedding: a request already over its decision
+        // budget is refused before any slicing work is spent on it. The
+        // typed refusal still ships, so the reorder buffer never waits on
+        // a hole.
+        let output = if let Some(waited_us) = over_budget(config.decision_budget, job.accepted) {
+            Err(AdmitError::Shed { waited_us })
+        } else {
+            // Supervision: a panicking slicer (real or injected) is
+            // caught, its possibly-poisoned pipeline discarded and rebuilt
+            // in place, and the request concluded with a typed failure —
+            // the service degrades by one verdict, it never dies.
+            let sliced = catch_unwind(AssertUnwindSafe(|| {
+                if fires(FaultSite::AdmitWorkerPanic) {
+                    panic!("injected admission worker panic");
+                }
+                slice_admit(pipeline, &self.platform, config.prefilter, &job.graph)
+            }));
+            sliced.unwrap_or_else(|_| {
+                *pipeline = self.pipeline();
+                Err(AdmitError::WorkerFailed { stage: "slice" })
+            })
+        };
+        let seq = job.seq;
+        // Queue-race injection: redeliver the sequence right behind the
+        // real job, which the dedup guard must then discard.
+        ship(CoordJob::Admit {
+            seq,
+            id: job.id,
+            graph: job.graph,
+            origin: job.origin,
+            accepted: job.accepted,
+            output,
+        }) && (!fires(FaultSite::AdmitQueueRace) || ship(CoordJob::Duplicate { seq }))
+    }
+}
+
 /// Micro-seconds `accepted` has waited beyond `budget`, when over it.
 fn over_budget(budget: Option<Duration>, accepted: Instant) -> Option<u64> {
     let budget = budget?;
@@ -1471,6 +1555,15 @@ fn over_budget(budget: Option<Duration>, accepted: Instant) -> Option<u64> {
 /// trials and commits strictly in submission order, so the service's
 /// verdicts are bit-identical to a sequential [`AdmissionController`] fed
 /// the same requests (the contract [`AdmissionLog::replay`] checks).
+///
+/// The coordinator is a slicer too. When the next sequence is still out on
+/// a worker and no product waits for it, it takes a queued admit off the
+/// ingress queue (without ever blocking there), slices it through the
+/// controller's own pipeline and parks the product in its reorder buffer.
+/// With one worker, two threads thus slice whenever decisions outpace
+/// slicing. The
+/// [`admissions_coordinator_sliced`](crate::telemetry::MetricsSnapshot::admissions_coordinator_sliced)
+/// counter reports how many admits it took.
 ///
 /// [`submit`](AdmissionService::submit) never blocks — a full queue is an
 /// [`AdmitError::QueueFull`] refusal — and
@@ -1525,23 +1618,16 @@ impl AdmissionService {
         let (coord_tx, coord_rx) = sync_channel::<CoordJob>(depth);
         let worker_rx = Arc::new(Mutex::new(worker_rx));
 
+        let stage = StageOne::of(&controller);
         let mut workers = Vec::new();
         for index in 0..config.workers.max(1) {
             let rx = Arc::clone(&worker_rx);
             let tx = coord_tx.clone();
-            let scenario = config.scenario.clone();
-            let platform = controller.platform.clone();
-            let miss_log = Arc::clone(&controller.miss_log);
-            let budget = config.decision_budget;
-            let plan = config.fault_plan.clone();
-            let system_size = config.system_size;
-            let prefilter_on = config.prefilter;
-            let slice_cache = controller.slice_cache.clone();
+            let stage = stage.clone();
             let worker = std::thread::Builder::new()
                 .name(format!("admit-slicer-{index}"))
                 .spawn(move || {
-                    let build = || service_pipeline(&scenario, slice_cache.as_ref(), &miss_log);
-                    let mut pipeline = build();
+                    let mut pipeline = stage.pipeline();
                     let mut batch: Vec<WorkerJob> = Vec::with_capacity(WORKER_BATCH);
                     loop {
                         // Take the receiver lock only to dequeue; slicing
@@ -1567,66 +1653,7 @@ impl AdmissionService {
                             }
                         }
                         for job in batch.drain(..) {
-                            // Staleness-aware shedding: a request already
-                            // over its decision budget is refused before
-                            // any slicing work is spent on it. The typed
-                            // refusal still ships, so the reorder buffer
-                            // never waits on a hole.
-                            let output = if let Some(waited_us) = over_budget(budget, job.accepted)
-                            {
-                                Err(AdmitError::Shed { waited_us })
-                            } else {
-                                // Supervision: a panicking slicer (real or
-                                // injected) is caught, its possibly-
-                                // poisoned pipeline discarded and rebuilt
-                                // in place, and the request concluded with
-                                // a typed failure — the service degrades
-                                // by one verdict, it never dies.
-                                let sliced = catch_unwind(AssertUnwindSafe(|| {
-                                    if fault::fires(
-                                        plan.as_deref(),
-                                        FaultSite::AdmitWorkerPanic,
-                                        system_size,
-                                        job.seq as usize,
-                                        0,
-                                    ) {
-                                        panic!("injected admission worker panic");
-                                    }
-                                    slice_admit(&mut pipeline, &platform, prefilter_on, &job.graph)
-                                }));
-                                match sliced {
-                                    Ok(output) => output,
-                                    Err(_) => {
-                                        pipeline = build();
-                                        Err(AdmitError::WorkerFailed { stage: "slice" })
-                                    }
-                                }
-                            };
-                            let seq = job.seq;
-                            let shipped = tx.send(CoordJob::Admit {
-                                seq,
-                                id: job.id,
-                                graph: job.graph,
-                                origin: job.origin,
-                                accepted: job.accepted,
-                                output,
-                            });
-                            if shipped.is_err() {
-                                return;
-                            }
-                            // Queue-race injection: redeliver the sequence.
-                            // The channel is FIFO per sender, so the real
-                            // job above always lands first and the
-                            // coordinator's dedup guard must discard this
-                            // one.
-                            if fault::fires(
-                                plan.as_deref(),
-                                FaultSite::AdmitQueueRace,
-                                system_size,
-                                seq as usize,
-                                0,
-                            ) && tx.send(CoordJob::Duplicate { seq }).is_err()
-                            {
+                            if !stage.run(&mut pipeline, job, |job| tx.send(job).is_ok()) {
                                 return;
                             }
                         }
@@ -1638,7 +1665,7 @@ impl AdmissionService {
 
         let coordinator = std::thread::Builder::new()
             .name("admit-coordinator".into())
-            .spawn(move || Self::coordinate(controller, coord_rx))
+            .spawn(move || Self::coordinate(controller, coord_rx, &worker_rx, &stage))
             .map_err(|e| AdmitError::Trial(RunError::Io(e)))?;
 
         Ok(AdmissionService {
@@ -1728,36 +1755,66 @@ impl AdmissionService {
     }
 
     /// The coordinator: re-orders jobs into submission sequence and runs
-    /// every decision serially on the single controller.
-    fn coordinate(mut controller: AdmissionController, rx: Receiver<CoordJob>) -> AdmissionLog {
+    /// every decision serially on the single controller. While the next
+    /// sequence is still out on a worker and its own channel is empty, it
+    /// slices a queued admit itself instead of waiting: stage one reads no
+    /// committed load, so which thread slices never changes a verdict.
+    fn coordinate(
+        mut controller: AdmissionController,
+        rx: Receiver<CoordJob>,
+        ingress: &Mutex<Receiver<WorkerJob>>,
+        stage: &StageOne,
+    ) -> AdmissionLog {
         let mut next = 0u64;
         let mut reorder: BTreeMap<u64, CoordJob> = BTreeMap::new();
         let mut log = AdmissionLog::default();
-        while let Ok(job) = rx.recv() {
-            // Dedup guard: each sequence is processed exactly once. A
-            // redelivery — the injected queue race, or any future retry
-            // path — is dropped whether its twin is already processed
-            // (seq < next) or still waiting in the reorder buffer.
-            let seq = job.seq();
-            if matches!(job, CoordJob::Duplicate { .. }) || seq < next || reorder.contains_key(&seq)
-            {
-                tracing::warn!(seq = seq, "dropping duplicate coordinator delivery");
-                continue;
-            }
-            reorder.insert(seq, job);
+        loop {
             while let Some(job) = reorder.remove(&next) {
                 Self::process(&mut controller, job, &mut log);
                 next += 1;
             }
-        }
-        // Senders are gone; every accepted sequence has arrived.
-        while let Some(job) = reorder.remove(&next) {
-            Self::process(&mut controller, job, &mut log);
-            next += 1;
+            let job = match rx.try_recv() {
+                Ok(job) => job,
+                // Senders are gone; every accepted sequence has arrived.
+                Err(TryRecvError::Disconnected) => break,
+                Err(TryRecvError::Empty) => {
+                    // Never block on ingress. Whatever sits there, or
+                    // arrives, while it is locked or empty reaches this
+                    // channel through a worker, so blocking below loses
+                    // no wake-up.
+                    let queued = ingress.try_lock().ok().and_then(|rx| rx.try_recv().ok());
+                    if let Some(job) = queued {
+                        telemetry::global().admissions_coordinator_sliced.inc();
+                        stage.run(&mut controller.pipeline, job, |job| {
+                            Self::accept(&mut reorder, next, job);
+                            true
+                        });
+                        continue;
+                    }
+                    match rx.recv() {
+                        Ok(job) => job,
+                        Err(_) => break,
+                    }
+                }
+            };
+            Self::accept(&mut reorder, next, job);
         }
         log.digest = controller.digest();
         log.residents = controller.residents();
         log
+    }
+
+    /// Dedup guard: each sequence is processed exactly once. A redelivery
+    /// — the injected queue race, or any future retry path — is dropped
+    /// whether its twin is already processed (seq < next) or still waiting
+    /// in the reorder buffer.
+    fn accept(reorder: &mut BTreeMap<u64, CoordJob>, next: u64, job: CoordJob) {
+        let seq = job.seq();
+        if matches!(job, CoordJob::Duplicate { .. }) || seq < next || reorder.contains_key(&seq) {
+            tracing::warn!(seq = seq, "dropping duplicate coordinator delivery");
+            return;
+        }
+        reorder.insert(seq, job);
     }
 
     fn process(controller: &mut AdmissionController, job: CoordJob, log: &mut AdmissionLog) {
@@ -2729,6 +2786,53 @@ mod tests {
             assert_eq!(log.verdicts().count(), 7, "every other request decided");
             let replayed = log.replay(&config).unwrap();
             assert!(log.matches(&replayed), "failure outcome replays verbatim");
+        }
+
+        #[test]
+        fn every_admit_fails_typed_whichever_thread_slices_it() {
+            // One worker, so the coordinator slices queued admits too; the
+            // injected panic fires on every admit, on either thread.
+            let plan =
+                FaultPlan::new(5).with_fault(FaultSpec::new(FaultSite::AdmitWorkerPanic, 1.0));
+            let config = config(8)
+                .with_workers(1)
+                .with_queue_depth(128)
+                .with_fault_plan(plan);
+            let service = AdmissionService::new(config.clone()).unwrap();
+            let mut requests = Vec::new();
+            for id in 0..96u64 {
+                requests.push(AdmitRequest::Admit {
+                    id,
+                    graph: graph(id + 1),
+                    origin: Time::new(i64::try_from(id).unwrap() * 500),
+                });
+                if id % 4 == 3 {
+                    requests.push(AdmitRequest::Amend {
+                        id,
+                        delta: GraphDelta::new().set_wcet(SubtaskId::new(0), Time::new(3)),
+                    });
+                }
+            }
+            for request in &requests {
+                service.submit(request.clone()).unwrap();
+            }
+            let log = service.shutdown().unwrap();
+            assert_eq!(log.outcomes.len(), requests.len());
+            for (request, outcome) in log.requests.iter().zip(&log.outcomes) {
+                match request {
+                    AdmitRequest::Admit { .. } => assert!(matches!(
+                        outcome,
+                        AdmitOutcome::Failed { stage } if stage == "slice"
+                    )),
+                    AdmitRequest::Amend { id, .. } => assert_eq!(
+                        outcome,
+                        &AdmitOutcome::Refused(Refusal::NoResident { id: *id })
+                    ),
+                }
+            }
+            assert_eq!(log.residents, 0);
+            let replayed = log.replay(&config).unwrap();
+            assert!(log.matches(&replayed));
         }
 
         #[test]

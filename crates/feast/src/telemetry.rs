@@ -391,6 +391,11 @@ metrics! {
         /// slicing work.
         #[serde(default)]
         admissions_prefiltered,
+        /// Queued admits the service's coordinator took off the ingress
+        /// queue and ran stage one for itself (shed check, pre-filter,
+        /// slice) while the next sequence was still out on a worker.
+        #[serde(default)]
+        admissions_coordinator_sliced,
         /// Slicing runs answered from the cross-request slice cache.
         #[serde(default)]
         slice_cache_hits,
@@ -413,8 +418,9 @@ metrics! {
     histograms {
         /// Admission-decision service time on the coordinator: for an
         /// admit, the trial-schedule plus commit/discard critical section
-        /// (slicing ran before it); for an amendment, also applying the
-        /// delta and re-slicing the resident.
+        /// (slicing ran before it, on a worker or on the coordinator while
+        /// it waited, and is not included); for an amendment, also
+        /// applying the delta and re-slicing the resident.
         #[serde(default)]
         admission,
         /// Submission-to-decision sojourn of non-shed requests, including

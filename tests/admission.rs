@@ -251,7 +251,7 @@ proptest! {
     /// is bit-identical with the cache off, with the default cache, and
     /// with a capacity-2 cache under eviction churn — the cache can make
     /// admission faster, never different. Amendments of cache-hit
-    /// residents exercise the memoized-`SliceMemo` repair path.
+    /// residents re-slice from scratch and never consult the cache.
     #[test]
     fn slice_cache_is_transcript_invisible(
         seed in 0u64..1_000,
