@@ -18,9 +18,12 @@
 //!   slicer workers distribute deadlines in parallel (stage one of the
 //!   pipeline never reads committed load), a single coordinator re-orders
 //!   their products by submission sequence and runs every trial + commit
-//!   in submission order, so concurrency never changes a verdict. While
-//!   the next sequence is still out on a worker, the coordinator slices a
-//!   queued admit itself rather than wait idle.
+//!   in submission order, so concurrency never changes a verdict. Workers
+//!   also slice amendments ahead of the coordinator, against the resident
+//!   graph the submitter predicts; the coordinator uses such a product
+//!   only when the prediction held. While the next sequence is still out
+//!   on a worker, the coordinator runs stage one of a queued request
+//!   itself rather than wait idle.
 //! * [`AdmissionLog`] — the service's full transcript: every request and
 //!   outcome in submission order plus the final state digest. Replaying it
 //!   through a fresh sequential controller ([`AdmissionLog::replay`])
@@ -86,8 +89,11 @@ pub struct AdmitConfig {
     pub scenario: Scenario,
     /// Number of processors in the live platform.
     pub system_size: usize,
-    /// Bound of the service's ingress queue; [`AdmissionService::submit`]
-    /// refuses with [`AdmitError::QueueFull`] instead of blocking.
+    /// Bound of each of the service's two queues: the slicer queue, which
+    /// admits share with the amendments a slicer prepares, and the
+    /// coordinator's own, which takes every other amendment;
+    /// [`AdmissionService::submit`] refuses with [`AdmitError::QueueFull`]
+    /// instead of blocking.
     pub queue_depth: usize,
     /// Maximum number of resident (committed) graphs; an admit beyond the
     /// bound evicts residents chosen by [`eviction`](AdmitConfig::eviction).
@@ -1202,7 +1208,7 @@ impl AdmissionController {
     /// [`AdmitError::Delta`] when the amendment does not apply, and
     /// [`AdmitError::Trial`] when the pipeline itself fails.
     pub fn amend(&mut self, id: u64, delta: &GraphDelta) -> Result<AdmitVerdict, AdmitError> {
-        let result = self.amend_unsealed(id, delta);
+        let result = self.amend_unsealed(id, delta, None);
         let request = AdmitRequest::Amend {
             id,
             delta: delta.clone(),
@@ -1212,18 +1218,20 @@ impl AdmissionController {
 
     /// [`amend`](AdmissionController::amend) without the sealing step —
     /// the service's coordinator runs this and seals through
-    /// [`conclude`](AdmissionController::conclude) itself.
+    /// [`conclude`](AdmissionController::conclude) itself, passing the
+    /// amendment's stage-one product when a slicer made one.
     pub(crate) fn amend_unsealed(
         &mut self,
         id: u64,
         delta: &GraphDelta,
+        presliced: Option<Box<Presliced>>,
     ) -> Result<AdmitVerdict, AdmitError> {
         let started = Instant::now();
         let resident = match self.residents.remove(&id) {
             Some(resident) => resident,
             None => return Err(AdmitError::NoResident { id }),
         };
-        let (resident, result) = self.amend_inner(id, resident, delta);
+        let (resident, result) = self.amend_inner(id, resident, delta, presliced);
         self.residents.insert(id, resident);
         if let Ok(decision) = &result {
             telemetry::global().record_admission(decision.admitted, started.elapsed());
@@ -1234,39 +1242,48 @@ impl AdmissionController {
     /// Body of [`amend`](AdmissionController::amend) with the resident
     /// held out of the map (so the state and pipeline can be borrowed
     /// mutably alongside it); the caller re-inserts it on every path.
+    ///
+    /// A `presliced` product is used only when its base is the resident's
+    /// own graph `Arc`. Slicing reads nothing but the graph and the
+    /// platform, so the product is then exactly what this method would
+    /// have sliced; any other product is dropped unused.
     fn amend_inner(
         &mut self,
         id: u64,
         mut resident: Resident,
         delta: &GraphDelta,
+        presliced: Option<Box<Presliced>>,
     ) -> (Resident, Result<AdmitVerdict, AdmitError>) {
-        let pinning = match self
-            .config
-            .scenario
-            .pinning
-            .build(&resident.graph, &self.platform)
-        {
-            Ok(pinning) => pinning,
-            Err(e) => return (resident, Err(AdmitError::Trial(RunError::Platform(e)))),
-        };
-        let amended = match delta.apply(&resident.graph, &pinning) {
-            Ok(applied) => applied.graph,
-            Err(e) => return (resident, Err(e.into())),
-        };
+        let (amended, output) =
+            match presliced.filter(|product| Arc::ptr_eq(&product.base, &resident.graph)) {
+                Some(product) => {
+                    telemetry::global().admissions_amend_presliced.inc();
+                    let Presliced {
+                        amended, output, ..
+                    } = *product;
+                    (amended, Some(output))
+                }
+                None => match amended_graph(&self.config, &self.platform, &resident.graph, delta) {
+                    Ok(amended) => (amended, None),
+                    Err(e) => return (resident, Err(e)),
+                },
+            };
 
         // Withdraw the resident's reservation, then slice the amended
-        // graph from scratch and trial it at the resident's origin.
+        // graph from scratch (unless stage one did) and trial it at the
+        // resident's origin.
         if let Err(e) = self.state.release(&resident.schedule) {
             return (resident, Err(e.into()));
         }
-        let result = self
-            .pipeline
-            .slice_or_share(&amended, &self.platform, &mut None)
-            .and_then(|(output, _)| {
-                let against = Some((&self.state, resident.origin));
-                self.pipeline
-                    .trial(&amended, &self.platform, output, against)
-            });
+        let result = match output {
+            Some(output) => Ok(output),
+            None => slice_amended(&mut self.pipeline, &self.platform, &amended),
+        }
+        .and_then(|output| {
+            let against = Some((&self.state, resident.origin));
+            self.pipeline
+                .trial(&amended, &self.platform, output, against)
+        });
         let verdict = match result {
             Ok(verdict) => verdict,
             Err(e) => {
@@ -1407,16 +1424,70 @@ fn slice_admit(
     Ok(sliced.into_output())
 }
 
-/// A slicing job shipped to a worker: stage one never reads committed
-/// load, so it runs concurrently with other requests' trials.
-struct WorkerJob {
-    seq: u64,
-    id: u64,
-    graph: Arc<TaskGraph>,
-    origin: Time,
-    /// When [`AdmissionService::submit`] accepted the request — the
-    /// decision budget's staleness clock.
-    accepted: Instant,
+/// The first half of an amendment's stage one, for the controller and
+/// every slicer worker alike: `delta` applied to `base` under the
+/// scenario's pinning.
+fn amended_graph(
+    config: &AdmitConfig,
+    platform: &Platform,
+    base: &TaskGraph,
+    delta: &GraphDelta,
+) -> Result<TaskGraph, AdmitError> {
+    let pinning = config
+        .scenario
+        .pinning
+        .build(base, platform)
+        .map_err(|e| AdmitError::Trial(RunError::Platform(e)))?;
+    Ok(delta.apply(base, &pinning)?.graph)
+}
+
+/// The second half: the amended graph sliced from scratch, never through
+/// the slice cache.
+fn slice_amended(
+    pipeline: &mut Pipeline,
+    platform: &Platform,
+    amended: &TaskGraph,
+) -> Result<SliceOutput, RunError> {
+    pipeline
+        .slice_or_share(amended, platform, &mut None)
+        .map(|(output, _)| output)
+}
+
+/// An amendment's stage one, run by a slicer ahead of its decision
+/// against the graph [`AdmissionService::submit`] predicted the resident
+/// holds.
+pub(crate) struct Presliced {
+    /// The predicted resident graph the delta was applied to. Holding it
+    /// keeps its address from being reused, so the coordinator's
+    /// `Arc::ptr_eq` check against the resident cannot match by accident.
+    base: Arc<TaskGraph>,
+    /// `base` with the delta applied.
+    amended: TaskGraph,
+    /// The amended graph's slice.
+    output: SliceOutput,
+}
+
+/// A queued request on its way to stage one, which never reads committed
+/// load and so runs concurrently with other requests' trials. `accepted`
+/// is when [`AdmissionService::submit`] took the request — the decision
+/// budget's staleness clock.
+enum WorkerJob {
+    Admit {
+        seq: u64,
+        id: u64,
+        graph: Arc<TaskGraph>,
+        origin: Time,
+        accepted: Instant,
+    },
+    Amend {
+        seq: u64,
+        id: u64,
+        delta: GraphDelta,
+        /// The graph of the latest submitted admit of `id`: the resident
+        /// graph the amendment will most likely meet.
+        base: Arc<TaskGraph>,
+        accepted: Instant,
+    },
 }
 
 /// A unit of serial coordinator work, tagged with its submission sequence.
@@ -1434,6 +1505,9 @@ enum CoordJob {
         id: u64,
         delta: GraphDelta,
         accepted: Instant,
+        /// Stage one's product, when it had a base and made one. Boxed, so
+        /// the coordinator channel's preallocated slots stay small.
+        presliced: Option<Box<Presliced>>,
     },
     /// A spurious redelivery of an already-shipped sequence (injected by
     /// the `admit-queue-race` fault site); the coordinator's dedup guard
@@ -1457,9 +1531,9 @@ impl CoordJob {
 /// `try_recv` comes back empty immediately, so batching adds no latency.
 const WORKER_BATCH: usize = 8;
 
-/// What stage one of a queued admit reads. Every slicer worker holds a
-/// copy, and so does the coordinator, which slices queued admits itself
-/// while the next sequence is still out on a worker.
+/// What stage one of a queued request reads. Every slicer worker holds a
+/// copy, and so does the coordinator, which runs stage one of queued
+/// requests itself while the next sequence is still out on a worker.
 #[derive(Clone)]
 struct StageOne {
     config: AdmitConfig,
@@ -1487,11 +1561,17 @@ impl StageOne {
         )
     }
 
-    /// Stage one of one queued admit, on whichever thread took it off the
-    /// ingress queue. The product goes to `ship`, and so does the injected
-    /// queue-race echo after it, so that echo still meets the
+    /// Stage one of one queued request, on whichever thread took it off
+    /// the ingress queue. The product goes to `ship`, and so does the
+    /// injected queue-race echo after it, so that echo still meets the
     /// coordinator's dedup guard. Returns `false` once `ship` reports the
     /// coordinator gone.
+    ///
+    /// An admit ships its slice or a typed refusal. An amendment ships
+    /// its delta applied to the predicted base and sliced, or no product
+    /// at all: over budget, an inapplicable delta, a slicing error or a
+    /// panic each leave the whole amendment to the coordinator, which then
+    /// sheds, refuses or decides it exactly as before.
     fn run(
         &self,
         pipeline: &mut Pipeline,
@@ -1499,43 +1579,101 @@ impl StageOne {
         mut ship: impl FnMut(CoordJob) -> bool,
     ) -> bool {
         let config = &self.config;
-        let fires = |site| {
-            let plan = config.fault_plan.as_deref();
-            fault::fires(plan, site, config.system_size, job.seq as usize, 0)
-        };
-        // Staleness-aware shedding: a request already over its decision
-        // budget is refused before any slicing work is spent on it. The
-        // typed refusal still ships, so the reorder buffer never waits on
-        // a hole.
-        let output = if let Some(waited_us) = over_budget(config.decision_budget, job.accepted) {
-            Err(AdmitError::Shed { waited_us })
-        } else {
-            // Supervision: a panicking slicer (real or injected) is
-            // caught, its possibly-poisoned pipeline discarded and rebuilt
-            // in place, and the request concluded with a typed failure —
-            // the service degrades by one verdict, it never dies.
-            let sliced = catch_unwind(AssertUnwindSafe(|| {
-                if fires(FaultSite::AdmitWorkerPanic) {
-                    panic!("injected admission worker panic");
+        let job = match job {
+            WorkerJob::Admit {
+                seq,
+                id,
+                graph,
+                origin,
+                accepted,
+            } => {
+                // Staleness-aware shedding: a request already over its
+                // decision budget is refused before any slicing work is
+                // spent on it. The typed refusal still ships, so the
+                // reorder buffer never waits on a hole.
+                let output = match over_budget(config.decision_budget, accepted) {
+                    Some(waited_us) => Err(AdmitError::Shed { waited_us }),
+                    None => self
+                        .supervised(pipeline, seq, |pipeline| {
+                            slice_admit(pipeline, &self.platform, config.prefilter, &graph)
+                        })
+                        .unwrap_or(Err(AdmitError::WorkerFailed { stage: "slice" })),
+                };
+                CoordJob::Admit {
+                    seq,
+                    id,
+                    graph,
+                    origin,
+                    accepted,
+                    output,
                 }
-                slice_admit(pipeline, &self.platform, config.prefilter, &job.graph)
-            }));
-            sliced.unwrap_or_else(|_| {
-                *pipeline = self.pipeline();
-                Err(AdmitError::WorkerFailed { stage: "slice" })
-            })
+            }
+            WorkerJob::Amend {
+                seq,
+                id,
+                delta,
+                base,
+                accepted,
+            } => {
+                // A stale amendment is shed by the coordinator; slicing it
+                // here would be wasted.
+                let presliced = match over_budget(config.decision_budget, accepted) {
+                    Some(_) => None,
+                    None => self
+                        .supervised(pipeline, seq, |pipeline| {
+                            let amended =
+                                amended_graph(config, &self.platform, &base, &delta).ok()?;
+                            let output = slice_amended(pipeline, &self.platform, &amended).ok()?;
+                            Some(Box::new(Presliced {
+                                base,
+                                amended,
+                                output,
+                            }))
+                        })
+                        .flatten(),
+                };
+                CoordJob::Amend {
+                    seq,
+                    id,
+                    delta,
+                    accepted,
+                    presliced,
+                }
+            }
         };
-        let seq = job.seq;
+        let seq = job.seq();
         // Queue-race injection: redeliver the sequence right behind the
         // real job, which the dedup guard must then discard.
-        ship(CoordJob::Admit {
-            seq,
-            id: job.id,
-            graph: job.graph,
-            origin: job.origin,
-            accepted: job.accepted,
-            output,
-        }) && (!fires(FaultSite::AdmitQueueRace) || ship(CoordJob::Duplicate { seq }))
+        ship(job)
+            && (!self.fires(FaultSite::AdmitQueueRace, seq) || ship(CoordJob::Duplicate { seq }))
+    }
+
+    /// Whether the fault plan fires `site` for sequence `seq`.
+    fn fires(&self, site: FaultSite, seq: u64) -> bool {
+        let plan = self.config.fault_plan.as_deref();
+        fault::fires(plan, site, self.config.system_size, seq as usize, 0)
+    }
+
+    /// Runs `work` under supervision: a panicking slicer (real or
+    /// injected) is caught, its possibly-poisoned pipeline discarded and
+    /// rebuilt in place, and `None` returned — the service degrades by
+    /// one product, it never dies.
+    fn supervised<T>(
+        &self,
+        pipeline: &mut Pipeline,
+        seq: u64,
+        work: impl FnOnce(&mut Pipeline) -> T,
+    ) -> Option<T> {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if self.fires(FaultSite::AdmitWorkerPanic, seq) {
+                panic!("injected admission worker panic");
+            }
+            work(pipeline)
+        }));
+        if outcome.is_err() {
+            *pipeline = self.pipeline();
+        }
+        outcome.ok()
     }
 }
 
@@ -1556,12 +1694,23 @@ fn over_budget(budget: Option<Duration>, accepted: Instant) -> Option<u64> {
 /// verdicts are bit-identical to a sequential [`AdmissionController`] fed
 /// the same requests (the contract [`AdmissionLog::replay`] checks).
 ///
+/// The first amendment after an admit takes the same queue:
+/// [`submit`](AdmissionService::submit) remembers the graphs of recent
+/// admits and hands it the admit's graph, so a slicer applies the delta
+/// and slices the amended graph ahead of the decision. The coordinator
+/// uses that product only when its base is the resident's own graph.
+/// Otherwise, and for every other amendment, which goes to it directly,
+/// it amends as the sequential controller does. The
+/// [`admissions_amend_presliced`](crate::telemetry::MetricsSnapshot::admissions_amend_presliced)
+/// counter reports how many amendments it decided with a slicer's
+/// product.
+///
 /// The coordinator is a slicer too. When the next sequence is still out on
-/// a worker and no product waits for it, it takes a queued admit off the
-/// ingress queue (without ever blocking there), slices it through the
-/// controller's own pipeline and parks the product in its reorder buffer.
-/// With one worker, two threads thus slice whenever decisions outpace
-/// slicing. The
+/// a worker and no product waits for it, it takes a queued request off the
+/// ingress queue (without ever blocking there), runs its stage one through
+/// the controller's own pipeline and parks the product in its reorder
+/// buffer. With one worker, two threads thus slice whenever decisions
+/// outpace slicing. The
 /// [`admissions_coordinator_sliced`](crate::telemetry::MetricsSnapshot::admissions_coordinator_sliced)
 /// counter reports how many admits it took.
 ///
@@ -1595,12 +1744,29 @@ fn over_budget(budget: Option<Duration>, accepted: Instant) -> Option<u64> {
 pub struct AdmissionService {
     ingress: SyncSender<WorkerJob>,
     coord: SyncSender<CoordJob>,
-    /// Next submission sequence number; the lock also serializes sends, so
-    /// sequence order equals queue order.
-    seq: Mutex<u64>,
+    /// What `submit` keeps between calls; the lock also serializes sends,
+    /// so sequence order equals queue order.
+    submitted: Mutex<Submitted>,
     depth: usize,
     workers: Vec<JoinHandle<()>>,
     coordinator: JoinHandle<AdmissionLog>,
+}
+
+/// The submission side's memory.
+#[derive(Debug)]
+struct Submitted {
+    /// Next submission sequence number.
+    seq: u64,
+    /// Of the last [`AdmitConfig::capacity`] accepted admits, as
+    /// `(id, graph)` and oldest first, those that no accepted request of
+    /// their id has followed. At most that many graphs are resident, so an
+    /// older admit is rarely still one. An amendment takes its admit's
+    /// entry: once it is decided, the resident holds the amended graph
+    /// whenever it was admitted, so a later amendment of the id would be
+    /// sliced against a stale graph.
+    admits: VecDeque<(u64, Arc<TaskGraph>)>,
+    /// The ring's bound, [`AdmitConfig::capacity`] (at least 1).
+    bound: usize,
 }
 
 impl AdmissionService {
@@ -1671,27 +1837,38 @@ impl AdmissionService {
         Ok(AdmissionService {
             ingress,
             coord: coord_tx,
-            seq: Mutex::new(0),
+            submitted: Mutex::new(Submitted {
+                seq: 0,
+                admits: VecDeque::new(),
+                bound: config.capacity.max(1),
+            }),
             depth,
             workers,
             coordinator,
         })
     }
 
-    /// Enqueues a request without blocking: admits go to the slicer pool,
-    /// amendments straight to the coordinator (they need the resident
-    /// graph, which only the coordinator holds). Both carry the same
-    /// submission sequence, so processing order is exactly submission
-    /// order regardless of which worker finishes first.
+    /// Enqueues a request without blocking. Admits go to the slicer pool,
+    /// and so does an amendment for which `submit` still remembers the
+    /// graph of the latest accepted admit of its id (among the last
+    /// [`capacity`](AdmitConfig::capacity) admits, and with no amendment
+    /// of that admit before it): only the coordinator knows the resident
+    /// graph, but this is the one it most likely holds, and a slicer
+    /// prepares the amendment against it. Any other amendment, and one
+    /// that finds the slicer queue full, goes straight to the coordinator,
+    /// which slices it itself: slicers that are behind would hand back a
+    /// product too late to save it anything. Every request
+    /// carries its submission sequence, so processing order is exactly
+    /// submission order regardless of which worker finishes first.
     ///
     /// # Errors
     ///
-    /// [`AdmitError::QueueFull`] when the bounded queue is full (the
-    /// request was not accepted; the caller may retry) and
-    /// [`AdmitError::ServiceStopped`] after shutdown began.
+    /// [`AdmitError::QueueFull`] when the bounded queue the request goes
+    /// to is full (the request was not accepted; the caller may retry)
+    /// and [`AdmitError::ServiceStopped`] after shutdown began.
     pub fn submit(&self, request: AdmitRequest) -> Result<(), AdmitError> {
-        let mut seq = match self.seq.lock() {
-            Ok(seq) => seq,
+        let mut submitted = match self.submitted.lock() {
+            Ok(submitted) => submitted,
             Err(_) => return Err(AdmitError::ServiceStopped),
         };
         fn refused<T>(depth: usize) -> impl Fn(TrySendError<T>) -> AdmitError {
@@ -1700,31 +1877,69 @@ impl AdmissionService {
                 TrySendError::Disconnected(_) => AdmitError::ServiceStopped,
             }
         }
-        let accepted = Instant::now();
+        let (seq, accepted, id) = (submitted.seq, Instant::now(), request.id());
+        let mut admitted = None;
         match request {
-            AdmitRequest::Admit { id, graph, origin } => self
-                .ingress
-                .try_send(WorkerJob {
-                    seq: *seq,
+            AdmitRequest::Admit { id, graph, origin } => {
+                admitted = Some(Arc::clone(&graph));
+                let job = WorkerJob::Admit {
+                    seq,
                     id,
                     graph,
                     origin,
                     accepted,
-                })
-                .map_err(refused(self.depth))?,
-            AdmitRequest::Amend { id, delta } => self
-                .coord
-                .try_send(CoordJob::Amend {
-                    seq: *seq,
-                    id,
-                    delta,
-                    accepted,
-                })
-                .map_err(refused(self.depth))?,
+                };
+                self.ingress.try_send(job).map_err(refused(self.depth))?;
+            }
+            AdmitRequest::Amend { id, delta } => {
+                let base = submitted
+                    .admits
+                    .iter()
+                    .find(|(admit, _)| *admit == id)
+                    .map(|(_, graph)| Arc::clone(graph));
+                let direct = match base {
+                    Some(base) => {
+                        let job = WorkerJob::Amend {
+                            seq,
+                            id,
+                            delta,
+                            base,
+                            accepted,
+                        };
+                        match self.ingress.try_send(job) {
+                            Err(TrySendError::Full(WorkerJob::Amend { delta, .. })) => Some(delta),
+                            sent => {
+                                sent.map_err(refused(self.depth))?;
+                                None
+                            }
+                        }
+                    }
+                    None => Some(delta),
+                };
+                if let Some(delta) = direct {
+                    let job = CoordJob::Amend {
+                        seq,
+                        id,
+                        delta,
+                        accepted,
+                        presliced: None,
+                    };
+                    self.coord.try_send(job).map_err(refused(self.depth))?;
+                }
+            }
         }
         // A sequence number is consumed only by an accepted request, so
         // the coordinator's reorder buffer never waits on a hole.
-        *seq += 1;
+        submitted.seq += 1;
+        // The ring keeps an id's latest admit only until a request of the
+        // id follows it.
+        submitted.admits.retain(|(admit, _)| *admit != id);
+        if let Some(graph) = admitted {
+            submitted.admits.push_back((id, graph));
+            if submitted.admits.len() > submitted.bound {
+                submitted.admits.pop_front();
+            }
+        }
         Ok(())
     }
 
@@ -1739,7 +1954,6 @@ impl AdmissionService {
         let AdmissionService {
             ingress,
             coord,
-            seq: _,
             workers,
             coordinator,
             ..
@@ -1757,8 +1971,9 @@ impl AdmissionService {
     /// The coordinator: re-orders jobs into submission sequence and runs
     /// every decision serially on the single controller. While the next
     /// sequence is still out on a worker and its own channel is empty, it
-    /// slices a queued admit itself instead of waiting: stage one reads no
-    /// committed load, so which thread slices never changes a verdict.
+    /// runs stage one of a queued request itself instead of waiting: stage
+    /// one reads no committed load, so which thread slices never changes a
+    /// verdict.
     fn coordinate(
         mut controller: AdmissionController,
         rx: Receiver<CoordJob>,
@@ -1784,7 +1999,9 @@ impl AdmissionService {
                     // no wake-up.
                     let queued = ingress.try_lock().ok().and_then(|rx| rx.try_recv().ok());
                     if let Some(job) = queued {
-                        telemetry::global().admissions_coordinator_sliced.inc();
+                        if matches!(job, WorkerJob::Admit { .. }) {
+                            telemetry::global().admissions_coordinator_sliced.inc();
+                        }
                         stage.run(&mut controller.pipeline, job, |job| {
                             Self::accept(&mut reorder, next, job);
                             true
@@ -1845,11 +2062,12 @@ impl AdmissionService {
                 id,
                 delta,
                 accepted,
+                presliced,
                 ..
             } => {
                 let result = match over_budget(budget, accepted) {
                     Some(waited_us) => Err(AdmitError::Shed { waited_us }),
-                    None => controller.amend_unsealed(id, &delta),
+                    None => controller.amend_unsealed(id, &delta, presliced),
                 };
                 let request = AdmitRequest::Amend { id, delta };
                 Self::record(controller, log, request, result, accepted);
@@ -2833,6 +3051,68 @@ mod tests {
             assert_eq!(log.residents, 0);
             let replayed = log.replay(&config).unwrap();
             assert!(log.matches(&replayed));
+        }
+
+        #[test]
+        fn a_panicking_amendment_preslice_only_discards_the_preslice() {
+            // Every admit is amended right after it. Pick a plan that
+            // panics stage one of several amendments whose admit it
+            // spares: those pre-slices are lost, and the coordinator must
+            // decide the amendments itself, as the sequential controller.
+            const PAIRS: u64 = 24;
+            let plan_for = |seed: u64| {
+                FaultPlan::new(seed).with_fault(FaultSpec::new(FaultSite::AdmitWorkerPanic, 0.3))
+            };
+            let fires = |plan: &FaultPlan, seq: u64| {
+                plan.should_fire(FaultSite::AdmitWorkerPanic, 8, seq as usize, 0)
+            };
+            let seed = (0..500u64)
+                .find(|&seed| {
+                    let plan = plan_for(seed);
+                    (0..PAIRS)
+                        .filter(|k| !fires(&plan, 2 * k) && fires(&plan, 2 * k + 1))
+                        .count()
+                        >= 4
+                })
+                .expect("some seed panics four spared amendments");
+            let plan = plan_for(seed);
+            let config = config(8)
+                .with_workers(2)
+                .with_queue_depth(2 * PAIRS as usize)
+                .with_fault_plan(plan_for(seed));
+            let service = AdmissionService::new(config.clone()).unwrap();
+            for id in 0..PAIRS {
+                service
+                    .submit(AdmitRequest::Admit {
+                        id,
+                        graph: graph(id + 1),
+                        origin: Time::new(i64::try_from(id).unwrap() * 100_000),
+                    })
+                    .unwrap();
+                service
+                    .submit(AdmitRequest::Amend {
+                        id,
+                        delta: GraphDelta::new().set_wcet(SubtaskId::new(0), Time::new(3)),
+                    })
+                    .unwrap();
+            }
+            let log = service.shutdown().unwrap();
+            let failed_admits = (0..PAIRS).filter(|k| fires(&plan, 2 * k)).count();
+            assert_eq!(log.failed(), failed_admits, "only admits fail");
+            let mut decided = 0;
+            for k in 0..PAIRS {
+                let outcome = &log.outcomes[2 * k as usize + 1];
+                assert!(!matches!(outcome, AdmitOutcome::Failed { .. }));
+                if !fires(&plan, 2 * k) && fires(&plan, 2 * k + 1) && outcome.verdict().is_some() {
+                    decided += 1;
+                }
+            }
+            assert!(decided >= 1, "a spared resident's amendment was decided");
+            let replayed = log.replay(&config).unwrap();
+            assert!(
+                log.matches(&replayed),
+                "amendments match the sequential controller"
+            );
         }
 
         #[test]

@@ -396,6 +396,11 @@ metrics! {
         /// slice) while the next sequence was still out on a worker.
         #[serde(default)]
         admissions_coordinator_sliced,
+        /// Amendments decided with the product stage one sliced ahead of
+        /// the coordinator (the delta applied to the resident graph
+        /// `submit` predicted, and that graph was the resident's).
+        #[serde(default)]
+        admissions_amend_presliced,
         /// Slicing runs answered from the cross-request slice cache.
         #[serde(default)]
         slice_cache_hits,
@@ -420,7 +425,8 @@ metrics! {
         /// admit, the trial-schedule plus commit/discard critical section
         /// (slicing ran before it, on a worker or on the coordinator while
         /// it waited, and is not included); for an amendment, also
-        /// applying the delta and re-slicing the resident.
+        /// applying the delta and re-slicing the resident, unless stage
+        /// one already did both for the resident's graph.
         #[serde(default)]
         admission,
         /// Submission-to-decision sojourn of non-shed requests, including

@@ -117,6 +117,7 @@ fn for_every_field(snap: &MetricsSnapshot, check: impl Fn(&str, u64)) {
         admissions_evicted,
         admissions_prefiltered,
         admissions_coordinator_sliced,
+        admissions_amend_presliced,
         admission_log_retries,
         admission_log_failures,
         slice_cache_hits,
@@ -149,6 +150,7 @@ fn for_every_field(snap: &MetricsSnapshot, check: impl Fn(&str, u64)) {
             "admissions_coordinator_sliced",
             *admissions_coordinator_sliced,
         ),
+        ("admissions_amend_presliced", *admissions_amend_presliced),
         ("admission_log_retries", *admission_log_retries),
         ("admission_log_failures", *admission_log_failures),
         ("slice_cache_hits", *slice_cache_hits),
@@ -212,6 +214,7 @@ fn populated_registry() -> Registry {
     registry.admission_log_failures.inc();
     registry.admissions_prefiltered.inc();
     registry.admissions_coordinator_sliced.inc();
+    registry.admissions_amend_presliced.inc();
     registry.slice_cache_hits.inc();
     registry.slice_cache_misses.inc();
     registry.slice_cache_evictions.inc();
@@ -259,6 +262,7 @@ fn metrics_snapshot_json_is_byte_stable() {
         r#""admissions_admitted":1,"admissions_rejected":1,"admissions_shed":1,"#,
         r#""admissions_worker_failed":1,"admissions_evicted":1,"admissions_prefiltered":1,"#,
         r#""admissions_coordinator_sliced":1,"#,
+        r#""admissions_amend_presliced":1,"#,
         r#""slice_cache_hits":1,"slice_cache_misses":1,"slice_cache_evictions":1,"#,
         r#""admission_log_retries":1,"admission_log_failures":1,"#,
         r#""admission":{"count":2,"total_us":105,"mean_us":52,"p50_us":60,"p90_us":60,"#,
