@@ -25,8 +25,9 @@
 //!
 //! * `--requests N`    admission requests to submit (default 4096);
 //! * `--size P`        platform processors (default 8, the paper size);
-//! * `--amend-every K` submit an amendment of the latest admit after every
-//!   K admits (default 16; 0 disables amendments);
+//! * `--amend-every K` make every K-th request after the first an
+//!   amendment of the latest feasible admit (default 16; 0 disables
+//!   amendments). K = 1 is one admit followed only by amendments of it;
 //! * `--stride T`      mean origin advance between admits in time units
 //!   (default 1000; sets the steady-state residency);
 //! * `--capacity N`    maximum committed residents (default 64);
@@ -198,10 +199,14 @@ fn infeasible_chain(salt: u64) -> TaskGraph {
 }
 
 /// Builds the deterministic request stream: paper workloads at origins
-/// that advance by a seed-derived stride around `stride`, with an
-/// amendment of the latest admit every `amend_every` admits. The stride
-/// sets the steady-state residency (how many committed graphs a trial
-/// schedules against) and is therefore the load axis of this bench.
+/// that advance by a seed-derived stride around `stride`. Request `i`
+/// (`i > 0`) is an amendment of the latest feasible admit (once there is
+/// one) whenever `i` is a multiple of `amend_every`, so between two
+/// amendments come `amend_every - 1` admits; with `amend_every == 1` the
+/// stream is one admit followed by `count - 1` amendments of that one
+/// resident. The stride sets the steady-state residency (how many
+/// committed graphs a trial schedules against) and is therefore the load
+/// axis of this bench.
 ///
 /// `template_pool` > 0 draws every feasible admit from a pool of that
 /// many seed-derived template graphs (the templated-workload regime the
@@ -255,7 +260,7 @@ fn request_stream(
                     id: *id,
                     delta: GraphDelta::new().set_wcet(subtask, Time::new(wcet)),
                 });
-                admits += 1; // arm the next window
+                admits += 1; // counts every request, amendments included
                 continue;
             }
         }

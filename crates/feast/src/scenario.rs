@@ -24,6 +24,9 @@ pub enum ScenarioError {
     /// ranges, non-positive MET, out-of-range variation, …); the message
     /// names the violated constraint.
     Workload(String),
+    /// A platform of the sweep cannot be built (a negative per-item
+    /// communication cost).
+    Platform(PlatformError),
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -39,6 +42,7 @@ impl std::fmt::Display for ScenarioError {
                 write!(f, "system-size sweep contains a zero-processor system")
             }
             ScenarioError::Workload(msg) => write!(f, "invalid workload spec: {msg}"),
+            ScenarioError::Platform(e) => write!(f, "invalid platform: {e}"),
         }
     }
 }
@@ -361,6 +365,10 @@ impl Scenario {
         if self.system_sizes.contains(&0) {
             return Err(ScenarioError::ZeroSystemSize);
         }
+        for &n in &self.system_sizes {
+            Platform::homogeneous(n, self.topology.build(n, self.cost_per_item))
+                .map_err(ScenarioError::Platform)?;
+        }
         self.workload
             .spec()
             .validate()
@@ -569,6 +577,28 @@ mod tests {
         let s = good.clone().with_system_sizes(vec![4, 0]);
         assert_eq!(s.validate(), Err(ScenarioError::ZeroSystemSize));
 
+        // A negative communication cost is rejected for every topology
+        // family; a zero cost is valid.
+        for kind in [
+            TopologyKind::SharedBus,
+            TopologyKind::FullyConnected,
+            TopologyKind::Ring,
+            TopologyKind::Mesh2D,
+        ] {
+            let mut s = good.clone().with_topology(kind);
+            s.cost_per_item = Time::new(-1);
+            assert_eq!(
+                s.validate(),
+                Err(ScenarioError::Platform(PlatformError::NegativeCost(
+                    Time::new(-1)
+                ))),
+                "{}",
+                kind.label()
+            );
+            s.cost_per_item = Time::ZERO;
+            assert_eq!(s.validate(), Ok(()), "{}", kind.label());
+        }
+
         // Zero-width / inconsistent spec ranges surface as typed errors
         // instead of a mid-sweep panic.
         #[allow(clippy::reversed_empty_ranges)]
@@ -594,6 +624,11 @@ mod tests {
         assert!(ScenarioError::Workload("bad".into())
             .to_string()
             .contains("bad"));
+        assert!(
+            ScenarioError::Platform(PlatformError::NegativeCost(Time::new(-1)))
+                .to_string()
+                .contains("negative")
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use taskgraph::SubtaskId;
+use taskgraph::{SubtaskId, Time};
 
 use crate::ProcessorId;
 
@@ -26,6 +26,9 @@ pub enum PlatformError {
     },
     /// A pinning refers to a subtask that is already pinned elsewhere.
     ConflictingPin(SubtaskId),
+    /// The topology's per-item (per-hop) transfer cost is negative: a
+    /// message would arrive before its producer finishes.
+    NegativeCost(Time),
 }
 
 impl fmt::Display for PlatformError {
@@ -39,6 +42,9 @@ impl fmt::Display for PlatformError {
             } => write!(f, "topology {topology} cannot host {processors} processors"),
             PlatformError::ConflictingPin(t) => {
                 write!(f, "subtask {t} is already pinned to a different processor")
+            }
+            PlatformError::NegativeCost(c) => {
+                write!(f, "per-item transfer cost {c} is negative")
             }
         }
     }
@@ -66,6 +72,9 @@ mod tests {
         assert!(PlatformError::ConflictingPin(SubtaskId::new(1))
             .to_string()
             .contains("t1"));
+        assert!(PlatformError::NegativeCost(Time::new(-2))
+            .to_string()
+            .contains("-2"));
     }
 
     #[test]

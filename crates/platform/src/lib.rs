@@ -85,12 +85,20 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// Returns [`PlatformError::NoProcessors`] for a zero-processor platform
-    /// and [`PlatformError::TopologyMismatch`] if the topology cannot host
-    /// the requested processor count.
+    /// Returns [`PlatformError::NoProcessors`] for a zero-processor
+    /// platform, [`PlatformError::TopologyMismatch`] if the topology cannot
+    /// host the requested processor count and
+    /// [`PlatformError::NegativeCost`] if its per-item cost is negative
+    /// (zero is valid: free communication).
     pub fn homogeneous(processors: usize, topology: Topology) -> Result<Self, PlatformError> {
         if processors == 0 {
             return Err(PlatformError::NoProcessors);
+        }
+        // A negative cost would deliver messages before they are sent,
+        // which the scheduler's data-ready floor rules out.
+        let cost = topology.cost_per_item_hop();
+        if cost.is_negative() {
+            return Err(PlatformError::NegativeCost(cost));
         }
         // Validate topology/size compatibility once, up front.
         topology.worst_case_cost_per_item(processors)?;
@@ -225,6 +233,48 @@ mod tests {
             Platform::homogeneous(8, topo),
             Err(PlatformError::TopologyMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn negative_cost_rejected_zero_cost_accepted() {
+        let negative = [
+            Topology::SharedBus {
+                cost_per_item: Time::new(-1),
+            },
+            Topology::FullyConnected {
+                cost_per_item: Time::new(-1),
+            },
+            Topology::Ring {
+                cost_per_item_hop: Time::new(-3),
+            },
+            Topology::Mesh2D {
+                width: 2,
+                height: 2,
+                cost_per_item_hop: Time::new(-1),
+            },
+            Topology::Custom {
+                hops: vec![1; 16],
+                cost_per_item_hop: Time::new(-1),
+            },
+        ];
+        for topo in negative {
+            let cost = topo.cost_per_item_hop();
+            assert_eq!(
+                Platform::homogeneous(4, topo),
+                Err(PlatformError::NegativeCost(cost))
+            );
+        }
+        let free = Platform::homogeneous(
+            4,
+            Topology::SharedBus {
+                cost_per_item: Time::ZERO,
+            },
+        )
+        .unwrap();
+        let cost = free
+            .comm_cost(ProcessorId::new(0), ProcessorId::new(3), 10)
+            .unwrap();
+        assert_eq!(cost, Time::ZERO);
     }
 
     #[test]

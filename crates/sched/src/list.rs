@@ -29,8 +29,24 @@
 //! candidate are captured during that trial pass and spliced in on commit —
 //! the winner is never re-evaluated. Under [`BusModel::Delay`] the bus
 //! timeline is never touched at all. The `reference` submodule keeps the
-//! original two-pass scheduler as the behavioural oracle; a proptest suite
-//! asserts both produce bit-identical [`Schedule`]s.
+//! original two-pass scheduler, which evaluates every candidate, as the
+//! behavioural oracle; a proptest suite asserts both produce bit-identical
+//! [`Schedule`]s, fresh and against committed load.
+//!
+//! The candidate scan stops at the *data-ready floor*
+//! `floor = max(static lower bound, max over in-edges of the producer's
+//! finish)`: once the best start found is `<= floor`, no later candidate
+//! can replace it. Every candidate's start is at least its own lower bound
+//! (`earliest_gap` and `append_start` never return less than the bound
+//! they are given), and that bound is at least `floor`: a local input is
+//! ready at its producer's finish, and a remote one arrives at
+//! `depart + cost` with `depart >= finish` (the contention model's bus gap
+//! starts no earlier than the finish) and `cost >= 0` (`Platform` rejects
+//! negative per-item costs). The winner test is a strict `<`, so a later
+//! candidate that ties the floor would not have replaced the lowest-index
+//! winner anyway. The stop is therefore exact: it changes how many
+//! candidates are evaluated (the `scanned` field of the `dispatched` trace
+//! event, next to the `candidates` offered), never the schedule.
 
 use std::cmp::Reverse;
 
@@ -409,13 +425,26 @@ impl ListScheduler {
                 None => all_procs,
             };
             let static_lb = self.static_lower_bound(graph, assignment, id);
+            // The data-ready floor: no candidate can start before its last
+            // input is produced (see "Hot path" above).
+            let floor = graph.in_edges(id).iter().fold(static_lb, |floor, &eid| {
+                let src = graph.edge(eid).src();
+                floor.max(
+                    placed[src.index()]
+                        .expect("list order guarantees scheduled preds")
+                        .finish,
+                )
+            });
 
             // Estimate the earliest start on each candidate against the
             // committed state, capturing the candidate's message slots (and
             // implied bus reservations); the winner's are spliced in below
-            // without re-running the computation.
+            // without re-running the computation. A start at the floor
+            // cannot be beaten, so the scan stops there.
             let mut best: Option<(Time, ProcessorId)> = None;
+            let mut scanned = 0usize;
             for &p in candidates {
+                scanned += 1;
                 trial_slots.clear();
                 let start = self.earliest_start(
                     graph,
@@ -432,6 +461,9 @@ impl ListScheduler {
                 if best.is_none_or(|(s, _)| start < s) {
                     best = Some((start, p));
                     std::mem::swap(best_slots, trial_slots);
+                    if start <= floor {
+                        break;
+                    }
                 }
             }
             let (start, proc) = best.ok_or(SchedError::Unschedulable(id))?;
@@ -461,6 +493,7 @@ impl ListScheduler {
                 finish = %finish,
                 deadline = %deadline,
                 candidates = candidates.len(),
+                scanned = scanned,
                 "dispatched"
             );
             if finish > deadline {
@@ -585,10 +618,13 @@ impl ListScheduler {
 #[cfg(test)]
 mod equivalence {
     //! The optimized scheduler against the [`reference`] oracle:
-    //! bit-identical [`Schedule`]s across random DAGs, both bus models,
-    //! both placement policies, pinned/unpinned mixes, and both
-    //! release-time modes — plus workspace-reuse determinism.
+    //! bit-identical [`Schedule`]s across random DAGs, 1–16 processors on
+    //! every topology kind at per-item cost 0–3, both bus models, both
+    //! placement policies, pinned/unpinned mixes, and both release-time
+    //! modes, fresh and against committed residents — plus workspace-reuse
+    //! determinism.
 
+    use platform::Topology;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -638,47 +674,87 @@ mod equivalence {
             .expect("non-empty graph with anchored inputs/outputs")
     }
 
+    /// A random platform of `nproc` processors: `kind` picks the shared
+    /// bus, fully-connected links, a ring or a 2-D mesh (of a random
+    /// width dividing `nproc`), all at `cost` per item (and hop).
+    fn random_platform(rng: &mut StdRng, nproc: usize, kind: u8, cost: i64) -> Platform {
+        let cost = Time::new(cost);
+        let topology = match kind {
+            0 => Topology::SharedBus {
+                cost_per_item: cost,
+            },
+            1 => Topology::FullyConnected {
+                cost_per_item: cost,
+            },
+            2 => Topology::Ring {
+                cost_per_item_hop: cost,
+            },
+            _ => {
+                let widths: Vec<usize> = (1..=nproc).filter(|w| nproc.is_multiple_of(*w)).collect();
+                let width = widths[rng.gen_range(0..widths.len())];
+                Topology::Mesh2D {
+                    width,
+                    height: nproc / width,
+                    cost_per_item_hop: cost,
+                }
+            }
+        };
+        Platform::homogeneous(nproc, topology).expect("fitting topology, cost >= 0")
+    }
+
+    /// Pins about 30% of `graph`'s subtasks to random processors.
+    fn random_pinning(rng: &mut StdRng, graph: &TaskGraph, nproc: usize) -> Pinning {
+        let mut pinning = Pinning::new();
+        for id in graph.subtask_ids() {
+            if rng.gen_bool(0.3) {
+                let p = ProcessorId::new(rng.gen_range(0..nproc as u32));
+                pinning.pin(id, p).expect("processor within platform");
+            }
+        }
+        pinning
+    }
+
+    fn configured(contention: bool, append: bool, respect: bool) -> ListScheduler {
+        ListScheduler::new()
+            .with_bus_model(if contention {
+                BusModel::Contention
+            } else {
+                BusModel::Delay
+            })
+            .with_placement(if append {
+                PlacementPolicy::Append
+            } else {
+                PlacementPolicy::Insertion
+            })
+            .with_respect_release(respect)
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::default())]
 
         #[test]
         fn optimized_scheduler_matches_reference(
             seed in 0u64..u64::MAX,
             n in 1usize..=12,
             density in 0.0f64..0.7,
-            nproc in 1usize..=6,
+            nproc in 1usize..=16,
+            kind in 0u8..4,
+            cost in 0i64..=3,
             contention in proptest::bool::ANY,
             append in proptest::bool::ANY,
             respect in proptest::bool::ANY,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let graph = random_graph(&mut rng, n, density);
-            let platform = Platform::paper(nproc).expect("valid platform");
+            let platform = random_platform(&mut rng, nproc, kind, cost);
 
             // Slicing can reject degenerate windows; those cases exercise
             // nothing scheduler-side, so skip them.
             if let Ok(assignment) = Slicer::bst_pure().distribute(&graph, &platform) {
-                let mut pinning = Pinning::new();
-                for id in graph.subtask_ids() {
-                    if rng.gen_bool(0.3) {
-                        let p = ProcessorId::new(rng.gen_range(0..nproc as u32));
-                        pinning.pin(id, p).expect("processor within platform");
-                    }
-                }
-                let scheduler = ListScheduler::new()
-                    .with_bus_model(if contention {
-                        BusModel::Contention
-                    } else {
-                        BusModel::Delay
-                    })
-                    .with_placement(if append {
-                        PlacementPolicy::Append
-                    } else {
-                        PlacementPolicy::Insertion
-                    })
-                    .with_respect_release(respect);
+                let pinning = random_pinning(&mut rng, &graph, nproc);
+                let scheduler = configured(contention, append, respect);
 
-                let slow = reference::schedule(&scheduler, &graph, &platform, &assignment, &pinning)
+                let slow = reference::schedule(&scheduler, &graph, &platform, &assignment, &pinning, None)
                     .expect("reference schedules every valid input");
                 let mut ws = SchedWorkspace::new();
                 let fast = scheduler
@@ -692,6 +768,51 @@ mod equivalence {
                     .schedule_with(&graph, &platform, &assignment, &pinning, &mut ws)
                     .expect("workspace reuse is deterministic");
                 prop_assert_eq!(&again, &slow);
+            }
+        }
+
+        #[test]
+        fn schedule_against_matches_reference(
+            seed in 0u64..u64::MAX,
+            residents in 1usize..=5,
+            nproc in 1usize..=16,
+            kind in 0u8..4,
+            cost in 0i64..=3,
+            contention in proptest::bool::ANY,
+            append in proptest::bool::ANY,
+            respect in proptest::bool::ANY,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let platform = random_platform(&mut rng, nproc, kind, cost);
+            let scheduler = configured(contention, append, respect);
+            let mut state = CommittedState::new(nproc, scheduler.bus_model());
+            let mut ws = SchedWorkspace::new();
+
+            // Each request is trialled against every earlier one, then
+            // committed whatever its lateness, so later trials meet a
+            // fragmented base.
+            for _ in 0..residents {
+                let n = rng.gen_range(1..=10);
+                let density = rng.gen_range(0.0..0.6);
+                let graph = random_graph(&mut rng, n, density);
+                let Ok(assignment) = Slicer::bst_pure().distribute(&graph, &platform) else {
+                    continue;
+                };
+                let pinning = random_pinning(&mut rng, &graph, nproc);
+                let slow = reference::schedule(
+                    &scheduler,
+                    &graph,
+                    &platform,
+                    &assignment,
+                    &pinning,
+                    Some(&state),
+                )
+                .expect("reference schedules every valid input");
+                let fast = scheduler
+                    .schedule_against(&graph, &platform, &assignment, &pinning, &state, &mut ws)
+                    .expect("optimized schedules every valid input");
+                prop_assert_eq!(&fast, &slow);
+                state.commit(&fast).expect("schedule covers the state's processors");
             }
         }
     }
@@ -1075,6 +1196,59 @@ mod tests {
         assert_eq!(field("deadline"), "10");
         assert_eq!(field("finish"), "50");
         assert_eq!(field("lateness"), "40");
+    }
+
+    #[test]
+    fn dispatched_event_reports_scanned_candidates() {
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Clone, Default)]
+        struct Capture(Arc<Mutex<Vec<tracing::Event>>>);
+        impl tracing::Subscriber for Capture {
+            fn enabled(&self, _level: tracing::Level, _target: &str) -> bool {
+                true
+            }
+            fn event(&self, event: &tracing::Event) {
+                self.0.lock().unwrap().push(event.clone());
+            }
+        }
+
+        // On an idle 16-processor platform the first processor already
+        // starts a subtask at its data-ready floor, so the scan stops
+        // short of the 16 candidates offered.
+        let g = fork_graph(5, 2000);
+        let p = Platform::paper(16).unwrap();
+        let a = Slicer::bst_pure().distribute(&g, &p).unwrap();
+        let capture = Capture::default();
+        tracing::subscriber::with_default(capture.clone(), || {
+            ListScheduler::new()
+                .schedule(&g, &p, &a, &Pinning::new())
+                .unwrap();
+        });
+
+        let events = capture.0.lock().unwrap();
+        let counts: Vec<(usize, usize)> = events
+            .iter()
+            .filter(|e| e.message == "dispatched")
+            .map(|e| {
+                let field = |key: &str| {
+                    e.fields
+                        .iter()
+                        .find(|(k, _)| *k == key)
+                        .map(|(_, v)| v.to_string().parse::<usize>().unwrap())
+                        .unwrap_or_else(|| panic!("missing field `{key}`"))
+                };
+                (field("scanned"), field("candidates"))
+            })
+            .collect();
+        assert_eq!(counts.len(), g.subtask_count());
+        assert!(counts
+            .iter()
+            .all(|&(scanned, offered)| (1..=offered).contains(&scanned) && offered == 16));
+        assert!(
+            counts.iter().any(|&(scanned, offered)| scanned < offered),
+            "{counts:?}"
+        );
     }
 
     #[test]

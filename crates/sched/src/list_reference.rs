@@ -12,14 +12,21 @@
 //! scans from the front and `reserve` keeps every reservation as its own
 //! interval — no coalescing, no binary search, no hint.
 //!
-//! The `equivalence` proptest suite in [`super`] (≥256 cases) pins the
-//! optimized scheduler to this oracle: bit-identical [`Schedule`]s (entries,
-//! message slots, processor count — `Schedule` equality covers all three)
-//! across random DAGs, both bus models, both placement policies,
-//! pinned/unpinned mixes, and both release-time modes. Estimate-once
-//! dispatch, interval coalescing, the heap ready queue, and workspace reuse
-//! are all pure strength reductions; any observable divergence is a bug in
-//! the optimized path.
+//! Every candidate processor is evaluated for every dispatch: the oracle
+//! has no data-ready floor, so it also checks that the optimized scan's
+//! early stop never changes a winner. With a [`CommittedState`] base, the
+//! processor and bus timelines start from the base's committed intervals,
+//! as [`ListScheduler::schedule_against`] does.
+//!
+//! The `equivalence` proptest suite in [`super`] (`PROPTEST_CASES` cases,
+//! 256 by default) pins the optimized scheduler to this oracle:
+//! bit-identical [`Schedule`]s (entries, message slots, processor count —
+//! `Schedule` equality covers all three) across random DAGs, 1–16
+//! processors on every topology kind, both bus models, both placement
+//! policies, pinned/unpinned mixes, both release-time modes, and fresh or
+//! committed load. Estimate-once dispatch, interval coalescing, the heap
+//! ready queue, the floor stop and workspace reuse are all pure strength
+//! reductions; any observable divergence is a bug in the optimized path.
 //!
 //! This module may be removed once the optimized scheduler has an
 //! independent oracle (e.g. a constraint checker proving optimality of each
@@ -32,7 +39,10 @@ use slicing::DeadlineAssignment;
 use taskgraph::{SubtaskId, TaskGraph, Time};
 
 use crate::bus::BusModel;
-use crate::{ListScheduler, MessageSlot, PlacementPolicy, SchedError, Schedule, ScheduleEntry};
+use crate::{
+    CommittedState, ListScheduler, MessageSlot, PlacementPolicy, SchedError, Schedule,
+    ScheduleEntry,
+};
 
 /// The pre-overhaul reservation timeline: sorted disjoint intervals with a
 /// linear `earliest_gap` scan and one interval per reservation.
@@ -45,6 +55,14 @@ pub(crate) struct RefTimeline {
 impl RefTimeline {
     pub(crate) fn new() -> Self {
         RefTimeline::default()
+    }
+
+    /// A timeline holding `busy` (sorted, disjoint) as its reservations.
+    fn seeded(busy: &[(Time, Time)]) -> Self {
+        RefTimeline {
+            busy: busy.to_vec(),
+            horizon: busy.last().map_or(Time::ZERO, |&(_, end)| end),
+        }
     }
 
     pub(crate) fn earliest_gap(&self, earliest: Time, duration: Time) -> Time {
@@ -89,13 +107,17 @@ impl RefTimeline {
 /// The pre-overhaul `ListScheduler::schedule`: trial pass with a bus
 /// snapshot per candidate, then a second committed `start_on` for the
 /// winner. Reads the scheduler's configuration through its public
-/// accessors, so both implementations answer to the same knobs.
+/// accessors, so both implementations answer to the same knobs. With a
+/// `base`, the timelines start from its committed reservations (the
+/// caller keeps the base's shape and bus model matched to the platform
+/// and scheduler).
 pub(crate) fn schedule(
     scheduler: &ListScheduler,
     graph: &TaskGraph,
     platform: &Platform,
     assignment: &DeadlineAssignment,
     pinning: &Pinning,
+    base: Option<&CommittedState>,
 ) -> Result<Schedule, SchedError> {
     if assignment.subtask_count() != graph.subtask_count() {
         return Err(SchedError::AssignmentMismatch {
@@ -108,8 +130,18 @@ pub(crate) fn schedule(
     let n = graph.subtask_count();
     let mut placed: Vec<Option<ScheduleEntry>> = vec![None; n];
     let mut messages: Vec<Option<MessageSlot>> = vec![None; graph.edge_count()];
-    let mut procs: Vec<RefTimeline> = vec![RefTimeline::new(); platform.processor_count()];
-    let mut bus = RefTimeline::new();
+    let (mut procs, mut bus) = match base {
+        Some(base) => (
+            (0..platform.processor_count())
+                .map(|p| RefTimeline::seeded(base.processor_busy(p)))
+                .collect(),
+            RefTimeline::seeded(base.bus_busy()),
+        ),
+        None => (
+            vec![RefTimeline::new(); platform.processor_count()],
+            RefTimeline::new(),
+        ),
+    };
 
     let mut missing_preds: Vec<usize> = graph
         .subtask_ids()
