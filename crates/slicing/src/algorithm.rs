@@ -728,12 +728,14 @@ mod tests {
 
         /// The plain slicing loop: one whole-iteration
         /// [`PathSearch::find_critical_path`] per critical path, through the
-        /// same state transition as the production loop.
+        /// same state transition as the production loop. Also returns the
+        /// starts (unassigned release-anchored nodes) summed over its
+        /// iterations.
         fn reference_distribute(
             slicer: &Slicer,
             graph: &TaskGraph,
             platform: &Platform,
-        ) -> Result<DeadlineAssignment, SliceError> {
+        ) -> (Result<DeadlineAssignment, SliceError>, usize) {
             let ctx = MetricContext::for_workload(graph, platform);
             let exp = ExpandedGraph::estimated(graph, slicer.estimate(), platform);
             let rule = slicer.metric().share_rule();
@@ -751,17 +753,21 @@ mod tests {
             let mut state = SliceState::init(graph, &exp);
             let mut search = PathSearch::new(exp.len(), exp.max_chain());
             let (mut path_weights, mut slices, mut paths) = (Vec::new(), Vec::new(), 0);
+            let mut starts = 0;
             while state.remaining > 0 {
-                let cp = search
-                    .find_critical_path(
-                        &exp,
-                        &vweights,
-                        &state.assigned,
-                        &state.rel,
-                        &state.dl,
-                        rule,
-                    )
-                    .ok_or(SliceError::NoAnchoredPath)?;
+                starts += (0..exp.len())
+                    .filter(|&v| !state.assigned[v] && state.rel[v].is_some())
+                    .count();
+                let Some(cp) = search.find_critical_path(
+                    &exp,
+                    &vweights,
+                    &state.assigned,
+                    &state.rel,
+                    &state.dl,
+                    rule,
+                ) else {
+                    return (Err(SliceError::NoAnchoredPath), starts);
+                };
                 paths += 1;
                 apply_path(
                     &exp,
@@ -774,7 +780,7 @@ mod tests {
                     paths,
                 );
             }
-            finalize(slicer, graph, &exp, state)
+            (finalize(slicer, graph, &exp, state), starts)
         }
 
         fn slicer(metric: usize, ccaa: bool) -> Slicer {
@@ -836,9 +842,81 @@ mod tests {
                 let slicer = slicer(metric, ccaa);
                 prop_assert_eq!(
                     slicer.distribute(&graph, &platform),
-                    reference_distribute(&slicer, &graph, &platform)
+                    reference_distribute(&slicer, &graph, &platform).0
                 );
             }
+        }
+
+        proptest! {
+            // Honours `PROPTEST_CASES` (the CI deep step scales it up).
+            #![proptest_config(ProptestConfig::default())]
+
+            /// After every iteration the loop's kept node classes (which
+            /// nodes a path may enter, end at and start from) equal a
+            /// from-scratch classification: the loop's test-only hook
+            /// asserts it and counts the checks.
+            #[test]
+            fn kept_classes_match_a_fresh_classification(
+                seed in 0u64..u64::MAX,
+                n in 1usize..=16,
+                density in 0.0f64..0.6,
+                metric in 0usize..4,
+                ccaa in proptest::bool::ANY,
+            ) {
+                let graph = random_graph(&mut StdRng::seed_from_u64(seed), n, density);
+                let platform = Platform::paper(2).expect("valid platform");
+                let checks = || crate::incremental::CLASS_CHECKS.with(|c| c.get());
+                let before = checks();
+                let result = slicer(metric, ccaa).distribute(&graph, &platform);
+                // One check per sliced path; a run that slices nothing
+                // fails before its first.
+                prop_assert!(checks() > before || result.is_err());
+            }
+        }
+
+        /// The `deadline distribution complete` event counts every start
+        /// of every iteration once, as searched live or kept.
+        #[test]
+        fn distribution_event_counts_searched_and_kept_starts() {
+            use std::sync::{Arc, Mutex};
+
+            #[derive(Clone, Default)]
+            struct Capture(Arc<Mutex<Vec<tracing::Event>>>);
+            impl tracing::Subscriber for Capture {
+                fn enabled(&self, _level: tracing::Level, _target: &str) -> bool {
+                    true
+                }
+                fn event(&self, event: &tracing::Event) {
+                    self.0.lock().unwrap().push(event.clone());
+                }
+            }
+
+            let spec = WorkloadSpec::paper(ExecVariation::paper_scenarios()[1]);
+            let graph = generate_seeded(&spec, 7).expect("paper graph");
+            let platform = Platform::paper(8).expect("valid platform");
+            let slicer = Slicer::bst_pure();
+            let capture = Capture::default();
+            tracing::subscriber::with_default(capture.clone(), || {
+                slicer.distribute(&graph, &platform).unwrap();
+            });
+            let events = capture.0.lock().unwrap();
+            let done = events
+                .iter()
+                .find(|e| e.message == "deadline distribution complete")
+                .expect("the loop reports its end");
+            let field = |key: &str| -> usize {
+                done.fields
+                    .iter()
+                    .find(|(k, _)| *k == key)
+                    .map(|(_, v)| v.to_string().parse().unwrap())
+                    .unwrap_or_else(|| panic!("missing field `{key}`"))
+            };
+            let (searched, kept) = (field("searched"), field("kept"));
+            assert!(kept > 0, "a paper graph reuses searches");
+            assert_eq!(
+                searched + kept,
+                reference_distribute(&slicer, &graph, &platform).1
+            );
         }
 
         proptest! {
@@ -860,7 +938,7 @@ mod tests {
                 let slicer = slicer(metric, ccaa);
                 prop_assert_eq!(
                     slicer.distribute(&graph, &platform),
-                    reference_distribute(&slicer, &graph, &platform)
+                    reference_distribute(&slicer, &graph, &platform).0
                 );
             }
         }

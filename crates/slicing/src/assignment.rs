@@ -81,23 +81,33 @@ impl fmt::Display for Window {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeadlineAssignment {
     task_windows: Vec<Window>,
+    /// Per edge, in edge order; empty when no message was materialized
+    /// (every window `None`, as under CCNE).
     comm_windows: Vec<Option<Window>>,
+    edges: usize,
     inverted_paths: usize,
     metric: String,
     estimate: String,
 }
 
 impl DeadlineAssignment {
+    /// An assignment of `comm_windows` (one per edge, in edge order); when
+    /// none is materialized, none is stored.
     pub(crate) fn new(
         task_windows: Vec<Window>,
-        comm_windows: Vec<Option<Window>>,
+        mut comm_windows: Vec<Option<Window>>,
         inverted_paths: usize,
         metric: String,
         estimate: String,
     ) -> Self {
+        let edges = comm_windows.len();
+        if comm_windows.iter().all(Option::is_none) {
+            comm_windows = Vec::new();
+        }
         DeadlineAssignment {
             task_windows,
             comm_windows,
+            edges,
             inverted_paths,
             metric,
             estimate,
@@ -122,7 +132,11 @@ impl DeadlineAssignment {
     /// Panics if `id` does not belong to the distributed graph.
     #[inline]
     pub fn comm_window(&self, id: EdgeId) -> Option<Window> {
-        self.comm_windows[id.index()]
+        assert!(
+            id.index() < self.edges,
+            "edge {id} is not in the distributed graph"
+        );
+        self.comm_windows.get(id.index()).copied().flatten()
     }
 
     /// The assigned release time of a subtask.
@@ -196,6 +210,7 @@ impl DeadlineAssignment {
                 .iter()
                 .map(|w| w.map(|w| w.shifted(offset)))
                 .collect(),
+            edges: self.edges,
             inverted_paths: self.inverted_paths,
             metric: self.metric.clone(),
             estimate: self.estimate.clone(),
@@ -400,6 +415,72 @@ mod tests {
         assert_eq!(shifted.estimate_name(), "ccne");
         // Zero offset is the identity.
         assert_eq!(a.shifted(Time::ZERO), a);
+    }
+
+    /// A three-subtask chain, sliced under `estimate` on two processors.
+    fn sliced_chain(estimate: crate::CommEstimate) -> (TaskGraph, DeadlineAssignment) {
+        let mut b = TaskGraph::builder();
+        let a = b.add_subtask(taskgraph::Subtask::new(Time::new(10)).released_at(Time::ZERO));
+        let m = b.add_subtask(taskgraph::Subtask::new(Time::new(30)));
+        let z = b.add_subtask(taskgraph::Subtask::new(Time::new(20)).due_at(Time::new(200)));
+        b.add_edge(a, m, 10).unwrap();
+        b.add_edge(m, z, 10).unwrap();
+        let g = b.build().unwrap();
+        let p = platform::Platform::paper(2).unwrap();
+        let asg = crate::Slicer::bst_pure()
+            .with_estimate(estimate)
+            .distribute(&g, &p)
+            .unwrap();
+        (g, asg)
+    }
+
+    #[test]
+    fn no_comm_windows_are_stored_when_none_is_materialized() {
+        let (g, ccne) = sliced_chain(crate::CommEstimate::Ccne);
+        assert!(ccne.comm_windows.is_empty());
+        assert_eq!(ccne.edges, g.edge_count());
+        for eid in g.edge_ids() {
+            assert_eq!(ccne.comm_window(eid), None);
+        }
+        let (_, ccaa) = sliced_chain(crate::CommEstimate::Ccaa);
+        assert_eq!(ccaa.comm_windows.len(), g.edge_count());
+        assert!(g.edge_ids().all(|eid| ccaa.comm_window(eid).is_some()));
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the distributed graph")]
+    fn comm_window_panics_on_a_foreign_edge_without_stored_windows() {
+        let (g, ccne) = sliced_chain(crate::CommEstimate::Ccne);
+        let _ = ccne.comm_window(EdgeId::new(g.edge_count() as u32));
+    }
+
+    #[test]
+    fn shifted_keeps_an_assignment_without_stored_comm_windows() {
+        let (g, ccne) = sliced_chain(crate::CommEstimate::Ccne);
+        let shifted = ccne.shifted(Time::new(7));
+        assert!(shifted.comm_windows.is_empty());
+        assert_eq!(shifted.edges, g.edge_count());
+        assert_eq!(shifted.comm_window(EdgeId::new(1)), None);
+        for id in g.subtask_ids() {
+            assert_eq!(shifted.window(id), ccne.window(id).shifted(Time::new(7)));
+        }
+        assert_eq!(ccne.shifted(Time::ZERO), ccne);
+    }
+
+    #[test]
+    fn baseline_and_sliced_assignments_equal_their_explicit_form() {
+        let (g, ccne) = sliced_chain(crate::CommEstimate::Ccne);
+        let baseline = crate::distribute_baseline(&g, crate::BaselineStrategy::Effective);
+        for asg in [ccne, baseline] {
+            let explicit = DeadlineAssignment::new(
+                g.subtask_ids().map(|id| asg.window(id)).collect(),
+                vec![None; g.edge_count()],
+                asg.inverted_paths(),
+                asg.metric_name().to_owned(),
+                asg.estimate_name().to_owned(),
+            );
+            assert_eq!(explicit, asg);
+        }
     }
 
     #[test]

@@ -1,218 +1,160 @@
-//! The slicing loop (Figure 1), with every per-start search carried over
-//! from the previous iteration while the last slice left it untouched.
+//! The slicing loop (Figure 1), with every per-start search reused while
+//! the slices since left it untouched.
 //!
 //! # How it works
 //!
 //! The loop is deterministic: given the expanded graph, per-node virtual
 //! times, and the accumulated `assigned`/release/deadline state at the top
 //! of an iteration, the chosen critical path — and hence the whole rest of
-//! the run — is a pure function of those inputs. Each iteration records
-//! the *local* winner of every per-start DP search together with the
-//! search's **read set** (every node whose mutable state it touched, as a
-//! bitset).
+//! the run — is a pure function of those inputs. Each per-start DP search
+//! records its *local* winner together with the search's **read set**
+//! (every node whose mutable state it touched, as a bitset).
 //!
-//! A start's search carries over from the previous iteration while its
-//! read set misses the nodes the last slice touched (the spine and the
-//! spine's neighbours): no node it read changed, so a new search would
-//! reproduce it bit for bit. Only newly anchored starts and those whose
-//! read set the last slice touched are searched live, about a fifth on the
-//! paper's graphs.
+//! A slice changes exactly its spine and the spine's neighbours (the
+//! `touched` set): the spine is assigned, predecessors inherit deadlines
+//! and successors releases. So after each slice the loop reclassifies only
+//! the touched nodes — which nodes a path may enter, end at, or start
+//! from — and re-searches only the starts that are new or whose read set
+//! meets `touched`: no node the others read changed, so a new search would
+//! reproduce their record bit for bit. About a fifth of the starts are
+//! searched live on the paper's graphs under CCNE, a tenth under CCAA.
+//! Anchors are never removed and
+//! `assigned` is never reset, so a start present in an iteration was
+//! present, and recorded, in every iteration since its first search.
 //!
-//! Winners compose across ascending starts with the same strict `<` as the
-//! full sweep, so the chosen path — and therefore the produced
-//! [`DeadlineAssignment`] — is **bit-identical** to the plain loop that
-//! searches every start each iteration. The slicing tests keep that loop
-//! as an oracle.
+//! Winners compose in the same pass over ascending starts with the same
+//! strict `<` as the full sweep, so the chosen path — and therefore the
+//! produced [`DeadlineAssignment`] — is **bit-identical** to the plain loop
+//! that reclassifies every node and searches every start each iteration.
+//! The slicing tests keep that loop as an oracle.
 //!
 //! # Layout
 //!
-//! An iteration's record is three flat buffers: its candidates, their read
-//! sets (one fixed-width row each) and their winner paths. The loop keeps
-//! two records, the previous iteration's and the open one, and swaps them
-//! after every slice, so a run allocates a handful of buffers whatever its
-//! iteration count.
+//! One record per expanded node, kept for the whole run: a valid flag, the
+//! local winner, a fixed-width read-set row and a fixed-width path row of
+//! `max_chain` nodes. A record is overwritten only when its start is
+//! searched again, so a run allocates a handful of buffers whatever its
+//! iteration count and copies nothing between iterations.
 
 use platform::Platform;
 use taskgraph::{TaskGraph, Time};
 
 use crate::algorithm::{apply_path, finalize, SliceState};
 use crate::expanded::ExpandedGraph;
-use crate::path_search::{CriticalPath, PathSearch};
+use crate::path_search::{ones, set_bit, CriticalPath, PathSearch};
 use crate::{DeadlineAssignment, ShareRule, SliceError, SliceInputs, Slicer, Window};
 
-/// One per-start search of an iteration: its start and local winner. The
-/// read set is row `c` of [`Iteration::deps`] for candidate `c`.
-#[derive(Debug, Clone, Copy)]
-struct Cand {
-    start: u32,
-    /// The winner path is `len` nodes of [`Iteration::path_nodes`] from
-    /// offset `path`; `len == 0` when the start reaches no endpoint (a
-    /// path has at least one node).
-    path: u32,
+/// The last search from one start. Its read set and winner path are row
+/// `s` of [`Searches::deps`] and [`Searches::paths`] for start `s`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Record {
+    /// The start was searched, so the rows hold its last search.
+    valid: bool,
+    /// Winner path length in nodes; 0 when the start reaches no endpoint
+    /// (a path has at least one node).
     len: u32,
     score: f64,
     window_start: Time,
     window_end: Time,
 }
 
-/// The per-start searches of one iteration, ascending by start.
+/// One [`Record`] per expanded node, for the whole run.
 #[derive(Debug)]
-struct Iteration {
+struct Searches {
     /// 64-bit words per read-set row.
     words: usize,
-    cands: Vec<Cand>,
-    /// Per candidate: the read set of its search.
+    /// Nodes per path row: the longest chain.
+    width: usize,
+    records: Vec<Record>,
     deps: Vec<u64>,
-    path_nodes: Vec<u32>,
+    paths: Vec<u32>,
+    /// Live searches and reused records, summed over the run's passes.
+    searched: usize,
+    kept: usize,
 }
 
-impl Iteration {
-    /// An empty record for a run over `n` expanded nodes. An iteration has
-    /// at most one candidate per node.
-    fn new(n: usize) -> Self {
+impl Searches {
+    /// No start searched yet, for a run over `n` expanded nodes.
+    fn new(n: usize, max_chain: usize) -> Self {
         let words = n.div_ceil(64);
-        Iteration {
+        Searches {
             words,
-            cands: Vec::with_capacity(n),
-            deps: Vec::with_capacity(n * words),
-            path_nodes: Vec::new(),
+            width: max_chain,
+            records: vec![Record::default(); n],
+            deps: vec![0; n * words],
+            paths: vec![0; n * max_chain],
+            searched: 0,
+            kept: 0,
         }
     }
 
-    fn clear(&mut self) {
-        self.cands.clear();
-        self.deps.clear();
-        self.path_nodes.clear();
-    }
-
-    /// The read set of candidate `c`.
-    fn dep(&self, c: usize) -> &[u64] {
-        &self.deps[c * self.words..(c + 1) * self.words]
-    }
-
-    /// The winner path of candidate `c` (empty if none).
-    fn path(&self, c: usize) -> &[u32] {
-        let cand = &self.cands[c];
-        &self.path_nodes[cand.path as usize..(cand.path + cand.len) as usize]
-    }
-
-    /// Runs the search from start `s` live: it marks its read set straight
-    /// into a fresh row, and its winner's path is walked straight into the
-    /// node array.
-    #[allow(clippy::too_many_arguments)]
-    fn search(
-        &mut self,
-        search: &mut PathSearch,
-        exp: &ExpandedGraph,
-        vweights: &[f64],
-        dl: &[Option<Time>],
-        s: usize,
-        start_release: Time,
-        rule: ShareRule,
-    ) {
-        let at = self.deps.len();
-        self.deps.resize(at + self.words, 0);
-        let found = search.search_from(
-            exp,
-            vweights,
-            dl,
-            s,
-            start_release,
-            rule,
-            &mut self.deps[at..],
-        );
-        let path = self.path_nodes.len();
-        let mut cand = Cand {
-            start: s as u32,
-            path: path as u32,
-            len: 0,
-            score: 0.0,
-            window_start: Time::ZERO,
-            window_end: Time::ZERO,
-        };
-        if let Some(w) = found {
-            search.path_into(&w, &mut self.path_nodes);
-            cand.len = (self.path_nodes.len() - path) as u32;
-            cand.score = w.score;
-            cand.window_start = w.window_start;
-            cand.window_end = w.window_end;
-        }
-        self.cands.push(cand);
-    }
-
-    /// Appends candidate `c` of `prev` unchanged.
-    fn carry(&mut self, prev: &Iteration, c: usize) {
-        self.deps.extend_from_slice(prev.dep(c));
-        let path = self.path_nodes.len() as u32;
-        self.path_nodes.extend_from_slice(prev.path(c));
-        self.cands.push(Cand {
-            path,
-            ..prev.cands[c]
-        });
-    }
-
-    /// One iteration's per-start pass into this (empty) record. Every
-    /// unassigned release-anchored start, ascending, is carried from
-    /// `prev` when `prev` searched it and its read set misses `touched`,
-    /// the nodes the previous slice changed, and searched live when not.
-    /// Returns the winning candidate.
+    /// One iteration's per-start pass. Every start, ascending, keeps its
+    /// record when it has one and its read set misses `touched`, the nodes
+    /// the previous slice changed, and is searched live into its record
+    /// when not. Returns the start whose winner scores strictly lowest,
+    /// the first one on ties.
     #[allow(clippy::too_many_arguments)]
     fn pass(
         &mut self,
-        prev: &Iteration,
         search: &mut PathSearch,
         exp: &ExpandedGraph,
         vweights: &[f64],
         rule: ShareRule,
         state: &SliceState,
+        starts: &[u64],
         touched: &[u64],
     ) -> Result<usize, SliceError> {
-        let mut classified = false;
-        let mut carried = 0..prev.cands.len();
-        for s in 0..exp.len() {
-            let Some(release) = state.rel[s].filter(|_| !state.assigned[s]) else {
-                continue;
-            };
-            if seek(&prev.cands, &mut carried, s) && disjoint(prev.dep(carried.start), touched) {
-                self.carry(prev, carried.start);
-                continue;
-            }
-            // Most passes search nothing live: classify on demand.
-            if !std::mem::replace(&mut classified, true)
-                && !search.classify(exp.len(), &state.assigned, &state.rel, &state.dl)
-            {
-                return Err(SliceError::NoAnchoredPath);
-            }
-            self.search(search, exp, vweights, &state.dl, s, release, rule);
-        }
-        self.best().ok_or(SliceError::NoAnchoredPath)
-    }
-
-    /// The first candidate (ascending start order) attaining the strictly
-    /// smallest score — the same composition rule as the full sweep's `<`.
-    fn best(&self) -> Option<usize> {
+        let words = self.words;
         let mut best: Option<(usize, f64)> = None;
-        for (c, cand) in self.cands.iter().enumerate() {
-            if cand.len > 0 && best.is_none_or(|(_, s)| cand.score < s) {
-                best = Some((c, cand.score));
+        for s in ones(starts) {
+            let dep = &mut self.deps[s * words..(s + 1) * words];
+            if self.records[s].valid && disjoint(dep, touched) {
+                self.kept += 1;
+            } else {
+                self.searched += 1;
+                dep.fill(0);
+                let release = state.rel[s].expect("starts are release-anchored");
+                let found = search.search_from(exp, vweights, &state.dl, s, release, rule, dep);
+                let rec = &mut self.records[s];
+                rec.valid = true;
+                rec.len = 0;
+                if let Some(w) = found {
+                    search.path_into(&w, &mut self.paths[s * self.width..]);
+                    rec.len = w.len;
+                    rec.score = w.score;
+                    rec.window_start = w.window_start;
+                    rec.window_end = w.window_end;
+                }
+            }
+            let rec = &self.records[s];
+            if rec.len > 0 && best.is_none_or(|(_, b)| rec.score < b) {
+                best = Some((s, rec.score));
             }
         }
-        best.map(|(c, _)| c)
+        best.map(|(s, _)| s).ok_or(SliceError::NoAnchoredPath)
     }
 
-    /// Loads candidate `c` into the reusable `cp`.
-    fn load(&self, c: usize, cp: &mut CriticalPath) {
-        let cand = &self.cands[c];
+    /// Loads start `s`'s winner into the reusable `cp`.
+    fn load(&self, s: usize, cp: &mut CriticalPath) {
+        let rec = &self.records[s];
+        let row = &self.paths[s * self.width..][..rec.len as usize];
         cp.nodes.clear();
-        cp.nodes.extend(self.path(c).iter().map(|&v| v as usize));
-        cp.score = cand.score;
-        cp.window_start = cand.window_start;
-        cp.window_end = cand.window_end;
+        cp.nodes.extend(row.iter().map(|&v| v as usize));
+        cp.score = rec.score;
+        cp.window_start = rec.window_start;
+        cp.window_end = rec.window_end;
     }
 }
 
-/// Sets `touched` to every node the slice along `spine` may have changed:
-/// the spine itself and its neighbours.
+/// Reclassifies node `v` for `state`: its search classes and whether it
+/// is in `starts`.
+fn classify(search: &mut PathSearch, starts: &mut [u64], state: &SliceState, v: usize) {
+    let start = search.classify(v, &state.assigned, &state.rel, &state.dl);
+    set_bit(starts, v, start);
+}
+
+/// Sets `touched` to every node the slice along `spine` changed: the spine
+/// itself and its neighbours.
 fn mark_touched(exp: &ExpandedGraph, spine: &[usize], touched: &mut [u64]) {
     touched.fill(0);
     for &v in spine {
@@ -220,7 +162,7 @@ fn mark_touched(exp: &ExpandedGraph, spine: &[usize], touched: &mut [u64]) {
             .chain(exp.pred(v).iter().copied())
             .chain(exp.succ(v).iter().copied());
         for u in nodes {
-            touched[(u >> 6) as usize] |= 1u64 << (u & 63);
+            set_bit(touched, u as usize, true);
         }
     }
 }
@@ -230,14 +172,30 @@ fn disjoint(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x & y == 0)
 }
 
-/// Advances `range`, a run of candidates ascending by start, past every
-/// start below `s`; returns whether its first candidate is the one from
-/// `s`.
-fn seek(cands: &[Cand], range: &mut std::ops::Range<usize>, s: usize) -> bool {
-    while range.start < range.end && (cands[range.start].start as usize) < s {
-        range.start += 1;
+#[cfg(test)]
+thread_local! {
+    /// Iterations whose incrementally kept classes were checked against a
+    /// from-scratch classification, on this thread.
+    pub(crate) static CLASS_CHECKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Asserts that the kept classes equal a from-scratch classification of
+/// every node.
+#[cfg(test)]
+fn check_classes(search: &PathSearch, starts: &[u64], state: &SliceState) {
+    let n = state.assigned.len();
+    let mut scratch = PathSearch::new(n, 0);
+    let mut scratch_starts = vec![0u64; starts.len()];
+    for v in 0..n {
+        classify(&mut scratch, &mut scratch_starts, state, v);
     }
-    range.start < range.end && cands[range.start].start as usize == s
+    assert_eq!(
+        search.classes(),
+        scratch.classes(),
+        "kept search classes drifted"
+    );
+    assert_eq!(starts, &scratch_starts[..], "kept start set drifted");
+    CLASS_CHECKS.with(|c| c.set(c.get() + 1));
 }
 
 impl Slicer {
@@ -264,24 +222,24 @@ impl Slicer {
         assert_eq!(vweights.len(), n, "inputs computed for another graph");
         let mut search = PathSearch::new(n, exp.max_chain());
         let mut state = SliceState::init(graph, &exp);
-        // The previous iteration's searches and the open one's.
-        let (mut prev, mut open) = (Iteration::new(n), Iteration::new(n));
-        // The nodes the previous iteration's slice changed.
+        let mut searches = Searches::new(n, exp.max_chain());
+        // The nodes searches start at, and those the previous iteration's
+        // slice changed.
+        let mut starts = vec![0u64; n.div_ceil(64)];
         let mut touched = vec![0u64; n.div_ceil(64)];
+        for v in 0..n {
+            classify(&mut search, &mut starts, &state, v);
+        }
         let mut path_weights: Vec<f64> = Vec::new();
         let mut slices: Vec<Window> = Vec::new();
         // The chosen path of each iteration, reloaded in place.
-        let mut cp = CriticalPath {
-            nodes: Vec::new(),
-            score: 0.0,
-            window_start: Time::ZERO,
-            window_end: Time::ZERO,
-        };
+        let mut cp = CriticalPath::default();
         let mut paths = 0usize;
 
         while state.remaining > 0 {
-            let best = open.pass(&prev, &mut search, &exp, vweights, rule, &state, &touched)?;
-            open.load(best, &mut cp);
+            let best =
+                searches.pass(&mut search, &exp, vweights, rule, &state, &starts, &touched)?;
+            searches.load(best, &mut cp);
             paths += 1;
             apply_path(
                 &exp,
@@ -294,14 +252,19 @@ impl Slicer {
                 paths,
             );
             mark_touched(&exp, &cp.nodes, &mut touched);
-            std::mem::swap(&mut prev, &mut open);
-            open.clear();
+            for v in ones(&touched) {
+                classify(&mut search, &mut starts, &state, v);
+            }
+            #[cfg(test)]
+            check_classes(&search, &starts, &state);
         }
 
         tracing::debug!(
             paths = paths,
             inverted = state.inverted,
             expanded_nodes = n,
+            searched = searches.searched,
+            kept = searches.kept,
             "deadline distribution complete"
         );
         finalize(self, graph, &exp, state)

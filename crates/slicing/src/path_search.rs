@@ -9,25 +9,29 @@
 //!
 //! Because R is a ratio, it does not decompose over edges; instead we run a
 //! dynamic program over states `(node, path length)` tracking the maximum
-//! and minimum total virtual execution time of any admissible path reaching
-//! the node with that length. For a fixed window `D` and length `n`, R is
-//! monotone in the total weight, so evaluating both extremes at every
-//! deadline-anchored endpoint finds the exact minimum over all admissible
-//! paths.
+//! (and, under the proportional share rule, the minimum) total virtual
+//! execution time of any admissible path reaching the node with that
+//! length. For a fixed window `D` and length `n`, R is monotone in the
+//! total weight, so evaluating the extremes at every deadline-anchored
+//! endpoint finds the exact minimum over all admissible paths. Under the
+//! equal-share rule the maximum alone decides (see
+//! [`search_from`](PathSearch::search_from)).
 //!
 //! The state space is `O(V · L)` (`L` = longest chain), but the search never
 //! sweeps it: state slots carry a generation stamp (`epoch`), so starting a
 //! new DP costs one counter increment instead of four `O(V · L)` array
 //! fills, and each start only ever touches slots its paths actually reach.
-//! Traversal is driven by a frontier of live topological positions — nodes
-//! that hold at least one live state — popped in topological order, so a
-//! start's DP visits exactly the admissible nodes reachable from it rather
-//! than every node times every chain length. Relaxations happen in the same
-//! order as a full topological sweep, which keeps results bit-identical to
-//! the naive DP (asserted by the `reference` equivalence suite below).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Traversal is driven by a frontier bitset over topological positions —
+//! one bit per node that holds at least one live state — taken in
+//! ascending order, so a start's DP visits exactly the admissible nodes
+//! reachable from it rather than every node times every chain length.
+//! Relaxations happen in the same order as a full topological sweep, which
+//! keeps results bit-identical to the naive DP (asserted by the
+//! `reference` equivalence suite below).
+//!
+//! The node classes the DP reads (which nodes a path may enter, which it
+//! may end at) are kept per node by [`classify`](PathSearch::classify); the
+//! slicing loop refreshes only the nodes its last slice touched.
 
 use taskgraph::Time;
 
@@ -35,7 +39,7 @@ use crate::expanded::ExpandedGraph;
 use crate::ShareRule;
 
 /// A critical path chosen by the search.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct CriticalPath {
     /// Expanded-graph node indices from start to end.
     pub nodes: Vec<usize>,
@@ -54,7 +58,8 @@ pub(crate) struct CriticalPath {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Winner {
     end: u32,
-    len: u32,
+    /// The number of nodes on the path.
+    pub len: u32,
     use_max: bool,
     /// The metric score R of the path (lower = more critical).
     pub score: f64,
@@ -66,16 +71,34 @@ pub(crate) struct Winner {
 
 const NO_PARENT: u32 = u32::MAX;
 
-/// Marks node `v` in a read-set bitset (one bit per expanded node).
+/// Sets or clears node `v` in a bitset (one bit per node).
 #[inline]
-fn mark(dep: &mut [u64], v: usize) {
-    dep[v >> 6] |= 1u64 << (v & 63);
+pub(crate) fn set_bit(bits: &mut [u64], v: usize, on: bool) {
+    let bit = 1u64 << (v & 63);
+    if on {
+        bits[v >> 6] |= bit;
+    } else {
+        bits[v >> 6] &= !bit;
+    }
+}
+
+/// The set bits of a bitset, ascending.
+pub(crate) fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            let b = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (b < 64).then_some(w * 64 + b)
+        })
+    })
 }
 
 /// One DP state slot: extremes of total virtual time over admissible paths
 /// reaching `(node, length)`, their parent choices, and the generation that
 /// last wrote the slot. Interleaved so one cache line serves the whole
-/// relax-and-compare sequence.
+/// relax-and-compare sequence. `wmin`/`pmin` stay stale under the
+/// equal-share rule, which never scores them.
 #[derive(Debug, Clone, Copy)]
 struct State {
     wmax: f64,
@@ -93,7 +116,8 @@ const STALE: State = State {
     stamp: 0,
 };
 
-/// Scratch buffers reused across iterations of the slicing loop.
+/// Scratch buffers reused across iterations of the slicing loop, and the
+/// node classes the searches read.
 #[derive(Debug, Clone)]
 pub(crate) struct PathSearch {
     cols: usize,
@@ -107,16 +131,18 @@ pub(crate) struct PathSearch {
     /// Live length range per node (valid when `node_stamp` matches).
     kmin: Vec<u32>,
     kmax: Vec<u32>,
-    /// Topological positions of live, not-yet-processed nodes.
-    frontier: BinaryHeap<Reverse<u32>>,
-    /// Per-call node classification (reused allocations).
+    /// Topological positions of live, not-yet-processed nodes (bitset).
+    frontier: Vec<u64>,
+    /// Per node: a path may enter it (see [`classify`](Self::classify)).
     can_enter: Vec<bool>,
-    endpoints: Vec<u32>,
+    /// The nodes a path may end at (bitset).
+    endpoints: Vec<u64>,
 }
 
 impl PathSearch {
     /// Creates scratch space for a graph of `nodes` nodes and longest chain
-    /// `max_chain`.
+    /// `max_chain`, with every node unclassified (no path may enter or end
+    /// at it).
     pub(crate) fn new(nodes: usize, max_chain: usize) -> Self {
         let cols = max_chain + 1;
         PathSearch {
@@ -126,9 +152,9 @@ impl PathSearch {
             node_stamp: vec![0; nodes],
             kmin: vec![0; nodes],
             kmax: vec![0; nodes],
-            frontier: BinaryHeap::new(),
-            can_enter: Vec::with_capacity(nodes),
-            endpoints: Vec::with_capacity(nodes),
+            frontier: vec![0; nodes.div_ceil(64)],
+            can_enter: vec![false; nodes],
+            endpoints: vec![0; nodes.div_ceil(64)],
         }
     }
 
@@ -149,44 +175,49 @@ impl PathSearch {
         self.epoch
     }
 
-    /// Classifies nodes for one slicing iteration, filling the reusable
-    /// `can_enter`/`endpoints` buffers: paths may *enter* a node only when
-    /// it is unassigned and not release-anchored (a slice entering an
-    /// anchored node from elsewhere could start before the anchor and
-    /// violate an already-assigned predecessor's deadline), and may *end*
-    /// at any unassigned deadline-anchored node.
-    ///
-    /// Returns `false` when no endpoint exists (no anchored path can exist
-    /// either, so per-start searches are pointless).
+    /// Classifies node `v` for the current `assigned`/`rel`/`dl` state:
+    /// paths may *enter* it only when it is unassigned and not
+    /// release-anchored (a slice entering an anchored node from elsewhere
+    /// could start before the anchor and violate an already-assigned
+    /// predecessor's deadline), and may *end* at it when it is unassigned
+    /// and deadline-anchored. Returns whether searches *start* at it:
+    /// unassigned and release-anchored.
     pub(crate) fn classify(
         &mut self,
-        n: usize,
+        v: usize,
         assigned: &[bool],
         rel: &[Option<Time>],
         dl: &[Option<Time>],
     ) -> bool {
-        self.can_enter.clear();
-        self.can_enter
-            .extend((0..n).map(|v| !assigned[v] && rel[v].is_none()));
-        self.endpoints.clear();
-        self.endpoints
-            .extend((0..n as u32).filter(|&t| !assigned[t as usize] && dl[t as usize].is_some()));
-        !self.endpoints.is_empty()
+        let open = !assigned[v];
+        self.can_enter[v] = open && rel[v].is_none();
+        set_bit(&mut self.endpoints, v, open && dl[v].is_some());
+        open && rel[v].is_some()
     }
 
     /// Runs the DP from one release-anchored start `s` and returns the best
     /// candidate path it can reach, or `None` if no endpoint is reachable.
     /// Take the winner's path before the next search.
     ///
-    /// [`classify`](Self::classify) must have been called for the current
+    /// Every node must be [classified](Self::classify) for the current
     /// `assigned`/`rel`/`dl` state first. Within a start, candidates are
     /// evaluated in a fixed order with a strict `<`, so the local winner is
     /// the first candidate attaining the local minimum — composing local
     /// winners across ascending starts with the same strict `<` reproduces
     /// the global sweep exactly.
     ///
+    /// Under [`ShareRule::EqualShare`] only the heaviest path per
+    /// `(endpoint, length)` is tracked and scored. At one endpoint `t` and
+    /// length `k` both extremes share the window `W`, so with
+    /// `wmin <= wmax` the slacks satisfy `fl(W − wmin) >= fl(W − wmax)`
+    /// (IEEE subtraction rounds monotonically) and, dividing by the same
+    /// positive `k`, `score(wmin) >= score(wmax)`. Were both scored, `wmax`
+    /// first with a strict `<`, then whenever `wmin` beat the best so far
+    /// `wmax` would already have, and `wmin` cannot beat `wmax`. So `wmin`
+    /// never wins, and leaving it out changes no winner.
+    ///
     /// Every node whose *mutable per-iteration state* the search reads (the
-    /// start, every popped node, every examined successor) is marked in the
+    /// start, every visited node, every examined successor) is marked in the
     /// caller's `dep` bitset (one bit per expanded node; existing bits are
     /// kept). A result from this start stays valid, in a later iteration or
     /// a later run, as long as none of those nodes' state changed: unreached
@@ -205,9 +236,10 @@ impl PathSearch {
         dep: &mut [u64],
     ) -> Option<Winner> {
         let cols = self.cols;
+        let track_min = rule == ShareRule::Proportional;
         let epoch = self.next_epoch();
         let mut best: Option<Winner> = None;
-        mark(dep, s);
+        set_bit(dep, s, true);
 
         // Seed the single-node path (s, length 1).
         self.states[s * cols + 1] = State {
@@ -220,38 +252,44 @@ impl PathSearch {
         self.node_stamp[s] = epoch;
         self.kmin[s] = 1;
         self.kmax[s] = 1;
-        debug_assert!(self.frontier.is_empty());
-        self.frontier.push(Reverse(exp.topo_pos(s)));
+        debug_assert!(self.frontier.iter().all(|&w| w == 0));
+        let mut word = exp.topo_pos(s) as usize >> 6;
+        set_bit(&mut self.frontier, exp.topo_pos(s) as usize, true);
 
         // Process live nodes in topological order. Every node on the
         // frontier already satisfies the interior admissibility rules
         // (it is the start, or it was entered through `can_enter`), so
-        // it may extend iff it is not deadline-anchored.
-        while let Some(Reverse(pos)) = self.frontier.pop() {
-            let u = exp.topo()[pos as usize] as usize;
-            mark(dep, u);
-            if dl[u].is_some() {
+        // it may extend iff it is not deadline-anchored. Arcs only point
+        // forward in topological order, so every push lands past the
+        // position just taken.
+        while word < self.frontier.len() {
+            let bits = self.frontier[word];
+            if bits == 0 {
+                word += 1;
                 continue;
             }
-            let (lo, hi) = (self.kmin[u], self.kmax[u]);
-            for k in lo..=hi {
-                let idx = u * cols + k as usize;
-                let st = self.states[idx];
-                if st.stamp != epoch {
+            self.frontier[word] = bits & (bits - 1);
+            let pos = word * 64 + bits.trailing_zeros() as usize;
+            let u = exp.topo()[pos] as usize;
+            set_bit(dep, u, true);
+            // Paths cannot exceed the longest chain.
+            let lo = self.kmin[u];
+            if dl[u].is_some() || lo as usize + 1 >= cols {
+                continue;
+            }
+            let hi = self.kmax[u].min((cols - 2) as u32);
+            for &z in exp.succ(u) {
+                let z = z as usize;
+                set_bit(dep, z, true);
+                if !self.can_enter[z] {
                     continue;
                 }
-                if k as usize + 1 >= cols {
-                    // Paths cannot exceed the longest chain.
-                    continue;
-                }
-                for &z in exp.succ(u) {
-                    let z = z as usize;
-                    mark(dep, z);
-                    if !self.can_enter[z] {
+                for k in lo..=hi {
+                    let st = self.states[u * cols + k as usize];
+                    if st.stamp != epoch {
                         continue;
                     }
-                    let zidx = z * cols + k as usize + 1;
-                    let zst = &mut self.states[zidx];
+                    let zst = &mut self.states[z * cols + k as usize + 1];
                     if zst.stamp != epoch {
                         *zst = State {
                             stamp: epoch,
@@ -263,19 +301,19 @@ impl PathSearch {
                         zst.wmax = cand_max;
                         zst.pmax = u as u32;
                     }
-                    let cand_min = st.wmin + vweights[z];
-                    if cand_min < zst.wmin {
-                        zst.wmin = cand_min;
-                        zst.pmin = u as u32;
+                    if track_min {
+                        let cand_min = st.wmin + vweights[z];
+                        if cand_min < zst.wmin {
+                            zst.wmin = cand_min;
+                            zst.pmin = u as u32;
+                        }
                     }
                     if self.node_stamp[z] != epoch {
+                        // First live state: z joins the frontier.
                         self.node_stamp[z] = epoch;
                         self.kmin[z] = k + 1;
                         self.kmax[z] = k + 1;
-                        // First live state: z joins the frontier. Arcs
-                        // only point forward in topological order, so z
-                        // has not been popped yet.
-                        self.frontier.push(Reverse(exp.topo_pos(z)));
+                        set_bit(&mut self.frontier, exp.topo_pos(z) as usize, true);
                     } else {
                         self.kmin[z] = self.kmin[z].min(k + 1);
                         self.kmax[z] = self.kmax[z].max(k + 1);
@@ -284,30 +322,30 @@ impl PathSearch {
             }
         }
 
-        // Evaluate every deadline-anchored endpoint this start reached.
-        // Reached endpoints were popped above and are therefore already in
-        // the dependency set; unreached ones only have their (stale) stamp
-        // read, which is not part of the mutable slicing state.
-        for i in 0..self.endpoints.len() {
-            let t = self.endpoints[i] as usize;
+        // Evaluate every deadline-anchored endpoint this start reached, in
+        // ascending node order. Reached endpoints were visited above and
+        // are therefore already in the dependency set; unreached ones only
+        // have their (stale) stamp read, which is not part of the mutable
+        // slicing state.
+        for t in ones(&self.endpoints) {
             if self.node_stamp[t] != epoch {
                 continue;
             }
             let window_end = dl[t].expect("endpoint is deadline-anchored");
             let window = window_end - start_release;
             for k in self.kmin[t]..=self.kmax[t] {
-                let idx = t * cols + k as usize;
-                let st = self.states[idx];
+                let st = self.states[t * cols + k as usize];
                 if st.stamp != epoch {
                     continue;
                 }
-                for (total, use_max) in [(st.wmax, true), (st.wmin, false)] {
-                    let score = rule.score(window, total, k as usize);
+                let extremes = [(st.wmax, true), (st.wmin, false)];
+                for (total, use_max) in &extremes[..1 + track_min as usize] {
+                    let score = rule.score(window, *total, k as usize);
                     if best.as_ref().is_none_or(|b| score < b.score) {
                         best = Some(Winner {
                             end: t as u32,
                             len: k,
-                            use_max,
+                            use_max: *use_max,
                             score,
                             window_start: start_release,
                             window_end,
@@ -320,33 +358,30 @@ impl PathSearch {
         best
     }
 
-    /// Visits the last search's winner path from its end back to its start.
-    fn walk(&self, w: &Winner, mut visit: impl FnMut(u32)) {
+    /// Writes the last search's winner path, start to end, to the first
+    /// `w.len` slots of `out`, walking the parent links back from its end.
+    pub(crate) fn path_into(&self, w: &Winner, out: &mut [u32]) {
         let mut v = w.end as usize;
-        let mut k = w.len as usize;
-        loop {
-            visit(v as u32);
-            if k == 1 {
-                break;
+        for k in (1..=w.len as usize).rev() {
+            out[k - 1] = v as u32;
+            if k > 1 {
+                let st = &self.states[v * self.cols + k];
+                let p = if w.use_max { st.pmax } else { st.pmin };
+                debug_assert_ne!(p, NO_PARENT, "state must have a parent");
+                v = p as usize;
             }
-            let st = &self.states[v * self.cols + k];
-            let p = if w.use_max { st.pmax } else { st.pmin };
-            debug_assert_ne!(p, NO_PARENT, "state must have a parent");
-            v = p as usize;
-            k -= 1;
         }
-    }
-
-    /// Appends the last search's winner path, start to end, to `out`.
-    pub(crate) fn path_into(&self, w: &Winner, out: &mut Vec<u32>) {
-        let at = out.len();
-        self.walk(w, |v| out.push(v));
-        out[at..].reverse();
     }
 }
 
 #[cfg(test)]
 impl PathSearch {
+    /// The node classes, for comparison against a from-scratch
+    /// classification.
+    pub(crate) fn classes(&self) -> (&[bool], &[u64]) {
+        (&self.can_enter, &self.endpoints)
+    }
+
     /// Finds the admissible path minimizing `rule`'s score, or `None` if no
     /// anchored path exists.
     ///
@@ -354,11 +389,12 @@ impl PathSearch {
     /// nodes already sliced; `rel`/`dl` are the accumulated release/deadline
     /// anchors.
     ///
-    /// One [`search_from`](Self::search_from) per release-anchored start,
+    /// Reclassifies every node, then runs one
+    /// [`search_from`](Self::search_from) per release-anchored start,
     /// composed with a strict `<` over ascending starts — the evaluation
     /// order of the original monolithic sweep, so the winner (the first
     /// candidate attaining the global minimum) is bit-identical. The
-    /// slicing loop composes the same per-start winners itself, skipping
+    /// slicing loop composes the same per-start winners itself, reusing
     /// starts whose recorded read set is untouched; this whole-iteration
     /// form is the test oracles' view of one search.
     pub(crate) fn find_critical_path(
@@ -371,16 +407,13 @@ impl PathSearch {
         rule: ShareRule,
     ) -> Option<CriticalPath> {
         let n = exp.len();
-        if !self.classify(n, assigned, rel, dl) {
-            return None;
-        }
+        let starts: Vec<usize> = (0..n)
+            .filter(|&v| self.classify(v, assigned, rel, dl))
+            .collect();
         let mut best: Option<CriticalPath> = None;
         let mut dep = vec![0u64; n.div_ceil(64)];
-        for s in 0..n {
-            if assigned[s] || rel[s].is_none() {
-                continue;
-            }
-            let start_release = rel[s].expect("checked above");
+        for s in starts {
+            let start_release = rel[s].expect("starts are release-anchored");
             if let Some(w) = self.search_from(exp, vweights, dl, s, start_release, rule, &mut dep) {
                 if best.as_ref().is_none_or(|b| w.score < b.score) {
                     best = Some(self.critical_path(&w));
@@ -392,11 +425,10 @@ impl PathSearch {
 
     /// The last search's winner as an owned [`CriticalPath`].
     fn critical_path(&self, w: &Winner) -> CriticalPath {
-        let mut nodes = Vec::with_capacity(w.len as usize);
-        self.walk(w, |v| nodes.push(v as usize));
-        nodes.reverse();
+        let mut nodes = vec![0u32; w.len as usize];
+        self.path_into(w, &mut nodes);
         CriticalPath {
-            nodes,
+            nodes: nodes.into_iter().map(|v| v as usize).collect(),
             score: w.score,
             window_start: w.window_start,
             window_end: w.window_end,
@@ -615,7 +647,8 @@ mod equivalence {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        // Honours `PROPTEST_CASES` (the CI deep step scales it up).
+        #![proptest_config(ProptestConfig::default())]
 
         #[test]
         fn optimized_search_matches_reference(
