@@ -632,7 +632,8 @@ pub(crate) struct WalRecord {
 
 #[cfg(test)]
 impl WalRecord {
-    /// One inline admit and one reference to its graph, for codec tests.
+    /// One record per request kind (an inline admit, a reference to its
+    /// graph, an amendment) and per outcome kind, for codec tests.
     pub(crate) fn samples() -> Vec<WalRecord> {
         let mut b = taskgraph::TaskGraphBuilder::new();
         let head = b.add_subtask(
@@ -644,6 +645,24 @@ impl WalRecord {
         b.add_edge(head, tail, 3).expect("two-node chain edge");
         let graph = Arc::new(b.build().expect("the chain builds"));
         let outcome = AdmitOutcome::Refused(Refusal::DuplicateId { id: 7 });
+        let amend = WalRequest::Amend {
+            id: 7,
+            delta: GraphDelta::new()
+                .set_wcet(head, Time::new(15))
+                .set_release(tail, None)
+                .add_subtask(taskgraph::Subtask::new(Time::new(5)).named("tab\there"))
+                .remove_edge(head, tail),
+        };
+        let verdict = AdmitOutcome::Verdict(AdmitVerdict {
+            id: 7,
+            admitted: true,
+            max_lateness: Time::new(-12),
+            end_to_end: Time::new(-3),
+            makespan: Time::new(130),
+            violations: 0,
+            repaired: false,
+            residents: 2,
+        });
         vec![
             WalRecord {
                 seq: 0,
@@ -664,6 +683,30 @@ impl WalRecord {
                 },
                 outcome,
                 digest: u64::MAX,
+            },
+            WalRecord {
+                seq: 2,
+                request: amend.clone(),
+                outcome: verdict,
+                digest: 0,
+            },
+            WalRecord {
+                seq: 3,
+                request: amend,
+                outcome: AdmitOutcome::Shed { waited_us: 1_234 },
+                digest: 42,
+            },
+            WalRecord {
+                seq: 4,
+                request: WalRequest::AdmitRef {
+                    id: 8,
+                    graph: graph.content_hash(),
+                    origin: Time::new(-5),
+                },
+                outcome: AdmitOutcome::Failed {
+                    stage: "slice".to_owned(),
+                },
+                digest: 1,
             },
         ]
     }

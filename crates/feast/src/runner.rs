@@ -595,7 +595,7 @@ pub(crate) fn fingerprint(scenario: &Scenario) -> u64 {
     canonical.label = String::new();
     canonical.replications = 0;
     canonical.system_sizes = Vec::new();
-    let mut value = canonical.to_value();
+    let mut value = serde_json::to_value(&canonical).expect("scenario serializes");
     if let serde::Value::Object(entries) = &mut value {
         entries.retain(|(key, _)| key != "strict_windows" || canonical.strict_windows);
     }
@@ -1738,7 +1738,7 @@ mod tests {
         legacy.label = String::new();
         legacy.replications = 0;
         legacy.system_sizes = Vec::new();
-        let mut value = legacy.to_value();
+        let mut value = serde_json::to_value(&legacy).unwrap();
         if let serde::Value::Object(entries) = &mut value {
             entries.retain(|(key, _)| key != "strict_windows");
         }

@@ -7,9 +7,13 @@
 //! `{"<Variant>":{"crc":<u32>,"record":<record JSON>}}`, where `crc` is
 //! the CRC32 of the record's own canonical JSON ([`seal`]), so any
 //! value-altering corruption is caught when the log is read back.
-//! [`sealed_line`] writes such a line in one pass: it renders the record
-//! once, checksums that text and splices it into the line, producing the
-//! bytes serializing the whole line would. [`load`] checks the header and
+//! [`sealed_line`] writes such a line into one buffer: the vendored
+//! serializer streams the record's JSON straight into the line after its
+//! `"record":` key (no value tree, no second string), [`crc32`] checksums
+//! that span eight bytes per step, and the checksum's digits are spliced
+//! in after `"crc":`. The bytes are those serializing the whole line
+//! would produce; a unit test pins one line of every record kind.
+//! [`load`] checks the header and
 //! every seal, skips an unparseable *final* line (the write a killed
 //! process tore) and reports where the valid prefix ends;
 //! [`SealedLog::reopen`] cuts the torn tail off and restores a missing
@@ -38,7 +42,7 @@ use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
 
 use crate::{RunError, Runner};
 
@@ -63,9 +67,12 @@ pub(crate) trait SealedLine: Serialize + Deserialize {
 /// The IEEE CRC32 (zlib/PNG) reflected polynomial.
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-/// The byte-at-a-time lookup table for [`crc32`], built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The slicing-by-8 lookup tables for [`crc32`], built at compile time.
+/// `CRC32_TABLES[0]` is the classic byte-at-a-time table; entry `i` of
+/// table `k` is the CRC register after byte `i` is followed by `k` zero
+/// bytes, so eight table lookups advance the register by eight bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -74,16 +81,42 @@ const CRC32_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (CRC32_POLY & 0u32.wrapping_sub(crc & 1));
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// IEEE CRC32 (the zlib/PNG polynomial), one table lookup per byte.
+/// IEEE CRC32 (the zlib/PNG polynomial), eight bytes per step
+/// (slicing-by-8), the tail one byte at a time.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    !bytes.iter().fold(!0u32, |crc, &b| {
-        (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize]
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
+    let mut crc = !0u32;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t7[(lo & 0xFF) as usize]
+            ^ t6[((lo >> 8) & 0xFF) as usize]
+            ^ t5[((lo >> 16) & 0xFF) as usize]
+            ^ t4[(lo >> 24) as usize]
+            ^ t3[(hi & 0xFF) as usize]
+            ^ t2[((hi >> 8) & 0xFF) as usize]
+            ^ t1[((hi >> 16) & 0xFF) as usize]
+            ^ t0[(hi >> 24) as usize];
+    }
+    !chunks.remainder().iter().fold(crc, |crc, &b| {
+        (crc >> 8) ^ t0[((crc ^ u32::from(b)) & 0xFF) as usize]
     })
 }
 
@@ -100,22 +133,35 @@ pub(crate) fn seal<T: Serialize>(record: &T) -> u32 {
 }
 
 /// The sealed line `{"<variant>":{"crc":…,"record":…}}` for `record`, in
-/// one pass: the record is rendered to JSON once, that text is
-/// checksummed ([`seal`]'s value) and spliced into the line. The bytes
-/// equal those of serializing the line enum's `variant { crc, record }`
-/// value, for any record (an externally tagged variant whose fields are
-/// `crc` then `record`).
+/// one buffer: the record is written once, straight into the line after
+/// its `"record":` key; that text is checksummed ([`seal`]'s value) and
+/// the checksum's digits are spliced in after `"crc":`. The bytes equal
+/// those of serializing the line enum's `variant { crc, record }` value,
+/// for any record (an externally tagged variant whose fields are `crc`
+/// then `record`).
 pub(crate) fn sealed_line<T: Serialize>(variant: &str, record: &T) -> String {
-    let body = serde_json::to_string(record).expect("plain data serializes");
-    let crc = crc32(body.as_bytes());
-    let mut line = String::with_capacity(body.len() + variant.len() + 32);
+    let mut line = String::with_capacity(512);
     line.push_str("{\"");
     line.push_str(variant);
     line.push_str("\":{\"crc\":");
-    line.push_str(&crc.to_string());
+    let crc_at = line.len();
     line.push_str(",\"record\":");
-    line.push_str(&body);
+    let body_at = line.len();
+    record.write_json(&mut JsonWriter::compact(&mut line));
+    let crc = crc32(&line.as_bytes()[body_at..]);
+    // Room for the digits, the closing braces and the newline
+    // `SealedLog::append` adds, so neither the splice nor the append
+    // reallocates.
+    line.reserve(10 + 2 + 1);
     line.push_str("}}");
+    let mut digits = [0u8; 10];
+    let mut cursor = std::io::Cursor::new(&mut digits[..]);
+    write!(cursor, "{crc}").expect("a u32 has at most 10 digits");
+    let len = cursor.position() as usize;
+    line.insert_str(
+        crc_at,
+        std::str::from_utf8(&digits[..len]).expect("decimal digits are ASCII"),
+    );
     line
 }
 
@@ -406,7 +452,7 @@ mod tests {
         assert_ne!(crc32(b"a"), crc32(b"b"));
     }
 
-    /// The bit-at-a-time CRC32 the table is built from.
+    /// The bit-at-a-time CRC32 the tables are built from.
     fn crc32_bitwise(bytes: &[u8]) -> u32 {
         let mut crc = !0u32;
         for &b in bytes {
@@ -418,19 +464,43 @@ mod tests {
         !crc
     }
 
+    /// The byte-at-a-time CRC32: one lookup in the first table per byte.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(!0u32, |crc, &b| {
+            (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize]
+        })
+    }
+
+    /// `len` pseudo-random bytes drawn from `seed`.
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
     proptest! {
         #[test]
         fn table_crc32_agrees_with_the_bitwise_one(seed in 0u64..u64::MAX, len in 0usize..2048) {
-            let mut state = seed;
-            let bytes: Vec<u8> = (0..len)
-                .map(|_| {
-                    state = state
-                        .wrapping_mul(6_364_136_223_846_793_005)
-                        .wrapping_add(1_442_695_040_888_963_407);
-                    (state >> 56) as u8
-                })
-                .collect();
+            let bytes = random_bytes(seed, len);
             prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
+
+        #[test]
+        fn sliced_crc32_agrees_with_the_bytewise_one(
+            seed in 0u64..u64::MAX,
+            len in 0usize..9000,
+            skip in 0usize..8,
+        ) {
+            // Every length mod 8 and every start alignment.
+            let bytes = random_bytes(seed, len + skip);
+            let bytes = &bytes[skip..];
+            prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
         }
     }
 
@@ -486,6 +556,59 @@ mod tests {
                 sealed_line("Sealed", &wal),
                 serde_json::to_string(&line).unwrap()
             );
+        }
+    }
+
+    /// One sealed line of every kind: a checkpoint `Sealed` and `Failed`
+    /// line, then a WAL line per request and outcome kind.
+    fn pinned_cases() -> Vec<String> {
+        let record = ReplicationRecord {
+            system_size: 4,
+            replication: 17,
+            max_lateness: -12.5,
+            end_to_end: 0.1 + 0.2,
+            makespan: 4.1e21,
+            feasible: true,
+            violations: 0,
+            window_violations: Some(0),
+            schedule_violations: None,
+        };
+        let failed = FailedReplication {
+            system_size: 2,
+            replication: 3,
+            stage: "schedule".to_owned(),
+            error: "a \"quoted\" failure\n\tat \\ line".to_owned(),
+        };
+        let mut lines = vec![
+            sealed_line("Sealed", &record),
+            sealed_line("Failed", &failed),
+        ];
+        lines.extend(
+            WalRecord::samples()
+                .iter()
+                .map(|wal| sealed_line("Sealed", wal)),
+        );
+        lines
+    }
+
+    /// The bytes [`pinned_cases`] rendered before sealed lines were
+    /// streamed: every byte of every log line must stay as it was.
+    const PINNED: [&str; 7] = [
+        r#"{"Sealed":{"crc":548097339,"record":{"system_size":4,"replication":17,"max_lateness":-12.5,"end_to_end":0.30000000000000004,"makespan":4.1e21,"feasible":true,"violations":0,"window_violations":0,"schedule_violations":null}}}"#,
+        r#"{"Failed":{"crc":2923714045,"record":{"system_size":2,"replication":3,"stage":"schedule","error":"a \"quoted\" failure\n\tat \\ line"}}}"#,
+        r#"{"Sealed":{"crc":1546789048,"record":{"seq":0,"request":{"Admit":{"id":7,"graph":{"nodes":[{"name":"in \"quoted\"","wcet":10,"release":0,"deadline":null},{"name":null,"wcet":20,"release":null,"deadline":90}],"edges":[{"src":0,"dst":1,"items":3}],"succ":[[0],[]],"pred":[[],[0]],"topo":[0,1],"inputs":[0],"outputs":[1]},"origin":40}},"outcome":{"Refused":{"DuplicateId":{"id":7}}},"digest":18369614221190020847}}}"#,
+        r#"{"Sealed":{"crc":265153907,"record":{"seq":1,"request":{"AdmitRef":{"id":7,"graph":14039307398373125539,"origin":41}},"outcome":{"Refused":{"DuplicateId":{"id":7}}},"digest":18446744073709551615}}}"#,
+        r#"{"Sealed":{"crc":3345398623,"record":{"seq":2,"request":{"Amend":{"id":7,"delta":{"ops":[{"SetWcet":{"subtask":0,"wcet":15}},{"SetRelease":{"subtask":1,"release":null}},{"AddSubtask":{"subtask":{"name":"tab\there","wcet":5,"release":null,"deadline":null}}},{"RemoveEdge":{"src":0,"dst":1}}]}}},"outcome":{"Verdict":{"id":7,"admitted":true,"max_lateness":-12,"end_to_end":-3,"makespan":130,"violations":0,"repaired":false,"residents":2}},"digest":0}}}"#,
+        r#"{"Sealed":{"crc":85811564,"record":{"seq":3,"request":{"Amend":{"id":7,"delta":{"ops":[{"SetWcet":{"subtask":0,"wcet":15}},{"SetRelease":{"subtask":1,"release":null}},{"AddSubtask":{"subtask":{"name":"tab\there","wcet":5,"release":null,"deadline":null}}},{"RemoveEdge":{"src":0,"dst":1}}]}}},"outcome":{"Shed":{"waited_us":1234}},"digest":42}}}"#,
+        r#"{"Sealed":{"crc":575328741,"record":{"seq":4,"request":{"AdmitRef":{"id":8,"graph":14039307398373125539,"origin":-5}},"outcome":{"Failed":{"stage":"slice"}},"digest":1}}}"#,
+    ];
+
+    #[test]
+    fn sealed_lines_keep_their_pinned_bytes() {
+        let lines = pinned_cases();
+        assert_eq!(lines.len(), PINNED.len());
+        for (line, pinned) in lines.iter().zip(PINNED) {
+            assert_eq!(line, pinned);
         }
     }
 

@@ -1,8 +1,8 @@
 //! Allocation bound of `distribute`, counted by a global allocator.
 //!
-//! The slicing loop records each iteration's searches into two flat
-//! records it swaps, so `distribute` may make no more allocator calls than
-//! the plain loop that recorded nothing. This binary holds a single test
+//! The slicing loop keeps one search record per start for the whole run,
+//! so `distribute` may make no more allocator calls than the plain loop
+//! that recorded nothing. This binary holds a single test
 //! so the thread-local counter sees nothing but the code under test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
