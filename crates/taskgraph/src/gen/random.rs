@@ -15,10 +15,12 @@
 //!
 //! [`DeadlineBase`]: crate::gen::DeadlineBase
 
+use std::ops::Range;
+
 use rand::Rng;
 
 use crate::gen::WorkloadSpec;
-use crate::{GraphError, Subtask, SubtaskId, TaskGraph, Time};
+use crate::{GraphError, Subtask, SubtaskId, TaskGraph, TaskGraphBuilder, Time};
 
 /// Generates one random task graph from `spec` using `rng`.
 ///
@@ -65,7 +67,8 @@ pub fn generate<R: Rng + ?Sized>(
     let max_n = (*spec.subtasks.end()).max(min_n);
     let n = rng.gen_range(min_n..=max_n);
 
-    // Assign one subtask per level, then spread the rest uniformly.
+    // Assign one subtask per level, then spread the rest uniformly. Sorted,
+    // each level is a contiguous range of node ids.
     let mut level_of = Vec::with_capacity(n);
     for l in 0..depth {
         level_of.push(l);
@@ -74,33 +77,38 @@ pub fn generate<R: Rng + ?Sized>(
         level_of.push(rng.gen_range(0..depth));
     }
     level_of.sort_unstable();
+    let level =
+        |l: usize| level_of.partition_point(|&x| x < l)..level_of.partition_point(|&x| x <= l);
+    let id = |node: usize| SubtaskId::new(node as u32);
 
-    let mut levels: Vec<Vec<usize>> = vec![Vec::new(); depth];
-    for (node, &l) in level_of.iter().enumerate() {
-        levels[l].push(node);
-    }
-
-    let mut builder = TaskGraph::builder();
-    let mut ids = Vec::with_capacity(n);
-    for &level in level_of.iter().take(n) {
+    // Every non-input subtask draws at most `fan_in.end()` predecessors from
+    // the level before, and every subtask gets at most one reconnecting
+    // successor.
+    let max_edges = n
+        + (1..depth)
+            .map(|l| level(l).len() * (*spec.fan_in.end()).min(level(l - 1).len()))
+            .sum::<usize>();
+    let mut builder = TaskGraphBuilder::with_capacity(n, max_edges);
+    for &l in &level_of {
         let wcet = draw_exec_time(spec, rng);
         let mut subtask = Subtask::new(wcet);
-        if level == 0 {
+        if l == 0 {
             subtask = subtask.released_at(Time::ZERO);
         }
-        ids.push(builder.add_subtask(subtask));
+        builder.add_subtask(subtask);
     }
 
     // Draw predecessors for each non-input subtask from the previous level.
+    let mut picked = Vec::with_capacity(n);
     for l in 1..depth {
-        for &node in &levels[l] {
-            let prev = &levels[l - 1];
+        let prev = level(l - 1);
+        for node in level(l) {
             let max_fan = (*spec.fan_in.end()).min(prev.len());
             let min_fan = (*spec.fan_in.start()).min(max_fan);
             let fan = rng.gen_range(min_fan..=max_fan);
-            let preds = sample_distinct(prev, fan, rng);
-            for p in preds {
-                add_message(&mut builder, spec, rng, ids[p], ids[node])?;
+            sample_distinct(prev.clone(), fan, rng, &mut picked);
+            for &p in &picked {
+                add_message(&mut builder, spec, rng, id(p), id(node))?;
             }
         }
     }
@@ -109,12 +117,12 @@ pub fn generate<R: Rng + ?Sized>(
     // do not terminate by accident: attach them to a random node in the next
     // level. (Nodes in the last level legitimately have no successors.)
     for l in 0..depth.saturating_sub(1) {
-        let next = levels[l + 1].clone();
-        for &node in &levels[l] {
-            if builder.out_degree(ids[node]) == 0 {
-                let target = next[rng.gen_range(0..next.len())];
-                if !builder.has_edge(ids[node], ids[target]) {
-                    add_message(&mut builder, spec, rng, ids[node], ids[target])?;
+        let next = level(l + 1);
+        for node in level(l) {
+            if builder.out_degree(id(node)) == 0 {
+                let target = next.start + rng.gen_range(0..next.len());
+                if !builder.has_edge(id(node), id(target)) {
+                    add_message(&mut builder, spec, rng, id(node), id(target))?;
                 }
             }
         }
@@ -126,15 +134,15 @@ pub fn generate<R: Rng + ?Sized>(
     // deadline of every output subtask equals the end-to-end deadline).
     let base = deadline_base_work(spec, &builder);
     let deadline = end_to_end_deadline(spec, base);
-    for &id in ids.iter().take(n) {
-        if builder.out_degree(id) == 0 {
-            builder.subtask_mut(id).set_deadline(Some(deadline));
+    for v in (0..n).map(id) {
+        if builder.out_degree(v) == 0 {
+            builder.subtask_mut(v).set_deadline(Some(deadline));
         }
         // Inputs can also occur above level 0 only by construction error;
         // level-0 nodes already carry a release. Interior nodes with no
         // in-edges would be inputs: give them a release as well.
-        if builder.in_degree(id) == 0 {
-            builder.subtask_mut(id).set_release(Some(Time::ZERO));
+        if builder.in_degree(v) == 0 {
+            builder.subtask_mut(v).set_release(Some(Time::ZERO));
         }
     }
 
@@ -210,16 +218,23 @@ fn add_message<R: Rng + ?Sized>(
     Ok(())
 }
 
-fn sample_distinct<R: Rng + ?Sized>(pool: &[usize], k: usize, rng: &mut R) -> Vec<usize> {
+/// Leaves `k` distinct members of `pool` in `picked`, drawn by a partial
+/// Fisher–Yates shuffle of the pool.
+fn sample_distinct<R: Rng + ?Sized>(
+    pool: Range<usize>,
+    k: usize,
+    rng: &mut R,
+    picked: &mut Vec<usize>,
+) {
     debug_assert!(k <= pool.len());
-    let mut picked: Vec<usize> = pool.to_vec();
+    picked.clear();
+    picked.extend(pool);
     // Partial Fisher–Yates: the first k elements become the sample.
     for i in 0..k {
         let j = rng.gen_range(i..picked.len());
         picked.swap(i, j);
     }
     picked.truncate(k);
-    picked
 }
 
 /// Error produced by the workload generator.
@@ -376,6 +391,16 @@ mod tests {
             generate(&spec, &mut rng),
             Err(GenerateError::InvalidSpec(_))
         ));
+    }
+
+    #[test]
+    fn accepts_unbounded_fan_in() {
+        // A fan-in bound above every level's width must not size anything.
+        let spec = WorkloadSpec::paper(ExecVariation::Mdet).with_fan_in(1..=usize::MAX);
+        for seed in 0..8 {
+            let g = generate(&spec, &mut StdRng::seed_from_u64(seed)).unwrap();
+            assert!((40..=60).contains(&g.subtask_count()));
+        }
     }
 
     #[test]

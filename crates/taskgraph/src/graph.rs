@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, JsonWriter, Serialize, Value};
 
 use crate::{GraphError, Time};
 
@@ -200,6 +200,13 @@ impl Edge {
 /// DAG where every input subtask has a release time and every output subtask
 /// has an end-to-end deadline.
 ///
+/// The adjacency is stored in CSR form: one offset array plus one flat
+/// edge-id array per direction, so a graph is a fixed handful of
+/// allocations whatever its size, and [`out_edges`](TaskGraph::out_edges)
+/// and [`in_edges`](TaskGraph::in_edges) are slices of the flat arrays, in
+/// insertion order. The JSON form writes `succ` and `pred` as one array of
+/// edge ids per node.
+///
 /// # Examples
 ///
 /// ```
@@ -222,13 +229,85 @@ pub struct TaskGraph {
     nodes: Vec<Subtask>,
     edges: Vec<Edge>,
     /// Outgoing edge ids per node, ordered by insertion.
-    succ: Vec<Vec<EdgeId>>,
+    succ: Adjacency,
     /// Incoming edge ids per node, ordered by insertion.
-    pred: Vec<Vec<EdgeId>>,
+    pred: Adjacency,
     /// Node ids in a topological order.
     topo: Vec<SubtaskId>,
     inputs: Vec<SubtaskId>,
     outputs: Vec<SubtaskId>,
+}
+
+/// One direction of a graph's adjacency in CSR form: node `v`'s edge ids
+/// are `ids[off[v]..off[v + 1]]`.
+#[derive(Debug, Clone, PartialEq)]
+struct Adjacency {
+    off: Vec<u32>,
+    ids: Vec<EdgeId>,
+}
+
+impl Adjacency {
+    /// Groups `edges` by `endpoint`, each group in edge-id order, given
+    /// every node's group size in `counts`.
+    fn new(counts: &[u32], edges: &[Edge], endpoint: fn(&Edge) -> SubtaskId) -> Adjacency {
+        // Run ends first: `off[v]` is where node `v`'s run stops.
+        let mut off = Vec::with_capacity(counts.len() + 1);
+        let mut end = 0;
+        for &count in counts {
+            end += count;
+            off.push(end);
+        }
+        off.push(end);
+        // Place the edges back to front: each run fills from its end, so it
+        // keeps edge-id order and `off[v]` finishes at the run's start.
+        let mut ids = vec![EdgeId::new(0); edges.len()];
+        for (i, e) in edges.iter().enumerate().rev() {
+            let o = &mut off[endpoint(e).index()];
+            *o -= 1;
+            ids[*o as usize] = EdgeId::new(i as u32);
+        }
+        Adjacency { off, ids }
+    }
+
+    /// Node `v`'s edge ids.
+    #[inline]
+    fn row(&self, v: SubtaskId) -> &[EdgeId] {
+        &self.ids[self.off[v.index()] as usize..self.off[v.index() + 1] as usize]
+    }
+}
+
+/// Written as one JSON array of edge ids per node.
+impl Serialize for Adjacency {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        let mut rows = w.begin_array();
+        for v in 0..self.off.len() as u32 - 1 {
+            w.element(&mut rows, self.row(SubtaskId::new(v)));
+        }
+        w.end_array(rows);
+    }
+}
+
+impl Deserialize for Adjacency {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        let rows = value
+            .as_array()
+            .ok_or_else(|| DeError::expected("array", "Adjacency", value))?;
+        let mut off = Vec::with_capacity(rows.len() + 1);
+        let mut ids = Vec::new();
+        off.push(0);
+        for row in rows {
+            let row = row
+                .as_array()
+                .ok_or_else(|| DeError::expected("array", "Adjacency", row))?;
+            for id in row {
+                ids.push(EdgeId::from_value(id)?);
+            }
+            let end = u32::try_from(ids.len())
+                .map_err(|_| DeError::custom("Adjacency: more than u32::MAX edge ids"))?;
+            off.push(end);
+        }
+        Ok(Adjacency { off, ids })
+    }
 }
 
 impl TaskGraph {
@@ -370,27 +449,25 @@ impl TaskGraph {
     /// Outgoing edges of `id`.
     #[inline]
     pub fn out_edges(&self, id: SubtaskId) -> &[EdgeId] {
-        &self.succ[id.index()]
+        self.succ.row(id)
     }
 
     /// Incoming edges of `id`.
     #[inline]
     pub fn in_edges(&self, id: SubtaskId) -> &[EdgeId] {
-        &self.pred[id.index()]
+        self.pred.row(id)
     }
 
     /// Successor subtasks of `id`.
     pub fn successors(&self, id: SubtaskId) -> impl Iterator<Item = SubtaskId> + '_ {
-        self.succ[id.index()]
+        self.out_edges(id)
             .iter()
             .map(|&e| self.edges[e.index()].dst)
     }
 
     /// Predecessor subtasks of `id`.
     pub fn predecessors(&self, id: SubtaskId) -> impl Iterator<Item = SubtaskId> + '_ {
-        self.pred[id.index()]
-            .iter()
-            .map(|&e| self.edges[e.index()].src)
+        self.in_edges(id).iter().map(|&e| self.edges[e.index()].src)
     }
 
     /// Input subtasks (no predecessors), in insertion order.
@@ -414,13 +491,13 @@ impl TaskGraph {
     /// Returns `true` if `id` is an input subtask.
     #[inline]
     pub fn is_input(&self, id: SubtaskId) -> bool {
-        self.pred[id.index()].is_empty()
+        self.in_edges(id).is_empty()
     }
 
     /// Returns `true` if `id` is an output subtask.
     #[inline]
     pub fn is_output(&self, id: SubtaskId) -> bool {
-        self.succ[id.index()].is_empty()
+        self.out_edges(id).is_empty()
     }
 }
 
@@ -429,12 +506,29 @@ impl TaskGraph {
 /// Subtasks are added first, then edges between them; [`build`] validates the
 /// result (acyclicity, anchored inputs/outputs, positive execution times).
 ///
+/// The builder counts every node's degrees as edges arrive and threads each
+/// source's out-edges into a list through the edges themselves, so the
+/// degree queries cost O(1) and [`add_edge`]'s duplicate check and
+/// [`has_edge`] cost O(out-degree).
+///
 /// [`build`]: TaskGraphBuilder::build
+/// [`add_edge`]: TaskGraphBuilder::add_edge
+/// [`has_edge`]: TaskGraphBuilder::has_edge
 #[derive(Debug, Default, Clone)]
 pub struct TaskGraphBuilder {
     nodes: Vec<Subtask>,
     edges: Vec<Edge>,
+    out_deg: Vec<u32>,
+    in_deg: Vec<u32>,
+    /// Per node: its newest out-edge, or [`NO_EDGE`].
+    last_out: Vec<u32>,
+    /// Per edge: the out-edge of the same source added before it, or
+    /// [`NO_EDGE`].
+    prev_out: Vec<u32>,
 }
+
+/// End of a builder's per-source edge list.
+const NO_EDGE: u32 = u32::MAX;
 
 impl TaskGraphBuilder {
     /// Creates an empty builder.
@@ -442,10 +536,26 @@ impl TaskGraphBuilder {
         TaskGraphBuilder::default()
     }
 
+    /// Creates an empty builder with room for `subtasks` subtasks and
+    /// `edges` edges.
+    pub(crate) fn with_capacity(subtasks: usize, edges: usize) -> Self {
+        TaskGraphBuilder {
+            nodes: Vec::with_capacity(subtasks),
+            edges: Vec::with_capacity(edges),
+            out_deg: Vec::with_capacity(subtasks),
+            in_deg: Vec::with_capacity(subtasks),
+            last_out: Vec::with_capacity(subtasks),
+            prev_out: Vec::with_capacity(edges),
+        }
+    }
+
     /// Adds a subtask and returns its id.
     pub fn add_subtask(&mut self, subtask: Subtask) -> SubtaskId {
         let id = SubtaskId::new(self.nodes.len() as u32);
         self.nodes.push(subtask);
+        self.out_deg.push(0);
+        self.in_deg.push(0);
+        self.last_out.push(NO_EDGE);
         id
     }
 
@@ -472,7 +582,7 @@ impl TaskGraphBuilder {
         if src == dst {
             return Err(GraphError::SelfLoop(src));
         }
-        if self.edges.iter().any(|e| e.src == src && e.dst == dst) {
+        if self.has_edge(src, dst) {
             return Err(GraphError::DuplicateEdge(src, dst));
         }
         let id = EdgeId::new(self.edges.len() as u32);
@@ -480,12 +590,27 @@ impl TaskGraphBuilder {
             return Err(GraphError::EmptyMessage(id));
         }
         self.edges.push(Edge { src, dst, items });
+        self.prev_out.push(self.last_out[src.index()]);
+        self.last_out[src.index()] = id.0;
+        self.out_deg[src.index()] += 1;
+        self.in_deg[dst.index()] += 1;
         Ok(id)
     }
 
     /// Returns `true` if an edge `src → dst` already exists.
     pub fn has_edge(&self, src: SubtaskId, dst: SubtaskId) -> bool {
-        self.edges.iter().any(|e| e.src == src && e.dst == dst)
+        src.index() < self.nodes.len() && self.edges_out_of(src).any(|e| e.dst == dst)
+    }
+
+    /// The edges out of `src`, newest first.
+    fn edges_out_of(&self, src: SubtaskId) -> impl Iterator<Item = &Edge> + '_ {
+        let mut next = self.last_out[src.index()];
+        std::iter::from_fn(move || {
+            let id = next as usize;
+            let edge = self.edges.get(id)?;
+            next = self.prev_out[id];
+            Some(edge)
+        })
     }
 
     /// Number of subtasks added so far.
@@ -519,7 +644,7 @@ impl TaskGraphBuilder {
     /// Panics if `id` was not returned by this builder.
     pub fn out_degree(&self, id: SubtaskId) -> usize {
         assert!(id.index() < self.nodes.len(), "unknown subtask {id}");
-        self.edges.iter().filter(|e| e.src == id).count()
+        self.out_deg[id.index()] as usize
     }
 
     /// Current in-degree of `id`.
@@ -529,7 +654,7 @@ impl TaskGraphBuilder {
     /// Panics if `id` was not returned by this builder.
     pub fn in_degree(&self, id: SubtaskId) -> usize {
         assert!(id.index() < self.nodes.len(), "unknown subtask {id}");
-        self.edges.iter().filter(|e| e.dst == id).count()
+        self.in_deg[id.index()] as usize
     }
 
     /// The execution-time length of the longest path through the subtasks
@@ -540,25 +665,26 @@ impl TaskGraphBuilder {
     /// finalized.
     pub fn longest_path_work(&self) -> Option<Time> {
         let n = self.nodes.len();
-        let mut indeg = vec![0usize; n];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for e in &self.edges {
-            succ[e.src.index()].push(e.dst.index());
-            indeg[e.dst.index()] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
-        let mut best: Vec<Time> = (0..n).map(|v| self.nodes[v].wcet).collect();
+        let mut indeg = self.in_deg.clone();
+        let mut queue: Vec<SubtaskId> = Vec::with_capacity(n);
+        queue.extend(
+            (0..n as u32)
+                .map(SubtaskId::new)
+                .filter(|v| indeg[v.index()] == 0),
+        );
+        let mut best: Vec<Time> = self.nodes.iter().map(Subtask::wcet).collect();
         let mut head = 0;
         let mut overall = Time::ZERO;
         while head < queue.len() {
             let v = queue[head];
             head += 1;
-            overall = overall.max(best[v]);
-            for &w in &succ[v] {
-                best[w] = best[w].max(best[v] + self.nodes[w].wcet);
+            overall = overall.max(best[v.index()]);
+            for e in self.edges_out_of(v) {
+                let w = e.dst.index();
+                best[w] = best[w].max(best[v.index()] + self.nodes[w].wcet);
                 indeg[w] -= 1;
                 if indeg[w] == 0 {
-                    queue.push(w);
+                    queue.push(e.dst);
                 }
             }
         }
@@ -586,50 +712,40 @@ impl TaskGraphBuilder {
         }
 
         let n = self.nodes.len();
-        let mut succ: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
-        let mut pred: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
-        for (i, e) in self.edges.iter().enumerate() {
-            let id = EdgeId::new(i as u32);
-            succ[e.src.index()].push(id);
-            pred[e.dst.index()].push(id);
-        }
+        let succ = Adjacency::new(&self.out_deg, &self.edges, |e| e.src);
+        let pred = Adjacency::new(&self.in_deg, &self.edges, |e| e.dst);
 
-        // Kahn's algorithm: topological order + cycle detection.
-        let mut indeg: Vec<usize> = pred.iter().map(Vec::len).collect();
-        let mut queue: Vec<SubtaskId> = (0..n as u32)
-            .map(SubtaskId::new)
-            .filter(|id| indeg[id.index()] == 0)
-            .collect();
-        let mut topo = Vec::with_capacity(n);
+        // Kahn's algorithm: topological order + cycle detection. The order
+        // is the queue itself.
+        let ids = (0..n as u32).map(SubtaskId::new);
+        let mut indeg = self.in_deg;
+        let mut topo: Vec<SubtaskId> = Vec::with_capacity(n);
+        topo.extend(ids.clone().filter(|id| indeg[id.index()] == 0));
+        let input_count = topo.len();
         let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
+        while head < topo.len() {
+            let v = topo[head];
             head += 1;
-            topo.push(v);
-            for &e in &succ[v.index()] {
+            for &e in succ.row(v) {
                 let w = self.edges[e.index()].dst;
                 indeg[w.index()] -= 1;
                 if indeg[w.index()] == 0 {
-                    queue.push(w);
+                    topo.push(w);
                 }
             }
         }
         if topo.len() != n {
-            let offender = (0..n as u32)
-                .map(SubtaskId::new)
+            let offender = ids
+                .clone()
                 .find(|id| indeg[id.index()] > 0)
                 .expect("cycle implies a node with remaining in-degree");
             return Err(GraphError::Cycle(offender));
         }
 
-        let inputs: Vec<SubtaskId> = (0..n as u32)
-            .map(SubtaskId::new)
-            .filter(|id| pred[id.index()].is_empty())
-            .collect();
-        let outputs: Vec<SubtaskId> = (0..n as u32)
-            .map(SubtaskId::new)
-            .filter(|id| succ[id.index()].is_empty())
-            .collect();
+        // The queue starts with the inputs, in id order.
+        let inputs = topo[..input_count].to_vec();
+        let mut outputs = Vec::with_capacity(self.out_deg.iter().filter(|&&d| d == 0).count());
+        outputs.extend(ids.filter(|id| self.out_deg[id.index()] == 0));
 
         for &id in &inputs {
             if self.nodes[id.index()].release.is_none() {
@@ -824,6 +940,139 @@ mod tests {
         let g = b.build().unwrap();
         assert_eq!(g.subtask(z).deadline(), Some(Time::new(500)));
         assert_eq!(g.subtask(a).name(), None);
+    }
+
+    /// A graph with named, anchored and unnamed nodes, a node with two
+    /// out-edges and a node with two in-edges.
+    fn json_sample() -> TaskGraph {
+        let mut b = TaskGraph::builder();
+        let a = b.add_subtask(node(10).named("sense").released_at(Time::ZERO));
+        let x = b.add_subtask(node(20).named("fuse \"x\""));
+        let y = b.add_subtask(node(30).released_at(Time::new(5)));
+        let d = b.add_subtask(node(40).named("act").due_at(Time::new(200)));
+        b.add_edge(a, x, 3).unwrap();
+        b.add_edge(a, d, 4).unwrap();
+        b.add_edge(y, x, 5).unwrap();
+        b.add_edge(x, d, 6).unwrap();
+        b.build().unwrap()
+    }
+
+    /// `json_sample`'s JSON as written while the adjacency was one `Vec`
+    /// per node: the write-ahead log's inline graphs carry these bytes.
+    const PINNED_COMPACT: &str = r#"{"nodes":[{"name":"sense","wcet":10,"release":0,"deadline":null},{"name":"fuse \"x\"","wcet":20,"release":null,"deadline":null},{"name":null,"wcet":30,"release":5,"deadline":null},{"name":"act","wcet":40,"release":null,"deadline":200}],"edges":[{"src":0,"dst":1,"items":3},{"src":0,"dst":3,"items":4},{"src":2,"dst":1,"items":5},{"src":1,"dst":3,"items":6}],"succ":[[0,1],[3],[2],[]],"pred":[[],[0,2],[],[1,3]],"topo":[0,2,1,3],"inputs":[0,2],"outputs":[3]}"#;
+    const PINNED_PRETTY: &str = r#"{
+  "nodes": [
+    {
+      "name": "sense",
+      "wcet": 10,
+      "release": 0,
+      "deadline": null
+    },
+    {
+      "name": "fuse \"x\"",
+      "wcet": 20,
+      "release": null,
+      "deadline": null
+    },
+    {
+      "name": null,
+      "wcet": 30,
+      "release": 5,
+      "deadline": null
+    },
+    {
+      "name": "act",
+      "wcet": 40,
+      "release": null,
+      "deadline": 200
+    }
+  ],
+  "edges": [
+    {
+      "src": 0,
+      "dst": 1,
+      "items": 3
+    },
+    {
+      "src": 0,
+      "dst": 3,
+      "items": 4
+    },
+    {
+      "src": 2,
+      "dst": 1,
+      "items": 5
+    },
+    {
+      "src": 1,
+      "dst": 3,
+      "items": 6
+    }
+  ],
+  "succ": [
+    [
+      0,
+      1
+    ],
+    [
+      3
+    ],
+    [
+      2
+    ],
+    []
+  ],
+  "pred": [
+    [],
+    [
+      0,
+      2
+    ],
+    [],
+    [
+      1,
+      3
+    ]
+  ],
+  "topo": [
+    0,
+    2,
+    1,
+    3
+  ],
+  "inputs": [
+    0,
+    2
+  ],
+  "outputs": [
+    3
+  ]
+}"#;
+
+    #[test]
+    fn json_keeps_its_pinned_bytes() {
+        let g = json_sample();
+        let compact = serde_json::to_string(&g).unwrap();
+        let pretty = serde_json::to_string_pretty(&g).unwrap();
+        assert_eq!(compact, PINNED_COMPACT);
+        assert_eq!(pretty, PINNED_PRETTY);
+    }
+
+    #[test]
+    fn json_round_trips() {
+        let spec = crate::gen::WorkloadSpec::paper(crate::gen::ExecVariation::Hdet);
+        let generated = (0..8).map(|seed| crate::gen::generate_seeded(&spec, seed).unwrap());
+        for g in std::iter::once(json_sample()).chain(generated) {
+            for text in [
+                serde_json::to_string(&g).unwrap(),
+                serde_json::to_string_pretty(&g).unwrap(),
+            ] {
+                assert_eq!(serde_json::from_str::<TaskGraph>(&text).unwrap(), g);
+            }
+        }
+        let ragged = PINNED_COMPACT.replace(r#""pred":[[],"#, r#""pred":[7,"#);
+        let err = serde_json::from_str::<TaskGraph>(&ragged).unwrap_err();
+        assert!(err.to_string().contains("TaskGraph.pred"), "{err}");
     }
 
     #[test]

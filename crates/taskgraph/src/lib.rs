@@ -12,6 +12,11 @@
 //!   subtasks (no successors) carry absolute end-to-end deadlines;
 //! * all temporal quantities are integer [`Time`] units.
 //!
+//! A [`TaskGraph`] stores its adjacency in CSR form (one offset array plus
+//! one flat edge-id array per direction), so a graph is a fixed handful of
+//! allocations whatever its size; [`TaskGraph::out_edges`] and
+//! [`TaskGraph::in_edges`] are slices of those arrays.
+//!
 //! The [`gen`] module reproduces the paper's random workload generator
 //! (§5.2) and adds the structured shapes of §8; [`analysis`] computes the
 //! aggregates that drive the adaptive slicing metric (total workload, longest
@@ -57,6 +62,8 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
+#[cfg(test)]
+mod builder_oracle;
 pub mod dot;
 mod error;
 pub mod gen;
